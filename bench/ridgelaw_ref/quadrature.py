@@ -1,0 +1,154 @@
+"""Gauss-Legendre rules and tensor-product grids over hyperrectangles.
+
+Grid weights are normalized so they sum to one: a weighted sum of function
+values is the average of the function under a uniform probability density on
+the box. Grids are never materialized whole; points are produced lazily from
+their lexicographic index, so large orders cannot exhaust memory while small
+ones stay cheap to iterate.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from typing import Iterator, Sequence, Tuple
+
+import numpy as np
+
+from .errors import NumericalError
+
+# chunk size for blocked grid consumption; fixed so accumulation order (and
+# therefore bit-level results) never depends on worker count
+DEFAULT_CHUNK = 4096
+
+_NEWTON_TOL = 1e-15
+_NEWTON_MAX_ITER = 100
+
+
+def _legendre_value_derivative(n: int, x: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """P_n(x) and P_n'(x) by the three-term recurrence, for |x| < 1."""
+    p_prev = np.ones_like(x)
+    p = x.copy()
+    for j in range(2, n + 1):
+        p_prev, p = p, ((2 * j - 1) * x * p - (j - 1) * p_prev) / j
+    dp = n * (x * p - p_prev) / (x * x - 1.0)
+    return p, dp
+
+
+@dataclass(frozen=True)
+class QuadratureRule1D:
+    """Nodes and weights on [-1, 1]; exact for polynomials up to degree 2*order - 1."""
+
+    nodes: np.ndarray
+    weights: np.ndarray
+    order: int
+
+
+def gauss_legendre(order: int) -> QuadratureRule1D:
+    """Gauss-Legendre rule by Newton iteration on the Legendre polynomial.
+
+    Initial guesses come from the Chebyshev-angle approximation of the roots;
+    only the non-negative half is solved and then mirrored, which makes the
+    node set exactly symmetric about zero.
+    """
+    if order < 1:
+        raise ValueError(f"quadrature order must be >= 1, got {order}")
+    n = order
+    half = (n + 1) // 2
+    i = np.arange(1, half + 1)
+    x = np.cos(np.pi * (4 * i - 1) / (4 * n + 2))  # descending, positive half
+    for _ in range(_NEWTON_MAX_ITER):
+        p, dp = _legendre_value_derivative(n, x)
+        dx = p / dp
+        x = x - dx
+        if np.max(np.abs(dx)) < _NEWTON_TOL:
+            break
+    else:
+        raise NumericalError(f"Legendre root Newton iteration failed to converge at order {n}")
+    if n % 2 == 1:
+        x[-1] = 0.0  # odd-degree middle root is exactly zero
+    _, dp = _legendre_value_derivative(n, x)
+    w = 2.0 / ((1.0 - x * x) * dp * dp)
+    if n % 2 == 1:
+        nodes = np.concatenate([-x[:-1], [0.0], x[-2::-1]])
+        weights = np.concatenate([w[:-1], [w[-1]], w[-2::-1]])
+    else:
+        nodes = np.concatenate([-x, x[::-1]])
+        weights = np.concatenate([w, w[::-1]])
+    nodes.setflags(write=False)
+    weights.setflags(write=False)
+    return QuadratureRule1D(nodes=nodes, weights=weights, order=n)
+
+
+@dataclass(frozen=True)
+class TensorGrid:
+    """Tensor-product Gauss-Legendre grid over a box, uniform-density weights.
+
+    ``mapped_nodes[d]`` holds the order nodes affinely mapped into dimension
+    d's interval; per-dimension weights are the 1-D weights divided by 2, so
+    every product weight is positive and all of them sum to one. Points are
+    ordered lexicographically in the dimension-0-slowest multi-index, which
+    pins the accumulation order for bit-reproducible sums.
+    """
+
+    order: int
+    bounds: Tuple[Tuple[float, float], ...]
+    mapped_nodes: np.ndarray  # shape (ndim, order)
+    unit_weights: np.ndarray  # shape (order,), sums to 1 per dimension
+
+    @property
+    def ndim(self) -> int:
+        return len(self.bounds)
+
+    def __len__(self) -> int:
+        return self.order ** self.ndim
+
+    def chunk(self, start: int, stop: int) -> Tuple[np.ndarray, np.ndarray]:
+        """Points and weights for lexicographic indices [start, stop)."""
+        idx = np.arange(start, stop)
+        m = self.ndim
+        points = np.empty((len(idx), m), dtype=float)
+        weights = np.ones(len(idx), dtype=float)
+        for d in range(m):
+            digits = (idx // self.order ** (m - 1 - d)) % self.order
+            points[:, d] = self.mapped_nodes[d, digits]
+            weights *= self.unit_weights[digits]
+        return points, weights
+
+    def chunks(self, size: int = DEFAULT_CHUNK) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
+        total = len(self)
+        for start in range(0, total, size):
+            yield self.chunk(start, min(start + size, total))
+
+    def __iter__(self) -> Iterator[Tuple[np.ndarray, float]]:
+        for points, weights in self.chunks():
+            for p, w in zip(points, weights):
+                yield p, float(w)
+
+    def dense(self) -> Tuple[np.ndarray, np.ndarray]:
+        """Materialize the whole grid; intended for small orders and tests."""
+        return self.chunk(0, len(self))
+
+
+def tensor_grid(rule_order: int, bounds: Sequence[Tuple[float, float]]) -> TensorGrid:
+    """Tensor grid of a given 1-D order over per-dimension (lo, hi) intervals."""
+    rule = gauss_legendre(rule_order)
+    clean = []
+    for d, (lo, hi) in enumerate(bounds):
+        lo, hi = float(lo), float(hi)
+        if not lo < hi:
+            raise ValueError(f"degenerate bounds in dimension {d}: ({lo}, {hi})")
+        clean.append((lo, hi))
+    if not clean:
+        raise ValueError("tensor grid needs at least one dimension")
+    mapped = np.array(
+        [lo + (hi - lo) * (rule.nodes + 1.0) / 2.0 for lo, hi in clean], dtype=float
+    )
+    unit_weights = rule.weights / 2.0
+    mapped.setflags(write=False)
+    unit_weights.setflags(write=False)
+    return TensorGrid(
+        order=rule_order,
+        bounds=tuple(clean),
+        mapped_nodes=mapped,
+        unit_weights=unit_weights,
+    )
