@@ -39,6 +39,7 @@ from .activesubspace import (
     eigendecompose,
     estimate_C,
     estimate_subspace,
+    estimate_subspaces,
     fd_gradient,
     pullback_T,
 )
@@ -91,6 +92,7 @@ __all__ = [
     "eigendecompose",
     "estimate_C",
     "estimate_subspace",
+    "estimate_subspaces",
     "fd_gradient",
     "pullback_T",
     "InclusionReport",

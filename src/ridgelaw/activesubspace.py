@@ -8,14 +8,15 @@ matrix T with gradients taken in the profile's own coordinates.
 
 Accumulation is blocked into fixed-size chunks combined in index order, so
 results are bit-identical regardless of how many worker threads consume the
-grid.
+grid. One pass over the grid serves any number of FD steps: each chunk and
+its base values f(x) are computed once and shared by every step.
 """
 
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Optional, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -102,49 +103,58 @@ def fd_gradient(f: Callable, x: np.ndarray, cfg: GradientConfig) -> np.ndarray:
     return grad
 
 
-def _chunk_gradient_outer(
-    f: Callable, X: np.ndarray, weights: np.ndarray, h: float, lift: Optional[np.ndarray]
-) -> np.ndarray:
-    """Weighted sum of FD-gradient outer products over one block of points."""
+def _chunk_gradient_outers(
+    f: Callable, X: np.ndarray, weights: np.ndarray, steps: Sequence[float], lift: Optional[np.ndarray]
+) -> List[np.ndarray]:
+    """Weighted sums of FD-gradient outer products over one block of points, one per step.
+
+    f(Y) is evaluated once for the block; each (step, dimension) shift is
+    applied in place to one work array and undone from Y after its
+    evaluation, so the block costs 1 + m * len(steps) evaluations.
+    """
     Y = X @ lift if lift is not None else X
-    dim = Y.shape[1]
     f0 = _eval_rows(f, Y)
-    G = np.empty((Y.shape[0], dim))
-    for i in range(dim):
-        Yi = Y.copy()
-        Yi[:, i] += h
-        G[:, i] = (_eval_rows(f, Yi) - f0) / h
-    M = (G * weights[:, None]).T @ G
-    # accumulate the lower triangle only, then mirror: symmetric by construction
-    lower = np.tril(M)
-    return lower + np.tril(M, -1).T
+    work = Y.copy()
+    G = np.empty_like(Y)
+    partials = []
+    for h in steps:
+        for i in range(Y.shape[1]):
+            work[:, i] += h
+            G[:, i] = (_eval_rows(f, work) - f0) / h
+            work[:, i] = Y[:, i]
+        M = (G * weights[:, None]).T @ G
+        # accumulate the lower triangle only, then mirror: symmetric by construction
+        partials.append(np.tril(M) + np.tril(M, -1).T)
+    return partials
 
 
-def _gradient_outer_sum(
+def _gradient_outer_sums(
     f: Callable,
     grid: TensorGrid,
-    cfg: GradientConfig,
+    steps: Sequence[float],
     lift: Optional[np.ndarray],
     threads: int,
     chunk_size: int,
-) -> np.ndarray:
+) -> List[np.ndarray]:
+    """One pass over the grid: the gradient outer-product matrix for each step."""
     total = len(grid)
     starts = list(range(0, total, chunk_size))
 
-    def one_chunk(start: int) -> np.ndarray:
+    def one_chunk(start: int) -> List[np.ndarray]:
         X, w = grid.chunk(start, min(start + chunk_size, total))
-        return _chunk_gradient_outer(f, X, w, cfg.h, lift)
+        return _chunk_gradient_outers(f, X, w, steps, lift)
 
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            partials = list(pool.map(one_chunk, starts))
+            per_chunk = list(pool.map(one_chunk, starts))
     else:
-        partials = [one_chunk(s) for s in starts]
+        per_chunk = [one_chunk(s) for s in starts]
     dim = lift.shape[1] if lift is not None else grid.ndim
-    C = np.zeros((dim, dim))
-    for partial in partials:  # fixed combine order keeps sums deterministic
-        C += partial
-    return C
+    sums = [np.zeros((dim, dim)) for _ in steps]
+    for partials in per_chunk:  # fixed combine order keeps sums deterministic
+        for C, partial in zip(sums, partials):
+            C += partial
+    return sums
 
 
 def estimate_C(
@@ -155,7 +165,7 @@ def estimate_C(
     chunk_size: int = DEFAULT_CHUNK,
 ) -> np.ndarray:
     """Quadrature estimate of the m x m matrix C = avg of grad f grad f^T."""
-    return _gradient_outer_sum(f, grid, cfg, lift=None, threads=threads, chunk_size=chunk_size)
+    return _gradient_outer_sums(f, grid, [cfg.h], None, threads, chunk_size)[0]
 
 
 def pullback_T(
@@ -177,7 +187,7 @@ def pullback_T(
         raise ValueError(
             f"pullback requires orthonormal columns; Gram deviation {gram_err:.3e}"
         )
-    return _gradient_outer_sum(g_profile, grid, cfg, lift=A, threads=threads, chunk_size=chunk_size)
+    return _gradient_outer_sums(g_profile, grid, [cfg.h], A, threads, chunk_size)[0]
 
 
 def _jacobi_eigh(C: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -278,3 +288,26 @@ def estimate_subspace(
     C = estimate_C(f, grid, cfg, threads=threads, chunk_size=chunk_size)
     meta = GridMeta(quad_order=grid.order, fd_step=cfg.h, point_count=len(grid))
     return eigendecompose(C, grid_meta=meta)
+
+
+def estimate_subspaces(
+    f: Callable,
+    grid: TensorGrid,
+    steps: Sequence[float],
+    threads: int = 1,
+    chunk_size: int = DEFAULT_CHUNK,
+) -> List[SubspaceEstimate]:
+    """One estimate per FD step, all from a single pass over the grid.
+
+    Each chunk is generated once and f is evaluated once at its points, then
+    once per distinct step and dimension; a repeated step is computed once.
+    Every estimate equals the one ``estimate_subspace`` gives for its step.
+    """
+    hs = [GradientConfig(h=float(h)).h for h in steps]
+    distinct = list(dict.fromkeys(hs))
+    sums = _gradient_outer_sums(f, grid, distinct, None, threads, chunk_size)
+    by_step = {
+        h: eigendecompose(C, grid_meta=GridMeta(quad_order=grid.order, fd_step=h, point_count=len(grid)))
+        for h, C in zip(distinct, sums)
+    }
+    return [by_step[h] for h in hs]

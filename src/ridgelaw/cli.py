@@ -383,7 +383,9 @@ def _parse_steps(raw: str) -> List[float]:
 def _cmd_sweep(args) -> int:
     steps = _parse_steps(args.steps)
     threads = _resolve_threads(args)
-    result = convergence_sweep(args.model, steps, args.quad_order, threads=threads)
+    result = convergence_sweep(
+        pipeflow.builtin_model(args.model), steps, args.quad_order, threads=threads
+    )
     payload = {
         "model": result.model,
         "quad_order": result.quad_order,
@@ -426,12 +428,12 @@ def _cmd_pipeflow(args) -> int:
     if args.pipeflow_command == "reproduce":
         threads = _resolve_threads(args)
         builtin = pipeflow.builtin_model(args.regime, re_critical=args.re_crit)
-        grid = builtin.grid(args.quad_order)
-        est = estimate_subspace(
-            builtin.f, grid, GradientConfig(h=args.fd_step), threads=threads
-        )
         steps = _parse_steps(args.steps)
-        sweep = convergence_sweep(args.regime, steps, args.quad_order, threads=threads)
+        # the --fd-step estimate shares the sweep's single pass over one grid
+        sweep = convergence_sweep(
+            builtin, steps, args.quad_order, threads=threads, fd_step=args.fd_step
+        )
+        est = sweep.estimate
         payload = {
             "model": builtin.name,
             "quad_order": args.quad_order,
@@ -461,6 +463,7 @@ def _cmd_pipeflow(args) -> int:
                     "quad_order": args.quad_order,
                     "fd_step": fmt_float(args.fd_step),
                     "steps": [fmt_float(h) for h in steps],
+                    "re_crit": fmt_float(args.re_crit),
                     "threads": threads,
                 },
             )

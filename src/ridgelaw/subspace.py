@@ -14,8 +14,10 @@ from typing import Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .activesubspace import GradientConfig, active_subspace, estimate_subspace
+# estimate_subspace is unused here but stays bound: bench/tracer.py wraps this binding
+from .activesubspace import SubspaceEstimate, active_subspace, estimate_subspace, estimate_subspaces  # noqa: F401
 from .errors import ModelError
+from .pipeflow import BuiltinModel
 
 _RANK_TOL = 1e-12
 _SLOPE_FLOOR = 1e-24  # residuals below this are rounding noise; excluded from fits
@@ -112,22 +114,24 @@ class SweepResult:
     subspace_dim: int
     entries: Tuple[Tuple[float, float], ...]  # (h, r2), h descending
     slope: Optional[float]
+    estimate: Optional[SubspaceEstimate] = None  # full estimate at the sweep's fd_step
 
 
 def convergence_sweep(
-    model: str,
+    model: BuiltinModel,
     steps: Iterable[float],
     quad_order: int,
     threads: int = 1,
+    fd_step: Optional[float] = None,
 ) -> SweepResult:
     """Sweep the FD step for a built-in model and report r2(h) with its slope.
 
     For each h the active subspace (one direction for the laminar model,
     three for the turbulent one) is estimated on the same quadrature grid and
     tested for inclusion in the orthonormalized dimensional-analysis basis.
+    All estimates come from one pass over the grid; with ``fd_step`` that
+    pass also yields the full estimate at fd_step, returned as ``estimate``.
     """
-    from . import pipeflow
-
     steps = [float(h) for h in steps]
     if not steps:
         raise ModelError("sweep needs at least one step size")
@@ -135,19 +139,20 @@ def convergence_sweep(
         raise ModelError("step sizes must be positive")
     if any(a <= b for a, b in zip(steps, steps[1:])):
         raise ModelError("step sizes must be strictly descending")
-    builtin = pipeflow.builtin_model(model)
-    grid = builtin.grid(quad_order)
-    enclosing = _orthonormalize(builtin.decomposition.A_float(), "dimensional-analysis")
+    grid = model.grid(quad_order)
+    enclosing = _orthonormalize(model.decomposition.A_float(), "dimensional-analysis")
+    extra = [] if fd_step is None else [fd_step]
+    estimates = estimate_subspaces(model.f, grid, steps + extra, threads=threads)
     entries: List[Tuple[float, float]] = []
-    for h in steps:
-        est = estimate_subspace(builtin.f, grid, GradientConfig(h=h), threads=threads)
-        basis = active_subspace(est, builtin.active_dim)
+    for h, est in zip(steps, estimates):
+        basis = active_subspace(est, model.active_dim)
         report = inclusion_residual(basis, enclosing)
         entries.append((h, report.total))
     return SweepResult(
-        model=builtin.name,
+        model=model.name,
         quad_order=quad_order,
-        subspace_dim=builtin.active_dim,
+        subspace_dim=model.active_dim,
         entries=tuple(entries),
         slope=fit_loglog_slope(entries),
+        estimate=estimates[-1] if fd_step is not None else None,
     )

@@ -35,6 +35,7 @@ from ridgelaw.pipeflow import (
     RE_CRITICAL,
     _v_laminar,
     _v_turbulent,
+    builtin_model,
     pipe_quantities,
     velocity_dimension,
 )
@@ -181,7 +182,7 @@ def test_criterion_4_inclusion_convergence():
     # holds.
     results = {}
     for regime in ("laminar", "turbulent"):
-        results[regime] = convergence_sweep(regime, SWEEP_STEPS, quad_order=11)
+        results[regime] = convergence_sweep(builtin_model(regime), SWEEP_STEPS, quad_order=11)
     slopes = {regime: res.slope for regime, res in results.items()}
     monotone = {
         regime: all(r_a > r_b for (_, r_a), (_, r_b) in zip(res.entries, res.entries[1:]))

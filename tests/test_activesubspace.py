@@ -11,12 +11,14 @@ from ridgelaw.activesubspace import (
     eigendecompose,
     estimate_C,
     estimate_subspace,
+    estimate_subspaces,
     fd_gradient,
     pullback_T,
+    _gradient_outer_sums,
     _jacobi_eigh,
 )
 from ridgelaw.errors import EvaluationError, NumericalError
-from ridgelaw.quadrature import tensor_grid
+from ridgelaw.quadrature import TensorGrid, tensor_grid
 from ridgelaw.subspace import inclusion_residual
 
 CFG = GradientConfig(h=1e-5)
@@ -105,6 +107,63 @@ class TestEstimateC:
         grid = tensor_grid(4, [(-1.0, 1.0)] * 3)
         C = estimate_C(lambda x: np.sin(x[..., 0] * x[..., 1]) + x[..., 2], grid, CFG)
         assert np.array_equal(C, C.T)
+
+
+class TestMultiStepPass:
+    STEPS = (1e-2, 1e-3, 1e-2, 1e-5)  # 1e-2 repeats
+
+    @staticmethod
+    def f(x):
+        return np.exp(0.3 * x[..., 0]) * np.cos(x[..., 1]) + x[..., 2] ** 3
+
+    @pytest.mark.parametrize("threads", [1, 4])
+    def test_each_step_equals_its_one_step_estimate(self, threads):
+        grid = tensor_grid(7, [(-1.0, 1.0)] * 3)
+        sums = _gradient_outer_sums(self.f, grid, self.STEPS, None, threads, 64)
+        ests = estimate_subspaces(self.f, grid, self.STEPS, threads=threads, chunk_size=64)
+        assert len(ests) == len(self.STEPS)
+        for h, C, est in zip(self.STEPS, sums, ests):
+            cfg = GradientConfig(h=h)
+            assert np.array_equal(C, estimate_C(self.f, grid, cfg, threads=1, chunk_size=64))
+            one = estimate_subspace(self.f, grid, cfg, threads=1, chunk_size=64)
+            assert np.array_equal(est.eigenvalues, one.eigenvalues)
+            assert np.array_equal(est.eigenvectors, one.eigenvectors)
+            assert est.grid_meta == one.grid_meta
+        assert ests[0] is ests[2]
+
+    def test_lifted_steps_equal_pullback(self):
+        grid = tensor_grid(5, [(-1.0, 1.0)] * 3)
+        A = np.linalg.qr(np.array([[1.0, 0.0], [1.0, 1.0], [0.0, 2.0]]))[0]
+        g = lambda y: np.sin(y[..., 0]) * y[..., 1] ** 2
+        sums = _gradient_outer_sums(g, grid, [1e-3, 1e-6], A, 1, 64)
+        for h, T in zip([1e-3, 1e-6], sums):
+            assert np.array_equal(T, pullback_T(g, A, grid, GradientConfig(h=h), chunk_size=64))
+
+    def test_one_chunk_call_and_one_plus_m_s_evaluations_per_chunk(self, monkeypatch):
+        grid = tensor_grid(3, [(-1.0, 1.0)] * 3)  # 27 points: chunks of 8, 8, 8, 3
+        chunk_calls = []
+        original_chunk = TensorGrid.chunk
+
+        def counting_chunk(grid_self, start, stop):
+            chunk_calls.append((start, stop))
+            return original_chunk(grid_self, start, stop)
+
+        monkeypatch.setattr(TensorGrid, "chunk", counting_chunk)
+        rows = []
+
+        def counting_f(x):
+            rows.append(x.shape[0])
+            return self.f(x)
+
+        estimate_subspaces(counting_f, grid, self.STEPS, chunk_size=8)
+        assert chunk_calls == [(0, 8), (8, 16), (16, 24), (24, 27)]
+        per_chunk = 1 + grid.ndim * 3  # three distinct steps
+        assert rows == [8] * (3 * per_chunk) + [3] * per_chunk
+
+    def test_nonpositive_step_rejected(self):
+        grid = tensor_grid(3, [(-1.0, 1.0)] * 2)
+        with pytest.raises(ValueError, match="positive"):
+            estimate_subspaces(lambda x: x[..., 0], grid, [1e-3, 0.0])
 
 
 class TestEigendecompose:

@@ -239,6 +239,22 @@ class TestPipeflowCommand:
         run_doc = json.loads((out / "run.json").read_text())
         assert run_doc["command"] == "pipeflow reproduce"
 
+    def test_reproduce_passes_re_crit_to_the_sweep(self, tmp_path, capsys):
+        def reproduce(re_crit, out):
+            argv = ["pipeflow", "reproduce", "--regime", "turbulent", "--quad-order", "5",
+                    "--steps", "1e-2,1e-4", "--out", str(out)]
+            assert run_command(argv + (["--re-crit", re_crit] if re_crit else [])) == 0
+            return json.loads(capsys.readouterr().out)
+
+        default = reproduce(None, tmp_path / "default")
+        lowered = reproduce("2000", tmp_path / "lowered")
+        assert float(default["sweep"][0][1]) == pytest.approx(0.719, rel=1e-3)
+        assert float(lowered["sweep"][0][1]) == pytest.approx(3.80e-5, rel=1e-3)
+        assert lowered["eigenvalues"] != default["eigenvalues"]
+        for name, value in (("default", "3000"), ("lowered", "2000")):
+            run_doc = json.loads((tmp_path / name / "run.json").read_text())
+            assert run_doc["config"]["re_crit"] == value
+
 
 class TestUsageErrors:
     def test_unknown_flag_exits_2(self, capsys):

@@ -1,10 +1,13 @@
 """Inclusion residuals and the convergence sweep."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
-from ridgelaw.activesubspace import eigendecompose
+from ridgelaw.activesubspace import GradientConfig, eigendecompose, estimate_subspace
 from ridgelaw.errors import ModelError
+from ridgelaw.pipeflow import builtin_model
 from ridgelaw.subspace import (
     SweepResult,
     convergence_sweep,
@@ -127,7 +130,7 @@ class TestFitLoglogSlope:
 
 class TestConvergenceSweep:
     def test_laminar_residuals_shrink_with_h(self):
-        result = convergence_sweep("laminar", [1e-3, 1e-5], quad_order=5)
+        result = convergence_sweep(builtin_model("laminar"), [1e-3, 1e-5], quad_order=5)
         assert isinstance(result, SweepResult)
         assert result.subspace_dim == 1
         (h1, r1), (h2, r2) = result.entries
@@ -135,18 +138,49 @@ class TestConvergenceSweep:
         assert result.slope is not None and result.slope > 0.0
 
     def test_turbulent_uses_three_directions(self):
-        result = convergence_sweep("turbulent", [1e-4, 1e-5], quad_order=5)
+        result = convergence_sweep(builtin_model("turbulent"), [1e-4, 1e-5], quad_order=5)
         assert result.subspace_dim == 3
         assert result.entries[0][1] > result.entries[1][1]
 
     def test_steps_must_be_positive_descending(self):
         with pytest.raises(ModelError):
-            convergence_sweep("laminar", [1e-5, 1e-3], quad_order=3)
+            convergence_sweep(builtin_model("laminar"), [1e-5, 1e-3], quad_order=3)
         with pytest.raises(ModelError):
-            convergence_sweep("laminar", [1e-3, -1e-5], quad_order=3)
+            convergence_sweep(builtin_model("laminar"), [1e-3, -1e-5], quad_order=3)
         with pytest.raises(ModelError):
-            convergence_sweep("laminar", [], quad_order=3)
+            convergence_sweep(builtin_model("laminar"), [], quad_order=3)
 
     def test_unknown_model_rejected(self):
         with pytest.raises(ModelError, match="unknown built-in"):
-            convergence_sweep("plasma", [1e-3], quad_order=3)
+            convergence_sweep(builtin_model("plasma"), [1e-3], quad_order=3)
+
+    def test_fd_step_estimate_comes_from_the_same_pass(self):
+        model = builtin_model("turbulent")
+        result = convergence_sweep(model, [1e-3, 1e-5], quad_order=3, fd_step=1e-4)
+        alone = estimate_subspace(model.f, model.grid(3), GradientConfig(h=1e-4))
+        assert np.array_equal(result.estimate.eigenvalues, alone.eigenvalues)
+        assert np.array_equal(result.estimate.eigenvectors, alone.eigenvectors)
+        assert convergence_sweep(model, [1e-3, 1e-5], quad_order=3).estimate is None
+        assert result.entries == convergence_sweep(model, [1e-3, 1e-5], quad_order=3).entries
+
+    def test_sweep_uses_the_models_critical_reynolds_number(self):
+        # at Re_c = 2000 no order-5 stencil straddles the switch at h = 1e-2,
+        # so r2 there drops from O(1) to the O(h^2) forward-difference level
+        default = convergence_sweep(builtin_model("turbulent"), [1e-2], quad_order=5)
+        lowered = convergence_sweep(builtin_model("turbulent", re_critical=2000.0), [1e-2], quad_order=5)
+        assert default.entries[0][1] == pytest.approx(0.719, rel=1e-3)
+        assert lowered.entries[0][1] == pytest.approx(3.80e-5, rel=1e-3)
+
+    @pytest.mark.parametrize("regime, floor", [("laminar", 4.9e-3), ("turbulent", 9.7e-2)])
+    def test_inhomogeneous_model_keeps_a_residual(self, regime, floor):
+        # negative control: f * rho^0.3 is not dimensionally homogeneous, so its
+        # active subspace leaves span(A) and r2 stays put as h shrinks, while
+        # the homogeneous model's r2 falls to rounding level
+        base = builtin_model(regime)
+        lurking = dataclasses.replace(base, f=lambda x: base.f(x) * np.exp(0.3 * x[..., 0]))
+        steps = [1e-4, 1e-5, 1e-6]
+        r2 = [r for _, r in convergence_sweep(lurking, steps, quad_order=5).entries]
+        assert r2[-1] >= 1e-3
+        assert r2 == pytest.approx([floor] * 3, rel=2e-2)
+        homogeneous = convergence_sweep(base, steps, quad_order=5).entries
+        assert homogeneous[-1][1] <= 1e-12
