@@ -45,9 +45,7 @@ from .activesubspace import (
 )
 from .subspace import InclusionReport, SweepResult, convergence_sweep, inclusion_residual, spaces_equal
 from .pipeflow import (
-    LAMINAR_TABLE,
     RE_CRITICAL,
-    TURBULENT_TABLE,
     PipeState,
     builtin_model,
     bulk_velocity,
@@ -100,9 +98,7 @@ __all__ = [
     "convergence_sweep",
     "inclusion_residual",
     "spaces_equal",
-    "LAMINAR_TABLE",
     "RE_CRITICAL",
-    "TURBULENT_TABLE",
     "PipeState",
     "builtin_model",
     "bulk_velocity",

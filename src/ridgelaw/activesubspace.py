@@ -6,26 +6,23 @@ span the active subspace. For a ridge function the same matrix factors
 through the low-dimensional profile, so the pullback path estimates the small
 matrix T with gradients taken in the profile's own coordinates.
 
-Accumulation is blocked into fixed-size chunks combined in index order, so
-results are bit-identical regardless of how many worker threads consume the
-grid. One pass over the grid serves any number of FD steps: each chunk and
-its base values f(x) are computed once and shared by every step.
+Accumulation is blocked into fixed-size chunks summed in index order, which
+bounds working memory and makes every result bit-reproducible. One pass over
+the grid serves any number of FD steps: each chunk and its base values f(x)
+are computed once and shared by every step.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence
 
 import numpy as np
 
-from .errors import EvaluationError, NumericalError
+from .errors import EvaluationError, ModelError, NumericalError
 from .quadrature import DEFAULT_CHUNK, TensorGrid
 
 _SYMMETRY_TOL = 1e-12
-_JACOBI_OFF_TOL = 1e-14
-_JACOBI_MAX_SWEEPS = 50
 _EIG_CLAMP_REL = 1e-12
 _GAP_REL = 1e-12
 _ORTHO_TOL = 1e-10
@@ -36,13 +33,10 @@ class GradientConfig:
     """Forward-difference settings; h is an absolute step in log coordinates."""
 
     h: float = 1e-5
-    scheme: str = "forward"
 
     def __post_init__(self):
         if not self.h > 0.0:
             raise ValueError(f"finite-difference step must be positive, got {self.h}")
-        if self.scheme != "forward":
-            raise ValueError(f"only the forward-difference scheme is supported, got {self.scheme!r}")
 
 
 @dataclass(frozen=True)
@@ -65,16 +59,13 @@ class SubspaceEstimate:
 
 
 def _eval_rows(f: Callable, X: np.ndarray) -> np.ndarray:
-    """Evaluate f on each row of X, batched when f supports it."""
-    values = None
-    try:
-        out = np.asarray(f(X), dtype=float)
-        if out.shape == (X.shape[0],):
-            values = out
-    except Exception:
-        values = None
-    if values is None:
-        values = np.fromiter((float(f(row)) for row in X), dtype=float, count=len(X))
+    """Evaluate f on all rows of X in one call; f must map (n, m) points to n values."""
+    values = np.asarray(f(X), dtype=float)
+    if values.shape != (X.shape[0],):
+        raise ModelError(
+            f"model function returned shape {values.shape} for {X.shape[0]} points; "
+            f"it must map an (n, m) array of points to n values"
+        )
     if not np.all(np.isfinite(values)):
         bad = int(np.argmin(np.isfinite(values)))
         raise EvaluationError(
@@ -133,26 +124,13 @@ def _gradient_outer_sums(
     grid: TensorGrid,
     steps: Sequence[float],
     lift: Optional[np.ndarray],
-    threads: int,
     chunk_size: int,
 ) -> List[np.ndarray]:
     """One pass over the grid: the gradient outer-product matrix for each step."""
-    total = len(grid)
-    starts = list(range(0, total, chunk_size))
-
-    def one_chunk(start: int) -> List[np.ndarray]:
-        X, w = grid.chunk(start, min(start + chunk_size, total))
-        return _chunk_gradient_outers(f, X, w, steps, lift)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            per_chunk = list(pool.map(one_chunk, starts))
-    else:
-        per_chunk = [one_chunk(s) for s in starts]
     dim = lift.shape[1] if lift is not None else grid.ndim
     sums = [np.zeros((dim, dim)) for _ in steps]
-    for partials in per_chunk:  # fixed combine order keeps sums deterministic
-        for C, partial in zip(sums, partials):
+    for X, w in grid.chunks(chunk_size):
+        for C, partial in zip(sums, _chunk_gradient_outers(f, X, w, steps, lift)):
             C += partial
     return sums
 
@@ -161,11 +139,10 @@ def estimate_C(
     f: Callable,
     grid: TensorGrid,
     cfg: GradientConfig,
-    threads: int = 1,
     chunk_size: int = DEFAULT_CHUNK,
 ) -> np.ndarray:
     """Quadrature estimate of the m x m matrix C = avg of grad f grad f^T."""
-    return _gradient_outer_sums(f, grid, [cfg.h], None, threads, chunk_size)[0]
+    return _gradient_outer_sums(f, grid, [cfg.h], None, chunk_size)[0]
 
 
 def pullback_T(
@@ -173,7 +150,6 @@ def pullback_T(
     A: np.ndarray,
     grid: TensorGrid,
     cfg: GradientConfig,
-    threads: int = 1,
     chunk_size: int = DEFAULT_CHUNK,
 ) -> np.ndarray:
     """Estimate the n x n pulled-back matrix T = avg of grad g grad g^T at A^T x.
@@ -187,47 +163,7 @@ def pullback_T(
         raise ValueError(
             f"pullback requires orthonormal columns; Gram deviation {gram_err:.3e}"
         )
-    return _gradient_outer_sums(g_profile, grid, [cfg.h], A, threads, chunk_size)[0]
-
-
-def _jacobi_eigh(C: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Cyclic Jacobi eigendecomposition of a small symmetric matrix."""
-    A = C.copy()
-    m = A.shape[0]
-    V = np.eye(m)
-    norm = np.linalg.norm(C, "fro")
-    if norm == 0.0:
-        return np.zeros(m), V
-    for _ in range(_JACOBI_MAX_SWEEPS):
-        off = np.sqrt(np.sum(np.square(A - np.diag(np.diag(A)))))
-        if off <= _JACOBI_OFF_TOL * norm:
-            break
-        for p in range(m - 1):
-            for q in range(p + 1, m):
-                apq = A[p, q]
-                if apq == 0.0:
-                    continue
-                theta = (A[q, q] - A[p, p]) / (2.0 * apq)
-                t = np.sign(theta) / (abs(theta) + np.sqrt(theta * theta + 1.0))
-                if theta == 0.0:
-                    t = 1.0
-                c = 1.0 / np.sqrt(t * t + 1.0)
-                s = t * c
-                col_p, col_q = A[:, p].copy(), A[:, q].copy()
-                A[:, p] = c * col_p - s * col_q
-                A[:, q] = s * col_p + c * col_q
-                row_p, row_q = A[p, :].copy(), A[q, :].copy()
-                A[p, :] = c * row_p - s * row_q
-                A[q, :] = s * row_p + c * row_q
-                A[p, q] = A[q, p] = 0.0
-                vp, vq = V[:, p].copy(), V[:, q].copy()
-                V[:, p] = c * vp - s * vq
-                V[:, q] = s * vp + c * vq
-    else:
-        off = np.sqrt(np.sum(np.square(A - np.diag(np.diag(A)))))
-        if off > _JACOBI_OFF_TOL * norm:
-            raise NumericalError("Jacobi sweeps failed to reduce the off-diagonal norm")
-    return np.diag(A).copy(), V
+    return _gradient_outer_sums(g_profile, grid, [cfg.h], A, chunk_size)[0]
 
 
 def eigendecompose(C: np.ndarray, grid_meta: Optional[GridMeta] = None) -> SubspaceEstimate:
@@ -235,19 +171,27 @@ def eigendecompose(C: np.ndarray, grid_meta: Optional[GridMeta] = None) -> Subsp
 
     Eigenvalues in (-1e-12 * lambda_1, 0) are clamped to zero with the
     ``clamped`` flag set; anything more negative means the input was not
-    positive semidefinite and raises.
+    positive semidefinite and raises. Each eigenvector's largest-magnitude
+    component is positive, which fixes the sign LAPACK leaves free.
     """
     C = np.atleast_2d(np.asarray(C, dtype=float))
     if C.shape[0] != C.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {C.shape}")
+    if not np.all(np.isfinite(C)):
+        raise NumericalError("matrix has non-finite entries")
     scale = np.max(np.abs(C))
     asym = np.max(np.abs(C - C.T))
     if scale > 0.0 and asym > _SYMMETRY_TOL * scale:
         raise ValueError(f"matrix is asymmetric: max |C - C^T| = {asym:.3e}")
-    values, vectors = _jacobi_eigh((C + C.T) / 2.0)
+    try:
+        values, vectors = np.linalg.eigh((C + C.T) / 2.0)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"eigendecomposition failed: {exc}") from exc
     order = np.argsort(-values, kind="stable")
     values = values[order]
     vectors = vectors[:, order]
+    pivots = np.argmax(np.abs(vectors), axis=0)
+    vectors = vectors * np.sign(vectors[pivots, np.arange(vectors.shape[1])])
     lam_max = max(values[0], 0.0) if values.size else 0.0
     floor = -_EIG_CLAMP_REL * lam_max
     if np.any(values < floor):
@@ -281,11 +225,10 @@ def estimate_subspace(
     f: Callable,
     grid: TensorGrid,
     cfg: GradientConfig,
-    threads: int = 1,
     chunk_size: int = DEFAULT_CHUNK,
 ) -> SubspaceEstimate:
     """Estimate C on the grid and eigendecompose it, recording run metadata."""
-    C = estimate_C(f, grid, cfg, threads=threads, chunk_size=chunk_size)
+    C = estimate_C(f, grid, cfg, chunk_size=chunk_size)
     meta = GridMeta(quad_order=grid.order, fd_step=cfg.h, point_count=len(grid))
     return eigendecompose(C, grid_meta=meta)
 
@@ -294,7 +237,6 @@ def estimate_subspaces(
     f: Callable,
     grid: TensorGrid,
     steps: Sequence[float],
-    threads: int = 1,
     chunk_size: int = DEFAULT_CHUNK,
 ) -> List[SubspaceEstimate]:
     """One estimate per FD step, all from a single pass over the grid.
@@ -305,7 +247,7 @@ def estimate_subspaces(
     """
     hs = [GradientConfig(h=float(h)).h for h in steps]
     distinct = list(dict.fromkeys(hs))
-    sums = _gradient_outer_sums(f, grid, distinct, None, threads, chunk_size)
+    sums = _gradient_outer_sums(f, grid, distinct, None, chunk_size)
     by_step = {
         h: eigendecompose(C, grid_meta=GridMeta(quad_order=grid.order, fd_step=h, point_count=len(grid)))
         for h, C in zip(distinct, sums)

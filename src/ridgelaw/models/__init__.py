@@ -1,1 +1,196 @@
-"""Shipped model files (JSON), resolved by id through importlib.resources."""
+"""Model files (JSON): the schema, its loader, and the shipped models.
+
+A shipped model is resolved by id through importlib.resources. It is also
+the signature of the built-in function of the same id: a file that declares
+``"builtin": X`` must declare the quantities of the shipped file ``X.json``
+(names and dimensions, in order) and its QoI dimension; only the ranges
+may differ.
+"""
+
+from __future__ import annotations
+
+import functools
+import json
+import sys
+from dataclasses import dataclass
+from importlib import resources
+from pathlib import Path
+from typing import Optional, Tuple
+
+import numpy as np
+
+from ..dimensions import DimensionVector, QuantityDecl, UnitSystem, as_fraction, make_dimension
+from ..errors import ModelError
+from ..pigroups import PiDecomposition, pi_decomposition
+
+SHIPPED_MODELS = ("pipeflow_laminar", "pipeflow_turbulent")
+
+
+@dataclass(frozen=True)
+class ModelSpec:
+    """Validated model file: unit system, quantities, QoI, optional builtin id."""
+
+    name: str
+    system: UnitSystem
+    quantities: Tuple[QuantityDecl, ...]
+    qoi_name: str
+    qoi: DimensionVector
+    builtin: Optional[str] = None
+
+    def decomposition(self) -> PiDecomposition:
+        return pi_decomposition(self.quantities, self.qoi)
+
+    def ranges(self) -> Tuple[Tuple[float, float], ...]:
+        missing = [q.name for q in self.quantities if not q.has_range]
+        if missing:
+            raise ModelError(
+                f"subspace estimation needs ranges for all quantities; missing: {missing}"
+            )
+        return tuple((q.range_lo, q.range_hi) for q in self.quantities)
+
+    def log_bounds(self) -> Tuple[Tuple[float, float], ...]:
+        return tuple((float(np.log(lo)), float(np.log(hi))) for lo, hi in self.ranges())
+
+
+def _require(mapping: dict, key: str, context: str):
+    if key not in mapping:
+        raise ModelError(f"{context}: missing required field {key!r}")
+    return mapping[key]
+
+
+def _require_object(raw, context: str) -> dict:
+    if not isinstance(raw, dict):
+        raise ModelError(f"{context}: must be an object")
+    return raw
+
+
+def _require_name(mapping: dict, context: str) -> str:
+    name = _require(mapping, "name", context)
+    if not isinstance(name, str) or not name:
+        raise ModelError(f"{context}: 'name' must be a non-empty string, got {name!r}")
+    return name
+
+
+def _is_finite_number(x) -> bool:
+    """A JSON number that converts to a finite double (not a bool, NaN or inf)."""
+    return isinstance(x, (int, float)) and not isinstance(x, bool) and abs(x) <= sys.float_info.max
+
+
+def _parse_dimension(system: UnitSystem, raw: dict, context: str) -> DimensionVector:
+    if not isinstance(raw, dict):
+        raise ModelError(f"{context}: 'dimension' must be an object of unit: exponent pairs")
+    pairs = []
+    for label, exponent in raw.items():
+        if isinstance(exponent, bool) or not isinstance(exponent, (int, str)):
+            raise ModelError(
+                f"{context}: exponent for unit {label!r} must be an integer or 'p/q' string"
+            )
+        pairs.append((label, as_fraction(exponent)))
+    return make_dimension(system, pairs)
+
+
+def _units(dim: DimensionVector) -> dict:
+    """The non-zero exponents of a dimension, by unit label."""
+    return {u: str(e) for u, e in zip(dim.system.unit_names, dim.exponents) if e}
+
+
+def _check_builtin(spec: ModelSpec) -> None:
+    """Raise unless spec has the quantities and QoI dimension of its builtin's shipped file."""
+    if spec.builtin not in SHIPPED_MODELS:
+        raise ModelError(
+            f"model {spec.name!r}: unknown builtin id {spec.builtin!r}; "
+            f"expected one of {list(SHIPPED_MODELS)}"
+        )
+    ref = _load_shipped(spec.builtin)
+    context = f"model {spec.name!r} does not match builtin {spec.builtin!r}"
+    got = [(q.name, _units(q.dimension)) for q in spec.quantities]
+    want = [(q.name, _units(q.dimension)) for q in ref.quantities]
+    for i, (g, w) in enumerate(zip(got, want)):
+        if g != w:
+            raise ModelError(f"{context}: quantity #{i} is {g}, expected {w}")
+    if len(got) != len(want):
+        raise ModelError(f"{context}: {len(got)} quantities, expected {len(want)}")
+    if _units(spec.qoi) != _units(ref.qoi):
+        raise ModelError(
+            f"{context}: QoI dimension is {_units(spec.qoi)}, expected {_units(ref.qoi)}"
+        )
+
+
+def _parse(text: str, name: str) -> ModelSpec:
+    try:
+        doc = json.loads(text)
+    except ValueError as exc:  # JSONDecodeError, or an integer past the digit limit
+        raise ModelError(f"model {name!r}: invalid JSON ({exc})") from exc
+    doc = _require_object(doc, f"model {name!r}, top level")
+
+    units = _require(doc, "unit_system", f"model {name!r}")
+    if not isinstance(units, list) or not all(isinstance(u, str) for u in units):
+        raise ModelError(f"model {name!r}: 'unit_system' must be a list of unit labels")
+    system = UnitSystem(tuple(units))
+
+    raw_quantities = _require(doc, "quantities", f"model {name!r}")
+    if not isinstance(raw_quantities, list) or not raw_quantities:
+        raise ModelError(f"model {name!r}: 'quantities' must be a non-empty list")
+    quantities = []
+    for i, raw in enumerate(raw_quantities):
+        ctx = f"model {name!r}, quantity #{i}"
+        raw = _require_object(raw, ctx)
+        qname = _require_name(raw, ctx)
+        ctx = f"{ctx} ({qname!r})"
+        dim = _parse_dimension(system, _require(raw, "dimension", ctx), ctx)
+        lo = hi = None
+        if "range" in raw:
+            rng = raw["range"]
+            if not (isinstance(rng, list) and len(rng) == 2 and all(map(_is_finite_number, rng))):
+                raise ModelError(f"{ctx}: 'range' must be [lo, hi] with finite numbers")
+            lo, hi = rng
+        quantities.append(QuantityDecl(name=qname, dimension=dim, range_lo=lo, range_hi=hi))
+    names = [q.name for q in quantities]
+    if len(set(names)) != len(names):
+        raise ModelError(f"model {name!r}: quantity names must be unique, got {names}")
+
+    raw_qoi = _require_object(_require(doc, "qoi", f"model {name!r}"), f"model {name!r} qoi")
+    qoi_name = _require_name(raw_qoi, f"model {name!r} qoi")
+    if qoi_name in names:
+        raise ModelError(
+            f"model {name!r}: quantity of interest {qoi_name!r} must not also be an input quantity"
+        )
+    qoi = _parse_dimension(system, _require(raw_qoi, "dimension", f"model {name!r} qoi"), "qoi")
+
+    builtin = doc.get("builtin")
+    if builtin is not None and not isinstance(builtin, str):
+        raise ModelError(f"model {name!r}: 'builtin' must be a string id, got {builtin!r}")
+    return ModelSpec(
+        name=name,
+        system=system,
+        quantities=tuple(quantities),
+        qoi_name=qoi_name,
+        qoi=qoi,
+        builtin=builtin,
+    )
+
+
+@functools.lru_cache(maxsize=None)
+def _load_shipped(model_id: str) -> ModelSpec:
+    text = resources.files(__name__).joinpath(f"{model_id}.json").read_text()
+    return _parse(text, model_id)
+
+
+def load_model(path_or_id: str) -> ModelSpec:
+    """Load and validate a model file; shipped model ids resolve to packaged files."""
+    if path_or_id in SHIPPED_MODELS:
+        return _load_shipped(path_or_id)
+    path = Path(path_or_id)
+    if not path.exists():
+        raise ModelError(
+            f"model {path_or_id!r} is neither a file nor one of the shipped "
+            f"models {list(SHIPPED_MODELS)}"
+        )
+    try:
+        text = path.read_text()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ModelError(f"cannot read model file {path_or_id!r}: {exc}") from exc
+    spec = _parse(text, path.stem)
+    if spec.builtin is not None:
+        _check_builtin(spec)
+    return spec

@@ -6,49 +6,30 @@ Colebrook-derived formula above it. The regime selector evaluates the
 turbulent velocity, computes its Reynolds number, and branches on the
 critical value; the branch is a hard switch, not a blend.
 
-Quantity ordering is fixed as (rho, mu, D, eps, dPdL) over the fundamental
-units (kg, m, s), so the emitted dimension matrix and pi groups line up
-with the classical presentation of this system.
+The quantities (rho, mu, D, eps, dPdL), their units and their ranges are
+declared once, in the shipped model files pipeflow_laminar.json and
+pipeflow_turbulent.json; the model function reads its input columns in
+that order, which the loader enforces for every file naming a builtin.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Tuple
+from functools import cached_property
+from typing import Callable
 
 import numpy as np
 
-from .dimensions import QuantityDecl, UnitSystem, make_dimension
 from .errors import ModelError, NumericalError
-from .pigroups import PiDecomposition, pi_decomposition
+from .models import ModelSpec, load_model
+from .pigroups import PiDecomposition
 from .quadrature import TensorGrid, tensor_grid
 
 RE_CRITICAL = 3.0e3
 
-PIPE_UNITS = UnitSystem(("kg", "m", "s"))
-QUANTITY_NAMES = ("rho", "mu", "D", "eps", "dPdL")
-
-# per-quantity (lo, hi) bounds in the quantity's own units
-_LAMINAR_BOUNDS = (
-    (1.0e-1, 1.4e-1),  # rho, kg/m^3
-    (1.0e-6, 1.0e-5),  # mu, kg/(m s)
-    (1.0e-1, 1.0e0),   # D, m
-    (1.0e-3, 1.0e-1),  # eps, m
-    (1.0e-9, 1.0e-7),  # dPdL, kg/(m^2 s^2)
-)
-_TURBULENT_BOUNDS = _LAMINAR_BOUNDS[:4] + ((1.0e-1, 1.0e1),)
-
-
-@dataclass(frozen=True)
-class RegimeTable:
-    """Named parameter box: five (lo, hi) pairs in quantity order."""
-
-    name: str
-    bounds: Tuple[Tuple[float, float], ...]
-
-
-LAMINAR_TABLE = RegimeTable("laminar", _LAMINAR_BOUNDS)
-TURBULENT_TABLE = RegimeTable("turbulent", _TURBULENT_BOUNDS)
+# expected active-subspace dimension of each built-in model (a shipped model
+# file); 'laminar' and 'turbulent' are short ids for them
+_ACTIVE_DIM = {"pipeflow_laminar": 1, "pipeflow_turbulent": 3}
 
 
 @dataclass(frozen=True)
@@ -137,84 +118,61 @@ def flow_regime(s: PipeState, re_critical: float = RE_CRITICAL) -> str:
 
 @dataclass(frozen=True)
 class LogSpaceVelocity:
-    """Bulk velocity as a function of log quantities, vectorized over rows."""
+    """Bulk velocity as a function of log quantities: one value per row of x, or for one point."""
 
     re_critical: float = RE_CRITICAL
 
     def __call__(self, x):
-        x = np.asarray(x, dtype=float)
-        q = np.exp(x)
-        if q.ndim == 1:
-            return float(_bulk_velocity(q[0], q[1], q[2], q[3], q[4], self.re_critical))
-        return _bulk_velocity(q[:, 0], q[:, 1], q[:, 2], q[:, 3], q[:, 4], self.re_critical)
-
-
-def pipe_quantities(table: RegimeTable) -> Tuple[QuantityDecl, ...]:
-    """The five pipe quantities with dimensions and the table's ranges."""
-    dims = {
-        "rho": [("kg", 1), ("m", -3)],
-        "mu": [("kg", 1), ("m", -1), ("s", -1)],
-        "D": [("m", 1)],
-        "eps": [("m", 1)],
-        "dPdL": [("kg", 1), ("m", -2), ("s", -2)],
-    }
-    return tuple(
-        QuantityDecl(
-            name=name,
-            dimension=make_dimension(PIPE_UNITS, dims[name]),
-            range_lo=lo,
-            range_hi=hi,
-        )
-        for name, (lo, hi) in zip(QUANTITY_NAMES, table.bounds)
-    )
-
-
-def velocity_dimension():
-    """Dimension vector of the bulk velocity (the quantity of interest)."""
-    return make_dimension(PIPE_UNITS, [("m", 1), ("s", -1)])
+        rho, mu, diam, eps, dpdl = np.exp(np.asarray(x, dtype=float)).T
+        return _bulk_velocity(rho, mu, diam, eps, dpdl, self.re_critical)
 
 
 @dataclass(frozen=True)
 class BuiltinModel:
-    """A regime table bundled with its log-space model function and pi groups."""
+    """A model file bound to the built-in velocity function it names."""
 
-    name: str
-    table: RegimeTable
+    spec: ModelSpec
     f: Callable
-    log_bounds: Tuple[Tuple[float, float], ...]
-    decomposition: PiDecomposition
     active_dim: int  # expected active-subspace dimension for this regime
 
+    @property
+    def name(self) -> str:
+        return self.spec.builtin
+
+    @cached_property
+    def decomposition(self) -> PiDecomposition:
+        return self.spec.decomposition()
+
     def grid(self, quad_order: int) -> TensorGrid:
-        return tensor_grid(quad_order, self.log_bounds)
+        return tensor_grid(quad_order, self.spec.log_bounds())
 
 
-_REGIME_ALIASES = {
-    "laminar": "laminar",
-    "turbulent": "turbulent",
-    "pipeflow_laminar": "laminar",
-    "pipeflow_turbulent": "turbulent",
-}
+def shipped_id(model_id: str) -> str:
+    """'pipeflow_laminar' for the short id 'laminar', likewise 'turbulent'; others unchanged."""
+    long_id = f"pipeflow_{model_id}"
+    return long_id if long_id in _ACTIVE_DIM else model_id
+
+
+def bind_builtin(spec: ModelSpec, re_critical: float = RE_CRITICAL) -> BuiltinModel:
+    """Bind a loaded model file to the built-in function its 'builtin' field names."""
+    if spec.builtin is None:
+        raise ModelError(
+            f"model {spec.name!r} declares no built-in function; "
+            "only pi-group analysis is available for it"
+        )
+    return BuiltinModel(
+        spec=spec,
+        f=LogSpaceVelocity(re_critical=re_critical),
+        active_dim=_ACTIVE_DIM[spec.builtin],
+    )
 
 
 def builtin_model(regime: str, re_critical: float = RE_CRITICAL) -> BuiltinModel:
-    """Built-in pipe-flow model for a regime id ('laminar' or 'turbulent')."""
-    try:
-        name = _REGIME_ALIASES[regime]
-    except KeyError:
+    """Built-in pipe-flow model: 'laminar' or 'turbulent', or its shipped id 'pipeflow_<regime>'."""
+    model_id = shipped_id(regime)
+    if model_id not in _ACTIVE_DIM:
         raise ModelError(
-            f"unknown built-in model {regime!r}; "
-            f"expected one of {sorted(set(_REGIME_ALIASES))}"
-        ) from None
-    table = LAMINAR_TABLE if name == "laminar" else TURBULENT_TABLE
-    quantities = pipe_quantities(table)
-    decomposition = pi_decomposition(quantities, velocity_dimension())
-    log_bounds = tuple((np.log(lo), np.log(hi)) for lo, hi in table.bounds)
-    return BuiltinModel(
-        name=f"pipeflow_{name}",
-        table=table,
-        f=LogSpaceVelocity(re_critical=re_critical),
-        log_bounds=log_bounds,
-        decomposition=decomposition,
-        active_dim=1 if name == "laminar" else 3,
-    )
+            f"unknown built-in model {regime!r}; expected one of "
+            f"{sorted(_ACTIVE_DIM)}, with or without the 'pipeflow_' prefix"
+        )
+    return bind_builtin(load_model(model_id), re_critical)

@@ -16,8 +16,8 @@ import numpy as np
 
 from .errors import NumericalError
 
-# chunk size for blocked grid consumption; fixed so accumulation order (and
-# therefore bit-level results) never depends on worker count
+# points per block when a grid is consumed in chunks: bounds an estimate's
+# working memory and, being fixed, pins the summation order bit for bit
 DEFAULT_CHUNK = 4096
 
 _NEWTON_TOL = 1e-15

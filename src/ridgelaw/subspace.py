@@ -121,7 +121,6 @@ def convergence_sweep(
     model: BuiltinModel,
     steps: Iterable[float],
     quad_order: int,
-    threads: int = 1,
     fd_step: Optional[float] = None,
 ) -> SweepResult:
     """Sweep the FD step for a built-in model and report r2(h) with its slope.
@@ -142,7 +141,7 @@ def convergence_sweep(
     grid = model.grid(quad_order)
     enclosing = _orthonormalize(model.decomposition.A_float(), "dimensional-analysis")
     extra = [] if fd_step is None else [fd_step]
-    estimates = estimate_subspaces(model.f, grid, steps + extra, threads=threads)
+    estimates = estimate_subspaces(model.f, grid, steps + extra)
     entries: List[Tuple[float, float]] = []
     for h, est in zip(steps, estimates):
         basis = active_subspace(est, model.active_dim)

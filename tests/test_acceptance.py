@@ -27,18 +27,9 @@ from ridgelaw.activesubspace import (
     estimate_subspace,
     fd_gradient,
     pullback_T,
-    _jacobi_eigh,
 )
 from ridgelaw.pigroups import _matvec, build_dimension_matrix, null_space_basis, solve_particular
-from ridgelaw.pipeflow import (
-    LAMINAR_TABLE,
-    RE_CRITICAL,
-    _v_laminar,
-    _v_turbulent,
-    builtin_model,
-    pipe_quantities,
-    velocity_dimension,
-)
+from ridgelaw.pipeflow import RE_CRITICAL, _v_laminar, _v_turbulent, builtin_model
 from ridgelaw.quadrature import tensor_grid
 from ridgelaw.ridge import constancy_directions
 from ridgelaw.subspace import convergence_sweep, inclusion_residual
@@ -71,9 +62,9 @@ def est11_turbulent(turbulent_model):
 
 def test_criterion_1_exact_pi_decomposition(laminar_model):
     started = time.perf_counter()
-    quantities = pipe_quantities(LAMINAR_TABLE)
+    quantities = laminar_model.spec.quantities
     D = build_dimension_matrix(quantities)
-    target = velocity_dimension()
+    target = laminar_model.spec.qoi
     w = solve_particular(D, target)
     W = null_space_basis(D)
     elapsed_ms = (time.perf_counter() - started) * 1e3
@@ -299,17 +290,17 @@ def test_criterion_8_property_suites(laminar_model):
             exact *= (hi ** (d + 1) - lo ** (d + 1)) / ((d + 1) * (hi - lo))
         quad_err = max(quad_err, abs(estimate - exact) / max(1.0, abs(exact)))
 
-    # Jacobi eigensolver against hand-solved cases
-    vals2, _ = _jacobi_eigh(np.array([[2.0, 1.0], [1.0, 2.0]]))
-    jacobi_err = float(np.max(np.abs(np.sort(vals2) - np.array([1.0, 3.0]))))
-    vals3, _ = _jacobi_eigh(np.array([[2.0, 1.0, 0.0], [1.0, 2.0, 0.0], [0.0, 0.0, 5.0]]))
-    jacobi_err = max(jacobi_err, float(np.max(np.abs(np.sort(vals3) - np.array([1.0, 3.0, 5.0])))))
+    # eigensolver against hand-solved cases
+    vals2 = eigendecompose(np.array([[2.0, 1.0], [1.0, 2.0]])).eigenvalues
+    eig_err = float(np.max(np.abs(np.sort(vals2) - np.array([1.0, 3.0]))))
+    vals3 = eigendecompose(np.array([[2.0, 1.0, 0.0], [1.0, 2.0, 0.0], [0.0, 0.0, 5.0]])).eigenvalues
+    eig_err = max(eig_err, float(np.max(np.abs(np.sort(vals3) - np.array([1.0, 3.0, 5.0])))))
 
     # ridge constancy on the pipe model in log space
     A = laminar_model.decomposition.A_float()
     U = constancy_directions(A)
-    lo = np.array([b[0] for b in laminar_model.log_bounds])
-    hi = np.array([b[1] for b in laminar_model.log_bounds])
+    lo = np.array([b[0] for b in laminar_model.spec.log_bounds()])
+    hi = np.array([b[1] for b in laminar_model.spec.log_bounds()])
     ridge_err = 0.0
     for _ in range(10):
         x = lo + (hi - lo) * rng.uniform(0.2, 0.8, size=5)
@@ -332,7 +323,7 @@ def test_criterion_8_property_suites(laminar_model):
 
     ok = (
         quad_err <= 1e-11
-        and jacobi_err <= 1e-12
+        and eig_err <= 1e-12
         and ridge_err <= 1e-9
         and fd_err <= 1e-9
         and basis_err <= 1e-12
@@ -341,11 +332,11 @@ def test_criterion_8_property_suites(laminar_model):
         8,
         "property suites",
         ok,
-        f"quad {quad_err:.1e}, jacobi {jacobi_err:.1e}, ridge {ridge_err:.1e}, "
+        f"quad {quad_err:.1e}, eig {eig_err:.1e}, ridge {ridge_err:.1e}, "
         f"fd {fd_err:.1e}, basis-invariance {basis_err:.1e}",
     )
     assert quad_err <= 1e-11
-    assert jacobi_err <= 1e-12
+    assert eig_err <= 1e-12
     assert ridge_err <= 1e-9
     assert fd_err <= 1e-9
     assert basis_err <= 1e-12

@@ -1,13 +1,13 @@
 """Model-file loading, subcommands, artifacts, and exit codes."""
 
 import json
+import sys
 
 import numpy as np
 import pytest
 
 from ridgelaw.cli import fmt_float, load_model, run_command
 from ridgelaw.errors import ModelError
-from ridgelaw.pipeflow import LAMINAR_TABLE
 
 
 def write_model(tmp_path, doc, name="model.json"):
@@ -31,8 +31,13 @@ class TestLoadModel:
     def test_shipped_laminar_round_trips_table_and_matrix(self):
         spec = load_model("pipeflow_laminar")
         assert [q.name for q in spec.quantities] == ["rho", "mu", "D", "eps", "dPdL"]
-        for q, (lo, hi) in zip(spec.quantities, LAMINAR_TABLE.bounds):
-            assert (q.range_lo, q.range_hi) == (lo, hi)
+        assert spec.ranges() == (
+            (1.0e-1, 1.4e-1),
+            (1.0e-6, 1.0e-5),
+            (1.0e-1, 1.0e0),
+            (1.0e-3, 1.0e-1),
+            (1.0e-9, 1.0e-7),
+        )
         decomp = spec.decomposition()
         assert decomp.rank == 3 and decomp.n == 2
         assert spec.builtin == "pipeflow_laminar"
@@ -79,6 +84,79 @@ class TestLoadModel:
     def test_missing_file_reported(self):
         with pytest.raises(ModelError, match="shipped"):
             load_model("no_such_model.json")
+
+    def test_integer_past_the_digit_limit_is_invalid_json(self, tmp_path):
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps(BASE_DOC).replace('"kg": 1', '"kg": ' + "9" * 5000, 1))
+        with pytest.raises(ModelError, match="invalid JSON"):
+            load_model(str(path))
+
+    @pytest.mark.parametrize(
+        "mutate, message",
+        [
+            (lambda d: d["quantities"][0].update(name=["rho"]), "'name' must be a non-empty string"),
+            (lambda d: d["quantities"][0].update(name=7), "'name' must be a non-empty string"),
+            (lambda d: d.update(qoi=3), "qoi: must be an object"),
+            (lambda d: d.update(qoi=["V"]), "qoi: must be an object"),
+            (lambda d: d["quantities"][0]["dimension"].update(kg=True), "exponent for unit 'kg'"),
+            (lambda d: d["quantities"][0].update(range=["x", 2]), "'range' must be"),
+            (lambda d: d["quantities"][0].update(range=[0.1, True]), "'range' must be"),
+            (lambda d: d["quantities"][0].update(range=[0.1, 10**400]), "'range' must be"),
+        ],
+    )
+    def test_schema_violations_exit_3(self, tmp_path, capsys, mutate, message):
+        doc = json.loads(json.dumps(BASE_DOC))
+        mutate(doc)
+        assert run_command(["pi", write_model(tmp_path, doc)]) == 3
+        err = capsys.readouterr().err
+        assert "model error" in err and message in err
+
+
+def _pipe_doc(mutate=None):
+    doc = _shipped_laminar_doc()
+    if mutate is not None:
+        mutate(doc["quantities"], doc)
+    return doc
+
+
+class TestBuiltinBinding:
+    """A file naming a builtin must declare that shipped file's quantities and QoI."""
+
+    @pytest.mark.parametrize(
+        "mutate, message",
+        [
+            (lambda qs, d: qs.reverse(), "quantity #0 is ('dPdL'"),
+            (lambda qs, d: qs.insert(1, qs.pop(3)), "quantity #1 is ('eps'"),
+            (lambda qs, d: qs.pop(), "4 quantities, expected 5"),
+            (lambda qs, d: qs.pop(2), "quantity #2 is ('eps'"),
+            (lambda qs, d: qs.append({"name": "T", "dimension": {"s": 1}}), "6 quantities, expected 5"),
+            (lambda qs, d: qs[1].update(name="nu"), "quantity #1 is ('nu'"),
+            (lambda qs, d: qs[2].update(dimension={"m": 2}), "expected ('D', {'m': '1'})"),
+            (lambda qs, d: d["qoi"].update(dimension={"m": 1}), "QoI dimension is {'m': '1'}"),
+            (lambda qs, d: d.update(builtin="laminar"), "unknown builtin id 'laminar'"),
+        ],
+    )
+    def test_mismatch_exits_3_naming_it(self, tmp_path, capsys, mutate, message):
+        path = write_model(tmp_path, _pipe_doc(mutate))
+        assert run_command(["active", "--model", path, "--quad-order", "2"]) == 3
+        err = capsys.readouterr().err
+        assert "does not match builtin 'pipeflow_laminar'" in err or "unknown builtin" in err
+        assert message in err
+
+    def test_other_regime_and_range_only_variants_run(self, tmp_path, capsys):
+        def sub_box(qs, d):
+            d["builtin"] = "pipeflow_turbulent"
+            d["unit_system"] = ["s", "m", "kg"]  # same dimensions, other unit order
+            qs[0]["range"] = [0.11, 0.12]
+            qs[4]["range"] = [1e-9, 10]
+
+        path = write_model(tmp_path, _pipe_doc(sub_box))
+        assert run_command(["active", "--model", path, "--quad-order", "2"]) == 0
+        assert len(json.loads(capsys.readouterr().out)["eigenvalues"]) == 5
+
+    def test_shipped_files_are_their_own_builtins(self):
+        for model_id in ("pipeflow_laminar", "pipeflow_turbulent"):
+            assert load_model(model_id).builtin == model_id
 
 
 class TestPiCommand:
@@ -148,6 +226,17 @@ class TestActiveCommand:
             assert run_command(["active", "--model", path, "--quad-order", "2"]) == 4
         assert "numerical failure" in capsys.readouterr().err
 
+    def test_overflowing_gradient_outer_products_exit_4(self, tmp_path, capsys):
+        # velocities near 1e155 are finite, but their squared gradients
+        # overflow C to inf; that must not come out as nan eigenvalues
+        doc = _shipped_laminar_doc()
+        doc["quantities"][2]["range"] = [1e19, 1e20]
+        doc["quantities"][4]["range"] = [1e286, 1e287]
+        path = write_model(tmp_path, doc)
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert run_command(["active", "--model", path, "--quad-order", "2"]) == 4
+        assert "non-finite" in capsys.readouterr().err
+
     def test_model_without_builtin_exits_3(self, tmp_path, capsys):
         doc = _shipped_laminar_doc()
         del doc["builtin"]
@@ -155,14 +244,27 @@ class TestActiveCommand:
         assert run_command(["active", "--model", path, "--quad-order", "2"]) == 3
         assert "built-in" in capsys.readouterr().err
 
-    def test_threads_env_fallback(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setenv("RIDGELAW_THREADS", "2")
-        out = tmp_path / "env"
-        assert run_command(
-            ["active", "--model", "pipeflow_laminar", "--quad-order", "2", "--out", str(out)]
-        ) == 0
+    def test_runs_no_pi_decomposition(self, tmp_path, capsys, monkeypatch):
+        # active outputs no pi groups, so it must not compute any
+        import ridgelaw.pigroups
+
+        calls = []
+        original = ridgelaw.pigroups.pi_decomposition
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("ridgelaw") and getattr(module, "pi_decomposition", None) is original:
+                monkeypatch.setattr(module, "pi_decomposition", counting)
+        path = write_model(tmp_path, _shipped_laminar_doc())
+        assert run_command(["active", "--model", path, "--quad-order", "2"]) == 0
+        assert run_command(["active", "--model", "pipeflow_turbulent", "--quad-order", "2"]) == 0
+        assert calls == []
+        assert run_command(["pi", path]) == 0  # the counter does see a decomposition
+        assert len(calls) == 1
         capsys.readouterr()
-        assert json.loads((out / "run.json").read_text())["config"]["threads"] == 2
 
 
 class TestInclusionCommand:

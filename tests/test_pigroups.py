@@ -19,11 +19,12 @@ from ridgelaw.pigroups import (
     solve_particular,
     _matvec,
 )
-from ridgelaw.pipeflow import LAMINAR_TABLE, pipe_quantities, velocity_dimension
+from ridgelaw.models import load_model
 from ridgelaw.subspace import spaces_equal
 from tests.conftest import CLASSICAL_PIPE_W
 
 KMS = UnitSystem(("kg", "m", "s"))
+PIPE = load_model("pipeflow_laminar")
 
 
 def fr(v):
@@ -38,7 +39,7 @@ def matrix(system, rows, names=None):
 
 @pytest.fixture(scope="module")
 def pipe_D():
-    return build_dimension_matrix(pipe_quantities(LAMINAR_TABLE))
+    return build_dimension_matrix(PIPE.quantities)
 
 
 class TestBuildDimensionMatrix:
@@ -88,14 +89,14 @@ class TestRankExact:
 
 class TestSolveParticular:
     def test_pipe_velocity_target(self, pipe_D):
-        w = solve_particular(pipe_D, velocity_dimension())
-        assert _matvec(pipe_D.entries, w) == list(velocity_dimension().exponents)
+        w = solve_particular(pipe_D, PIPE.qoi)
+        assert _matvec(pipe_D.entries, w) == list(PIPE.qoi.exponents)
 
     def test_poiseuille_monomial_is_also_a_solution(self, pipe_D):
         # independent oracle: the laminar closed form dPdL * D^2 / (32 mu)
         # has velocity units, so its exponents must solve the same system
         candidate = fr([0, -1, 2, 0, 1])
-        assert _matvec(pipe_D.entries, candidate) == list(velocity_dimension().exponents)
+        assert _matvec(pipe_D.entries, candidate) == list(PIPE.qoi.exponents)
 
     def test_zero_target_gives_zero_solution(self, pipe_D):
         zero = DimensionVector(fr([0, 0, 0]), KMS)
@@ -146,7 +147,7 @@ class TestNullSpaceBasis:
 
 class TestAssembleA:
     def test_pipe_A_has_rank_three(self, pipe_D):
-        w = solve_particular(pipe_D, velocity_dimension())
+        w = solve_particular(pipe_D, PIPE.qoi)
         W = null_space_basis(pipe_D)
         A = assemble_A(w, W)
         assert len(A) == 5 and len(A[0]) == 3
@@ -253,7 +254,7 @@ def test_null_basis_column_space_survives_column_permutation(pipe_D):
 
 
 def test_pi_decomposition_flags_dimensionless_qoi():
-    quantities = pipe_quantities(LAMINAR_TABLE)
+    quantities = PIPE.quantities
     zero = make_dimension(KMS, [])
     decomp = pi_decomposition(quantities, zero)
     assert decomp.qoi_dimensionless

@@ -1,4 +1,4 @@
-"""The pipe-flow virtual laboratory: velocity laws, regime switch, tables."""
+"""The pipe-flow virtual laboratory: velocity laws, regime switch, built-in models."""
 
 import itertools
 import math
@@ -8,16 +8,13 @@ import pytest
 
 from ridgelaw.errors import ModelError, NumericalError
 from ridgelaw.pipeflow import (
-    LAMINAR_TABLE,
     RE_CRITICAL,
-    TURBULENT_TABLE,
     LogSpaceVelocity,
     PipeState,
     builtin_model,
     bulk_velocity,
     flow_regime,
     friction_factor,
-    pipe_quantities,
     reynolds,
     v_laminar,
     v_turbulent,
@@ -130,10 +127,10 @@ class TestReynoldsAndFriction:
 
 
 class TestBulkVelocity:
-    def test_laminar_box_interior_routes_to_poiseuille(self):
+    def test_laminar_box_interior_routes_to_poiseuille(self, laminar_model):
         rng = np.random.default_rng(31)
         for _ in range(50):
-            point = [rng.uniform(lo, hi) for lo, hi in LAMINAR_TABLE.bounds]
+            point = [rng.uniform(lo, hi) for lo, hi in laminar_model.spec.ranges()]
             s = PipeState(*point)
             assert flow_regime(s) == "laminar"
             assert bulk_velocity(s) == v_laminar(s)
@@ -163,10 +160,10 @@ class TestBulkVelocity:
             values = model.f(X)
             assert np.all(values > 0.0)
 
-    def test_laminar_corners_keep_re_below_critical(self):
-        # the corner maximizing Re over the laminar table must stay laminar
+    def test_laminar_corners_keep_re_below_critical(self, laminar_model):
+        # the corner maximizing Re over the laminar box must stay laminar
         worst = 0.0
-        for corner in itertools.product(*LAMINAR_TABLE.bounds):
+        for corner in itertools.product(*laminar_model.spec.ranges()):
             rho, mu, diam, eps, dpdl = corner
             if not eps < diam:
                 continue  # eps = diam corners are outside the state space
@@ -186,8 +183,8 @@ def test_log_laminar_velocity_has_constant_gradient(laminar_model):
 
     h = 1e-6
     log_f = lambda x: math.log(laminar_model.f(x))
-    lo = np.array([b[0] for b in laminar_model.log_bounds])
-    hi = np.array([b[1] for b in laminar_model.log_bounds])
+    lo = np.array([b[0] for b in laminar_model.spec.log_bounds()])
+    hi = np.array([b[1] for b in laminar_model.spec.log_bounds()])
     rng = np.random.default_rng(41)
     exponents = np.array([0.0, -1.0, 2.0, 0.0, 1.0])
     for _ in range(10):
@@ -198,7 +195,7 @@ def test_log_laminar_velocity_has_constant_gradient(laminar_model):
 
 class TestBuiltinModel:
     def test_laminar_table_values(self, laminar_model):
-        assert laminar_model.table.bounds == (
+        assert laminar_model.spec.ranges() == (
             (1.0e-1, 1.4e-1),
             (1.0e-6, 1.0e-5),
             (1.0e-1, 1.0e0),
@@ -206,21 +203,22 @@ class TestBuiltinModel:
             (1.0e-9, 1.0e-7),
         )
 
-    def test_turbulent_table_differs_only_in_pressure_gradient(self, turbulent_model):
-        assert turbulent_model.table.bounds[:4] == LAMINAR_TABLE.bounds[:4]
-        assert turbulent_model.table.bounds[4] == (1.0e-1, 1.0e1)
+    def test_turbulent_table_differs_only_in_pressure_gradient(self, laminar_model, turbulent_model):
+        assert turbulent_model.spec.ranges()[:4] == laminar_model.spec.ranges()[:4]
+        assert turbulent_model.spec.ranges()[4] == (1.0e-1, 1.0e1)
 
     def test_dimension_matrix_rows(self, laminar_model):
         from ridgelaw.pigroups import build_dimension_matrix
 
-        D = build_dimension_matrix(pipe_quantities(LAMINAR_TABLE)).to_float()
+        D = build_dimension_matrix(laminar_model.spec.quantities).to_float()
         expected = np.array(
             [[1, 1, 0, 0, 1], [-3, -1, 1, 1, -2], [0, -1, 0, 0, -2]], dtype=float
         )
         assert np.array_equal(D, expected)
 
     def test_log_bounds_are_logs_of_table(self, turbulent_model):
-        for (lo, hi), (llo, lhi) in zip(turbulent_model.table.bounds, turbulent_model.log_bounds):
+        spec = turbulent_model.spec
+        for (lo, hi), (llo, lhi) in zip(spec.ranges(), spec.log_bounds()):
             assert llo == pytest.approx(math.log(lo))
             assert lhi == pytest.approx(math.log(hi))
 
@@ -229,14 +227,14 @@ class TestBuiltinModel:
         s = PipeState(0.12, 5e-6, 0.5, 0.01, 1e-8)
         assert laminar_model.f(point) == pytest.approx(bulk_velocity(s), rel=1e-15)
 
-    def test_vectorized_and_scalar_paths_agree(self):
+    def test_vectorized_and_scalar_paths_agree(self, turbulent_model):
         f = LogSpaceVelocity()
         rng = np.random.default_rng(17)
         X = np.log(
             np.column_stack(
                 [
                     rng.uniform(lo, hi, size=8)
-                    for lo, hi in TURBULENT_TABLE.bounds
+                    for lo, hi in turbulent_model.spec.ranges()
                 ]
             )
         )

@@ -75,9 +75,8 @@ class TestSemiEmpiricalEval:
         q = np.exp(rng.uniform(-1.0, 1.0, size=5))
         # rows of D are orthogonal to null columns, so log c = D^T y works
         from ridgelaw.pigroups import build_dimension_matrix
-        from ridgelaw.pipeflow import LAMINAR_TABLE, pipe_quantities
 
-        Df = build_dimension_matrix(pipe_quantities(LAMINAR_TABLE)).to_float()
+        Df = build_dimension_matrix(laminar_model.spec.quantities).to_float()
         log_c = Df.T @ rng.uniform(-0.4, 0.4, size=3)
         c = np.exp(log_c)
         expected = np.exp(w @ log_c) * semi_empirical_eval(model, q)
@@ -114,8 +113,8 @@ def test_pipe_flow_bulk_velocity_is_a_ridge_function(laminar_model, turbulent_mo
     for model in (laminar_model, turbulent_model):
         A = model.decomposition.A_float()
         U = constancy_directions(A)
-        lo = np.array([b[0] for b in model.log_bounds])
-        hi = np.array([b[1] for b in model.log_bounds])
+        lo = np.array([b[0] for b in model.spec.log_bounds()])
+        hi = np.array([b[1] for b in model.spec.log_bounds()])
         for _ in range(25):
             x = lo + (hi - lo) * rng.uniform(0.2, 0.8, size=5)
             u = U @ rng.uniform(-0.5, 0.5, size=U.shape[1])
