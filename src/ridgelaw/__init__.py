@@ -14,7 +14,6 @@ from .dimensions import (
     DimensionVector,
     QuantityDecl,
     UnitSystem,
-    combine,
     is_dimensionless,
     make_dimension,
 )
@@ -26,12 +25,11 @@ from .pigroups import (
     build_dimension_matrix,
     null_space_basis,
     pi_decomposition,
-    pi_values,
     rank_exact,
     solve_particular,
 )
 from .quadrature import QuadratureRule1D, TensorGrid, gauss_legendre, tensor_grid
-from .ridge import RidgeModel, SemiEmpiricalModel, constancy_directions, ridge_eval, semi_empirical_eval
+from .ridge import constancy_directions
 from .activesubspace import (
     GradientConfig,
     SubspaceEstimate,
@@ -43,7 +41,7 @@ from .activesubspace import (
     fd_gradient,
     pullback_T,
 )
-from .subspace import InclusionReport, SweepResult, convergence_sweep, inclusion_residual, spaces_equal
+from .subspace import InclusionReport, SweepResult, convergence_sweep, inclusion_residual
 from .pipeflow import (
     RE_CRITICAL,
     PipeState,
@@ -51,8 +49,6 @@ from .pipeflow import (
     bulk_velocity,
     friction_factor,
     reynolds,
-    v_laminar,
-    v_turbulent,
 )
 
 __all__ = [
@@ -60,7 +56,6 @@ __all__ = [
     "DimensionVector",
     "QuantityDecl",
     "UnitSystem",
-    "combine",
     "is_dimensionless",
     "make_dimension",
     "EvaluationError",
@@ -72,18 +67,13 @@ __all__ = [
     "build_dimension_matrix",
     "null_space_basis",
     "pi_decomposition",
-    "pi_values",
     "rank_exact",
     "solve_particular",
     "QuadratureRule1D",
     "TensorGrid",
     "gauss_legendre",
     "tensor_grid",
-    "RidgeModel",
-    "SemiEmpiricalModel",
     "constancy_directions",
-    "ridge_eval",
-    "semi_empirical_eval",
     "GradientConfig",
     "SubspaceEstimate",
     "active_subspace",
@@ -97,13 +87,10 @@ __all__ = [
     "SweepResult",
     "convergence_sweep",
     "inclusion_residual",
-    "spaces_equal",
     "RE_CRITICAL",
     "PipeState",
     "builtin_model",
     "bulk_velocity",
     "friction_factor",
     "reynolds",
-    "v_laminar",
-    "v_turbulent",
 ]

@@ -15,7 +15,7 @@ are computed once and shared by every step.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence
+from typing import Callable, Iterator, List, Optional, Sequence
 
 import numpy as np
 
@@ -40,21 +40,11 @@ class GradientConfig:
 
 
 @dataclass(frozen=True)
-class GridMeta:
-    """Estimation provenance: quadrature order, FD step, and point count."""
-
-    quad_order: Optional[int]
-    fd_step: Optional[float]
-    point_count: Optional[int]
-
-
-@dataclass(frozen=True)
 class SubspaceEstimate:
     """Descending eigenvalues and orthonormal eigenvectors of an estimated C."""
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
-    grid_meta: Optional[GridMeta] = None
     clamped: bool = False  # true if tiny negative eigenvalues were zeroed
 
 
@@ -75,44 +65,42 @@ def _eval_rows(f: Callable, X: np.ndarray) -> np.ndarray:
     return values
 
 
-def fd_gradient(f: Callable, x: np.ndarray, cfg: GradientConfig) -> np.ndarray:
-    """Forward-difference gradient: component i is (f(x + h e_i) - f(x)) / h."""
-    x = np.asarray(x, dtype=float)
-    f0 = float(f(x))
-    if not np.isfinite(f0):
-        raise EvaluationError(f"model returned non-finite value {f0} at point {x.tolist()}", point=x.copy())
-    grad = np.empty(x.shape[0])
-    for i in range(x.shape[0]):
-        xi = x.copy()
-        xi[i] += cfg.h
-        fi = float(f(xi))
-        if not np.isfinite(fi):
-            raise EvaluationError(
-                f"model returned non-finite value {fi} at point {xi.tolist()}", point=xi
-            )
-        grad[i] = (fi - f0) / cfg.h
-    return grad
+def _fd_gradients(f: Callable, Y: np.ndarray, steps: Sequence[float]) -> Iterator[np.ndarray]:
+    """Forward-difference gradients at the rows of Y, one (n, m) array per step.
 
-
-def _chunk_gradient_outers(
-    f: Callable, X: np.ndarray, weights: np.ndarray, steps: Sequence[float], lift: Optional[np.ndarray]
-) -> List[np.ndarray]:
-    """Weighted sums of FD-gradient outer products over one block of points, one per step.
-
-    f(Y) is evaluated once for the block; each (step, dimension) shift is
-    applied in place to one work array and undone from Y after its
-    evaluation, so the block costs 1 + m * len(steps) evaluations.
+    f(Y) is evaluated once; each (step, dimension) shift is applied in place
+    to one work array and undone from Y after its evaluation, so a pass costs
+    1 + m * len(steps) evaluations. The yielded array is reused by the next
+    step.
     """
-    Y = X @ lift if lift is not None else X
     f0 = _eval_rows(f, Y)
     work = Y.copy()
     G = np.empty_like(Y)
-    partials = []
     for h in steps:
         for i in range(Y.shape[1]):
             work[:, i] += h
             G[:, i] = (_eval_rows(f, work) - f0) / h
             work[:, i] = Y[:, i]
+        yield G
+
+
+def fd_gradient(f: Callable, x: np.ndarray, cfg: GradientConfig) -> np.ndarray:
+    """Forward-difference gradient of a point function: component i is (f(x + h e_i) - f(x)) / h.
+
+    The one-row case of the grid kernel: f is called once per shifted point.
+    """
+    x = np.asarray(x, dtype=float)
+    rows = lambda Z: np.array([float(f(z)) for z in Z])
+    return next(_fd_gradients(rows, x[None, :], [cfg.h]))[0]
+
+
+def _chunk_gradient_outers(
+    f: Callable, X: np.ndarray, weights: np.ndarray, steps: Sequence[float], lift: Optional[np.ndarray]
+) -> List[np.ndarray]:
+    """Weighted sums of FD-gradient outer products over one block of points, one per step."""
+    Y = X @ lift if lift is not None else X
+    partials = []
+    for G in _fd_gradients(f, Y, steps):
         M = (G * weights[:, None]).T @ G
         # accumulate the lower triangle only, then mirror: symmetric by construction
         partials.append(np.tril(M) + np.tril(M, -1).T)
@@ -166,7 +154,7 @@ def pullback_T(
     return _gradient_outer_sums(g_profile, grid, [cfg.h], A, chunk_size)[0]
 
 
-def eigendecompose(C: np.ndarray, grid_meta: Optional[GridMeta] = None) -> SubspaceEstimate:
+def eigendecompose(C: np.ndarray) -> SubspaceEstimate:
     """Full spectral decomposition of a symmetric PSD matrix, descending order.
 
     Eigenvalues in (-1e-12 * lambda_1, 0) are clamped to zero with the
@@ -201,9 +189,7 @@ def eigendecompose(C: np.ndarray, grid_meta: Optional[GridMeta] = None) -> Subsp
         )
     clamped = bool(np.any(values < 0.0))
     values = np.maximum(values, 0.0)
-    return SubspaceEstimate(
-        eigenvalues=values, eigenvectors=vectors, grid_meta=grid_meta, clamped=clamped
-    )
+    return SubspaceEstimate(eigenvalues=values, eigenvectors=vectors, clamped=clamped)
 
 
 def active_subspace(est: SubspaceEstimate, k: int) -> np.ndarray:
@@ -227,10 +213,8 @@ def estimate_subspace(
     cfg: GradientConfig,
     chunk_size: int = DEFAULT_CHUNK,
 ) -> SubspaceEstimate:
-    """Estimate C on the grid and eigendecompose it, recording run metadata."""
-    C = estimate_C(f, grid, cfg, chunk_size=chunk_size)
-    meta = GridMeta(quad_order=grid.order, fd_step=cfg.h, point_count=len(grid))
-    return eigendecompose(C, grid_meta=meta)
+    """Estimate C on the grid and eigendecompose it."""
+    return eigendecompose(estimate_C(f, grid, cfg, chunk_size=chunk_size))
 
 
 def estimate_subspaces(
@@ -248,8 +232,5 @@ def estimate_subspaces(
     hs = [GradientConfig(h=float(h)).h for h in steps]
     distinct = list(dict.fromkeys(hs))
     sums = _gradient_outer_sums(f, grid, distinct, None, chunk_size)
-    by_step = {
-        h: eigendecompose(C, grid_meta=GridMeta(quad_order=grid.order, fd_step=h, point_count=len(grid)))
-        for h, C in zip(distinct, sums)
-    }
+    by_step = {h: eigendecompose(C) for h, C in zip(distinct, sums)}
     return [by_step[h] for h in hs]

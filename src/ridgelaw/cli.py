@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -48,9 +49,13 @@ def fmt_rational(x: Fraction) -> str:
 
 
 def _write_text(out_dir: Path, filename: str, text: str) -> Path:
-    out_dir.mkdir(parents=True, exist_ok=True)
     target = out_dir / filename
-    target.write_text(text)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+        target.write_text(text)
+    except OSError as exc:
+        # an unusable --out is a usage error
+        raise ValueError(f"cannot write {str(target)!r}: {exc.strerror or exc}") from None
     return target
 
 
@@ -214,11 +219,22 @@ def _sweep_csv(entries) -> str:
     return _csv_lines(["h", "r2", "slope_so_far"], rows)
 
 
+def _finite_float(raw: str) -> float:
+    """argparse type of every float option: nan, inf and non-numbers are usage errors."""
+    try:
+        value = float(raw)
+        if math.isfinite(value):
+            return value
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"expected a finite number, got {raw!r}")
+
+
 def _parse_steps(raw: str) -> List[float]:
     try:
-        steps = [float(s) for s in raw.split(",") if s.strip()]
-    except ValueError:
-        raise ModelError(f"--steps must be a comma-separated list of floats, got {raw!r}") from None
+        steps = [_finite_float(s) for s in raw.split(",") if s.strip()]
+    except argparse.ArgumentTypeError as exc:
+        raise ValueError(f"--steps: {exc}") from None
     if not steps:
         raise ModelError("--steps must name at least one step size")
     return steps
@@ -255,13 +271,22 @@ def _cmd_eval(args) -> int:
     state = pipeflow.PipeState(
         rho=args.rho, mu=args.mu, diam=args.diam, eps=args.eps, dpdl=args.dpdl
     )
-    velocity = pipeflow.bulk_velocity(state, re_critical=args.re_crit)
-    payload = {
-        "V": fmt_float(velocity),
-        "Re": fmt_float(pipeflow.reynolds(state, velocity)),
-        "f": fmt_float(pipeflow.friction_factor(state, velocity)),
-        "regime": pipeflow.flow_regime(state, re_critical=args.re_crit),
-    }
+    try:
+        with np.errstate(all="ignore"):
+            velocity = pipeflow.bulk_velocity(state, re_critical=args.re_crit)
+            numbers = {
+                "V": velocity,
+                "Re": pipeflow.reynolds(state, velocity),
+                "f": pipeflow.friction_factor(state, velocity),
+            }
+            regime = pipeflow.flow_regime(state, re_critical=args.re_crit)
+    except (ZeroDivisionError, OverflowError) as exc:  # raised by Python float arithmetic
+        raise NumericalError(f"pipe state is outside the double range: {exc}") from None
+    bad = [name for name, x in numbers.items() if not math.isfinite(x)]
+    if bad:
+        raise NumericalError(f"pipe state is outside the double range: {', '.join(bad)} not finite")
+    payload = {name: fmt_float(x) for name, x in numbers.items()}
+    payload["regime"] = regime
     print(json.dumps(payload, indent=2, sort_keys=True))
     return 0
 
@@ -319,7 +344,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_active = sub.add_parser("active", help="estimate the active subspace of a model")
     p_active.add_argument("--model", required=True, help="built-in id or model JSON with a builtin")
     p_active.add_argument("--quad-order", type=int, default=DEFAULT_QUAD_ORDER)
-    p_active.add_argument("--fd-step", type=float, default=DEFAULT_FD_STEP)
+    p_active.add_argument("--fd-step", type=_finite_float, default=DEFAULT_FD_STEP)
     p_active.add_argument("--out", help="directory for CSV/JSON artifacts")
     p_active.set_defaults(func=_cmd_active)
 
@@ -342,12 +367,12 @@ def build_parser() -> argparse.ArgumentParser:
     pipe_sub = p_pipe.add_subparsers(dest="pipeflow_command", required=True)
 
     p_eval = pipe_sub.add_parser("eval", help="evaluate one pipe state")
-    p_eval.add_argument("--rho", type=float, required=True)
-    p_eval.add_argument("--mu", type=float, required=True)
-    p_eval.add_argument("--diam", type=float, required=True)
-    p_eval.add_argument("--eps", type=float, required=True)
-    p_eval.add_argument("--dpdl", type=float, required=True)
-    p_eval.add_argument("--re-crit", type=float, default=pipeflow.RE_CRITICAL)
+    p_eval.add_argument("--rho", type=_finite_float, required=True)
+    p_eval.add_argument("--mu", type=_finite_float, required=True)
+    p_eval.add_argument("--diam", type=_finite_float, required=True)
+    p_eval.add_argument("--eps", type=_finite_float, required=True)
+    p_eval.add_argument("--dpdl", type=_finite_float, required=True)
+    p_eval.add_argument("--re-crit", type=_finite_float, default=pipeflow.RE_CRITICAL)
     p_eval.set_defaults(func=_cmd_eval)
 
     p_repro = pipe_sub.add_parser(
@@ -355,13 +380,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_repro.add_argument("--regime", required=True, choices=["laminar", "turbulent"])
     p_repro.add_argument("--quad-order", type=int, default=DEFAULT_QUAD_ORDER)
-    p_repro.add_argument("--fd-step", type=float, default=DEFAULT_FD_STEP)
+    p_repro.add_argument("--fd-step", type=_finite_float, default=DEFAULT_FD_STEP)
     p_repro.add_argument(
         "--steps",
         default=",".join(fmt_float(h) for h in DEFAULT_SWEEP_STEPS),
         help="comma-separated descending step sizes for the sweep",
     )
-    p_repro.add_argument("--re-crit", type=float, default=pipeflow.RE_CRITICAL)
+    p_repro.add_argument("--re-crit", type=_finite_float, default=pipeflow.RE_CRITICAL)
     p_repro.add_argument("--out", help="directory for CSV/JSON artifacts")
     p_repro.set_defaults(func=_cmd_reproduce)
 

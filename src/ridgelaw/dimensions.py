@@ -8,6 +8,7 @@ exact zeros rather than rank decisions made through floating-point noise.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Tuple, Union
@@ -19,14 +20,19 @@ RationalLike = Union[int, str, Fraction]
 # SI defines seven base units; no consistent system needs more.
 MAX_FUNDAMENTAL_UNITS = 7
 
+# "p" or "p/q" in decimal digits: no decimal point, exponent, underscore or space
+_RATIONAL_STRING = re.compile(r"[+-]?\d+(/\d+)?", re.ASCII)
+
 
 def as_fraction(value: RationalLike) -> Fraction:
-    """Coerce an exponent to an exact rational. Accepts int, Fraction, "p/q"."""
+    """Coerce an exponent to an exact rational. Accepts int, Fraction, "p" or "p/q"."""
     if isinstance(value, Fraction):
         return value
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
+        if not _RATIONAL_STRING.fullmatch(value):
+            raise ModelError(f"rational exponent must be an integer or 'p/q' string, got {value!r}")
         try:
             return Fraction(value)
         except (ValueError, ZeroDivisionError) as exc:
@@ -129,23 +135,6 @@ def make_dimension(
     for label, exponent in exponent_pairs:
         exps[system.index(label)] += as_fraction(exponent)
     return DimensionVector(tuple(exps), system)
-
-
-def combine(
-    a: DimensionVector,
-    b: DimensionVector,
-    power_a: RationalLike,
-    power_b: RationalLike,
-) -> DimensionVector:
-    """Exponent vector of a^power_a * b^power_b, computed exactly."""
-    if a.system != b.system:
-        raise ModelError(
-            f"cannot combine dimensions from different unit systems "
-            f"{a.system.unit_names} and {b.system.unit_names}"
-        )
-    ca, cb = as_fraction(power_a), as_fraction(power_b)
-    exps = tuple(ca * ea + cb * eb for ea, eb in zip(a.exponents, b.exponents))
-    return DimensionVector(exps, a.system)
 
 
 def is_dimensionless(v: DimensionVector) -> bool:

@@ -3,8 +3,8 @@
 Everything here runs in exact rational arithmetic: the dimension matrix is
 reduced by fraction-free (Bareiss) elimination with a canonical pivot rule,
 so the particular solution, the null basis, and every rank decision are
-exact and reproducible. Floating point only appears at the very end, when
-pi groups are evaluated at concrete parameter values.
+exact and reproducible. Floating point only appears at the very end, when a
+rational matrix is rendered to doubles for the numerics.
 """
 
 from __future__ import annotations
@@ -54,9 +54,6 @@ class DimensionMatrix:
     def m(self) -> int:
         return len(self.column_names)
 
-    def column(self, j: int) -> DimensionVector:
-        return DimensionVector(tuple(row[j] for row in self.entries), self.system)
-
     def to_float(self) -> np.ndarray:
         return rational_to_float(self.entries)
 
@@ -84,9 +81,6 @@ class PiDecomposition:
     @property
     def n(self) -> int:
         return len(self.W[0]) if self.W else 0
-
-    def w_float(self) -> np.ndarray:
-        return np.array([float(x) for x in self.w], dtype=float)
 
     def W_float(self) -> np.ndarray:
         return rational_to_float(self.W).reshape(self.m, self.n)
@@ -258,21 +252,6 @@ def assemble_A(w: Sequence[Fraction], W: RationalMatrix) -> RationalMatrix:
             "(the quantity of interest is dimensionless, so no scaling column is needed)"
         )
     return rows
-
-
-def pi_values(
-    W: RationalMatrix, q: Sequence[float], names: Optional[Sequence[str]] = None
-) -> np.ndarray:
-    """Evaluate the pi groups pi_i = exp(w_i^T log q) at positive q."""
-    q = np.asarray(q, dtype=float)
-    for i, value in enumerate(q):
-        if not value > 0.0:
-            label = names[i] if names is not None else f"component {i}"
-            raise ModelError(f"pi groups need strictly positive inputs; {label} = {value}")
-    Wf = rational_to_float(W)
-    if Wf.size == 0:
-        return np.zeros(0)
-    return np.exp(Wf.T @ np.log(q))
 
 
 def pi_decomposition(

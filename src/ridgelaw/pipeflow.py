@@ -20,7 +20,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ModelError, NumericalError
+from .errors import ModelError
 from .models import ModelSpec, load_model
 from .pigroups import PiDecomposition
 from .quadrature import TensorGrid, tensor_grid
@@ -68,27 +68,6 @@ def _bulk_velocity(rho, mu, diam, eps, dpdl, re_critical):
     v_tur = _v_turbulent(rho, mu, diam, eps, dpdl)
     re_tur = rho * v_tur * diam / mu
     return np.where(re_tur > re_critical, v_tur, _v_laminar(mu, diam, dpdl))
-
-
-def v_laminar(s: PipeState) -> float:
-    """Bulk velocity from Poiseuille's law: dPdL * D^2 / (32 mu)."""
-    return float(_v_laminar(s.mu, s.diam, s.dpdl))
-
-
-def v_turbulent(s: PipeState) -> float:
-    """Bulk velocity from the explicit Colebrook form.
-
-    Raises when the logarithm's argument reaches 1, where the formula stops
-    describing a physical (positive) velocity; the regime selector never
-    routes such states here.
-    """
-    v = float(_v_turbulent(s.rho, s.mu, s.diam, s.eps, s.dpdl))
-    if not v > 0.0:
-        raise NumericalError(
-            f"turbulent velocity formula out of validity (v = {v}); "
-            "the log argument is >= 1 for this state"
-        )
-    return v
 
 
 def reynolds(s: PipeState, velocity: float) -> float:

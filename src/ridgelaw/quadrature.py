@@ -119,11 +119,6 @@ class TensorGrid:
         for start in range(0, total, size):
             yield self.chunk(start, min(start + size, total))
 
-    def __iter__(self) -> Iterator[Tuple[np.ndarray, float]]:
-        for points, weights in self.chunks():
-            for p, w in zip(points, weights):
-                yield p, float(w)
-
     def dense(self) -> Tuple[np.ndarray, np.ndarray]:
         """Materialize the whole grid; intended for small orders and tests."""
         return self.chunk(0, len(self))

@@ -32,8 +32,6 @@ class InclusionReport:
     dims: Tuple[int, int]  # (candidate columns, enclosing columns)
     candidate_condition: float
     enclosing_condition: float
-    candidate_condition_orth: float
-    enclosing_condition_orth: float
 
 
 def _orthonormalize(B: np.ndarray, name: str) -> np.ndarray:
@@ -79,18 +77,6 @@ def inclusion_residual(B1: np.ndarray, B2: np.ndarray) -> InclusionReport:
         dims=(n_cand, n_encl),
         candidate_condition=cond1,
         enclosing_condition=cond2,
-        candidate_condition_orth=float(np.linalg.cond(Q1)),
-        enclosing_condition_orth=float(np.linalg.cond(Q2)),
-    )
-
-
-def spaces_equal(B1: np.ndarray, B2: np.ndarray, tol: float = 1e-24) -> bool:
-    """True iff both directed inclusion residuals vanish (within tol)."""
-    if B1.shape[1] != B2.shape[1]:
-        return False
-    return (
-        inclusion_residual(B1, B2).total <= tol
-        and inclusion_residual(B2, B1).total <= tol
     )
 
 

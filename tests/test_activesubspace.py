@@ -132,7 +132,6 @@ class TestMultiStepPass:
             one = estimate_subspace(self.f, grid, cfg, chunk_size=chunk_size)
             assert np.array_equal(est.eigenvalues, one.eigenvalues)
             assert np.array_equal(est.eigenvectors, one.eigenvectors)
-            assert est.grid_meta == one.grid_meta
         assert ests[0] is ests[2]
 
     def test_lifted_steps_equal_pullback(self):
@@ -318,10 +317,3 @@ def test_trailing_eigenvalues_stay_under_fd_noise_envelope(laminar_model, turbul
             lam = estimate_subspace(model.f, grid, GradientConfig(h=h)).eigenvalues
             assert lam[rank] / lam[0] <= c * h, (model.name, h, lam)
 
-
-def test_estimate_subspace_records_grid_metadata():
-    grid = tensor_grid(3, [(-1.0, 1.0)] * 2)
-    est = estimate_subspace(lambda x: x[..., 0] + 2.0 * x[..., 1], grid, CFG)
-    assert est.grid_meta.quad_order == 3
-    assert est.grid_meta.fd_step == CFG.h
-    assert est.grid_meta.point_count == 9

@@ -2,6 +2,7 @@
 
 import json
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -179,6 +180,17 @@ class TestPiCommand:
         path = write_model(tmp_path, doc)
         assert run_command(["pi", path]) == 3
         assert "model error" in capsys.readouterr().err
+
+    def test_scientific_notation_exponent_exits_3_at_once(self, tmp_path, capsys):
+        # "1e200000" is not an integer or p/q string; it used to reach exact
+        # elimination as a 200001-digit integer
+        doc = json.loads(json.dumps(BASE_DOC))
+        doc["quantities"][0]["dimension"] = {"kg": "1e200000", "m": -3}
+        path = write_model(tmp_path, doc)
+        start = time.perf_counter()
+        assert run_command(["pi", path]) == 3
+        assert time.perf_counter() - start < 1.0
+        assert "'1e200000'" in capsys.readouterr().err
 
 
 class TestActiveCommand:
@@ -366,6 +378,44 @@ class TestUsageErrors:
     def test_unknown_subcommand_exits_2(self, capsys):
         assert run_command(["frobnicate"]) == 2
         capsys.readouterr()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["pi", "pipeflow_laminar"],
+            ["active", "--model", "pipeflow_laminar", "--quad-order", "2"],
+        ],
+    )
+    def test_out_under_a_regular_file_exits_2_naming_it(self, tmp_path, capsys, argv):
+        (tmp_path / "file").write_text("")
+        out = tmp_path / "file" / "out"
+        assert run_command(argv + ["--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "usage error" in err and str(out) in err
+
+    EVAL = ["pipeflow", "eval", "--rho", "0.12", "--mu", "5e-6", "--diam", "0.5", "--eps", "0.01", "--dpdl", "1.0"]
+    REPRODUCE = ["pipeflow", "reproduce", "--regime", "laminar", "--quad-order", "2", "--steps", "1e-3,1e-4"]
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "NaN", "1e999", "abc"])
+    @pytest.mark.parametrize(
+        "argv, option",
+        [
+            (EVAL, "--dpdl"),
+            (EVAL, "--re-crit"),
+            (REPRODUCE, "--re-crit"),
+            (REPRODUCE, "--fd-step"),
+            (REPRODUCE, "--steps"),
+            (["active", "--model", "pipeflow_laminar", "--quad-order", "2"], "--fd-step"),
+            (["sweep", "--model", "laminar", "--quad-order", "2", "--steps", "1e-3"], "--steps"),
+        ],
+    )
+    def test_non_finite_float_options_exit_2(self, capsys, argv, option, value):
+        argv = list(argv)
+        if option in argv:
+            del argv[argv.index(option) : argv.index(option) + 2]
+        assert run_command(argv + [f"{option}={value}"]) == 2  # "=" lets "-inf" through
+        captured = capsys.readouterr()
+        assert captured.out == "" and "finite" in captured.err
 
     def test_fmt_float_round_trips(self):
         for x in (1.0 / 3.0, 2.222222e-11, 1e300, 5.0):

@@ -10,7 +10,6 @@ from ridgelaw.dimensions import (
     QuantityDecl,
     UnitSystem,
     as_fraction,
-    combine,
     is_dimensionless,
     make_dimension,
 )
@@ -50,25 +49,19 @@ class TestMakeDimension:
         assert v.exponents[0] == Fraction(3, 2)
 
 
-class TestCombine:
-    def test_quantity_over_itself_is_dimensionless(self):
-        v = DimensionVector(frac_vec([1, -1, 0]), MSK)
-        assert combine(v, v, 1, -1).exponents == frac_vec([0, 0, 0])
+class TestAsFraction:
+    @pytest.mark.parametrize("text, value", [("3/2", Fraction(3, 2)), ("-3/2", Fraction(-3, 2)), ("+4", 4)])
+    def test_integer_and_ratio_strings_accepted(self, text, value):
+        assert as_fraction(text) == value
 
-    def test_density_times_diameter(self):
-        rho = DimensionVector(frac_vec([1, -3, 0]), KMS)
-        diam = DimensionVector(frac_vec([0, 1, 0]), KMS)
-        assert combine(rho, diam, 1, 1).exponents == frac_vec([1, -2, 0])
+    @pytest.mark.parametrize("text", ["1e200000", "1.5", "1_0", " 3", "3/-2", "0x10", ""])
+    def test_other_strings_rejected(self, text):
+        with pytest.raises(ModelError, match="integer or 'p/q'"):
+            as_fraction(text)
 
-    def test_pure_scaling(self):
-        mu = DimensionVector(frac_vec([1, -1, -1]), KMS)
-        assert combine(mu, mu, 0, 2).exponents == frac_vec([2, -2, -2])
-
-    def test_mismatched_systems_rejected(self):
-        a = DimensionVector(frac_vec([1, 0, 0]), MSK)
-        b = DimensionVector(frac_vec([1, 0, 0]), KMS)
+    def test_zero_denominator_rejected(self):
         with pytest.raises(ModelError):
-            combine(a, b, 1, 1)
+            as_fraction("1/0")
 
 
 class TestIsDimensionless:
@@ -79,36 +72,24 @@ class TestIsDimensionless:
         assert not is_dimensionless(DimensionVector(frac_vec([1, -1, 0]), MSK))
 
     def test_reynolds_combination_is_dimensionless(self):
-        rho = DimensionVector(frac_vec([1, -3, 0]), KMS)
-        vel = DimensionVector(frac_vec([0, 1, -1]), KMS)
-        diam = DimensionVector(frac_vec([0, 1, 0]), KMS)
-        mu = DimensionVector(frac_vec([1, -1, -1]), KMS)
-        re = combine(combine(rho, vel, 1, 1), combine(diam, mu, 1, -1), 1, 1)
+        # rho * V * D / mu, exponents accumulated per unit
+        re = make_dimension(
+            KMS,
+            [("kg", 1), ("m", -3)]  # rho
+            + [("m", 1), ("s", -1)]  # V
+            + [("m", 1)]  # D
+            + [("kg", -1), ("m", 1), ("s", 1)],  # 1 / mu
+        )
         assert is_dimensionless(re)
 
 
 rationals = st.fractions(min_value=-5, max_value=5, max_denominator=6)
 
 
-@given(
-    a=st.lists(rationals, min_size=3, max_size=3),
-    b=st.lists(rationals, min_size=3, max_size=3),
-    c=rationals,
-    d=rationals,
-    alpha=rationals,
-)
-def test_combine_is_bilinear_in_powers(a, b, c, d, alpha):
-    va = DimensionVector(tuple(a), MSK)
-    vb = DimensionVector(tuple(b), MSK)
-    scaled = combine(va, vb, alpha * c, alpha * d)
-    base = combine(va, vb, c, d)
-    assert scaled.exponents == tuple(alpha * e for e in base.exponents)
-
-
 @given(v=st.lists(rationals, min_size=3, max_size=3))
 def test_self_cancellation_is_dimensionless(v):
-    vec = DimensionVector(tuple(v), MSK)
-    assert is_dimensionless(combine(vec, vec, 1, -1))
+    pairs = list(zip(MSK.unit_names, v))
+    assert is_dimensionless(make_dimension(MSK, pairs + [(u, -e) for u, e in pairs]))
 
 
 @given(exps=st.lists(rationals, min_size=3, max_size=3))

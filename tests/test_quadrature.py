@@ -81,11 +81,10 @@ class TestTensorGrid:
     def test_iterator_matches_chunks(self):
         grid = tensor_grid(3, [(0.0, 1.0), (0.0, 2.0)])
         dense_X, dense_w = grid.dense()
-        iter_points = list(grid)
-        assert len(iter_points) == len(grid)
-        for (p, w), xp, xw in zip(iter_points, dense_X, dense_w):
-            assert np.array_equal(p, xp)
-            assert w == xw
+        chunks = list(grid.chunks(size=4))  # 9 points: 4, 4, 1
+        assert [len(w) for _, w in chunks] == [4, 4, 1]
+        assert np.array_equal(np.concatenate([X for X, _ in chunks]), dense_X)
+        assert np.array_equal(np.concatenate([w for _, w in chunks]), dense_w)
 
     def test_chunked_consumption_covers_all_points(self):
         grid = tensor_grid(4, [(0.0, 1.0)] * 3)

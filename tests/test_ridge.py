@@ -1,86 +1,54 @@
-"""Ridge evaluation, the semi-empirical split, and constancy directions."""
+"""Ridge functions, the semi-empirical split, and constancy directions."""
 
 import numpy as np
 import pytest
 
 from ridgelaw.errors import ModelError
-from ridgelaw.ridge import (
-    RidgeModel,
-    SemiEmpiricalModel,
-    constancy_directions,
-    ridge_eval,
-    semi_empirical_eval,
-)
+from ridgelaw.pigroups import build_dimension_matrix
+from ridgelaw.ridge import constancy_directions
 
 
 class TestRidgeEval:
-    def test_coordinate_projection(self):
-        model = RidgeModel(A=np.eye(3)[:, :2], profile=lambda y: float(np.sum(y)))
-        assert ridge_eval(model, [3.0, 4.0, 7.0]) == 7.0
+    """Evaluating a ridge function profile(A^T x)."""
 
     def test_constant_along_orthogonal_directions(self):
         rng = np.random.default_rng(3)
         A = rng.normal(size=(4, 2))
-        model = RidgeModel(A=A, profile=lambda y: float(np.cos(y[0]) + y[1] ** 2))
+
+        def ridge(x):
+            y = x @ A
+            return np.cos(y[..., 0]) + y[..., 1] ** 2
+
         x = rng.normal(size=4)
         U = constancy_directions(A)
         u = U @ rng.normal(size=U.shape[1])
-        assert ridge_eval(model, x + u) == pytest.approx(ridge_eval(model, x), rel=1e-12)
-
-    def test_quadratic_profile(self):
-        model = RidgeModel(A=np.array([[1.0], [1.0]]), profile=lambda y: float(y[0] ** 2))
-        assert ridge_eval(model, [1.0, 2.0]) == pytest.approx(9.0)
-
-    def test_dimension_mismatch_rejected(self):
-        model = RidgeModel(A=np.eye(2), profile=lambda y: 0.0)
-        with pytest.raises(ModelError):
-            ridge_eval(model, [1.0, 2.0, 3.0])
-
-    def test_rank_deficient_A_rejected(self):
-        with pytest.raises(ModelError):
-            RidgeModel(A=np.array([[1.0, 2.0], [2.0, 4.0]]), profile=lambda y: 0.0)
+        assert ridge(x + u) == pytest.approx(ridge(x), rel=1e-12)
 
 
 class TestSemiEmpiricalEval:
-    w = np.array([0.0, -1.0, 2.0, 0.0, 1.0])  # laminar monomial exponents
+    """The built-in velocities in the semi-empirical form exp(w . log q) * g(W^T log q)."""
 
-    def test_monomial_part_alone(self):
-        model = SemiEmpiricalModel(w=self.w, W=np.zeros((5, 0)), g=lambda y: 1.0)
-        q = np.array([123.0, 1.0, 1.0, 0.7, 32.0])
-        assert semi_empirical_eval(model, q) == pytest.approx(32.0, rel=1e-14)
+    def test_reproduces_laminar_velocity(self, laminar_model):
+        # the laminar model is the semi-empirical form with a constant profile:
+        # V = exp(w . log q) / 32 with Poiseuille's exponents w
+        w = np.array([0.0, -1.0, 2.0, 0.0, 1.0])
+        x = np.log([[0.12, 1e-5, 1.0, 0.01, 3.2e-8], [0.1, 2e-6, 0.3, 0.05, 1e-9]])
+        assert laminar_model.f(x) == pytest.approx(np.exp(x @ w) / 32.0, rel=1e-13)
+        assert laminar_model.f(x)[0] == pytest.approx(1e-4, rel=1e-13)
 
-    def test_reproduces_laminar_velocity(self):
-        model = SemiEmpiricalModel(w=self.w, W=np.zeros((5, 0)), g=lambda y: 1.0 / 32.0)
-        q = np.array([0.12, 1e-5, 1.0, 0.01, 3.2e-8])
-        assert semi_empirical_eval(model, q) == pytest.approx(1e-4, rel=1e-13)
-
-    def test_all_ones_input_returns_g_at_zero(self):
-        W = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0]])
-        model = SemiEmpiricalModel(w=self.w, W=W, g=lambda y: 5.0 + float(np.sum(y)))
-        assert semi_empirical_eval(model, np.ones(5)) == pytest.approx(5.0)
-
-    def test_nonpositive_input_rejected(self):
-        model = SemiEmpiricalModel(w=self.w, W=np.zeros((5, 0)), g=lambda y: 1.0)
-        with pytest.raises(ModelError):
-            semi_empirical_eval(model, np.array([1.0, 0.0, 1.0, 1.0, 1.0]))
-
-    def test_homogeneous_scaling_splits_off_the_prefactor(self, laminar_model):
+    def test_homogeneous_scaling_splits_off_the_prefactor(self, laminar_model, turbulent_model):
         # rescale q by c with log c orthogonal to the pi-group exponents: the
-        # output must scale by exactly the monomial factor exp(w . log c)
-        decomp = laminar_model.decomposition
-        w = decomp.w_float()
-        W = decomp.W_float()
-        model = SemiEmpiricalModel(w=w, W=W, g=lambda y: 1.3 + 0.2 * float(np.sin(y[0]) + y[1]))
+        # built-in velocity must scale by exactly the monomial factor exp(w . log c)
         rng = np.random.default_rng(11)
-        q = np.exp(rng.uniform(-1.0, 1.0, size=5))
-        # rows of D are orthogonal to null columns, so log c = D^T y works
-        from ridgelaw.pigroups import build_dimension_matrix
-
-        Df = build_dimension_matrix(laminar_model.spec.quantities).to_float()
-        log_c = Df.T @ rng.uniform(-0.4, 0.4, size=3)
-        c = np.exp(log_c)
-        expected = np.exp(w @ log_c) * semi_empirical_eval(model, q)
-        assert semi_empirical_eval(model, c * q) == pytest.approx(expected, rel=1e-11)
+        for model in (laminar_model, turbulent_model):
+            w = model.decomposition.A_float()[:, 0]
+            lo, hi = np.array(model.spec.log_bounds()).T
+            x = lo + (hi - lo) * rng.uniform(0.3, 0.7, size=(20, 5))
+            # rows of D are orthogonal to null columns, so log c = D^T y works
+            Df = build_dimension_matrix(model.spec.quantities).to_float()
+            log_c = Df.T @ rng.uniform(-0.4, 0.4, size=3)
+            expected = np.exp(w @ log_c) * model.f(x)
+            assert model.f(x + log_c) == pytest.approx(expected, rel=1e-11)
 
 
 class TestConstancyDirections:

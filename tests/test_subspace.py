@@ -13,7 +13,6 @@ from ridgelaw.subspace import (
     convergence_sweep,
     fit_loglog_slope,
     inclusion_residual,
-    spaces_equal,
 )
 
 
@@ -78,21 +77,6 @@ class TestInclusionResidual:
         B1 = np.array([[1.0, 1.0], [0.0, 1e-3], [0.0, 0.0]])
         report = inclusion_residual(B1, np.eye(3))
         assert report.candidate_condition > 100.0
-        assert report.candidate_condition_orth == pytest.approx(1.0, rel=1e-10)
-
-
-class TestSpacesEqual:
-    def test_same_space_different_basis(self):
-        rng = np.random.default_rng(6)
-        B = rng.normal(size=(5, 2))
-        M = rng.normal(size=(2, 2)) + 3.0 * np.eye(2)
-        assert spaces_equal(B, B @ M, tol=1e-26)
-
-    def test_different_spaces(self):
-        assert not spaces_equal(np.eye(3)[:, :1], np.eye(3)[:, 2:], tol=1e-20)
-
-    def test_dimension_mismatch_is_unequal(self):
-        assert not spaces_equal(np.eye(3)[:, :1], np.eye(3)[:, :2], tol=1e-20)
 
 
 def test_exact_ridge_with_analytic_gradients_has_rounding_level_residual():
