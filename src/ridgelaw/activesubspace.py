@@ -9,7 +9,9 @@ matrix T with gradients taken in the profile's own coordinates.
 Accumulation is blocked into fixed-size chunks summed in index order, which
 bounds working memory and makes every result bit-reproducible. One pass over
 the grid serves any number of FD steps: each chunk and its base values f(x)
-are computed once and shared by every step.
+are computed once and shared by every step. A model can supply the shifted
+values itself through an ``fd_values(Y, steps)`` method; the differencing
+and the checks on every value stay here.
 """
 
 from __future__ import annotations
@@ -48,9 +50,13 @@ class SubspaceEstimate:
     clamped: bool = False  # true if tiny negative eigenvalues were zeroed
 
 
-def _eval_rows(f: Callable, X: np.ndarray) -> np.ndarray:
-    """Evaluate f on all rows of X in one call; f must map (n, m) points to n values."""
-    values = np.asarray(f(X), dtype=float)
+def _checked(values, X: np.ndarray, i: Optional[int] = None, h: float = 0.0) -> np.ndarray:
+    """f's values at the rows of X, shifted by h along dimension i if given, as n finite floats.
+
+    f must map (n, m) points to n values; a non-finite value raises naming
+    its (shifted) point.
+    """
+    values = np.asarray(values, dtype=float)
     if values.shape != (X.shape[0],):
         raise ModelError(
             f"model function returned shape {values.shape} for {X.shape[0]} points; "
@@ -58,29 +64,46 @@ def _eval_rows(f: Callable, X: np.ndarray) -> np.ndarray:
         )
     if not np.all(np.isfinite(values)):
         bad = int(np.argmin(np.isfinite(values)))
+        point = X[bad].copy()
+        if i is not None:
+            point[i] += h
         raise EvaluationError(
-            f"model returned non-finite value {values[bad]} at point {X[bad].tolist()}",
-            point=X[bad].copy(),
+            f"model returned non-finite value {values[bad]} at point {point.tolist()}",
+            point=point,
         )
     return values
+
+
+def _shifted_values(f: Callable, Y: np.ndarray, steps: Sequence[float]) -> Iterator[np.ndarray]:
+    """f(Y), then f(Y + h e_i) for each step h and dimension i, in that order.
+
+    Each shift is applied in place to one work array and undone from Y after
+    its evaluation, so a pass costs 1 + m * len(steps) calls of f.
+    """
+    yield f(Y)
+    work = Y.copy()
+    for h in steps:
+        for i in range(Y.shape[1]):
+            work[:, i] += h
+            yield f(work)
+            work[:, i] = Y[:, i]
 
 
 def _fd_gradients(f: Callable, Y: np.ndarray, steps: Sequence[float]) -> Iterator[np.ndarray]:
     """Forward-difference gradients at the rows of Y, one (n, m) array per step.
 
-    f(Y) is evaluated once; each (step, dimension) shift is applied in place
-    to one work array and undone from Y after its evaluation, so a pass costs
-    1 + m * len(steps) evaluations. The yielded array is reused by the next
-    step.
+    The values come from the model's ``fd_values(Y, steps)`` when it has one
+    (it yields what ``_shifted_values`` would, usually more cheaply), else
+    from calling f on each shifted copy of Y. The yielded array is reused by
+    the next step.
     """
-    f0 = _eval_rows(f, Y)
-    work = Y.copy()
+    fd_values = getattr(f, "fd_values", None)
+    values = fd_values(Y, steps) if fd_values is not None else _shifted_values(f, Y, steps)
+    f0 = _checked(next(values), Y)
     G = np.empty_like(Y)
     for h in steps:
         for i in range(Y.shape[1]):
-            work[:, i] += h
-            G[:, i] = (_eval_rows(f, work) - f0) / h
-            work[:, i] = Y[:, i]
+            G[:, i] = (_checked(next(values), Y, i, h) - f0) / h
         yield G
 
 

@@ -27,6 +27,7 @@ from .activesubspace import GradientConfig, estimate_subspace
 from .errors import ModelError, NumericalError
 from .models import load_model
 from .pigroups import PiDecomposition, build_dimension_matrix
+from .quadrature import DEFAULT_CHUNK
 from .subspace import convergence_sweep, fit_loglog_slope, inclusion_residual
 from . import pipeflow
 
@@ -175,6 +176,7 @@ def _cmd_active(args) -> int:
                 "model": args.model,
                 "quad_order": args.quad_order,
                 "fd_step": fmt_float(args.fd_step),
+                "chunk_size": DEFAULT_CHUNK,
             },
         )
     return 0
@@ -262,6 +264,7 @@ def _cmd_sweep(args) -> int:
                 "model": args.model,
                 "steps": [fmt_float(h) for h in steps],
                 "quad_order": args.quad_order,
+                "chunk_size": DEFAULT_CHUNK,
             },
         )
     return 0
@@ -320,6 +323,7 @@ def _cmd_reproduce(args) -> int:
                 "fd_step": fmt_float(args.fd_step),
                 "steps": [fmt_float(h) for h in steps],
                 "re_crit": fmt_float(args.re_crit),
+                "chunk_size": DEFAULT_CHUNK,
             },
         )
     return 0

@@ -54,9 +54,6 @@ class DimensionMatrix:
     def m(self) -> int:
         return len(self.column_names)
 
-    def to_float(self) -> np.ndarray:
-        return rational_to_float(self.entries)
-
 
 @dataclass(frozen=True)
 class PiDecomposition:

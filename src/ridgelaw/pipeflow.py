@@ -4,7 +4,9 @@ Bulk velocity through a rough circular pipe under a pressure gradient:
 Poiseuille's law below the critical Reynolds number, the explicit
 Colebrook-derived formula above it. The regime selector evaluates the
 turbulent velocity, computes its Reynolds number, and branches on the
-critical value; the branch is a hard switch, not a blend.
+critical value; the branch is a hard switch, not a blend. The law is
+written once, in Pi form (PIPE_LAW): five monomial terms and one combine
+step, so a finite-difference shift of a log input only rescales terms.
 
 The quantities (rho, mu, D, eps, dPdL), their units and their ranges are
 declared once, in the shipped model files pipeflow_laminar.json and
@@ -14,12 +16,15 @@ that order, which the loader enforces for every file naming a builtin.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from functools import cached_property
-from typing import Callable
+from fractions import Fraction
+from functools import cached_property, lru_cache
+from typing import Callable, Iterator, List, Sequence, Tuple
 
 import numpy as np
 
+from .dimensions import DimensionVector
 from .errors import ModelError
 from .models import ModelSpec, load_model
 from .pigroups import PiDecomposition
@@ -54,20 +59,71 @@ class PipeState:
             )
 
 
-def _v_laminar(mu, diam, dpdl):
-    return dpdl * diam * diam / (32.0 * mu)
+# The pipe law in Pi form. Each term is a monomial in the inputs,
+# exp(log_coef + sum_i e_i log q_i) over q = (rho, mu, D, eps, dPdL); the last
+# field is the term's dimension as a power of the QoI's, which bind_builtin
+# checks exactly against the model file. A shift of log q_i by h rescales
+# each term by the scalar exp(h e_i).
+PIPE_LAW = (
+    # name, log coefficient, exponents, dimension as a power of V's
+    ("P", 0.5 * math.log(2.0), (-0.5, 0.0, 0.5, 0.0, 0.5), 1),  # sqrt(2 D dPdL / rho)
+    ("t1", -math.log(3.7), (0.0, 0.0, -1.0, 1.0, 0.0), 0),  # eps / (3.7 D)
+    # 2.51 mu D^-3/2 (2 rho dPdL)^-1/2
+    ("t2", math.log(2.51) - 0.5 * math.log(2.0), (-0.5, 1.0, -1.5, 0.0, -0.5), 0),
+    ("v_lam", -math.log(32.0), (0.0, -1.0, 2.0, 0.0, 1.0), 1),  # dPdL D^2 / (32 mu)
+    ("Re/v", 0.0, (1.0, -1.0, 1.0, 0.0, 0.0), -1),  # rho D / mu
+)
 
 
-def _v_turbulent(rho, mu, diam, eps, dpdl):
-    prefactor = -2.0 * np.sqrt(dpdl * 2.0 * diam / rho)
-    log_arg = eps / (3.7 * diam) + 2.51 * mu / diam**1.5 * np.sqrt(1.0 / (2.0 * rho * dpdl))
-    return prefactor * np.log10(log_arg)
+def _terms(x) -> List[np.ndarray]:
+    """The law's terms at log inputs x: an (n, 5) array of rows, or one point.
+
+    The exponent sum runs elementwise in a fixed order, so a row gives the
+    same bits alone as in a block.
+    """
+    cols = np.ascontiguousarray(np.asarray(x, dtype=float).T)
+    terms = []
+    for _, log_coef, exponents, _ in PIPE_LAW:
+        s = log_coef
+        for e, col in zip(exponents, cols):
+            if e:
+                s = s + e * col
+        terms.append(np.exp(s))
+    return terms
 
 
-def _bulk_velocity(rho, mu, diam, eps, dpdl, re_critical):
-    v_tur = _v_turbulent(rho, mu, diam, eps, dpdl)
-    re_tur = rho * v_tur * diam / mu
-    return np.where(re_tur > re_critical, v_tur, _v_laminar(mu, diam, dpdl))
+def combine(terms: Sequence[np.ndarray], re_critical: float):
+    """Velocity and turbulent mask from the terms (P, t1, t2, v_lam, Re/v).
+
+    V = -2 P log10(t1 + t2), the Colebrook-derived velocity, where its
+    Reynolds number (Re/v) V exceeds re_critical, else Poiseuille's v_lam.
+    """
+    P, t1, t2, v_lam, re_per_v = terms
+    v_tur = np.log10(t1 + t2)
+    v_tur *= P
+    v_tur *= -2.0  # exact, so the same bits as -2 P log10(t1 + t2)
+    turbulent = re_per_v * v_tur > re_critical
+    return np.where(turbulent, v_tur, v_lam), turbulent
+
+
+@lru_cache(maxsize=None)
+def _check_law(dims: Tuple[DimensionVector, ...], qoi: DimensionVector, law) -> None:
+    """Raise unless each term's exponents e give D e = power * v(QoI), in exact rationals.
+
+    dims are the dimension vectors of the quantities, in exponent order; a
+    float exponent converts to a rational without rounding. The table is an
+    argument so that the cache key covers it.
+    """
+    units = qoi.system.unit_names
+
+    def show(exponents):
+        return {label: str(x) for label, x in zip(units, exponents) if x} or "dimensionless"
+
+    for name, _, exponents, power in law:
+        got = [sum(Fraction(e) * d.exponents[u] for e, d in zip(exponents, dims)) for u in range(len(units))]
+        want = [power * x for x in qoi.exponents]
+        if got != want:
+            raise ModelError(f"pipe law term {name!r} has dimension {show(got)}, expected {show(want)}")
 
 
 def reynolds(s: PipeState, velocity: float) -> float:
@@ -81,18 +137,22 @@ def friction_factor(s: PipeState, velocity: float) -> float:
     """Darcy friction factor dPdL * D / (rho V^2 / 2)."""
     if not velocity > 0.0:
         raise ModelError(f"friction factor needs a positive velocity, got {velocity}")
-    return s.dpdl * s.diam / (0.5 * s.rho * velocity * velocity)
+    # divide by V twice rather than by V^2, which overflows for V above ~1e154
+    return s.dpdl / velocity * s.diam / (0.5 * s.rho * velocity)
+
+
+def _state_law(s: PipeState, re_critical: float):
+    return combine(_terms(np.log([s.rho, s.mu, s.diam, s.eps, s.dpdl])), re_critical)
 
 
 def bulk_velocity(s: PipeState, re_critical: float = RE_CRITICAL) -> float:
     """Regime-selected velocity: turbulent iff Re evaluated at v_tur exceeds re_critical."""
-    return float(_bulk_velocity(s.rho, s.mu, s.diam, s.eps, s.dpdl, re_critical))
+    return float(_state_law(s, re_critical)[0])
 
 
 def flow_regime(s: PipeState, re_critical: float = RE_CRITICAL) -> str:
     """Which branch bulk_velocity takes for this state."""
-    v_tur = float(_v_turbulent(s.rho, s.mu, s.diam, s.eps, s.dpdl))
-    return "turbulent" if s.rho * v_tur * s.diam / s.mu > re_critical else "laminar"
+    return "turbulent" if _state_law(s, re_critical)[1] else "laminar"
 
 
 @dataclass(frozen=True)
@@ -102,8 +162,25 @@ class LogSpaceVelocity:
     re_critical: float = RE_CRITICAL
 
     def __call__(self, x):
-        rho, mu, diam, eps, dpdl = np.exp(np.asarray(x, dtype=float)).T
-        return _bulk_velocity(rho, mu, diam, eps, dpdl, self.re_critical)
+        return combine(_terms(x), self.re_critical)[0]
+
+    def fd_values(self, Y: np.ndarray, steps: Sequence[float]) -> Iterator[np.ndarray]:
+        """f(Y), then f(Y + h e_i) for each step h and dimension i, in that order.
+
+        f(Y) is the one full evaluation (a call of the model); each shift
+        then multiplies the terms at Y that depend on dimension i by the
+        scalar exp(h e_i) and combines again, with no exp or sqrt over the
+        rows.
+        """
+        yield self(Y)
+        terms = _terms(Y)
+        for h in steps:
+            for i in range(Y.shape[1]):
+                shifted = [
+                    t * np.exp(h * exponents[i]) if exponents[i] else t
+                    for t, (_, _, exponents, _) in zip(terms, PIPE_LAW)
+                ]
+                yield combine(shifted, self.re_critical)[0]
 
 
 @dataclass(frozen=True)
@@ -139,6 +216,7 @@ def bind_builtin(spec: ModelSpec, re_critical: float = RE_CRITICAL) -> BuiltinMo
             f"model {spec.name!r} declares no built-in function; "
             "only pi-group analysis is available for it"
         )
+    _check_law(tuple(q.dimension for q in spec.quantities), spec.qoi, PIPE_LAW)
     return BuiltinModel(
         spec=spec,
         f=LogSpaceVelocity(re_critical=re_critical),

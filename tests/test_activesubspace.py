@@ -169,6 +169,52 @@ class TestMultiStepPass:
             estimate_subspaces(lambda x: x[..., 0], grid, [1e-3, 0.0])
 
 
+class TestFdValuesHook:
+    """A model with fd_values supplies its shifted values; the kernel still checks each one."""
+
+    class Linear:
+        def __init__(self, bad_shift=None):
+            self.bad_shift = bad_shift  # (step, dimension) whose third row turns inf
+
+        def __call__(self, x):
+            return x @ np.array([1.0, 2.0, -3.0])
+
+        def fd_values(self, Y, steps):
+            yield self(Y)
+            for h in steps:
+                for i in range(Y.shape[1]):
+                    shifted = Y.copy()
+                    shifted[:, i] += h
+                    values = self(shifted)
+                    if (h, i) == self.bad_shift:
+                        values[2] = np.inf
+                    yield values
+
+    def test_gives_the_plain_path_result(self):
+        grid = tensor_grid(4, [(-1.0, 1.0)] * 3)
+        hook = _gradient_outer_sums(self.Linear(), grid, [1e-2, 1e-4], None, 16)
+        plain = _gradient_outer_sums(lambda x: self.Linear()(x), grid, [1e-2, 1e-4], None, 16)
+        for C, C_plain in zip(hook, plain):
+            assert np.array_equal(C, C_plain)
+
+    def test_nonfinite_shifted_value_carries_the_shifted_point(self):
+        grid = tensor_grid(3, [(-1.0, 1.0)] * 3)
+        with pytest.raises(EvaluationError) as err:
+            estimate_subspaces(self.Linear(bad_shift=(1e-3, 1)), grid, [1e-2, 1e-3], chunk_size=8)
+        expected = grid.chunk(0, 8)[0][2]
+        expected[1] += 1e-3
+        assert np.array_equal(err.value.point, expected)
+
+    def test_wrong_shape_is_a_model_error(self):
+        class Short(self.Linear):
+            def fd_values(self, Y, steps):
+                for values in super().fd_values(Y, steps):
+                    yield values[:-1]
+
+        with pytest.raises(ModelError, match="returned shape"):
+            estimate_C(Short(), tensor_grid(2, [(-1.0, 1.0)] * 3), CFG)
+
+
 class TestEigendecompose:
     def test_identity(self):
         est = eigendecompose(np.eye(3))

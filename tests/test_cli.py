@@ -7,8 +7,10 @@ import time
 import numpy as np
 import pytest
 
+from ridgelaw import pipeflow
 from ridgelaw.cli import fmt_float, load_model, run_command
 from ridgelaw.errors import ModelError
+from ridgelaw.quadrature import DEFAULT_CHUNK
 
 
 def write_model(tmp_path, doc, name="model.json"):
@@ -331,6 +333,15 @@ class TestPipeflowCommand:
         assert float(payload["Re"]) == pytest.approx(0.12 * v * 0.5 / 5e-6, rel=1e-12)
         assert float(payload["f"]) == pytest.approx(1.0 * 0.5 / (0.5 * 0.12 * v * v), rel=1e-12)
 
+    def test_eval_near_the_double_range_keeps_the_friction_factor(self, capsys):
+        # V ~ 1.3e155 is finite, but V^2 overflows: f must still satisfy Colebrook
+        argv = ["pipeflow", "eval", "--rho", "0.12", "--mu", "5e-6", "--diam", "0.5", "--eps", "0.01"]
+        assert run_command(argv + ["--dpdl", "1e308"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        f, re_ = float(payload["f"]), float(payload["Re"])
+        colebrook = -2.0 * np.log10(0.01 / (3.7 * 0.5) + 2.51 / (re_ * np.sqrt(f)))
+        assert abs(1.0 / np.sqrt(f) - colebrook) <= 1e-12
+
     def test_eval_invalid_state_exits_3(self, capsys):
         code = run_command(
             ["pipeflow", "eval", "--rho", "0.12", "--mu", "5e-6", "--diam", "0.5", "--eps", "0.6", "--dpdl", "1.0"]
@@ -368,6 +379,29 @@ class TestPipeflowCommand:
         for name, value in (("default", "3000"), ("lowered", "2000")):
             run_doc = json.loads((tmp_path / name / "run.json").read_text())
             assert run_doc["config"]["re_crit"] == value
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["active", "--model", "laminar", "--quad-order", "2"],
+        ["sweep", "--model", "laminar", "--steps", "1e-3,1e-4", "--quad-order", "2"],
+        ["pipeflow", "reproduce", "--regime", "turbulent", "--quad-order", "2", "--steps", "1e-3"],
+    ],
+)
+def test_run_json_records_the_chunk_size(tmp_path, capsys, argv):
+    assert run_command(argv + ["--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    assert json.loads((tmp_path / "run.json").read_text())["config"]["chunk_size"] == DEFAULT_CHUNK
+
+
+def test_active_exits_3_on_a_pipe_law_term_of_the_wrong_dimension(capsys, monkeypatch):
+    law = list(pipeflow.PIPE_LAW)
+    name, log_coef, exponents, power = law[1]
+    law[1] = (name, log_coef, exponents[:3] + (2.0,) + exponents[4:], power)  # eps^2 / (3.7 D)
+    monkeypatch.setattr(pipeflow, "PIPE_LAW", tuple(law))
+    assert run_command(["active", "--model", "turbulent", "--quad-order", "2"]) == 3
+    assert "pipe law term 't1' has dimension {'m': '1'}, expected dimensionless" in capsys.readouterr().err
 
 
 class TestUsageErrors:

@@ -212,7 +212,7 @@ def test_pi_values_invariant_under_null_orthogonal_rescale(pipe_D):
     # pi groups cannot see the rescaling
     rng = np.random.default_rng(7)
     Wf = np.array([[float(x) for x in row] for row in null_space_basis(pipe_D)])
-    Df = pipe_D.to_float()
+    Df = np.array([[float(x) for x in row] for row in pipe_D.entries])
     q = np.exp(rng.uniform(-1.0, 1.0, size=5))
     y = rng.uniform(-0.5, 0.5, size=3)
     c = np.exp(Df.T @ y)

@@ -1,32 +1,51 @@
 """The pipe-flow virtual laboratory: velocity laws, regime switch, built-in models."""
 
 import itertools
+import json
 import math
+import re
+from importlib import resources
 
 import numpy as np
 import pytest
 
+from ridgelaw import pipeflow
+from ridgelaw.activesubspace import estimate_subspaces
 from ridgelaw.errors import ModelError
+from ridgelaw.models import load_model
 from ridgelaw.pipeflow import (
     RE_CRITICAL,
     LogSpaceVelocity,
     PipeState,
-    _v_laminar,
-    _v_turbulent,
+    _terms,
+    bind_builtin,
     builtin_model,
     bulk_velocity,
+    combine,
     flow_regime,
     friction_factor,
     reynolds,
 )
 
 
+# the package's two branches, each forced by an unreachable critical Reynolds number
 def v_laminar(s):
-    return float(_v_laminar(s.mu, s.diam, s.dpdl))
+    return bulk_velocity(s, re_critical=math.inf)
 
 
 def v_turbulent(s):
-    return float(_v_turbulent(s.rho, s.mu, s.diam, s.eps, s.dpdl))
+    return bulk_velocity(s, re_critical=-math.inf)
+
+
+def physical_terms(rho, mu, diam, eps, dpdl):
+    """The pipe law's terms written out by hand: an oracle independent of PIPE_LAW."""
+    return (
+        math.sqrt(2.0 * diam * dpdl / rho),
+        eps / (3.7 * diam),
+        2.51 * mu / diam**1.5 / math.sqrt(2.0 * rho * dpdl),
+        dpdl * diam * diam / (32.0 * mu),
+        rho * diam / mu,
+    )
 
 
 def colebrook_residual(state, velocity):
@@ -105,6 +124,89 @@ class TestVTurbulent:
         assert bulk_velocity(s) == v_laminar(s)
 
 
+class TestPipeLaw:
+    def test_terms_match_the_physical_formulas(self, laminar_model, turbulent_model):
+        rng = np.random.default_rng(5)
+        for model in (laminar_model, turbulent_model):
+            for _ in range(50):
+                q = [rng.uniform(lo, hi) for lo, hi in model.spec.ranges()]
+                got = [float(t) for t in _terms(np.log(q))]
+                assert got == pytest.approx(physical_terms(*q), rel=1e-13)
+
+    def test_velocity_matches_the_physical_formulas(self, turbulent_model):
+        X, _ = turbulent_model.grid(5).dense()
+        values = LogSpaceVelocity()(X)
+        for x, v in zip(X, values):
+            P, t1, t2, v_lam, re_per_v = physical_terms(*np.exp(x))
+            v_tur = -2.0 * P * math.log10(t1 + t2)
+            assert v == pytest.approx(v_tur if re_per_v * v_tur > RE_CRITICAL else v_lam, rel=1e-13)
+
+
+class TestFdValues:
+    STEPS = (1e-2, 1e-3, 1e-4, 1e-5, 1e-6)
+
+    def test_shifted_values_equal_direct_evaluations(self, laminar_model, turbulent_model):
+        for model in (laminar_model, turbulent_model):
+            Y, _ = model.grid(5).dense()
+            values = model.f.fd_values(Y, self.STEPS)
+            assert np.array_equal(next(values), model.f(Y))
+            for h in self.STEPS:
+                for i in range(Y.shape[1]):
+                    shifted = Y.copy()
+                    shifted[:, i] += h
+                    P, t1, t2, v_lam, re_per_v = _terms(shifted)
+                    v_tur = -2.0 * P * np.log10(t1 + t2)
+                    direct, _ = combine((P, t1, t2, v_lam, re_per_v), RE_CRITICAL)
+                    # the branches differ everywhere, so agreeing with the direct
+                    # value also means taking its regime routing
+                    assert np.all(np.abs(v_tur - v_lam) > 1e-10 * np.abs(v_lam))
+                    got = next(values)
+                    assert np.all(np.abs(got - direct) <= 1e-13 * np.abs(direct))
+            assert next(values, None) is None  # exactly 1 + m * len(steps) arrays
+
+    def test_model_is_called_once_per_chunk(self, turbulent_model, monkeypatch):
+        rows = []
+        original_call = LogSpaceVelocity.__call__
+
+        def counting_call(f_self, x):
+            rows.append(len(x))
+            return original_call(f_self, x)
+
+        monkeypatch.setattr(LogSpaceVelocity, "__call__", counting_call)
+        grid = turbulent_model.grid(3)  # 243 points: 30 chunks of 8 and one of 3
+        estimate_subspaces(turbulent_model.f, grid, [1e-2, 1e-4, 1e-6], chunk_size=8)
+        assert rows == [8] * 30 + [3]
+
+
+class TestLawCheck:
+    """Binding checks each term's dimension against the model file, exactly."""
+
+    def test_shipped_law_passes_for_both_ids_and_a_range_only_variant(self, tmp_path):
+        for model_id in ("laminar", "turbulent"):
+            assert builtin_model(model_id).f == LogSpaceVelocity()
+        doc = json.loads(resources.files("ridgelaw.models").joinpath("pipeflow_laminar.json").read_text())
+        doc["unit_system"] = ["s", "kg", "m"]
+        doc["quantities"][0]["range"] = [0.11, 0.13]
+        path = tmp_path / "variant.json"
+        path.write_text(json.dumps(doc))
+        assert bind_builtin(load_model(str(path))).name == "pipeflow_laminar"
+
+    @pytest.mark.parametrize(
+        "term, column, value, message",
+        [
+            (2, 1, 1.5, "term 't2' has dimension {'kg': '1/2', 'm': '-1/2', 's': '-1/2'}, expected dimensionless"),
+            (0, 0, -1.0, "term 'P' has dimension {'kg': '-1/2', 'm': '5/2', 's': '-1'}, expected {'m': '1', 's': '-1'}"),
+            (4, 3, 0.1, "term 'Re/v'"),
+        ],
+    )
+    def test_one_wrong_exponent_is_named(self, monkeypatch, term, column, value, message):
+        law = [list(row) for row in pipeflow.PIPE_LAW]
+        law[term][2] = tuple(value if i == column else e for i, e in enumerate(law[term][2]))
+        monkeypatch.setattr(pipeflow, "PIPE_LAW", tuple(tuple(row) for row in law))
+        with pytest.raises(ModelError, match=re.escape(message)):
+            builtin_model("turbulent")
+
+
 class TestReynoldsAndFriction:
     def test_unit_state(self):
         s = PipeState(rho=1.0, mu=1.0, diam=1.0, eps=0.5, dpdl=1.0)
@@ -159,7 +261,8 @@ class TestBulkVelocity:
     def test_exact_critical_reynolds_stays_laminar(self):
         # the switch requires Re to strictly exceed the threshold
         s = PipeState(rho=0.12, mu=5e-6, diam=0.5, eps=0.01, dpdl=1.0)
-        re_at_v_tur = reynolds(s, v_turbulent(s))
+        re_per_v = _terms(np.log([s.rho, s.mu, s.diam, s.eps, s.dpdl]))[4]
+        re_at_v_tur = float(re_per_v * v_turbulent(s))  # the Reynolds number the switch compares
         assert flow_regime(s, re_critical=re_at_v_tur) == "laminar"
         assert bulk_velocity(s, re_critical=re_at_v_tur) == v_laminar(s)
         assert flow_regime(s, re_critical=re_at_v_tur * (1.0 - 1e-12)) == "turbulent"
@@ -219,11 +322,12 @@ class TestBuiltinModel:
     def test_dimension_matrix_rows(self, laminar_model):
         from ridgelaw.pigroups import build_dimension_matrix
 
-        D = build_dimension_matrix(laminar_model.spec.quantities).to_float()
+        D = build_dimension_matrix(laminar_model.spec.quantities)
+        Df = np.array([[float(x) for x in row] for row in D.entries])
         expected = np.array(
             [[1, 1, 0, 0, 1], [-3, -1, 1, 1, -2], [0, -1, 0, 0, -2]], dtype=float
         )
-        assert np.array_equal(D, expected)
+        assert np.array_equal(Df, expected)
 
     def test_log_bounds_are_logs_of_table(self, turbulent_model):
         spec = turbulent_model.spec

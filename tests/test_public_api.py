@@ -1,5 +1,8 @@
-"""Every exported name has a user besides the tests of its own module."""
+"""Every exported name, and every public method or property of an exported
+class, has a user besides the tests."""
 
+import functools
+import inspect
 import re
 from pathlib import Path
 
@@ -24,3 +27,20 @@ def test_exported_name_is_used_outside_its_definition(name):
     definition = re.compile(rf"^\s*(def|class)\s+{re.escape(name)}\b")
     users = [line for line in LINES if word.search(line) and not definition.match(line)]
     assert users, f"{name} is exported but only tests use it"
+
+
+def _public_members():
+    """(class, member) for each public method or property an exported class defines."""
+    kinds = (property, functools.cached_property, classmethod, staticmethod)
+    for name in ridgelaw.__all__:
+        cls = getattr(ridgelaw, name)
+        if inspect.isclass(cls):
+            for attr, member in vars(cls).items():
+                if not attr.startswith("_") and (inspect.isfunction(member) or isinstance(member, kinds)):
+                    yield name, attr
+
+
+@pytest.mark.parametrize("cls, attr", sorted(_public_members()))
+def test_public_member_is_used_outside_its_definition(cls, attr):
+    access = re.compile(rf"\.{re.escape(attr)}\b")
+    assert any(access.search(line) for line in LINES), f"{cls}.{attr} is public but only tests use it"

@@ -45,7 +45,8 @@ class TestSemiEmpiricalEval:
             lo, hi = np.array(model.spec.log_bounds()).T
             x = lo + (hi - lo) * rng.uniform(0.3, 0.7, size=(20, 5))
             # rows of D are orthogonal to null columns, so log c = D^T y works
-            Df = build_dimension_matrix(model.spec.quantities).to_float()
+            D = build_dimension_matrix(model.spec.quantities)
+            Df = np.array([[float(e) for e in row] for row in D.entries])
             log_c = Df.T @ rng.uniform(-0.4, 0.4, size=3)
             expected = np.exp(w @ log_c) * model.f(x)
             assert model.f(x + log_c) == pytest.approx(expected, rel=1e-11)
