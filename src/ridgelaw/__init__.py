@@ -21,12 +21,8 @@ from .errors import EvaluationError, ModelError, NumericalError
 from .pigroups import (
     DimensionMatrix,
     PiDecomposition,
-    assemble_A,
     build_dimension_matrix,
-    null_space_basis,
     pi_decomposition,
-    rank_exact,
-    solve_particular,
 )
 from .quadrature import QuadratureRule1D, TensorGrid, gauss_legendre, tensor_grid
 from .ridge import constancy_directions
@@ -63,12 +59,8 @@ __all__ = [
     "NumericalError",
     "DimensionMatrix",
     "PiDecomposition",
-    "assemble_A",
     "build_dimension_matrix",
-    "null_space_basis",
     "pi_decomposition",
-    "rank_exact",
-    "solve_particular",
     "QuadratureRule1D",
     "TensorGrid",
     "gauss_legendre",

@@ -16,6 +16,7 @@ import argparse
 import json
 import math
 import sys
+import warnings
 from fractions import Fraction
 from pathlib import Path
 from typing import List, Optional, Sequence
@@ -26,7 +27,7 @@ from . import __version__
 from .activesubspace import GradientConfig, estimate_subspace
 from .errors import ModelError, NumericalError
 from .models import load_model
-from .pigroups import PiDecomposition, build_dimension_matrix
+from .pigroups import PiDecomposition, build_dimension_matrix, pi_decomposition
 from .quadrature import DEFAULT_CHUNK
 from .subspace import convergence_sweep, fit_loglog_slope, inclusion_residual
 from . import pipeflow
@@ -112,7 +113,11 @@ def _decomposition_payload(spec_name: str, quantity_names, system, decomp: PiDec
 def _cmd_pi(args) -> int:
     spec = load_model(args.model)
     D = build_dimension_matrix(spec.quantities)
-    decomp = spec.decomposition()
+    with warnings.catch_warnings():
+        # an incomplete unit system is a one-line note, on every run
+        warnings.simplefilter("always")
+        warnings.showwarning = lambda message, *_: print(f"warning: {message}", file=sys.stderr)
+        decomp = pi_decomposition(D, spec.qoi)
     payload = _decomposition_payload(spec.name, D.column_names, spec.system, decomp)
     payload["D"] = [[fmt_rational(x) for x in row] for row in D.entries]
     print(json.dumps(payload, indent=2, sort_keys=True))

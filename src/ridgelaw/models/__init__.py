@@ -21,7 +21,7 @@ import numpy as np
 
 from ..dimensions import DimensionVector, QuantityDecl, UnitSystem, as_fraction, make_dimension
 from ..errors import ModelError
-from ..pigroups import PiDecomposition, pi_decomposition
+from ..pigroups import PiDecomposition, build_dimension_matrix, pi_decomposition
 
 SHIPPED_MODELS = ("pipeflow_laminar", "pipeflow_turbulent")
 
@@ -38,7 +38,7 @@ class ModelSpec:
     builtin: Optional[str] = None
 
     def decomposition(self) -> PiDecomposition:
-        return pi_decomposition(self.quantities, self.qoi)
+        return pi_decomposition(build_dimension_matrix(self.quantities), self.qoi)
 
     def ranges(self) -> Tuple[Tuple[float, float], ...]:
         missing = [q.name for q in self.quantities if not q.has_range]

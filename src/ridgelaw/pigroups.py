@@ -1,10 +1,13 @@
 """Dimension matrices, nondimensionalizing exponents, and null-space pi groups.
 
-Everything here runs in exact rational arithmetic: the dimension matrix is
-reduced by fraction-free (Bareiss) elimination with a canonical pivot rule,
-so the particular solution, the null basis, and every rank decision are
-exact and reproducible. Floating point only appears at the very end, when a
-rational matrix is rendered to doubles for the numerics.
+Everything here runs in exact rational arithmetic. One fraction-free
+(Bareiss) elimination of the augmented matrix [D | v(qoi)], with a canonical
+pivot rule, gives the rank, the particular solution w and the null basis W,
+so every rank decision is exact and reproducible. The results are checked
+exactly: D·w = v, D·W = 0, and on the free rows W is diagonal and nonzero
+while w is zero, which proves that A = [w | W] has full column rank.
+Floating point only appears at the very end, when a rational matrix is
+rendered to doubles for the numerics.
 """
 
 from __future__ import annotations
@@ -22,11 +25,6 @@ from .errors import ModelError
 
 RationalVector = Tuple[Fraction, ...]
 RationalMatrix = Tuple[RationalVector, ...]  # tuple of rows
-
-
-def rational_to_float(rows: Sequence[Sequence[Fraction]]) -> np.ndarray:
-    """Render a rational matrix (or vector of rows) to nearest doubles."""
-    return np.array([[float(x) for x in row] for row in rows], dtype=float)
 
 
 @dataclass(frozen=True)
@@ -79,12 +77,9 @@ class PiDecomposition:
     def n(self) -> int:
         return len(self.W[0]) if self.W else 0
 
-    def W_float(self) -> np.ndarray:
-        return rational_to_float(self.W).reshape(self.m, self.n)
-
     def A_float(self) -> np.ndarray:
         ncols = len(self.A[0]) if self.A else 0
-        return rational_to_float(self.A).reshape(self.m, ncols)
+        return np.array([[float(x) for x in row] for row in self.A], dtype=float).reshape(self.m, ncols)
 
 
 def build_dimension_matrix(quantities: Sequence[QuantityDecl]) -> DimensionMatrix:
@@ -168,38 +163,8 @@ class NumericalVerificationFailure(AssertionError):
     """Internal exact-arithmetic postcondition violated (indicates a bug)."""
 
 
-def rank_exact(D: DimensionMatrix) -> int:
-    """Exact rank via fraction-free elimination over the rationals."""
-    rows = [list(r) for r in D.entries]
-    _, pivots = _bareiss_echelon(rows)
-    return len(pivots)
-
-
 def _matvec(entries: RationalMatrix, x: Sequence[Fraction]) -> List[Fraction]:
     return [sum((row[j] * x[j] for j in range(len(x))), Fraction(0)) for row in entries]
-
-
-def solve_particular(D: DimensionMatrix, target: DimensionVector) -> RationalVector:
-    """One exact solution w of D @ w = target, free variables set to zero.
-
-    The solution is deterministic under the canonical pivot rule and is
-    verified by exact back-substitution before it is returned.
-    """
-    if target.system != D.system:
-        raise ModelError("target dimension vector uses a different unit system")
-    m = D.m
-    augmented = [list(row) + [t] for row, t in zip(D.entries, target.exponents)]
-    echelon, pivots = _bareiss_echelon(augmented)
-    if pivots and pivots[-1] == m:
-        raise ModelError(
-            "the quantity of interest's units cannot be formed from the given "
-            "quantities (inconsistent linear system)"
-        )
-    free_cols = {c: Fraction(0) for c in range(m) if c not in pivots}
-    w = _back_substitute(echelon, pivots, m, rhs_col=m, free_values=free_cols)
-    if _matvec(D.entries, w) != list(target.exponents):
-        raise NumericalVerificationFailure("particular solution failed exact verification")
-    return tuple(w)
 
 
 def _normalize_column(col: List[Fraction]) -> Tuple[Fraction, ...]:
@@ -212,66 +177,68 @@ def _normalize_column(col: List[Fraction]) -> Tuple[Fraction, ...]:
     return tuple(scaled)
 
 
-def null_space_basis(D: DimensionMatrix) -> RationalMatrix:
-    """Exact rational basis of the null space of D, one column per free variable.
-
-    Columns are normalized to integer entries with a positive leading sign;
-    tests should compare column spaces, not entries, since any pivot rule
-    yields an equally valid basis.
-    """
-    m = D.m
-    rows = [list(r) for r in D.entries]
-    echelon, pivots = _bareiss_echelon(rows)
-    free_cols = [c for c in range(m) if c not in pivots]
-    columns = []
-    for fc in free_cols:
-        free_values = {c: Fraction(1 if c == fc else 0) for c in free_cols}
-        v = _back_substitute(echelon, pivots, m, rhs_col=None, free_values=free_values)
-        columns.append(_normalize_column(v))
-    for col in columns:
-        if any(r != 0 for r in _matvec(D.entries, col)):
-            raise NumericalVerificationFailure("null-space column failed exact D @ v = 0 check")
-    # store row-major: m rows, n columns
-    return tuple(tuple(col[i] for col in columns) for i in range(m))
 
 
-def assemble_A(w: Sequence[Fraction], W: RationalMatrix) -> RationalMatrix:
-    """Stack [w | W] and verify full column rank by exact elimination."""
-    m = len(w)
-    n = len(W[0]) if W else 0
-    if W and len(W) != m:
-        raise ModelError(f"w has length {m} but W has {len(W)} rows")
-    rows = tuple((w[i],) + (tuple(W[i]) if W else ()) for i in range(m))
-    _, pivots = _bareiss_echelon([list(r) for r in rows])
-    if len(pivots) != n + 1:
-        raise ModelError(
-            "A = [w | W] is rank deficient; w lies in the span of the null basis "
-            "(the quantity of interest is dimensionless, so no scaling column is needed)"
-        )
-    return rows
+def pi_decomposition(D: DimensionMatrix, qoi: DimensionVector) -> PiDecomposition:
+    """Rank, particular solution w, null basis W and A = [w | W] from one elimination.
 
-
-def pi_decomposition(
-    quantities: Sequence[QuantityDecl], qoi: DimensionVector
-) -> PiDecomposition:
-    """Full pipeline: dimension matrix, rank, particular solution, null basis, A.
+    The augmented matrix [D | v(qoi)] is eliminated once. The pivot rule
+    looks only at columns <= c, so its first m columns pivot exactly as D
+    alone does: the rank is the number of pivots left of v, and a pivot on v
+    means the qoi's units cannot be formed. w (free variables zero) and one
+    null column per free variable (that variable one, the others zero) are
+    back-substituted from the same echelon rows.
 
     Incomplete systems (rank < k) are permitted with a warning; the number of
     pi groups is then m - rank. A dimensionless quantity of interest gets a
     zero w and A = W.
     """
-    D = build_dimension_matrix(quantities)
-    rank = rank_exact(D)
+    if qoi.system != D.system:
+        raise ModelError("the quantity of interest uses a different unit system")
+    m = D.m
+    echelon, pivots = _bareiss_echelon(
+        [list(row) + [v] for row, v in zip(D.entries, qoi.exponents)]
+    )
+    consistent = not pivots or pivots[-1] < m
+    rank = len(pivots) if consistent else len(pivots) - 1
     if rank < D.k:
         warnings.warn(
             f"dimension matrix has rank {rank} < {D.k} fundamental units; "
             "the quantities do not span a complete set of dimensions",
             stacklevel=2,
         )
-    W = null_space_basis(D)
-    if is_dimensionless(qoi):
-        w = tuple(Fraction(0) for _ in range(D.m))
-        return PiDecomposition(w=w, W=W, A=W, rank=rank, qoi_dimensionless=True)
-    w = solve_particular(D, qoi)
-    A = assemble_A(w, W)
-    return PiDecomposition(w=w, W=W, A=A, rank=rank, qoi_dimensionless=False)
+    if not consistent:
+        raise ModelError(
+            "the quantity of interest's units cannot be formed from the given "
+            "quantities (inconsistent linear system)"
+        )
+    free = [c for c in range(m) if c not in pivots]
+    w = tuple(
+        _back_substitute(echelon, pivots, m, rhs_col=m, free_values={c: Fraction(0) for c in free})
+    )
+    columns = [
+        _normalize_column(
+            _back_substitute(
+                echelon, pivots, m, rhs_col=None,
+                free_values={c: Fraction(1 if c == f else 0) for c in free},
+            )
+        )
+        for f in free
+    ]
+    if _matvec(D.entries, w) != list(qoi.exponents) or any(
+        any(_matvec(D.entries, col)) for col in columns
+    ):
+        raise NumericalVerificationFailure("w or W failed the exact checks D·w = v, D·W = 0")
+    # On the free rows W is diagonal with a nonzero diagonal and w is zero, so
+    # W has full column rank and a nonzero w lies outside its span.
+    dimensionless = is_dimensionless(qoi)
+    full_rank = (
+        all((col[g] != 0) == (g == f) for f, col in zip(free, columns) for g in free)
+        and not any(w[g] for g in free)
+        and (dimensionless or any(w))
+    )
+    if not full_rank:
+        raise NumericalVerificationFailure("A failed the exact full-column-rank check")
+    W = tuple(tuple(col[i] for col in columns) for i in range(m))
+    A = W if dimensionless else tuple((w[i],) + W[i] for i in range(m))
+    return PiDecomposition(w=w, W=W, A=A, rank=rank, qoi_dimensionless=dimensionless)

@@ -119,10 +119,6 @@ class TensorGrid:
         for start in range(0, total, size):
             yield self.chunk(start, min(start + size, total))
 
-    def dense(self) -> Tuple[np.ndarray, np.ndarray]:
-        """Materialize the whole grid; intended for small orders and tests."""
-        return self.chunk(0, len(self))
-
 
 def tensor_grid(rule_order: int, bounds: Sequence[Tuple[float, float]]) -> TensorGrid:
     """Tensor grid of a given 1-D order over per-dimension (lo, hi) intervals."""

@@ -28,7 +28,7 @@ from ridgelaw.activesubspace import (
     fd_gradient,
     pullback_T,
 )
-from ridgelaw.pigroups import _matvec, build_dimension_matrix, null_space_basis, solve_particular
+from ridgelaw.pigroups import _matvec, build_dimension_matrix, pi_decomposition
 from ridgelaw.pipeflow import RE_CRITICAL, builtin_model
 from ridgelaw.quadrature import tensor_grid
 from ridgelaw.ridge import constancy_directions
@@ -71,8 +71,8 @@ def test_criterion_1_exact_pi_decomposition(laminar_model):
     quantities = laminar_model.spec.quantities
     D = build_dimension_matrix(quantities)
     target = laminar_model.spec.qoi
-    w = solve_particular(D, target)
-    W = null_space_basis(D)
+    decomp = pi_decomposition(D, target)
+    w, W = decomp.w, decomp.W
     elapsed_ms = (time.perf_counter() - started) * 1e3
 
     display = (
@@ -81,12 +81,12 @@ def test_criterion_1_exact_pi_decomposition(laminar_model):
         tuple(map(int, (0, -1, 0, 0, -2))),
     )
     entries_match = tuple(tuple(int(x) for x in row) for row in D.entries) == display
-    rank_ok = laminar_model.decomposition.rank == 3
+    rank_ok = decomp.rank == 3
     dw_exact = _matvec(D.entries, w) == list(target.exponents)
     dW_exact = all(
         _matvec(D.entries, [row[j] for row in W]) == [0, 0, 0] for j in range(2)
     )
-    Wf = laminar_model.decomposition.W_float()
+    Wf = np.array([[float(x) for x in row] for row in W])
     r_forward = inclusion_residual(Wf, CLASSICAL_PIPE_W).total
     r_backward = inclusion_residual(CLASSICAL_PIPE_W, Wf).total
     spaces_ok = r_forward <= 1e-24 and r_backward <= 1e-24
@@ -228,7 +228,8 @@ def test_criterion_5_quadrature_stabilization(turbulent_model, est11_turbulent):
 
 
 def test_criterion_6_turbulent_occupancy(turbulent_model):
-    X, _ = turbulent_model.grid(11).dense()
+    grid = turbulent_model.grid(11)
+    X, _ = grid.chunk(0, len(grid))
     q = np.exp(X)
     v_tur = v_turbulent(q[:, 0], q[:, 1], q[:, 2], q[:, 3], q[:, 4])
     re = q[:, 0] * v_tur * q[:, 2] / q[:, 1]
@@ -246,7 +247,8 @@ def test_criterion_6_turbulent_occupancy(turbulent_model):
 
 def test_criterion_7_physics_oracles(laminar_model, turbulent_model):
     # laminar box: every point must satisfy f * Re = 64 exactly up to rounding
-    X, _ = laminar_model.grid(11).dense()
+    grid = laminar_model.grid(11)
+    X, _ = grid.chunk(0, len(grid))
     q = np.exp(X)
     rho, mu, diam, eps, dpdl = (q[:, i] for i in range(5))
     v_tur = v_turbulent(rho, mu, diam, eps, dpdl)
@@ -257,7 +259,8 @@ def test_criterion_7_physics_oracles(laminar_model, turbulent_model):
 
     # turbulent box: every point routed to the turbulent branch must satisfy
     # the implicit Colebrook relation after back-substitution
-    X, _ = turbulent_model.grid(11).dense()
+    grid = turbulent_model.grid(11)
+    X, _ = grid.chunk(0, len(grid))
     q = np.exp(X)
     rho, mu, diam, eps, dpdl = (q[:, i] for i in range(5))
     v_tur = v_turbulent(rho, mu, diam, eps, dpdl)
@@ -286,7 +289,7 @@ def test_criterion_8_property_suites(laminar_model):
     rng = np.random.default_rng(123)
     order = 5
     grid = tensor_grid(order, [(-1.0, 2.0), (0.5, 1.5)])
-    X, w = grid.dense()
+    X, w = grid.chunk(0, len(grid))
     quad_err = 0.0
     for _ in range(10):
         degs = rng.integers(0, 2 * order, size=2)

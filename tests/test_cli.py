@@ -176,6 +176,25 @@ class TestPiCommand:
         assert d_csv[0] == ",rho,mu,D,eps,dPdL"
         assert d_csv[1] == "kg,1,1,0,0,1"
 
+    def test_incomplete_unit_system_prints_one_warning_line_per_run(self, tmp_path, capsys):
+        doc = {
+            "unit_system": ["kg", "m", "s"],
+            "quantities": [
+                {"name": "a", "dimension": {"m": 1}},
+                {"name": "b", "dimension": {"m": 1}},
+            ],
+            "qoi": {"name": "L", "dimension": {"m": 1}},
+        }
+        path = write_model(tmp_path, doc)
+        for _ in range(2):
+            assert run_command(["pi", path]) == 0
+            captured = capsys.readouterr()
+            assert json.loads(captured.out)["rank"] == 1
+            assert captured.err.splitlines() == [
+                "warning: dimension matrix has rank 1 < 3 fundamental units; "
+                "the quantities do not span a complete set of dimensions"
+            ]
+
     def test_pi_on_schema_violation_exits_3(self, tmp_path, capsys):
         doc = json.loads(json.dumps(BASE_DOC))
         doc["quantities"][0]["range"] = [2.0, 1.0]

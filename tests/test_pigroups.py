@@ -1,5 +1,6 @@
 """Exact dimension-matrix algebra: rank, particular solutions, null bases."""
 
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -8,16 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from ridgelaw.dimensions import DimensionVector, QuantityDecl, UnitSystem, make_dimension
 from ridgelaw.errors import ModelError
-from ridgelaw.pigroups import (
-    DimensionMatrix,
-    assemble_A,
-    build_dimension_matrix,
-    null_space_basis,
-    pi_decomposition,
-    rank_exact,
-    solve_particular,
-    _matvec,
-)
+from ridgelaw.pigroups import DimensionMatrix, build_dimension_matrix, pi_decomposition, _matvec
 from ridgelaw.models import load_model
 from ridgelaw.subspace import inclusion_residual
 from tests.conftest import CLASSICAL_PIPE_W
@@ -80,20 +72,58 @@ class TestBuildDimensionMatrix:
             )
 
 
+def decompose(D, target=None):
+    """pi_decomposition of D; the target defaults to dimensionless."""
+    return pi_decomposition(D, target or DimensionVector(fr([0] * D.k), D.system))
+
+
+def exact_rank(rows):
+    """Rank by plain Gauss-Jordan elimination over the rationals (an independent oracle)."""
+    rows = [list(map(Fraction, r)) for r in rows]
+    rank = 0
+    for c in range(len(rows[0]) if rows else 0):
+        pivot = next((i for i in range(rank, len(rows)) if rows[i][c] != 0), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        for i in range(len(rows)):
+            if i != rank and rows[i][c] != 0:
+                f = rows[i][c] / rows[rank][c]
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[rank])]
+        rank += 1
+    return rank
+
+
+def test_one_elimination_per_decomposition(pipe_D, monkeypatch):
+    import ridgelaw.pigroups
+
+    calls = []
+    original = ridgelaw.pigroups._bareiss_echelon
+
+    def counting(rows):
+        calls.append(len(rows))
+        return original(rows)
+
+    monkeypatch.setattr(ridgelaw.pigroups, "_bareiss_echelon", counting)
+    pi_decomposition(pipe_D, PIPE.qoi)
+    assert calls == [3]
+
+
 class TestRankExact:
     def test_pipe_matrix_has_rank_three(self, pipe_D):
-        assert rank_exact(pipe_D) == 3
+        assert decompose(pipe_D, PIPE.qoi).rank == 3
 
     def test_zero_matrix(self):
-        assert rank_exact(matrix(KMS, [[0, 0], [0, 0], [0, 0]])) == 0
+        with pytest.warns(UserWarning, match="rank 0"):
+            assert decompose(matrix(KMS, [[0, 0], [0, 0], [0, 0]])).rank == 0
 
     def test_identity(self):
-        assert rank_exact(matrix(KMS, [[1, 0, 0], [0, 1, 0], [0, 0, 1]])) == 3
+        assert decompose(matrix(KMS, [[1, 0, 0], [0, 1, 0], [0, 0, 1]])).rank == 3
 
 
 class TestSolveParticular:
     def test_pipe_velocity_target(self, pipe_D):
-        w = solve_particular(pipe_D, PIPE.qoi)
+        w = decompose(pipe_D, PIPE.qoi).w
         assert _matvec(pipe_D.entries, w) == list(PIPE.qoi.exponents)
 
     def test_poiseuille_monomial_is_also_a_solution(self, pipe_D):
@@ -103,26 +133,25 @@ class TestSolveParticular:
         assert _matvec(pipe_D.entries, candidate) == list(PIPE.qoi.exponents)
 
     def test_zero_target_gives_zero_solution(self, pipe_D):
-        zero = DimensionVector(fr([0, 0, 0]), KMS)
-        assert solve_particular(pipe_D, zero) == fr([0, 0, 0, 0, 0])
+        assert decompose(pipe_D).w == fr([0, 0, 0, 0, 0])
 
     def test_scalar_rational_solve(self):
         one_unit = UnitSystem(("m",))
         D = DimensionMatrix((fr([2]),), ("q",), one_unit)
         target = DimensionVector(fr([1]), one_unit)
-        assert solve_particular(D, target) == (Fraction(1, 2),)
+        assert decompose(D, target).w == (Fraction(1, 2),)
 
     def test_inconsistent_target_rejected(self):
         # a target with time units cannot come from purely spatial columns
         D = matrix(KMS, [[0, 0], [1, 2], [0, 0]])
         target = DimensionVector(fr([0, 0, 1]), KMS)
-        with pytest.raises(ModelError, match="cannot be formed"):
-            solve_particular(D, target)
+        with pytest.warns(UserWarning, match="rank 1"), pytest.raises(ModelError, match="cannot be formed"):
+            decompose(D, target)
 
 
 class TestNullSpaceBasis:
     def test_pipe_null_space_matches_classical_groups(self, pipe_D):
-        W = null_space_basis(pipe_D)
+        W = decompose(pipe_D, PIPE.qoi).W
         assert _matvec(pipe_D.entries, [row[0] for row in W]) == [0, 0, 0]
         assert _matvec(pipe_D.entries, [row[1] for row in W]) == [0, 0, 0]
         Wf = np.array([[float(x) for x in row] for row in W])
@@ -131,18 +160,18 @@ class TestNullSpaceBasis:
 
     def test_invertible_matrix_has_empty_basis(self):
         D = matrix(KMS, [[1, 0, 0], [0, 1, 0], [0, 0, 1]])
-        W = null_space_basis(D)
+        W = decompose(D).W
         assert all(len(row) == 0 for row in W)
 
     def test_ratio_group(self):
         one_unit = UnitSystem(("m",))
         D = DimensionMatrix((fr([1, -1]),), ("a", "b"), one_unit)
-        W = null_space_basis(D)
+        W = decompose(D).W
         assert W == (fr([1]), fr([1]))
 
     def test_columns_are_integer_normalized_with_positive_lead(self):
-        D = matrix(KMS, [[2, 1], [0, 0], [0, 0]])
-        W = null_space_basis(D)
+        with pytest.warns(UserWarning, match="rank 1"):
+            W = decompose(matrix(KMS, [[2, 1], [0, 0], [0, 0]])).W
         col = [row[0] for row in W]
         assert all(x.denominator == 1 for x in col)
         first = next(x for x in col if x != 0)
@@ -151,23 +180,21 @@ class TestNullSpaceBasis:
 
 class TestAssembleA:
     def test_pipe_A_has_rank_three(self, pipe_D):
-        w = solve_particular(pipe_D, PIPE.qoi)
-        W = null_space_basis(pipe_D)
-        A = assemble_A(w, W)
+        A = decompose(pipe_D, PIPE.qoi).A
         assert len(A) == 5 and len(A[0]) == 3
-        assert rank_exact(DimensionMatrix(A, ("w", "p1", "p2"), UnitSystem(("a", "b", "c", "d", "e")))) == 3
+        assert exact_rank(A) == 3
 
     def test_single_entry(self):
-        A = assemble_A(fr([1]), (tuple(),))
+        one_unit = UnitSystem(("m",))
+        D = DimensionMatrix((fr([1]),), ("q",), one_unit)
+        A = decompose(D, DimensionVector(fr([1]), one_unit)).A
         assert A == ((Fraction(1),),)
 
     def test_two_by_two(self):
-        A = assemble_A(fr([1, 0]), (fr([0]), fr([1])))
+        one_unit = UnitSystem(("m",))
+        D = DimensionMatrix((fr([1, 0]),), ("q", "p"), one_unit)
+        A = decompose(D, DimensionVector(fr([1]), one_unit)).A
         assert A == (fr([1, 0]), fr([0, 1]))
-
-    def test_rank_deficiency_rejected(self):
-        with pytest.raises(ModelError, match="dimensionless"):
-            assemble_A(fr([0, 0]), (fr([1]), fr([0])))
 
 
 # --- randomized exactness properties ------------------------------------
@@ -182,36 +209,59 @@ def rational_matrix(k, m):
 
 
 @st.composite
-def matrix_and_consistent_target(draw):
+def matrix_and_target(draw):
+    """A random D with a consistent, a dimensionless or an arbitrary target."""
     k = draw(st.integers(min_value=1, max_value=3))
     m = draw(st.integers(min_value=1, max_value=5))
     rows = draw(rational_matrix(k, m))
-    z = draw(st.lists(small_fracs, min_size=m, max_size=m))
     system = UnitSystem(tuple(f"u{i}" for i in range(k)))
     D = DimensionMatrix(tuple(tuple(r) for r in rows), tuple(f"q{j}" for j in range(m)), system)
-    target = DimensionVector(tuple(_matvec(D.entries, z)), system)
-    return D, target
+    kind = draw(st.sampled_from(["consistent", "dimensionless", "arbitrary"]))
+    if kind == "consistent":
+        z = draw(st.lists(small_fracs, min_size=m, max_size=m))
+        exponents = tuple(_matvec(D.entries, z))
+    elif kind == "dimensionless":
+        exponents = fr([0] * k)
+    else:
+        exponents = tuple(draw(st.lists(small_fracs, min_size=k, max_size=k)))
+    return D, DimensionVector(exponents, system)
 
 
-@settings(deadline=None, max_examples=60)
-@given(case=matrix_and_consistent_target())
+@settings(deadline=None, max_examples=120)
+@given(case=matrix_and_target())
 def test_solve_and_null_space_are_exact(case):
     D, target = case
-    w = solve_particular(D, target)
+    rank = exact_rank(D.entries)
+    consistent = exact_rank([row + (t,) for row, t in zip(D.entries, target.exponents)]) == rank
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        if not consistent:
+            with pytest.raises(ModelError, match="cannot be formed"):
+                pi_decomposition(D, target)
+            assert len(caught) == (rank < D.k)
+            return
+        decomp = pi_decomposition(D, target)
+    assert len(caught) == (rank < D.k)
+    w, W, n = decomp.w, decomp.W, decomp.n
     assert _matvec(D.entries, w) == list(target.exponents)
-    W = null_space_basis(D)
-    n = len(W[0]) if W else 0
-    assert rank_exact(D) + n == D.m
+    assert decomp.rank == rank and rank + n == D.m
     for j in range(n):
         col = [row[j] for row in W]
         assert _matvec(D.entries, col) == [0] * D.k
+    dimensionless = not any(target.exponents)
+    assert decomp.qoi_dimensionless == dimensionless
+    if dimensionless:
+        assert not any(w) and decomp.A == W
+    else:
+        assert decomp.A == tuple((w[i],) + W[i] for i in range(D.m))
+        assert exact_rank(decomp.A) == n + 1
 
 
 def test_pi_values_invariant_under_null_orthogonal_rescale(pipe_D):
     # log c in the row space of D is orthogonal to every null column, so the
     # pi groups cannot see the rescaling
     rng = np.random.default_rng(7)
-    Wf = np.array([[float(x) for x in row] for row in null_space_basis(pipe_D)])
+    Wf = np.array([[float(x) for x in row] for row in decompose(pipe_D).W])
     Df = np.array([[float(x) for x in row] for row in pipe_D.entries])
     q = np.exp(rng.uniform(-1.0, 1.0, size=5))
     y = rng.uniform(-0.5, 0.5, size=3)
@@ -227,17 +277,16 @@ def test_null_basis_column_space_survives_column_permutation(pipe_D):
     perm = [4, 2, 0, 3, 1]
     rows = tuple(tuple(row[j] for j in perm) for row in pipe_D.entries)
     D_perm = DimensionMatrix(rows, tuple(pipe_D.column_names[j] for j in perm), pipe_D.system)
-    W_perm = null_space_basis(D_perm)
+    W_perm = decompose(D_perm).W
     inverse = np.argsort(perm)
     W_perm_f = np.array([[float(x) for x in row] for row in W_perm])[inverse, :]
-    W_f = np.array([[float(x) for x in row] for row in null_space_basis(pipe_D)])
+    W_f = np.array([[float(x) for x in row] for row in decompose(pipe_D).W])
     assert inclusion_both_ways(W_perm_f, W_f) <= 1e-24
 
 
-def test_pi_decomposition_flags_dimensionless_qoi():
-    quantities = PIPE.quantities
+def test_pi_decomposition_flags_dimensionless_qoi(pipe_D):
     zero = make_dimension(KMS, [])
-    decomp = pi_decomposition(quantities, zero)
+    decomp = pi_decomposition(pipe_D, zero)
     assert decomp.qoi_dimensionless
     assert all(x == 0 for x in decomp.w)
     assert decomp.A == decomp.W
@@ -247,4 +296,4 @@ def test_pi_decomposition_warns_on_incomplete_system():
     length_only = make_dimension(KMS, [("m", 1)])
     quantities = [QuantityDecl("a", length_only), QuantityDecl("b", length_only)]
     with pytest.warns(UserWarning, match="rank"):
-        pi_decomposition(quantities, length_only)
+        pi_decomposition(build_dimension_matrix(quantities), length_only)

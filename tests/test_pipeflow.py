@@ -134,7 +134,8 @@ class TestPipeLaw:
                 assert got == pytest.approx(physical_terms(*q), rel=1e-13)
 
     def test_velocity_matches_the_physical_formulas(self, turbulent_model):
-        X, _ = turbulent_model.grid(5).dense()
+        grid = turbulent_model.grid(5)
+        X, _ = grid.chunk(0, len(grid))
         values = LogSpaceVelocity()(X)
         for x, v in zip(X, values):
             P, t1, t2, v_lam, re_per_v = physical_terms(*np.exp(x))
@@ -147,7 +148,8 @@ class TestFdValues:
 
     def test_shifted_values_equal_direct_evaluations(self, laminar_model, turbulent_model):
         for model in (laminar_model, turbulent_model):
-            Y, _ = model.grid(5).dense()
+            grid = model.grid(5)
+            Y, _ = grid.chunk(0, len(grid))
             values = model.f.fd_values(Y, self.STEPS)
             assert np.array_equal(next(values), model.f(Y))
             for h in self.STEPS:
@@ -248,7 +250,8 @@ class TestBulkVelocity:
             assert bulk_velocity(s) == v_laminar(s)
 
     def test_most_of_turbulent_box_routes_to_colebrook(self, turbulent_model):
-        X, _ = turbulent_model.grid(5).dense()
+        grid = turbulent_model.grid(5)
+        X, _ = grid.chunk(0, len(grid))
         q = np.exp(X)
         turbulent = 0
         for row in q:
@@ -269,7 +272,8 @@ class TestBulkVelocity:
 
     def test_positive_over_both_regime_boxes(self, laminar_model, turbulent_model):
         for model in (laminar_model, turbulent_model):
-            X, _ = model.grid(5).dense()
+            grid = model.grid(5)
+            X, _ = grid.chunk(0, len(grid))
             values = model.f(X)
             assert np.all(values > 0.0)
 

@@ -1,6 +1,7 @@
-"""Every exported name, and every public method or property of an exported
-class, has a user besides the tests."""
+"""Every exported name, and every public method, property or dataclass field
+of an exported class, has a user besides the tests."""
 
+import dataclasses
 import functools
 import inspect
 import re
@@ -30,7 +31,7 @@ def test_exported_name_is_used_outside_its_definition(name):
 
 
 def _public_members():
-    """(class, member) for each public method or property an exported class defines."""
+    """(class, member) for each public method, property or dataclass field an exported class defines."""
     kinds = (property, functools.cached_property, classmethod, staticmethod)
     for name in ridgelaw.__all__:
         cls = getattr(ridgelaw, name)
@@ -38,6 +39,10 @@ def _public_members():
             for attr, member in vars(cls).items():
                 if not attr.startswith("_") and (inspect.isfunction(member) or isinstance(member, kinds)):
                     yield name, attr
+            if dataclasses.is_dataclass(cls):
+                for field in dataclasses.fields(cls):
+                    if not field.name.startswith("_"):
+                        yield name, field.name
 
 
 @pytest.mark.parametrize("cls, attr", sorted(_public_members()))

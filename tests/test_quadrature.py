@@ -52,13 +52,13 @@ class TestTensorGrid:
 
     def test_order_one_hits_box_center(self):
         grid = tensor_grid(1, [(0.0, 4.0), (-2.0, 0.0)])
-        X, w = grid.dense()
+        X, w = grid.chunk(0, len(grid))
         assert X == pytest.approx(np.array([[2.0, -1.0]]), abs=1e-15)
         assert w == pytest.approx([1.0], abs=1e-15)
 
     def test_mean_of_identity_on_0_2(self):
         grid = tensor_grid(3, [(0.0, 2.0)])
-        X, w = grid.dense()
+        X, w = grid.chunk(0, len(grid))
         assert abs(float(w @ X[:, 0]) - 1.0) < 1e-13
 
     def test_weights_sum_to_one(self):
@@ -72,7 +72,7 @@ class TestTensorGrid:
 
     def test_lexicographic_ordering(self):
         grid = tensor_grid(2, [(0.0, 1.0), (10.0, 11.0)])
-        X, _ = grid.dense()
+        X, _ = grid.chunk(0, len(grid))
         a, b = grid.mapped_nodes[0]
         c, d = grid.mapped_nodes[1]
         expected = np.array([[a, c], [a, d], [b, c], [b, d]])
@@ -80,7 +80,7 @@ class TestTensorGrid:
 
     def test_iterator_matches_chunks(self):
         grid = tensor_grid(3, [(0.0, 1.0), (0.0, 2.0)])
-        dense_X, dense_w = grid.dense()
+        dense_X, dense_w = grid.chunk(0, len(grid))
         chunks = list(grid.chunks(size=4))  # 9 points: 4, 4, 1
         assert [len(w) for _, w in chunks] == [4, 4, 1]
         assert np.array_equal(np.concatenate([X for X, _ in chunks]), dense_X)
@@ -103,7 +103,7 @@ def test_polynomial_exactness_up_to_degree_2n_minus_1():
     max_deg = 2 * order - 1
     bounds = [(-1.0, 2.0), (0.5, 1.5)]
     grid = tensor_grid(order, bounds)
-    X, w = grid.dense()
+    X, w = grid.chunk(0, len(grid))
     for _ in range(20):
         degs = rng.integers(0, max_deg + 1, size=2)
         coeff = rng.uniform(-1.0, 1.0)
@@ -119,7 +119,7 @@ def test_degree_2n_is_not_exact():
     # sanity check that the exactness bound is sharp
     order = 2
     grid = tensor_grid(order, [(-1.0, 1.0)])
-    X, w = grid.dense()
+    X, w = grid.chunk(0, len(grid))
     estimate = float(w @ X[:, 0] ** (2 * order))
     exact = 1.0 / (2 * order + 1)
     assert abs(estimate - exact) > 1e-3
