@@ -61,15 +61,23 @@ def _write_text(out_dir: Path, filename: str, text: str) -> Path:
     return target
 
 
-def _write_json(out_dir: Path, filename: str, payload) -> Path:
-    return _write_text(out_dir, filename, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+def _json_text(payload) -> str:
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+def _emit_json(payload, out: Optional[str], filename: str) -> None:
+    """Print the payload as JSON; with --out, write the same text to out/filename."""
+    text = _json_text(payload)
+    print(text, end="")
+    if out is not None:
+        _write_text(Path(out), filename, text)
 
 
 def _write_run_json(out_dir: Optional[Path], command: str, config: dict):
     if out_dir is None:
         return
     payload = {"command": command, "package": "ridgelaw", "version": __version__, "config": config}
-    _write_json(out_dir, "run.json", payload)
+    _write_text(out_dir, "run.json", _json_text(payload))
 
 
 def _csv_lines(header: Sequence[str], rows: Sequence[Sequence[str]]) -> str:
@@ -120,7 +128,7 @@ def _cmd_pi(args) -> int:
         decomp = pi_decomposition(D, spec.qoi)
     payload = _decomposition_payload(spec.name, D.column_names, spec.system, decomp)
     payload["D"] = [[fmt_rational(x) for x in row] for row in D.entries]
-    print(json.dumps(payload, indent=2, sort_keys=True))
+    _emit_json(payload, args.out, "pi.json")
     if args.out is not None:
         out = Path(args.out)
         _write_text(
@@ -140,7 +148,6 @@ def _cmd_pi(args) -> int:
         )
         a_labels = pi_labels if decomp.qoi_dimensionless else ["w"] + pi_labels
         _write_text(out, "A.csv", _rational_matrix_csv(D.column_names, a_labels, decomp.A))
-        _write_json(out, "pi.json", payload)
         _write_run_json(out, "pi", {"model": args.model})
     return 0
 
@@ -157,7 +164,7 @@ def _cmd_active(args) -> int:
         "eigenvalues": [fmt_float(v) for v in est.eigenvalues],
         "clamped": est.clamped,
     }
-    print(json.dumps(payload, indent=2, sort_keys=True))
+    _emit_json(payload, args.out, "active.json")
     if args.out is not None:
         out = Path(args.out)
         _write_text(out, "eigenvalues.csv", _eigenvalues_csv(est.eigenvalues))
@@ -173,7 +180,6 @@ def _cmd_active(args) -> int:
                 ],
             ),
         )
-        _write_json(out, "active.json", payload)
         _write_run_json(
             out,
             "active",
@@ -192,6 +198,8 @@ def _load_matrix_csv(path: str) -> np.ndarray:
         data = np.loadtxt(path, delimiter=",", ndmin=2)
     except Exception as exc:
         raise ModelError(f"cannot read matrix CSV {path!r}: {exc}") from exc
+    if not np.isfinite(data).all():
+        raise ModelError(f"matrix CSV {path!r} has a non-finite entry")
     return data
 
 
@@ -208,12 +216,10 @@ def _cmd_inclusion(args) -> int:
         "candidate_condition": fmt_float(report.candidate_condition),
         "enclosing_condition": fmt_float(report.enclosing_condition),
     }
-    print(json.dumps(payload, indent=2, sort_keys=True))
+    _emit_json(payload, args.out, "inclusion.json")
     if args.out is not None:
-        out = Path(args.out)
-        _write_json(out, "inclusion.json", payload)
         _write_run_json(
-            out, "inclusion", {"candidate": args.candidate, "enclosing": args.enclosing}
+            Path(args.out), "inclusion", {"candidate": args.candidate, "enclosing": args.enclosing}
         )
     return 0
 
@@ -257,11 +263,10 @@ def _cmd_sweep(args) -> int:
         "entries": [[fmt_float(h), fmt_float(r2)] for h, r2 in result.entries],
         "slope": None if result.slope is None else fmt_float(result.slope),
     }
-    print(json.dumps(payload, indent=2, sort_keys=True))
+    _emit_json(payload, args.out, "sweep.json")
     if args.out is not None:
         out = Path(args.out)
         _write_text(out, "sweep.csv", _sweep_csv(list(result.entries)))
-        _write_json(out, "sweep.json", payload)
         _write_run_json(
             out,
             "sweep",
@@ -295,7 +300,7 @@ def _cmd_eval(args) -> int:
         raise NumericalError(f"pipe state is outside the double range: {', '.join(bad)} not finite")
     payload = {name: fmt_float(x) for name, x in numbers.items()}
     payload["regime"] = regime
-    print(json.dumps(payload, indent=2, sort_keys=True))
+    print(_json_text(payload), end="")
     return 0
 
 
@@ -313,12 +318,11 @@ def _cmd_reproduce(args) -> int:
         "sweep": [[fmt_float(h), fmt_float(r2)] for h, r2 in sweep.entries],
         "slope": None if sweep.slope is None else fmt_float(sweep.slope),
     }
-    print(json.dumps(payload, indent=2, sort_keys=True))
+    _emit_json(payload, args.out, "reproduce.json")
     if args.out is not None:
         out = Path(args.out)
         _write_text(out, "eigenvalues.csv", _eigenvalues_csv(est.eigenvalues))
         _write_text(out, "sweep.csv", _sweep_csv(list(sweep.entries)))
-        _write_json(out, "reproduce.json", payload)
         _write_run_json(
             out,
             "pipeflow reproduce",

@@ -1,11 +1,12 @@
 """Dimension matrices, nondimensionalizing exponents, and null-space pi groups.
 
-Everything here runs in exact rational arithmetic. One fraction-free
-(Bareiss) elimination of the augmented matrix [D | v(qoi)], with a canonical
-pivot rule, gives the rank, the particular solution w and the null basis W,
-so every rank decision is exact and reproducible. The results are checked
-exactly: D·w = v, D·W = 0, and on the free rows W is diagonal and nonzero
-while w is zero, which proves that A = [w | W] has full column rank.
+Everything here runs in exact arithmetic. The rows of the augmented matrix
+[D | v(qoi)] are scaled to integers once, and one fraction-free Gauss-Jordan
+pass over them, with a canonical pivot rule, gives the rank; W and w are read
+off the reduced rows, so every rank decision is exact and reproducible. The
+results are checked exactly, in integers: D·w = v, D·W = 0, and on the free
+rows W is diagonal and nonzero while w is zero, which proves that
+A = [w | W] has full column rank.
 Floating point only appears at the very end, when a rational matrix is
 rendered to doubles for the numerics.
 """
@@ -16,7 +17,7 @@ import math
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -98,85 +99,60 @@ def build_dimension_matrix(quantities: Sequence[QuantityDecl]) -> DimensionMatri
     return DimensionMatrix(rows, tuple(q.name for q in quantities), system)
 
 
-def _clear_denominators(row: Sequence[Fraction]) -> List[Fraction]:
-    """Scale a row by the positive LCM of its denominators (integral entries)."""
-    scale = math.lcm(*(x.denominator for x in row)) if row else 1
-    return [x * scale for x in row]
+def _integer_row(row: Sequence[Fraction]) -> List[int]:
+    """The row scaled by the positive LCM of its denominators, as Python ints."""
+    scale = math.lcm(*(x.denominator for x in row))
+    return [x.numerator * (scale // x.denominator) for x in row]
 
 
-def _bareiss_echelon(rows: List[List[Fraction]]) -> Tuple[List[List[Fraction]], List[int]]:
-    """Fraction-free row echelon form with the canonical pivot rule.
+def _gauss_jordan(rows: Sequence[Sequence[int]]) -> Tuple[List[List[int]], int, List[int]]:
+    """Fraction-free Gauss-Jordan elimination of integer rows, canonical pivots.
 
     Pivot rule: leftmost column with a nonzero entry among the remaining
-    rows, then the topmost such entry. Rows are pre-scaled to integers; the
-    Bareiss update keeps them integral, so no rounding decision is ever made.
-    Returns the echelon rows and the pivot column indices in order.
+    rows, then the topmost such entry. Every row but the pivot row, above it
+    as well as below, gets the Bareiss update (p·row - a·pivot_row) // prev,
+    whose division is exact, so no rounding decision is ever made. Returns
+    the reduced rows, the common pivot d that every pivot row ends with, and
+    the pivot columns in order; each pivot column is zero off its pivot row.
     """
-    work = [_clear_denominators(r) for r in rows]
-    nrows = len(work)
-    ncols = len(work[0]) if work else 0
+    work = [list(row) for row in rows]
     pivot_cols: List[int] = []
-    prev_pivot = Fraction(1)
-    r = 0
-    for c in range(ncols):
-        pivot_row = next((i for i in range(r, nrows) if work[i][c] != 0), None)
+    prev = 1
+    for c in range(len(work[0]) if work else 0):
+        r = len(pivot_cols)
+        if r == len(work):
+            break
+        pivot_row = next((i for i in range(r, len(work)) if work[i][c]), None)
         if pivot_row is None:
             continue
-        if pivot_row != r:
-            work[r], work[pivot_row] = work[pivot_row], work[r]
-        for i in range(r + 1, nrows):
-            row_i, row_r = work[i], work[r]
-            factor = row_i[c]
-            for j in range(c + 1, ncols):
-                row_i[j] = (row_r[c] * row_i[j] - factor * row_r[j]) / prev_pivot
-            row_i[c] = Fraction(0)
-        prev_pivot = work[r][c]
+        work[r], work[pivot_row] = work[pivot_row], work[r]
+        pivot, p = work[r], work[r][c]
+        for i, row in enumerate(work):
+            if i != r:
+                a = row[c]
+                work[i] = [(p * x - a * y) // prev for x, y in zip(row, pivot)]
+        prev = p
         pivot_cols.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return work, pivot_cols
-
-
-def _back_substitute(
-    echelon: List[List[Fraction]],
-    pivot_cols: List[int],
-    nvars: int,
-    rhs_col: Optional[int],
-    free_values: dict,
-) -> List[Fraction]:
-    """Solve for the pivot variables given fixed values for the free ones."""
-    x = [Fraction(0)] * nvars
-    for col, value in free_values.items():
-        x[col] = value
-    for i in reversed(range(len(pivot_cols))):
-        c = pivot_cols[i]
-        row = echelon[i]
-        acc = row[rhs_col] if rhs_col is not None else Fraction(0)
-        for j in range(c + 1, nvars):
-            acc -= row[j] * x[j]
-        x[c] = acc / row[c]
-    return x
+    return work, prev, pivot_cols
 
 
 class NumericalVerificationFailure(AssertionError):
     """Internal exact-arithmetic postcondition violated (indicates a bug)."""
 
 
-def _matvec(entries: RationalMatrix, x: Sequence[Fraction]) -> List[Fraction]:
-    return [sum((row[j] * x[j] for j in range(len(x))), Fraction(0)) for row in entries]
+def _dot(row: Sequence[int], x: Sequence[int]) -> int:
+    return sum(a * b for a, b in zip(row, x, strict=True))
 
 
-def _normalize_column(col: List[Fraction]) -> Tuple[Fraction, ...]:
-    """Scale to integer entries; flip sign so the first nonzero is positive."""
-    scale = math.lcm(*(x.denominator for x in col))
-    scaled = [x * scale for x in col]
-    first = next((x for x in scaled if x != 0), None)
-    if first is not None and first < 0:
-        scaled = [-x for x in scaled]
-    return tuple(scaled)
-
-
+def _null_column(reduced: List[List[int]], d: int, pivots: List[int], f: int, m: int) -> List[int]:
+    """Primitive integer null vector with x_f = d, x_p = -R[i][f], first nonzero positive."""
+    col = [0] * m
+    col[f] = d
+    for i, c in enumerate(pivots):
+        col[c] = -reduced[i][f]
+    g = math.gcd(*col)
+    g = g if next(x for x in col if x) > 0 else -g
+    return [x // g for x in col]
 
 
 def pi_decomposition(D: DimensionMatrix, qoi: DimensionVector) -> PiDecomposition:
@@ -185,9 +161,9 @@ def pi_decomposition(D: DimensionMatrix, qoi: DimensionVector) -> PiDecompositio
     The augmented matrix [D | v(qoi)] is eliminated once. The pivot rule
     looks only at columns <= c, so its first m columns pivot exactly as D
     alone does: the rank is the number of pivots left of v, and a pivot on v
-    means the qoi's units cannot be formed. w (free variables zero) and one
-    null column per free variable (that variable one, the others zero) are
-    back-substituted from the same echelon rows.
+    means the qoi's units cannot be formed. The reduced rows give w (free
+    variables zero) and one null column per free variable (that variable
+    nonzero, the other free ones zero) directly, with no back-substitution.
 
     Incomplete systems (rank < k) are permitted with a warning; the number of
     pi groups is then m - rank. A dimensionless quantity of interest gets a
@@ -196,9 +172,10 @@ def pi_decomposition(D: DimensionMatrix, qoi: DimensionVector) -> PiDecompositio
     if qoi.system != D.system:
         raise ModelError("the quantity of interest uses a different unit system")
     m = D.m
-    echelon, pivots = _bareiss_echelon(
-        [list(row) + [v] for row, v in zip(D.entries, qoi.exponents)]
-    )
+    scaled = [
+        _integer_row(row + (v,)) for row, v in zip(D.entries, qoi.exponents, strict=True)
+    ]
+    reduced, d, pivots = _gauss_jordan(scaled)
     consistent = not pivots or pivots[-1] < m
     rank = len(pivots) if consistent else len(pivots) - 1
     if rank < D.k:
@@ -213,20 +190,13 @@ def pi_decomposition(D: DimensionMatrix, qoi: DimensionVector) -> PiDecompositio
             "quantities (inconsistent linear system)"
         )
     free = [c for c in range(m) if c not in pivots]
-    w = tuple(
-        _back_substitute(echelon, pivots, m, rhs_col=m, free_values={c: Fraction(0) for c in free})
-    )
-    columns = [
-        _normalize_column(
-            _back_substitute(
-                echelon, pivots, m, rhs_col=None,
-                free_values={c: Fraction(1 if c == f else 0) for c in free},
-            )
-        )
-        for f in free
-    ]
-    if _matvec(D.entries, w) != list(qoi.exponents) or any(
-        any(_matvec(D.entries, col)) for col in columns
+    dw = [0] * m  # d·w: the pivot rows read w_p = R[i][m] / d, the free entries are zero
+    for i, c in enumerate(pivots):
+        dw[c] = reduced[i][m]
+    columns = [_null_column(reduced, d, pivots, f, m) for f in free]
+    if any(
+        _dot(row[:m], dw) != d * row[m] or any(_dot(row[:m], col) for col in columns)
+        for row in scaled
     ):
         raise NumericalVerificationFailure("w or W failed the exact checks D·w = v, D·W = 0")
     # On the free rows W is diagonal with a nonzero diagonal and w is zero, so
@@ -234,11 +204,12 @@ def pi_decomposition(D: DimensionMatrix, qoi: DimensionVector) -> PiDecompositio
     dimensionless = is_dimensionless(qoi)
     full_rank = (
         all((col[g] != 0) == (g == f) for f, col in zip(free, columns) for g in free)
-        and not any(w[g] for g in free)
-        and (dimensionless or any(w))
+        and not any(dw[g] for g in free)
+        and (dimensionless or any(dw))
     )
     if not full_rank:
         raise NumericalVerificationFailure("A failed the exact full-column-rank check")
-    W = tuple(tuple(col[i] for col in columns) for i in range(m))
+    w = tuple(Fraction(x, d) for x in dw)
+    W = tuple(tuple(Fraction(col[i]) for col in columns) for i in range(m))
     A = W if dimensionless else tuple((w[i],) + W[i] for i in range(m))
     return PiDecomposition(w=w, W=W, A=A, rank=rank, qoi_dimensionless=dimensionless)

@@ -16,7 +16,7 @@ import numpy as np
 
 # estimate_subspace is unused here but stays bound: bench/tracer.py wraps this binding
 from .activesubspace import SubspaceEstimate, active_subspace, estimate_subspace, estimate_subspaces  # noqa: F401
-from .errors import ModelError
+from .errors import ModelError, NumericalError
 from .pipeflow import BuiltinModel
 
 _RANK_TOL = 1e-12
@@ -36,6 +36,8 @@ class InclusionReport:
 
 def _orthonormalize(B: np.ndarray, name: str) -> np.ndarray:
     Q, R = np.linalg.qr(B)
+    if not (np.isfinite(Q).all() and np.isfinite(R).all()):
+        raise NumericalError(f"{name} basis has a non-finite QR factor")
     diag = np.abs(np.diag(R))
     if diag.min() <= _RANK_TOL * max(diag.max(), 1.0):
         raise ModelError(f"{name} basis is numerically rank deficient")
@@ -65,12 +67,14 @@ def inclusion_residual(B1: np.ndarray, B2: np.ndarray) -> InclusionReport:
             f"need 1 <= candidate columns <= enclosing columns <= ambient dimension, "
             f"got {n_cand}, {n_encl}, {m_ambient}"
         )
-    cond1 = float(np.linalg.cond(B1))
-    cond2 = float(np.linalg.cond(B2))
     Q1 = _orthonormalize(B1, "candidate")
     Q2 = _orthonormalize(B2, "enclosing")
+    cond1 = float(np.linalg.cond(B1))
+    cond2 = float(np.linalg.cond(B2))
     residual = Q1 - Q2 @ (Q2.T @ Q1)
     per_column = np.sum(residual * residual, axis=0)
+    if not np.isfinite(per_column).all():
+        raise NumericalError("inclusion residual is not finite")
     return InclusionReport(
         per_column_residuals=tuple(float(r) for r in per_column),
         total=float(per_column.sum()),

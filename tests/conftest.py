@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,14 @@ CLASSICAL_PIPE_W = np.array(
         [0.0, 1.0],
     ]
 )
+
+
+def exact_matvec(rows, x):
+    """D·x in exact rationals, written out here as an oracle independent of the package."""
+    return [
+        sum((Fraction(a) * Fraction(b) for a, b in zip(row, x, strict=True)), Fraction(0))
+        for row in rows
+    ]
 
 
 @pytest.fixture(scope="session")

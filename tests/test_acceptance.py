@@ -28,12 +28,12 @@ from ridgelaw.activesubspace import (
     fd_gradient,
     pullback_T,
 )
-from ridgelaw.pigroups import _matvec, build_dimension_matrix, pi_decomposition
+from ridgelaw.pigroups import build_dimension_matrix, pi_decomposition
 from ridgelaw.pipeflow import RE_CRITICAL, builtin_model
 from ridgelaw.quadrature import tensor_grid
 from ridgelaw.ridge import constancy_directions
 from ridgelaw.subspace import convergence_sweep, inclusion_residual
-from tests.conftest import CLASSICAL_PIPE_W
+from tests.conftest import CLASSICAL_PIPE_W, exact_matvec
 
 H_DEFAULT = 1e-5
 SWEEP_STEPS = (1e-2, 1e-3, 1e-4, 1e-5, 1e-6)
@@ -82,9 +82,9 @@ def test_criterion_1_exact_pi_decomposition(laminar_model):
     )
     entries_match = tuple(tuple(int(x) for x in row) for row in D.entries) == display
     rank_ok = decomp.rank == 3
-    dw_exact = _matvec(D.entries, w) == list(target.exponents)
+    dw_exact = exact_matvec(D.entries, w) == list(target.exponents)
     dW_exact = all(
-        _matvec(D.entries, [row[j] for row in W]) == [0, 0, 0] for j in range(2)
+        exact_matvec(D.entries, [row[j] for row in W]) == [0, 0, 0] for j in range(2)
     )
     Wf = np.array([[float(x) for x in row] for row in W])
     r_forward = inclusion_residual(Wf, CLASSICAL_PIPE_W).total

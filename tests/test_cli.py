@@ -318,6 +318,32 @@ class TestInclusionCommand:
         assert run_command(["inclusion", "--candidate", str(bad), "--enclosing", str(good)]) == 3
         capsys.readouterr()
 
+    @pytest.mark.parametrize("entry", ["nan", "inf", "-inf", "1e400"])
+    @pytest.mark.parametrize("side", ["--candidate", "--enclosing"])
+    def test_non_finite_csv_entry_exits_3_naming_the_file(self, tmp_path, capsys, entry, side):
+        bad = tmp_path / "bad.csv"
+        bad.write_text(f"{entry},0\n0,1\n")
+        good = tmp_path / "good.csv"
+        np.savetxt(good, np.eye(2), delimiter=",")
+        other = "--enclosing" if side == "--candidate" else "--candidate"
+        assert run_command(["inclusion", side, str(bad), other, str(good)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"model error: matrix CSV {str(bad)!r} has a non-finite entry\n"
+
+    @pytest.mark.parametrize("side", ["--candidate", "--enclosing"])
+    def test_overflowing_qr_exits_4(self, tmp_path, capsys, side):
+        big = tmp_path / "big.csv"
+        big.write_text("1e308,1e308\n1e308,-1e308\n")
+        eye = tmp_path / "eye.csv"
+        np.savetxt(eye, np.eye(2), delimiter=",")
+        other = "--enclosing" if side == "--candidate" else "--candidate"
+        assert run_command(["inclusion", side, str(big), other, str(eye)]) == 4
+        captured = capsys.readouterr()
+        name = side.lstrip("-")
+        assert captured.out == ""
+        assert captured.err == f"numerical failure: {name} basis has a non-finite QR factor\n"
+
 
 class TestSweepCommand:
     def test_writes_sweep_csv_with_running_slope(self, tmp_path, capsys):

@@ -1,5 +1,6 @@
 """Exact dimension-matrix algebra: rank, particular solutions, null bases."""
 
+import math
 import warnings
 from fractions import Fraction
 
@@ -9,10 +10,10 @@ from hypothesis import given, settings, strategies as st
 
 from ridgelaw.dimensions import DimensionVector, QuantityDecl, UnitSystem, make_dimension
 from ridgelaw.errors import ModelError
-from ridgelaw.pigroups import DimensionMatrix, build_dimension_matrix, pi_decomposition, _matvec
+from ridgelaw.pigroups import DimensionMatrix, build_dimension_matrix, pi_decomposition
 from ridgelaw.models import load_model
 from ridgelaw.subspace import inclusion_residual
-from tests.conftest import CLASSICAL_PIPE_W
+from tests.conftest import CLASSICAL_PIPE_W, exact_matvec
 
 KMS = UnitSystem(("kg", "m", "s"))
 PIPE = load_model("pipeflow_laminar")
@@ -98,13 +99,13 @@ def test_one_elimination_per_decomposition(pipe_D, monkeypatch):
     import ridgelaw.pigroups
 
     calls = []
-    original = ridgelaw.pigroups._bareiss_echelon
+    original = ridgelaw.pigroups._gauss_jordan
 
     def counting(rows):
         calls.append(len(rows))
         return original(rows)
 
-    monkeypatch.setattr(ridgelaw.pigroups, "_bareiss_echelon", counting)
+    monkeypatch.setattr(ridgelaw.pigroups, "_gauss_jordan", counting)
     pi_decomposition(pipe_D, PIPE.qoi)
     assert calls == [3]
 
@@ -124,13 +125,13 @@ class TestRankExact:
 class TestSolveParticular:
     def test_pipe_velocity_target(self, pipe_D):
         w = decompose(pipe_D, PIPE.qoi).w
-        assert _matvec(pipe_D.entries, w) == list(PIPE.qoi.exponents)
+        assert exact_matvec(pipe_D.entries, w) == list(PIPE.qoi.exponents)
 
     def test_poiseuille_monomial_is_also_a_solution(self, pipe_D):
         # independent oracle: the laminar closed form dPdL * D^2 / (32 mu)
         # has velocity units, so its exponents must solve the same system
         candidate = fr([0, -1, 2, 0, 1])
-        assert _matvec(pipe_D.entries, candidate) == list(PIPE.qoi.exponents)
+        assert exact_matvec(pipe_D.entries, candidate) == list(PIPE.qoi.exponents)
 
     def test_zero_target_gives_zero_solution(self, pipe_D):
         assert decompose(pipe_D).w == fr([0, 0, 0, 0, 0])
@@ -152,8 +153,8 @@ class TestSolveParticular:
 class TestNullSpaceBasis:
     def test_pipe_null_space_matches_classical_groups(self, pipe_D):
         W = decompose(pipe_D, PIPE.qoi).W
-        assert _matvec(pipe_D.entries, [row[0] for row in W]) == [0, 0, 0]
-        assert _matvec(pipe_D.entries, [row[1] for row in W]) == [0, 0, 0]
+        assert exact_matvec(pipe_D.entries, [row[0] for row in W]) == [0, 0, 0]
+        assert exact_matvec(pipe_D.entries, [row[1] for row in W]) == [0, 0, 0]
         Wf = np.array([[float(x) for x in row] for row in W])
         assert Wf.shape == (5, 2)
         assert inclusion_both_ways(Wf, CLASSICAL_PIPE_W) <= 1e-24
@@ -219,7 +220,7 @@ def matrix_and_target(draw):
     kind = draw(st.sampled_from(["consistent", "dimensionless", "arbitrary"]))
     if kind == "consistent":
         z = draw(st.lists(small_fracs, min_size=m, max_size=m))
-        exponents = tuple(_matvec(D.entries, z))
+        exponents = tuple(exact_matvec(D.entries, z))
     elif kind == "dimensionless":
         exponents = fr([0] * k)
     else:
@@ -243,11 +244,23 @@ def test_solve_and_null_space_are_exact(case):
         decomp = pi_decomposition(D, target)
     assert len(caught) == (rank < D.k)
     w, W, n = decomp.w, decomp.W, decomp.n
-    assert _matvec(D.entries, w) == list(target.exponents)
+    assert exact_matvec(D.entries, w) == list(target.exponents)
     assert decomp.rank == rank and rank + n == D.m
     for j in range(n):
         col = [row[j] for row in W]
-        assert _matvec(D.entries, col) == [0] * D.k
+        assert exact_matvec(D.entries, col) == [0] * D.k
+        # each column is primitive: integers with gcd 1 and a positive lead
+        assert all(x.denominator == 1 for x in col)
+        assert math.gcd(*(x.numerator for x in col)) == 1
+        assert next(x for x in col if x != 0) > 0
+    # on the free rows (the coordinates that are not pivots of D) W is
+    # diagonal and nonzero and w is zero
+    ranks = [exact_rank([row[:c] for row in D.entries]) for c in range(D.m + 1)]
+    free = [c for c in range(D.m) if ranks[c + 1] == ranks[c]]
+    assert len(free) == n
+    for j, f in enumerate(free):
+        assert all((W[g][j] != 0) == (g == f) for g in free)
+        assert w[f] == 0
     dimensionless = not any(target.exponents)
     assert decomp.qoi_dimensionless == dimensionless
     if dimensionless:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from ridgelaw.activesubspace import GradientConfig, eigendecompose, estimate_subspace
-from ridgelaw.errors import ModelError
+from ridgelaw.errors import ModelError, NumericalError
 from ridgelaw.pipeflow import builtin_model
 from ridgelaw.subspace import (
     SweepResult,
@@ -62,6 +62,15 @@ class TestInclusionResidual:
         B2 = np.array([[1.0, 2.0], [2.0, 4.0], [0.0, 0.0]])
         with pytest.raises(ModelError, match="rank deficient"):
             inclusion_residual(B1, B2)
+
+    @pytest.mark.parametrize("entry", [1e308, np.inf, np.nan])
+    def test_non_finite_qr_factor_is_a_numerical_error(self, entry):
+        # 1e308 entries overflow the Householder norm, so Q comes back non-finite
+        B = np.array([[entry, 1e308], [1e308, -1e308]])
+        with pytest.raises(NumericalError, match="candidate basis has a non-finite QR factor"):
+            inclusion_residual(B, np.eye(2))
+        with pytest.raises(NumericalError, match="enclosing basis has a non-finite QR factor"):
+            inclusion_residual(np.eye(2)[:, :1], B)
 
     def test_candidate_larger_than_enclosing_rejected(self):
         with pytest.raises(ModelError):
