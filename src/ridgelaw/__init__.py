@@ -27,7 +27,6 @@ from .pigroups import (
 from .quadrature import QuadratureRule1D, TensorGrid, gauss_legendre, tensor_grid
 from .ridge import constancy_directions
 from .activesubspace import (
-    GradientConfig,
     SubspaceEstimate,
     active_subspace,
     eigendecompose,
@@ -66,7 +65,6 @@ __all__ = [
     "gauss_legendre",
     "tensor_grid",
     "constancy_directions",
-    "GradientConfig",
     "SubspaceEstimate",
     "active_subspace",
     "eigendecompose",

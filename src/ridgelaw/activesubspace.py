@@ -17,7 +17,7 @@ and the checks on every value stay here.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterator, List, Optional, Sequence
+from typing import Callable, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -28,17 +28,6 @@ _SYMMETRY_TOL = 1e-12
 _EIG_CLAMP_REL = 1e-12
 _GAP_REL = 1e-12
 _ORTHO_TOL = 1e-10
-
-
-@dataclass(frozen=True)
-class GradientConfig:
-    """Forward-difference settings; h is an absolute step in log coordinates."""
-
-    h: float = 1e-5
-
-    def __post_init__(self):
-        if not self.h > 0.0:
-            raise ValueError(f"finite-difference step must be positive, got {self.h}")
 
 
 @dataclass(frozen=True)
@@ -95,8 +84,11 @@ def _fd_gradients(f: Callable, Y: np.ndarray, steps: Sequence[float]) -> Iterato
     The values come from the model's ``fd_values(Y, steps)`` when it has one
     (it yields what ``_shifted_values`` would, usually more cheaply), else
     from calling f on each shifted copy of Y. The yielded array is reused by
-    the next step.
+    the next step. Every step must be positive and finite.
     """
+    bad = [h for h in steps if not 0.0 < h < np.inf]
+    if bad:
+        raise ValueError(f"finite-difference step must be positive and finite, got {bad[0]}")
     fd_values = getattr(f, "fd_values", None)
     values = fd_values(Y, steps) if fd_values is not None else _shifted_values(f, Y, steps)
     f0 = _checked(next(values), Y)
@@ -107,74 +99,50 @@ def _fd_gradients(f: Callable, Y: np.ndarray, steps: Sequence[float]) -> Iterato
         yield G
 
 
-def fd_gradient(f: Callable, x: np.ndarray, cfg: GradientConfig) -> np.ndarray:
+def fd_gradient(f: Callable, x: np.ndarray, h: float) -> np.ndarray:
     """Forward-difference gradient of a point function: component i is (f(x + h e_i) - f(x)) / h.
 
     The one-row case of the grid kernel: f is called once per shifted point.
     """
     x = np.asarray(x, dtype=float)
     rows = lambda Z: np.array([float(f(z)) for z in Z])
-    return next(_fd_gradients(rows, x[None, :], [cfg.h]))[0]
-
-
-def _chunk_gradient_outers(
-    f: Callable, X: np.ndarray, weights: np.ndarray, steps: Sequence[float], lift: Optional[np.ndarray]
-) -> List[np.ndarray]:
-    """Weighted sums of FD-gradient outer products over one block of points, one per step."""
-    Y = X @ lift if lift is not None else X
-    partials = []
-    for G in _fd_gradients(f, Y, steps):
-        M = (G * weights[:, None]).T @ G
-        # accumulate the lower triangle only, then mirror: symmetric by construction
-        partials.append(np.tril(M) + np.tril(M, -1).T)
-    return partials
+    return next(_fd_gradients(rows, x[None, :], [h]))[0]
 
 
 def _gradient_outer_sums(
-    f: Callable,
-    grid: TensorGrid,
-    steps: Sequence[float],
-    lift: Optional[np.ndarray],
-    chunk_size: int,
+    f: Callable, blocks: Iterable[Tuple[np.ndarray, np.ndarray]], steps: Sequence[float]
 ) -> List[np.ndarray]:
-    """One pass over the grid: the gradient outer-product matrix for each step."""
-    dim = lift.shape[1] if lift is not None else grid.ndim
-    sums = [np.zeros((dim, dim)) for _ in steps]
-    for X, w in grid.chunks(chunk_size):
-        for C, partial in zip(sums, _chunk_gradient_outers(f, X, w, steps, lift)):
-            C += partial
+    """Weighted sums of FD-gradient outer products over (points, weights) blocks, one matrix per step."""
+    sums = [0.0] * len(steps)
+    for Y, w in blocks:
+        for k, G in enumerate(_fd_gradients(f, Y, steps)):
+            M = (G * w[:, None]).T @ G
+            # accumulate the lower triangle only, then mirror: symmetric by construction
+            sums[k] += np.tril(M) + np.tril(M, -1).T
     return sums
 
 
-def estimate_C(
-    f: Callable,
-    grid: TensorGrid,
-    cfg: GradientConfig,
-    chunk_size: int = DEFAULT_CHUNK,
-) -> np.ndarray:
+def estimate_C(f: Callable, grid: TensorGrid, h: float) -> np.ndarray:
     """Quadrature estimate of the m x m matrix C = avg of grad f grad f^T."""
-    return _gradient_outer_sums(f, grid, [cfg.h], None, chunk_size)[0]
+    return _gradient_outer_sums(f, grid.chunks(DEFAULT_CHUNK), [h])[0]
 
 
-def pullback_T(
-    g_profile: Callable,
-    A: np.ndarray,
-    grid: TensorGrid,
-    cfg: GradientConfig,
-    chunk_size: int = DEFAULT_CHUNK,
-) -> np.ndarray:
+def pullback_T(g_profile: Callable, A: np.ndarray, grid: TensorGrid, h: float) -> np.ndarray:
     """Estimate the n x n pulled-back matrix T = avg of grad g grad g^T at A^T x.
 
-    A must have orthonormal columns; the eigenpairs of T then lift to the
-    leading eigenpairs of C through U_C = A @ U_T.
+    A needs one row per grid dimension and orthonormal columns; the
+    eigenpairs of T then lift to the leading eigenpairs of C through U_C = A @ U_T.
     """
     A = np.atleast_2d(np.asarray(A, dtype=float))
+    if A.shape[0] != grid.ndim:
+        raise ValueError(f"A has {A.shape[0]} rows but the grid has {grid.ndim} dimensions")
     gram_err = np.max(np.abs(A.T @ A - np.eye(A.shape[1])))
     if gram_err > _ORTHO_TOL:
         raise ValueError(
             f"pullback requires orthonormal columns; Gram deviation {gram_err:.3e}"
         )
-    return _gradient_outer_sums(g_profile, grid, [cfg.h], A, chunk_size)[0]
+    blocks = ((X @ A, w) for X, w in grid.chunks(DEFAULT_CHUNK))
+    return _gradient_outer_sums(g_profile, blocks, [h])[0]
 
 
 def eigendecompose(C: np.ndarray) -> SubspaceEstimate:
@@ -230,30 +198,20 @@ def active_subspace(est: SubspaceEstimate, k: int) -> np.ndarray:
     return est.eigenvectors[:, :k].copy()
 
 
-def estimate_subspace(
-    f: Callable,
-    grid: TensorGrid,
-    cfg: GradientConfig,
-    chunk_size: int = DEFAULT_CHUNK,
-) -> SubspaceEstimate:
+def estimate_subspace(f: Callable, grid: TensorGrid, h: float) -> SubspaceEstimate:
     """Estimate C on the grid and eigendecompose it."""
-    return eigendecompose(estimate_C(f, grid, cfg, chunk_size=chunk_size))
+    return eigendecompose(estimate_C(f, grid, h))
 
 
-def estimate_subspaces(
-    f: Callable,
-    grid: TensorGrid,
-    steps: Sequence[float],
-    chunk_size: int = DEFAULT_CHUNK,
-) -> List[SubspaceEstimate]:
+def estimate_subspaces(f: Callable, grid: TensorGrid, steps: Sequence[float]) -> List[SubspaceEstimate]:
     """One estimate per FD step, all from a single pass over the grid.
 
     Each chunk is generated once and f is evaluated once at its points, then
     once per distinct step and dimension; a repeated step is computed once.
     Every estimate equals the one ``estimate_subspace`` gives for its step.
     """
-    hs = [GradientConfig(h=float(h)).h for h in steps]
+    hs = [float(h) for h in steps]
     distinct = list(dict.fromkeys(hs))
-    sums = _gradient_outer_sums(f, grid, distinct, None, chunk_size)
+    sums = _gradient_outer_sums(f, grid.chunks(DEFAULT_CHUNK), distinct)
     by_step = {h: eigendecompose(C) for h, C in zip(distinct, sums)}
     return [by_step[h] for h in hs]

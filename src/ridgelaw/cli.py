@@ -24,7 +24,7 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from . import __version__
-from .activesubspace import GradientConfig, estimate_subspace
+from .activesubspace import estimate_subspace
 from .errors import ModelError, NumericalError
 from .models import load_model
 from .pigroups import PiDecomposition, build_dimension_matrix, pi_decomposition
@@ -155,7 +155,7 @@ def _cmd_pi(args) -> int:
 def _cmd_active(args) -> int:
     model = pipeflow.bind_builtin(load_model(pipeflow.shipped_id(args.model)))
     grid = model.grid(args.quad_order)
-    est = estimate_subspace(model.f, grid, GradientConfig(h=args.fd_step))
+    est = estimate_subspace(model.f, grid, args.fd_step)
     payload = {
         "model": args.model,
         "quad_order": args.quad_order,

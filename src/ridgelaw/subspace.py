@@ -14,8 +14,7 @@ from typing import Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-# estimate_subspace is unused here but stays bound: bench/tracer.py wraps this binding
-from .activesubspace import SubspaceEstimate, active_subspace, estimate_subspace, estimate_subspaces  # noqa: F401
+from .activesubspace import SubspaceEstimate, active_subspace, estimate_subspaces
 from .errors import ModelError, NumericalError
 from .pipeflow import BuiltinModel
 

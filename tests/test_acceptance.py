@@ -22,7 +22,6 @@ import numpy as np
 import pytest
 
 from ridgelaw.activesubspace import (
-    GradientConfig,
     eigendecompose,
     estimate_subspace,
     fd_gradient,
@@ -58,12 +57,12 @@ def report(number: int, name: str, ok: bool, detail: str) -> None:
 
 @pytest.fixture(scope="module")
 def est11_laminar(laminar_model):
-    return estimate_subspace(laminar_model.f, laminar_model.grid(11), GradientConfig(h=H_DEFAULT))
+    return estimate_subspace(laminar_model.f, laminar_model.grid(11), H_DEFAULT)
 
 
 @pytest.fixture(scope="module")
 def est11_turbulent(turbulent_model):
-    return estimate_subspace(turbulent_model.f, turbulent_model.grid(11), GradientConfig(h=H_DEFAULT))
+    return estimate_subspace(turbulent_model.f, turbulent_model.grid(11), H_DEFAULT)
 
 
 def test_criterion_1_exact_pi_decomposition(laminar_model):
@@ -108,12 +107,12 @@ def test_criterion_1_exact_pi_decomposition(laminar_model):
 def test_criterion_2_laminar_spectrum(laminar_model, est11_laminar):
     lam11 = est11_laminar.eigenvalues
     ratio_h5 = lam11[1] / lam11[0]
-    est11_h7 = estimate_subspace(laminar_model.f, laminar_model.grid(11), GradientConfig(h=1e-7))
+    est11_h7 = estimate_subspace(laminar_model.f, laminar_model.grid(11), 1e-7)
     ratio_h7 = est11_h7.eigenvalues[1] / est11_h7.eigenvalues[0]
 
     started = time.perf_counter()
-    est7_h5 = estimate_subspace(laminar_model.f, laminar_model.grid(7), GradientConfig(h=1e-5))
-    est7_h7 = estimate_subspace(laminar_model.f, laminar_model.grid(7), GradientConfig(h=1e-7))
+    est7_h5 = estimate_subspace(laminar_model.f, laminar_model.grid(7), 1e-5)
+    est7_h7 = estimate_subspace(laminar_model.f, laminar_model.grid(7), 1e-7)
     order7_seconds = time.perf_counter() - started
     ratio7_h5 = est7_h5.eigenvalues[1] / est7_h5.eigenvalues[0]
     ratio7_h7 = est7_h7.eigenvalues[1] / est7_h7.eigenvalues[0]
@@ -145,7 +144,7 @@ def test_criterion_3_turbulent_spectrum(turbulent_model, est11_turbulent):
     lam = est11_turbulent.eigenvalues
     ratio3 = lam[2] / lam[0]
     ratio4 = lam[3] / lam[0]
-    est_h6 = estimate_subspace(turbulent_model.f, turbulent_model.grid(11), GradientConfig(h=1e-6))
+    est_h6 = estimate_subspace(turbulent_model.f, turbulent_model.grid(11), 1e-6)
     ratio4_h6 = est_h6.eigenvalues[3] / est_h6.eigenvalues[0]
 
     ok = (
@@ -210,7 +209,7 @@ def test_criterion_5_quadrature_stabilization(turbulent_model, est11_turbulent):
     # near 1e-2..1e-4 for these eigenvalues. With the switch removed the
     # same pipeline agrees to ~1e-11, so the limit is the model's
     # discontinuity, not the quadrature. Expected to fail as stated.
-    est9 = estimate_subspace(turbulent_model.f, turbulent_model.grid(9), GradientConfig(h=H_DEFAULT))
+    est9 = estimate_subspace(turbulent_model.f, turbulent_model.grid(9), H_DEFAULT)
     top11 = est11_turbulent.eigenvalues[:3]
     top9 = est9.eigenvalues[:3]
     rel_changes = np.abs(top11 - top9) / top11
@@ -319,7 +318,7 @@ def test_criterion_8_property_suites(laminar_model):
 
     # forward differences are exact on (affine-)linear functions
     a = np.array([1.5, -2.0, 0.5])
-    g = fd_gradient(lambda x: float(a @ x) + 3.0, np.array([0.2, -0.4, 1.0]), GradientConfig(h=1e-5))
+    g = fd_gradient(lambda x: float(a @ x) + 3.0, np.array([0.2, -0.4, 1.0]), 1e-5)
     fd_err = float(np.max(np.abs(g - a)))
 
     # inclusion metric is invariant under enclosing-basis changes
@@ -362,7 +361,7 @@ def test_criterion_9_pullback_cross_check(laminar_model, turbulent_model, est11_
         def profile(y, Q=Q, f=model.f):
             return f(np.asarray(y) @ Q.T)
 
-        T = pullback_T(profile, Q, model.grid(11), GradientConfig(h=H_DEFAULT))
+        T = pullback_T(profile, Q, model.grid(11), H_DEFAULT)
         estT = eigendecompose(T)
         n = T.shape[0]
         diffs = np.abs(estT.eigenvalues - est.eigenvalues[:n])

@@ -5,8 +5,8 @@ import math
 import numpy as np
 import pytest
 
+from ridgelaw import activesubspace
 from ridgelaw.activesubspace import (
-    GradientConfig,
     active_subspace,
     eigendecompose,
     estimate_C,
@@ -20,22 +20,21 @@ from ridgelaw.errors import EvaluationError, ModelError, NumericalError
 from ridgelaw.quadrature import TensorGrid, tensor_grid
 from ridgelaw.subspace import inclusion_residual
 
-CFG = GradientConfig(h=1e-5)
+H = 1e-5
 
 
 class TestFdGradient:
     def test_constant_function(self):
-        g = fd_gradient(lambda x: 4.2, np.zeros(3), CFG)
+        g = fd_gradient(lambda x: 4.2, np.zeros(3), H)
         assert np.array_equal(g, np.zeros(3))
 
     def test_linear_function_is_exact(self):
         a = np.array([2.0, -0.5, 0.25])
-        g = fd_gradient(lambda x: float(a @ x), np.array([0.5, 0.25, -1.0]), CFG)
+        g = fd_gradient(lambda x: float(a @ x), np.array([0.5, 0.25, -1.0]), H)
         assert g == pytest.approx(a, abs=1e-10)
 
     def test_quadratic_has_first_order_bias(self):
-        cfg = GradientConfig(h=1e-3)
-        g = fd_gradient(lambda x: float(x[0] ** 2), np.array([1.0]), cfg)
+        g = fd_gradient(lambda x: float(x[0] ** 2), np.array([1.0]), 1e-3)
         assert g[0] == pytest.approx(2.001, abs=1e-10)
 
     def test_nonfinite_value_carries_the_point(self):
@@ -43,20 +42,41 @@ class TestFdGradient:
             return math.inf if x[0] > 0.5 else 1.0
 
         with pytest.raises(EvaluationError) as err:
-            fd_gradient(f, np.array([0.5 - 1e-6, 0.0]), GradientConfig(h=1e-3))
+            fd_gradient(f, np.array([0.5 - 1e-6, 0.0]), 1e-3)
         assert err.value.point is not None
         assert err.value.point[0] > 0.5
 
     def test_nonpositive_step_rejected(self):
         with pytest.raises(ValueError):
-            GradientConfig(h=0.0)
+            fd_gradient(lambda x: 1.0, np.zeros(2), 0.0)
+
+
+@pytest.mark.parametrize("h", [0.0, -1.0, math.nan, math.inf])
+@pytest.mark.parametrize("entry", ["fd_gradient", "estimate_C", "estimate_subspaces", "pullback_T"])
+def test_step_must_be_positive_and_finite(entry, h):
+    grid = tensor_grid(2, [(-1.0, 1.0)] * 2)
+    calls = []
+
+    def f(x):
+        calls.append(len(x))
+        return x[..., 0]
+
+    run = {
+        "fd_gradient": lambda: fd_gradient(lambda x: f(x[None, :])[0], np.zeros(2), h),
+        "estimate_C": lambda: estimate_C(f, grid, h),
+        "estimate_subspaces": lambda: estimate_subspaces(f, grid, [1e-3, h]),
+        "pullback_T": lambda: pullback_T(f, np.eye(2)[:, :1], grid, h),
+    }[entry]
+    with pytest.raises(ValueError, match=rf"must be positive and finite, got {h}$"):
+        run()
+    assert calls == []  # rejected before the model is called
 
 
 class TestEstimateC:
     def test_linear_function_gives_rank_one_outer_product(self):
         a = np.array([1.0, -2.0, 0.5])
         grid = tensor_grid(3, [(-1.0, 1.0)] * 3)
-        C = estimate_C(lambda x: x @ a, grid, CFG)
+        C = estimate_C(lambda x: x @ a, grid, H)
         assert C == pytest.approx(np.outer(a, a), abs=1e-9)
 
     def test_ridge_function_energy_stays_in_span(self):
@@ -68,7 +88,7 @@ class TestEstimateC:
             return np.sin(y[..., 0]) + y[..., 1] ** 2 + 0.3 * y[..., 0] * y[..., 1]
 
         grid = tensor_grid(5, [(-1.0, 1.0)] * 4)
-        est = eigendecompose(estimate_C(f, grid, GradientConfig(h=1e-6)))
+        est = eigendecompose(estimate_C(f, grid, 1e-6))
         lam = est.eigenvalues
         assert lam[2] / lam[0] < 1e-9  # rank at most n = 2 up to FD noise
         basis = est.eigenvectors[:, :2]
@@ -76,7 +96,7 @@ class TestEstimateC:
 
     def test_additive_squares_give_diagonal_C(self):
         grid = tensor_grid(6, [(-1.0, 1.0), (-1.0, 1.0)])
-        C = estimate_C(lambda x: x[..., 0] ** 2 + x[..., 1] ** 2, grid, CFG)
+        C = estimate_C(lambda x: x[..., 0] ** 2 + x[..., 1] ** 2, grid, H)
         assert abs(C[0, 1]) < 1e-9
         assert C[0, 0] == pytest.approx(4.0 / 3.0, rel=1e-3)  # E[(2x)^2], x uniform
 
@@ -91,25 +111,26 @@ class TestEstimateC:
             return float(a @ x)
 
         with pytest.raises(AssertionError, match="called with a batch"):
-            estimate_C(scalar_f, grid, CFG)
+            estimate_C(scalar_f, grid, H)
         assert calls == [(9, 2)]  # one batched call, no per-row retry
 
         wrong_shape = lambda x: x @ np.eye(2)  # (n, 2) values for n points
         with pytest.raises(ModelError, match=r"shape \(9, 2\) for 9 points"):
-            estimate_C(wrong_shape, grid, CFG)
+            estimate_C(wrong_shape, grid, H)
 
-    def test_deterministic_across_reruns(self):
+    def test_deterministic_across_reruns(self, monkeypatch):
         def f(x):
             return np.exp(0.3 * x[..., 0]) * np.cos(x[..., 1]) + x[..., 2] ** 3
 
+        monkeypatch.setattr(activesubspace, "DEFAULT_CHUNK", 64)
         grid = tensor_grid(7, [(-1.0, 1.0)] * 3)
-        c1 = estimate_C(f, grid, CFG, chunk_size=64)
-        c2 = estimate_C(f, grid, CFG, chunk_size=64)
+        c1 = estimate_C(f, grid, H)
+        c2 = estimate_C(f, grid, H)
         assert np.array_equal(c1, c2)
 
     def test_symmetric_by_construction(self):
         grid = tensor_grid(4, [(-1.0, 1.0)] * 3)
-        C = estimate_C(lambda x: np.sin(x[..., 0] * x[..., 1]) + x[..., 2], grid, CFG)
+        C = estimate_C(lambda x: np.sin(x[..., 0] * x[..., 1]) + x[..., 2], grid, H)
         assert np.array_equal(C, C.T)
 
 
@@ -121,26 +142,28 @@ class TestMultiStepPass:
         return np.exp(0.3 * x[..., 0]) * np.cos(x[..., 1]) + x[..., 2] ** 3
 
     @pytest.mark.parametrize("chunk_size", [1, 4])  # 343 points: 343 chunks, or 86 with a short last one
-    def test_each_step_equals_its_one_step_estimate(self, chunk_size):
+    def test_each_step_equals_its_one_step_estimate(self, chunk_size, monkeypatch):
+        monkeypatch.setattr(activesubspace, "DEFAULT_CHUNK", chunk_size)
         grid = tensor_grid(7, [(-1.0, 1.0)] * 3)
-        sums = _gradient_outer_sums(self.f, grid, self.STEPS, None, chunk_size)
-        ests = estimate_subspaces(self.f, grid, self.STEPS, chunk_size=chunk_size)
+        sums = _gradient_outer_sums(self.f, grid.chunks(chunk_size), self.STEPS)
+        ests = estimate_subspaces(self.f, grid, self.STEPS)
         assert len(ests) == len(self.STEPS)
         for h, C, est in zip(self.STEPS, sums, ests):
-            cfg = GradientConfig(h=h)
-            assert np.array_equal(C, estimate_C(self.f, grid, cfg, chunk_size=chunk_size))
-            one = estimate_subspace(self.f, grid, cfg, chunk_size=chunk_size)
+            assert np.array_equal(C, estimate_C(self.f, grid, h))
+            one = estimate_subspace(self.f, grid, h)
             assert np.array_equal(est.eigenvalues, one.eigenvalues)
             assert np.array_equal(est.eigenvectors, one.eigenvectors)
         assert ests[0] is ests[2]
 
-    def test_lifted_steps_equal_pullback(self):
+    def test_lifted_steps_equal_pullback(self, monkeypatch):
+        monkeypatch.setattr(activesubspace, "DEFAULT_CHUNK", 64)
         grid = tensor_grid(5, [(-1.0, 1.0)] * 3)
         A = np.linalg.qr(np.array([[1.0, 0.0], [1.0, 1.0], [0.0, 2.0]]))[0]
         g = lambda y: np.sin(y[..., 0]) * y[..., 1] ** 2
-        sums = _gradient_outer_sums(g, grid, [1e-3, 1e-6], A, 64)
+        lifted = ((X @ A, w) for X, w in grid.chunks(64))
+        sums = _gradient_outer_sums(g, lifted, [1e-3, 1e-6])
         for h, T in zip([1e-3, 1e-6], sums):
-            assert np.array_equal(T, pullback_T(g, A, grid, GradientConfig(h=h), chunk_size=64))
+            assert np.array_equal(T, pullback_T(g, A, grid, h))
 
     def test_one_chunk_call_and_one_plus_m_s_evaluations_per_chunk(self, monkeypatch):
         grid = tensor_grid(3, [(-1.0, 1.0)] * 3)  # 27 points: chunks of 8, 8, 8, 3
@@ -158,7 +181,8 @@ class TestMultiStepPass:
             rows.append(x.shape[0])
             return self.f(x)
 
-        estimate_subspaces(counting_f, grid, self.STEPS, chunk_size=8)
+        monkeypatch.setattr(activesubspace, "DEFAULT_CHUNK", 8)
+        estimate_subspaces(counting_f, grid, self.STEPS)
         assert chunk_calls == [(0, 8), (8, 16), (16, 24), (24, 27)]
         per_chunk = 1 + grid.ndim * 3  # three distinct steps
         assert rows == [8] * (3 * per_chunk) + [3] * per_chunk
@@ -192,15 +216,16 @@ class TestFdValuesHook:
 
     def test_gives_the_plain_path_result(self):
         grid = tensor_grid(4, [(-1.0, 1.0)] * 3)
-        hook = _gradient_outer_sums(self.Linear(), grid, [1e-2, 1e-4], None, 16)
-        plain = _gradient_outer_sums(lambda x: self.Linear()(x), grid, [1e-2, 1e-4], None, 16)
+        hook = _gradient_outer_sums(self.Linear(), grid.chunks(16), [1e-2, 1e-4])
+        plain = _gradient_outer_sums(lambda x: self.Linear()(x), grid.chunks(16), [1e-2, 1e-4])
         for C, C_plain in zip(hook, plain):
             assert np.array_equal(C, C_plain)
 
-    def test_nonfinite_shifted_value_carries_the_shifted_point(self):
+    def test_nonfinite_shifted_value_carries_the_shifted_point(self, monkeypatch):
+        monkeypatch.setattr(activesubspace, "DEFAULT_CHUNK", 8)
         grid = tensor_grid(3, [(-1.0, 1.0)] * 3)
         with pytest.raises(EvaluationError) as err:
-            estimate_subspaces(self.Linear(bad_shift=(1e-3, 1)), grid, [1e-2, 1e-3], chunk_size=8)
+            estimate_subspaces(self.Linear(bad_shift=(1e-3, 1)), grid, [1e-2, 1e-3])
         expected = grid.chunk(0, 8)[0][2]
         expected[1] += 1e-3
         assert np.array_equal(err.value.point, expected)
@@ -212,7 +237,7 @@ class TestFdValuesHook:
                     yield values[:-1]
 
         with pytest.raises(ModelError, match="returned shape"):
-            estimate_C(Short(), tensor_grid(2, [(-1.0, 1.0)] * 3), CFG)
+            estimate_C(Short(), tensor_grid(2, [(-1.0, 1.0)] * 3), H)
 
 
 class TestEigendecompose:
@@ -276,7 +301,7 @@ class TestEigendecompose:
 
     def test_eigen_residuals_on_estimated_matrix(self):
         grid = tensor_grid(5, [(-1.0, 1.0)] * 3)
-        C = estimate_C(lambda x: np.cos(x[..., 0]) + x[..., 1] * x[..., 2], grid, CFG)
+        C = estimate_C(lambda x: np.cos(x[..., 0]) + x[..., 1] * x[..., 2], grid, H)
         est = eigendecompose(C)
         for lam, u in zip(est.eigenvalues, est.eigenvectors.T):
             assert np.linalg.norm(C @ u - lam * u) <= 1e-10 * est.eigenvalues[0]
@@ -306,7 +331,7 @@ class TestPullbackT:
         rng = np.random.default_rng(4)
         A = np.linalg.qr(rng.normal(size=(4, 2)))[0]
         grid = tensor_grid(3, [(-1.0, 1.0)] * 4)
-        T = pullback_T(lambda y: y @ np.array([1.0, 2.0]), A, grid, CFG)
+        T = pullback_T(lambda y: y @ np.array([1.0, 2.0]), A, grid, H)
         assert T == pytest.approx(np.outer([1.0, 2.0], [1.0, 2.0]), abs=1e-9)
 
     def test_one_dimensional_pullback_matches_lifted_lambda1(self):
@@ -321,15 +346,20 @@ class TestPullbackT:
             return g(np.asarray(x) @ A)
 
         grid = tensor_grid(7, [(-1.0, 1.0)] * 3)
-        cfg = GradientConfig(h=1e-7)  # FD bias differs between the two routes at O(h)
-        T = pullback_T(g, A, grid, cfg)
-        est = eigendecompose(estimate_C(f, grid, cfg))
+        h = 1e-7  # FD bias differs between the two routes at O(h)
+        T = pullback_T(g, A, grid, h)
+        est = eigendecompose(estimate_C(f, grid, h))
         assert T[0, 0] == pytest.approx(est.eigenvalues[0], rel=1e-5)
+
+    def test_A_needs_one_row_per_grid_dimension(self):
+        grid = tensor_grid(2, [(-1.0, 1.0)] * 3)
+        with pytest.raises(ValueError, match="A has 2 rows but the grid has 3 dimensions"):
+            pullback_T(lambda y: y[..., 0], np.eye(2)[:, :1], grid, H)
 
     def test_non_orthonormal_A_rejected(self):
         grid = tensor_grid(2, [(-1.0, 1.0)] * 2)
         with pytest.raises(ValueError, match="orthonormal"):
-            pullback_T(lambda y: y[..., 0], np.array([[2.0], [0.0]]), grid, CFG)
+            pullback_T(lambda y: y[..., 0], np.array([[2.0], [0.0]]), grid, H)
 
 
 def test_forward_difference_error_is_first_order():
@@ -346,7 +376,7 @@ def test_forward_difference_error_is_first_order():
     steps = [1e-2, 1e-3, 1e-4, 1e-5, 1e-6]
     errors = []
     for h in steps:
-        g = fd_gradient(f, point, GradientConfig(h=h))
+        g = fd_gradient(f, point, h)
         errors.append(np.linalg.norm(g - exact))
     slope = np.polyfit(np.log(steps), np.log(errors), 1)[0]
     assert abs(slope - 1.0) <= 0.15
@@ -360,6 +390,6 @@ def test_trailing_eigenvalues_stay_under_fd_noise_envelope(laminar_model, turbul
     for model, rank in ((laminar_model, 1), (turbulent_model, 3)):
         grid = model.grid(7)
         for h in (1e-2, 1e-3, 1e-4, 1e-5, 1e-6):
-            lam = estimate_subspace(model.f, grid, GradientConfig(h=h)).eigenvalues
+            lam = estimate_subspace(model.f, grid, h).eigenvalues
             assert lam[rank] / lam[0] <= c * h, (model.name, h, lam)
 

@@ -496,6 +496,17 @@ class TestUsageErrors:
         captured = capsys.readouterr()
         assert captured.out == "" and "finite" in captured.err
 
+    @pytest.mark.parametrize("value", ["0", "-1e-5"])
+    @pytest.mark.parametrize(
+        "argv",
+        [REPRODUCE, ["active", "--model", "pipeflow_laminar", "--quad-order", "2"]],
+    )
+    def test_nonpositive_fd_step_exits_2(self, capsys, argv, value):
+        assert run_command(argv + [f"--fd-step={value}"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"usage error: finite-difference step must be positive and finite, got {float(value)}\n"
+
     def test_fmt_float_round_trips(self):
         for x in (1.0 / 3.0, 2.222222e-11, 1e300, 5.0):
             assert float(fmt_float(x)) == x

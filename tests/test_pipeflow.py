@@ -9,7 +9,7 @@ from importlib import resources
 import numpy as np
 import pytest
 
-from ridgelaw import pipeflow
+from ridgelaw import activesubspace, pipeflow
 from ridgelaw.activesubspace import estimate_subspaces
 from ridgelaw.errors import ModelError
 from ridgelaw.models import load_model
@@ -175,8 +175,9 @@ class TestFdValues:
             return original_call(f_self, x)
 
         monkeypatch.setattr(LogSpaceVelocity, "__call__", counting_call)
+        monkeypatch.setattr(activesubspace, "DEFAULT_CHUNK", 8)
         grid = turbulent_model.grid(3)  # 243 points: 30 chunks of 8 and one of 3
-        estimate_subspaces(turbulent_model.f, grid, [1e-2, 1e-4, 1e-6], chunk_size=8)
+        estimate_subspaces(turbulent_model.f, grid, [1e-2, 1e-4, 1e-6])
         assert rows == [8] * 30 + [3]
 
 
@@ -295,7 +296,7 @@ class TestBulkVelocity:
 def test_log_laminar_velocity_has_constant_gradient(laminar_model):
     # log V_lam is affine in the log quantities, so its FD gradient is the
     # same at every box point up to O(h); this is why the laminar C has rank 1
-    from ridgelaw.activesubspace import GradientConfig, fd_gradient
+    from ridgelaw.activesubspace import fd_gradient
 
     h = 1e-6
     log_f = lambda x: math.log(laminar_model.f(x))
@@ -305,7 +306,7 @@ def test_log_laminar_velocity_has_constant_gradient(laminar_model):
     exponents = np.array([0.0, -1.0, 2.0, 0.0, 1.0])
     for _ in range(10):
         x = lo + (hi - lo) * rng.uniform(0.1, 0.9, size=5)
-        g = fd_gradient(log_f, x, GradientConfig(h=h))
+        g = fd_gradient(log_f, x, h)
         assert np.max(np.abs(g - exponents)) <= 10.0 * h
 
 

@@ -4,6 +4,7 @@ of an exported class, has a user besides the tests."""
 import dataclasses
 import functools
 import inspect
+import math
 import re
 from pathlib import Path
 
@@ -49,3 +50,12 @@ def _public_members():
 def test_public_member_is_used_outside_its_definition(cls, attr):
     access = re.compile(rf"\.{re.escape(attr)}\b")
     assert any(access.search(line) for line in LINES), f"{cls}.{attr} is public but only tests use it"
+
+
+def test_readme_library_sketch_runs(capsys):
+    """The README's python block runs against the current API and prints a tiny r2."""
+    blocks = re.findall(r"```python\n(.*?)```", (ROOT / "README.md").read_text(), re.S)
+    assert len(blocks) == 1
+    exec(compile(blocks[0], "README.md", "exec"), {})
+    r2 = float(capsys.readouterr().out)
+    assert math.isfinite(r2) and r2 < 1e-9, r2

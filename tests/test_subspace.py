@@ -5,7 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from ridgelaw.activesubspace import GradientConfig, eigendecompose, estimate_subspace
+from ridgelaw.activesubspace import eigendecompose, estimate_subspace
 from ridgelaw.errors import ModelError, NumericalError
 from ridgelaw.pipeflow import builtin_model
 from ridgelaw.subspace import (
@@ -150,7 +150,7 @@ class TestConvergenceSweep:
     def test_fd_step_estimate_comes_from_the_same_pass(self):
         model = builtin_model("turbulent")
         result = convergence_sweep(model, [1e-3, 1e-5], quad_order=3, fd_step=1e-4)
-        alone = estimate_subspace(model.f, model.grid(3), GradientConfig(h=1e-4))
+        alone = estimate_subspace(model.f, model.grid(3), 1e-4)
         assert np.array_equal(result.estimate.eigenvalues, alone.eigenvalues)
         assert np.array_equal(result.estimate.eigenvectors, alone.eigenvectors)
         assert convergence_sweep(model, [1e-3, 1e-5], quad_order=3).estimate is None
