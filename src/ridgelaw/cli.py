@@ -3,9 +3,12 @@
 Model files (schema and loader in ``ridgelaw.models``) are JSON: a unit
 system, quantities with rational unit exponents and optional positive ranges,
 a quantity of interest, and optionally the id of a built-in model function.
-Every run with an --out directory also writes a run.json capturing the full
-resolved configuration, and identical invocations produce byte-identical
-artifacts.
+
+Each subcommand returns its JSON file name, its payload and a callable that
+builds its CSV files; ``run_command`` prints the payload and, with --out,
+writes the same JSON text, the CSV files and a run.json whose config is every
+parsed option except --out (plus ``chunk_size`` for the estimating
+subcommands). Identical invocations produce byte-identical artifacts.
 
 Exit codes: 0 success, 2 usage error, 3 model/schema error, 4 numerical failure.
 """
@@ -19,7 +22,7 @@ import sys
 import warnings
 from fractions import Fraction
 from pathlib import Path
-from typing import List, Optional, Sequence
+from typing import List, Sequence
 
 import numpy as np
 
@@ -27,7 +30,7 @@ from . import __version__
 from .activesubspace import estimate_subspace
 from .errors import ModelError, NumericalError
 from .models import load_model
-from .pigroups import PiDecomposition, build_dimension_matrix, pi_decomposition
+from .pigroups import build_dimension_matrix, pi_decomposition
 from .quadrature import DEFAULT_CHUNK
 from .subspace import convergence_sweep, fit_loglog_slope, inclusion_residual
 from . import pipeflow
@@ -50,7 +53,7 @@ def fmt_rational(x: Fraction) -> str:
 # artifact writers
 
 
-def _write_text(out_dir: Path, filename: str, text: str) -> Path:
+def _write_text(out_dir: Path, filename: str, text: str) -> None:
     target = out_dir / filename
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -58,26 +61,29 @@ def _write_text(out_dir: Path, filename: str, text: str) -> Path:
     except OSError as exc:
         # an unusable --out is a usage error
         raise ValueError(f"cannot write {str(target)!r}: {exc.strerror or exc}") from None
-    return target
 
 
 def _json_text(payload) -> str:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
-def _emit_json(payload, out: Optional[str], filename: str) -> None:
-    """Print the payload as JSON; with --out, write the same text to out/filename."""
-    text = _json_text(payload)
-    print(text, end="")
-    if out is not None:
-        _write_text(Path(out), filename, text)
+# namespace entries that are not options of the run
+_NOT_CONFIG = ("command", "pipeflow_command", "func", "out")
 
 
-def _write_run_json(out_dir: Optional[Path], command: str, config: dict):
-    if out_dir is None:
-        return
-    payload = {"command": command, "package": "ridgelaw", "version": __version__, "config": config}
-    _write_text(out_dir, "run.json", _json_text(payload))
+def _config_value(x):
+    if isinstance(x, float):
+        return fmt_float(x)
+    if isinstance(x, list):
+        return [_config_value(v) for v in x]
+    return x
+
+
+def _run_json(args) -> str:
+    """run.json text: the subcommand and every parsed option but --out."""
+    command = " ".join(filter(None, (args.command, getattr(args, "pipeflow_command", None))))
+    config = {k: _config_value(v) for k, v in vars(args).items() if k not in _NOT_CONFIG}
+    return _json_text({"command": command, "package": "ridgelaw", "version": __version__, "config": config})
 
 
 def _csv_lines(header: Sequence[str], rows: Sequence[Sequence[str]]) -> str:
@@ -99,26 +105,11 @@ def _rational_matrix_csv(
     return _csv_lines([""] + list(col_labels), body)
 
 
-def _decomposition_payload(spec_name: str, quantity_names, system, decomp: PiDecomposition):
-    n = decomp.n
-    return {
-        "model": spec_name,
-        "unit_system": list(system.unit_names),
-        "quantities": list(quantity_names),
-        "rank": decomp.rank,
-        "n_pi_groups": n,
-        "qoi_dimensionless": decomp.qoi_dimensionless,
-        "w": [fmt_rational(x) for x in decomp.w],
-        "W": [[fmt_rational(x) for x in row] for row in decomp.W],
-        "A": [[fmt_rational(x) for x in row] for row in decomp.A],
-    }
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 
 
-def _cmd_pi(args) -> int:
+def _cmd_pi(args):
     spec = load_model(args.model)
     D = build_dimension_matrix(spec.quantities)
     with warnings.catch_warnings():
@@ -126,33 +117,34 @@ def _cmd_pi(args) -> int:
         warnings.simplefilter("always")
         warnings.showwarning = lambda message, *_: print(f"warning: {message}", file=sys.stderr)
         decomp = pi_decomposition(D, spec.qoi)
-    payload = _decomposition_payload(spec.name, D.column_names, spec.system, decomp)
-    payload["D"] = [[fmt_rational(x) for x in row] for row in D.entries]
-    _emit_json(payload, args.out, "pi.json")
-    if args.out is not None:
-        out = Path(args.out)
-        _write_text(
-            out, "D.csv", _rational_matrix_csv(spec.system.unit_names, D.column_names, D.entries)
-        )
-        _write_text(
-            out,
-            "w.csv",
-            _csv_lines(
-                ["quantity", "exponent"],
-                [[name, fmt_rational(x)] for name, x in zip(D.column_names, decomp.w)],
-            ),
-        )
+    payload = {
+        "model": spec.name,
+        "unit_system": list(spec.system.unit_names),
+        "quantities": list(D.column_names),
+        "rank": decomp.rank,
+        "n_pi_groups": decomp.n,
+        "qoi_dimensionless": decomp.qoi_dimensionless,
+        "w": [fmt_rational(x) for x in decomp.w],
+        "W": [[fmt_rational(x) for x in row] for row in decomp.W],
+        "A": [[fmt_rational(x) for x in row] for row in decomp.A],
+        "D": [[fmt_rational(x) for x in row] for row in D.entries],
+    }
+
+    def files():
         pi_labels = [f"pi_{j + 1}" for j in range(decomp.n)]
-        _write_text(
-            out, "W.csv", _rational_matrix_csv(D.column_names, pi_labels, decomp.W)
-        )
         a_labels = pi_labels if decomp.qoi_dimensionless else ["w"] + pi_labels
-        _write_text(out, "A.csv", _rational_matrix_csv(D.column_names, a_labels, decomp.A))
-        _write_run_json(out, "pi", {"model": args.model})
-    return 0
+        w_rows = [[name, fmt_rational(x)] for name, x in zip(D.column_names, decomp.w)]
+        return {
+            "D.csv": _rational_matrix_csv(spec.system.unit_names, D.column_names, D.entries),
+            "w.csv": _csv_lines(["quantity", "exponent"], w_rows),
+            "W.csv": _rational_matrix_csv(D.column_names, pi_labels, decomp.W),
+            "A.csv": _rational_matrix_csv(D.column_names, a_labels, decomp.A),
+        }
+
+    return "pi.json", payload, files
 
 
-def _cmd_active(args) -> int:
+def _cmd_active(args):
     model = pipeflow.bind_builtin(load_model(pipeflow.shipped_id(args.model)))
     grid = model.grid(args.quad_order)
     est = estimate_subspace(model.f, grid, args.fd_step)
@@ -164,33 +156,16 @@ def _cmd_active(args) -> int:
         "eigenvalues": [fmt_float(v) for v in est.eigenvalues],
         "clamped": est.clamped,
     }
-    _emit_json(payload, args.out, "active.json")
-    if args.out is not None:
-        out = Path(args.out)
-        _write_text(out, "eigenvalues.csv", _eigenvalues_csv(est.eigenvalues))
+
+    def files():
         m = est.eigenvectors.shape[0]
-        _write_text(
-            out,
-            "eigenvectors.csv",
-            _csv_lines(
-                ["component"] + [f"u_{j + 1}" for j in range(m)],
-                [
-                    [str(i + 1)] + [fmt_float(est.eigenvectors[i, j]) for j in range(m)]
-                    for i in range(m)
-                ],
-            ),
-        )
-        _write_run_json(
-            out,
-            "active",
-            {
-                "model": args.model,
-                "quad_order": args.quad_order,
-                "fd_step": fmt_float(args.fd_step),
-                "chunk_size": DEFAULT_CHUNK,
-            },
-        )
-    return 0
+        rows = [[str(i + 1)] + [fmt_float(x) for x in est.eigenvectors[i]] for i in range(m)]
+        return {
+            "eigenvalues.csv": _eigenvalues_csv(est.eigenvalues),
+            "eigenvectors.csv": _csv_lines(["component"] + [f"u_{j + 1}" for j in range(m)], rows),
+        }
+
+    return "active.json", payload, files
 
 
 def _load_matrix_csv(path: str) -> np.ndarray:
@@ -203,7 +178,7 @@ def _load_matrix_csv(path: str) -> np.ndarray:
     return data
 
 
-def _cmd_inclusion(args) -> int:
+def _cmd_inclusion(args):
     candidate = _load_matrix_csv(args.candidate)
     enclosing = _load_matrix_csv(args.enclosing)
     report = inclusion_residual(candidate, enclosing)
@@ -216,12 +191,7 @@ def _cmd_inclusion(args) -> int:
         "candidate_condition": fmt_float(report.candidate_condition),
         "enclosing_condition": fmt_float(report.enclosing_condition),
     }
-    _emit_json(payload, args.out, "inclusion.json")
-    if args.out is not None:
-        _write_run_json(
-            Path(args.out), "inclusion", {"candidate": args.candidate, "enclosing": args.enclosing}
-        )
-    return 0
+    return "inclusion.json", payload, lambda: {}
 
 
 def _sweep_csv(entries) -> str:
@@ -244,18 +214,15 @@ def _finite_float(raw: str) -> float:
 
 
 def _parse_steps(raw: str) -> List[float]:
-    try:
-        steps = [_finite_float(s) for s in raw.split(",") if s.strip()]
-    except argparse.ArgumentTypeError as exc:
-        raise ValueError(f"--steps: {exc}") from None
+    """argparse type of --steps: comma-separated finite numbers, at least one."""
+    steps = [_finite_float(s) for s in raw.split(",") if s.strip()]
     if not steps:
-        raise ModelError("--steps must name at least one step size")
+        raise argparse.ArgumentTypeError(f"expected at least one step size, got {raw!r}")
     return steps
 
 
-def _cmd_sweep(args) -> int:
-    steps = _parse_steps(args.steps)
-    result = convergence_sweep(pipeflow.builtin_model(args.model), steps, args.quad_order)
+def _cmd_sweep(args):
+    result = convergence_sweep(pipeflow.builtin_model(args.model), args.steps, args.quad_order)
     payload = {
         "model": result.model,
         "quad_order": result.quad_order,
@@ -263,24 +230,10 @@ def _cmd_sweep(args) -> int:
         "entries": [[fmt_float(h), fmt_float(r2)] for h, r2 in result.entries],
         "slope": None if result.slope is None else fmt_float(result.slope),
     }
-    _emit_json(payload, args.out, "sweep.json")
-    if args.out is not None:
-        out = Path(args.out)
-        _write_text(out, "sweep.csv", _sweep_csv(list(result.entries)))
-        _write_run_json(
-            out,
-            "sweep",
-            {
-                "model": args.model,
-                "steps": [fmt_float(h) for h in steps],
-                "quad_order": args.quad_order,
-                "chunk_size": DEFAULT_CHUNK,
-            },
-        )
-    return 0
+    return "sweep.json", payload, lambda: {"sweep.csv": _sweep_csv(result.entries)}
 
 
-def _cmd_eval(args) -> int:
+def _cmd_eval(args):
     state = pipeflow.PipeState(
         rho=args.rho, mu=args.mu, diam=args.diam, eps=args.eps, dpdl=args.dpdl
     )
@@ -300,15 +253,13 @@ def _cmd_eval(args) -> int:
         raise NumericalError(f"pipe state is outside the double range: {', '.join(bad)} not finite")
     payload = {name: fmt_float(x) for name, x in numbers.items()}
     payload["regime"] = regime
-    print(_json_text(payload), end="")
-    return 0
+    return None, payload, None
 
 
-def _cmd_reproduce(args) -> int:
+def _cmd_reproduce(args):
     builtin = pipeflow.builtin_model(args.regime, re_critical=args.re_crit)
-    steps = _parse_steps(args.steps)
     # the --fd-step estimate shares the sweep's single pass over one grid
-    sweep = convergence_sweep(builtin, steps, args.quad_order, fd_step=args.fd_step)
+    sweep = convergence_sweep(builtin, args.steps, args.quad_order, fd_step=args.fd_step)
     est = sweep.estimate
     payload = {
         "model": builtin.name,
@@ -318,24 +269,10 @@ def _cmd_reproduce(args) -> int:
         "sweep": [[fmt_float(h), fmt_float(r2)] for h, r2 in sweep.entries],
         "slope": None if sweep.slope is None else fmt_float(sweep.slope),
     }
-    _emit_json(payload, args.out, "reproduce.json")
-    if args.out is not None:
-        out = Path(args.out)
-        _write_text(out, "eigenvalues.csv", _eigenvalues_csv(est.eigenvalues))
-        _write_text(out, "sweep.csv", _sweep_csv(list(sweep.entries)))
-        _write_run_json(
-            out,
-            "pipeflow reproduce",
-            {
-                "regime": args.regime,
-                "quad_order": args.quad_order,
-                "fd_step": fmt_float(args.fd_step),
-                "steps": [fmt_float(h) for h in steps],
-                "re_crit": fmt_float(args.re_crit),
-                "chunk_size": DEFAULT_CHUNK,
-            },
-        )
-    return 0
+    return "reproduce.json", payload, lambda: {
+        "eigenvalues.csv": _eigenvalues_csv(est.eigenvalues),
+        "sweep.csv": _sweep_csv(sweep.entries),
+    }
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -359,7 +296,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_active.add_argument("--quad-order", type=int, default=DEFAULT_QUAD_ORDER)
     p_active.add_argument("--fd-step", type=_finite_float, default=DEFAULT_FD_STEP)
     p_active.add_argument("--out", help="directory for CSV/JSON artifacts")
-    p_active.set_defaults(func=_cmd_active)
+    p_active.set_defaults(func=_cmd_active, chunk_size=DEFAULT_CHUNK)
 
     p_incl = sub.add_parser("inclusion", help="subspace-inclusion residual of two bases")
     p_incl.add_argument("--candidate", required=True, help="CSV matrix, columns are basis vectors")
@@ -368,13 +305,16 @@ def build_parser() -> argparse.ArgumentParser:
     p_incl.set_defaults(func=_cmd_inclusion)
 
     p_sweep = sub.add_parser("sweep", help="inclusion residual vs finite-difference step")
-    p_sweep.add_argument("--model", required=True, help="built-in model id")
+    p_sweep.add_argument("--model", required=True, help="built-in id or model JSON with a builtin")
     p_sweep.add_argument(
-        "--steps", required=True, help="comma-separated descending step sizes, e.g. 1e-2,1e-3"
+        "--steps",
+        type=_parse_steps,
+        required=True,
+        help="comma-separated descending step sizes, e.g. 1e-2,1e-3",
     )
     p_sweep.add_argument("--quad-order", type=int, default=DEFAULT_QUAD_ORDER)
     p_sweep.add_argument("--out", help="directory for CSV/JSON artifacts")
-    p_sweep.set_defaults(func=_cmd_sweep)
+    p_sweep.set_defaults(func=_cmd_sweep, chunk_size=DEFAULT_CHUNK)
 
     p_pipe = sub.add_parser("pipeflow", help="pipe-flow virtual laboratory")
     pipe_sub = p_pipe.add_subparsers(dest="pipeflow_command", required=True)
@@ -396,12 +336,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_repro.add_argument("--fd-step", type=_finite_float, default=DEFAULT_FD_STEP)
     p_repro.add_argument(
         "--steps",
+        type=_parse_steps,
         default=",".join(fmt_float(h) for h in DEFAULT_SWEEP_STEPS),
         help="comma-separated descending step sizes for the sweep",
     )
     p_repro.add_argument("--re-crit", type=_finite_float, default=pipeflow.RE_CRITICAL)
     p_repro.add_argument("--out", help="directory for CSV/JSON artifacts")
-    p_repro.set_defaults(func=_cmd_reproduce)
+    p_repro.set_defaults(func=_cmd_reproduce, chunk_size=DEFAULT_CHUNK)
 
     return parser
 
@@ -414,7 +355,14 @@ def run_command(argv: Sequence[str]) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        name, payload, files = args.func(args)
+        text = _json_text(payload)
+        print(text, end="")
+        out = getattr(args, "out", None)  # pipeflow eval has no --out
+        if out is not None:
+            for filename, content in [(name, text), *files().items(), ("run.json", _run_json(args))]:
+                _write_text(Path(out), filename, content)
+        return 0
     except ModelError as exc:
         print(f"model error: {exc}", file=sys.stderr)
         return 3

@@ -224,12 +224,6 @@ def bind_builtin(spec: ModelSpec, re_critical: float = RE_CRITICAL) -> BuiltinMo
     )
 
 
-def builtin_model(regime: str, re_critical: float = RE_CRITICAL) -> BuiltinModel:
-    """Built-in pipe-flow model: 'laminar' or 'turbulent', or its shipped id 'pipeflow_<regime>'."""
-    model_id = shipped_id(regime)
-    if model_id not in _ACTIVE_DIM:
-        raise ModelError(
-            f"unknown built-in model {regime!r}; expected one of "
-            f"{sorted(_ACTIVE_DIM)}, with or without the 'pipeflow_' prefix"
-        )
-    return bind_builtin(load_model(model_id), re_critical)
+def builtin_model(model: str, re_critical: float = RE_CRITICAL) -> BuiltinModel:
+    """'laminar', 'turbulent', a shipped id or a model file naming a builtin, bound to its function."""
+    return bind_builtin(load_model(shipped_id(model)), re_critical)

@@ -123,8 +123,6 @@ def convergence_sweep(
     steps = [float(h) for h in steps]
     if not steps:
         raise ModelError("sweep needs at least one step size")
-    if any(h <= 0.0 for h in steps):
-        raise ModelError("step sizes must be positive")
     if any(a <= b for a, b in zip(steps, steps[1:])):
         raise ModelError("step sizes must be strictly descending")
     grid = model.grid(quad_order)

@@ -1,14 +1,19 @@
 """Model-file loading, subcommands, artifacts, and exit codes."""
 
+import argparse
 import json
+import os
+import subprocess
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import ridgelaw
 from ridgelaw import pipeflow
-from ridgelaw.cli import fmt_float, load_model, run_command
+from ridgelaw.cli import build_parser, fmt_float, load_model, run_command
 from ridgelaw.errors import ModelError
 from ridgelaw.quadrature import DEFAULT_CHUNK
 
@@ -365,6 +370,14 @@ class TestSweepCommand:
         assert run_command(["sweep", "--model", "pipeflow_laminar", "--steps", "1e-5,1e-3", "--quad-order", "3"]) == 3
         capsys.readouterr()
 
+    def test_model_file_prints_the_same_bytes_as_its_builtin_id(self, tmp_path, capsys):
+        path = write_model(tmp_path, _shipped_laminar_doc(), name="copy.json")
+        argv = ["--steps", "1e-3,1e-4", "--quad-order", "3"]
+        assert run_command(["sweep", "--model", "laminar"] + argv) == 0
+        by_id = capsys.readouterr()
+        assert run_command(["sweep", "--model", path] + argv) == 0
+        assert capsys.readouterr() == by_id
+
 
 class TestPipeflowCommand:
     def test_eval_emits_state_summary(self, capsys):
@@ -440,6 +453,50 @@ def test_run_json_records_the_chunk_size(tmp_path, capsys, argv):
     assert json.loads((tmp_path / "run.json").read_text())["config"]["chunk_size"] == DEFAULT_CHUNK
 
 
+def _leaf_commands(parser, words=()):
+    """(command, subparser) for every subcommand that runs something."""
+    subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not subs:
+        yield " ".join(words), parser
+    for action in subs:
+        for name, sub in action.choices.items():
+            yield from _leaf_commands(sub, words + (name,))
+
+
+# one run of every subcommand that takes --out, and the JSON file it writes
+ARTIFACT_RUNS = {
+    "pi": (["pi", "pipeflow_laminar"], "pi.json"),
+    "active": (["active", "--model", "laminar", "--quad-order", "2"], "active.json"),
+    "inclusion": (["inclusion", "--candidate", "{tmp}/c.csv", "--enclosing", "{tmp}/e.csv"], "inclusion.json"),
+    "sweep": (["sweep", "--model", "laminar", "--steps", "1e-3,1e-4", "--quad-order", "2"], "sweep.json"),
+    "pipeflow reproduce": (
+        ["pipeflow", "reproduce", "--regime", "turbulent", "--quad-order", "2", "--steps", "1e-3"],
+        "reproduce.json",
+    ),
+}
+ESTIMATING = {"active", "sweep", "pipeflow reproduce"}
+
+
+def test_every_subcommand_with_out_has_an_artifact_run():
+    with_out = {name for name, sub in _leaf_commands(build_parser()) if any(a.dest == "out" for a in sub._actions)}
+    assert with_out == set(ARTIFACT_RUNS)
+
+
+@pytest.mark.parametrize("command", sorted(ARTIFACT_RUNS))
+def test_out_writes_stdout_and_every_option_but_out(tmp_path, capsys, command):
+    argv, json_name = ARTIFACT_RUNS[command]
+    np.savetxt(tmp_path / "c.csv", np.eye(3)[:, :1], delimiter=",")
+    np.savetxt(tmp_path / "e.csv", np.eye(3)[:, :2], delimiter=",")
+    out = tmp_path / "out"
+    assert run_command([a.format(tmp=tmp_path) for a in argv] + ["--out", str(out)]) == 0
+    assert capsys.readouterr().out == (out / json_name).read_text()
+    run_doc = json.loads((out / "run.json").read_text())
+    assert run_doc["command"] == command
+    sub = dict(_leaf_commands(build_parser()))[command]
+    dests = {a.dest for a in sub._actions} - {"help", "out"}
+    assert set(run_doc["config"]) == dests | ({"chunk_size"} if command in ESTIMATING else set())
+
+
 def test_active_exits_3_on_a_pipe_law_term_of_the_wrong_dimension(capsys, monkeypatch):
     law = list(pipeflow.PIPE_LAW)
     name, log_coef, exponents, power = law[1]
@@ -507,6 +564,27 @@ class TestUsageErrors:
         assert captured.out == ""
         assert captured.err == f"usage error: finite-difference step must be positive and finite, got {float(value)}\n"
 
+    @pytest.mark.parametrize("steps, bad", [("1e-3,0", 0.0), ("1e-3,-1e-5", -1e-5)])
+    @pytest.mark.parametrize(
+        "argv",
+        [REPRODUCE[:-2], ["sweep", "--model", "laminar", "--quad-order", "2"]],
+    )
+    def test_nonpositive_steps_exit_2(self, capsys, argv, steps, bad):
+        assert run_command(argv + ["--steps", steps]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"usage error: finite-difference step must be positive and finite, got {bad}\n"
+
+    @pytest.mark.parametrize("steps", [",", " , "])
+    @pytest.mark.parametrize(
+        "argv",
+        [REPRODUCE[:-2], ["sweep", "--model", "laminar", "--quad-order", "2"]],
+    )
+    def test_empty_steps_exit_2(self, capsys, argv, steps):
+        assert run_command(argv + ["--steps", steps]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "at least one step size" in captured.err
+
     def test_fmt_float_round_trips(self):
         for x in (1.0 / 3.0, 2.222222e-11, 1e300, 5.0):
             assert float(fmt_float(x)) == x
@@ -518,3 +596,25 @@ def _shipped_laminar_doc():
     return json.loads(
         resources.files("ridgelaw.models").joinpath("pipeflow_laminar.json").read_text()
     )
+
+
+class TestEntryPoint:
+    """python -m ridgelaw: main() and sys.exit in a real process."""
+
+    def _run(self, *argv):
+        env = dict(os.environ, PYTHONPATH=str(Path(ridgelaw.__file__).parents[1]))
+        return subprocess.run(
+            [sys.executable, "-m", "ridgelaw", *argv], capture_output=True, text=True, env=env, timeout=120
+        )
+
+    def test_pi_exits_0_with_json(self):
+        proc = self._run("pi", "pipeflow_laminar")
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout)["n_pi_groups"] == 2
+        assert proc.stderr == ""
+
+    def test_nonpositive_step_exits_2_with_one_line(self):
+        proc = self._run("sweep", "--model", "laminar", "--quad-order", "2", "--steps", "1e-3,0")
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.splitlines() == ["usage error: finite-difference step must be positive and finite, got 0.0"]

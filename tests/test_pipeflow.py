@@ -361,7 +361,7 @@ class TestBuiltinModel:
         assert np.array_equal(batch, scalar)
 
     def test_unknown_regime_rejected(self):
-        with pytest.raises(ModelError, match="unknown built-in"):
+        with pytest.raises(ModelError, match="neither a file nor one of the shipped models"):
             builtin_model("transitional")
 
     def test_expected_active_dimensions(self, laminar_model, turbulent_model):

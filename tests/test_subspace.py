@@ -138,13 +138,14 @@ class TestConvergenceSweep:
     def test_steps_must_be_positive_descending(self):
         with pytest.raises(ModelError):
             convergence_sweep(builtin_model("laminar"), [1e-5, 1e-3], quad_order=3)
-        with pytest.raises(ModelError):
+        with pytest.raises(ValueError, match="must be positive") as excinfo:
             convergence_sweep(builtin_model("laminar"), [1e-3, -1e-5], quad_order=3)
+        assert excinfo.type is ValueError  # the kernel's check, not a ModelError
         with pytest.raises(ModelError):
             convergence_sweep(builtin_model("laminar"), [], quad_order=3)
 
     def test_unknown_model_rejected(self):
-        with pytest.raises(ModelError, match="unknown built-in"):
+        with pytest.raises(ModelError, match="neither a file nor one of the shipped models"):
             convergence_sweep(builtin_model("plasma"), [1e-3], quad_order=3)
 
     def test_fd_step_estimate_comes_from_the_same_pass(self):
