@@ -6,81 +6,40 @@ gradient outer products, and checks numerically that the estimated active
 subspace lies inside the dimensional-analysis subspace. A pipe-flow virtual
 laboratory (Poiseuille / Colebrook with a critical-Reynolds switch) serves as
 the built-in test bed.
+
+The public names are resolved lazily: ``import ridgelaw`` loads no submodule,
+and a name imports the module that defines it on first access, so the exact
+layer (dimensions, pigroups) never pays for numpy.
 """
+
+import importlib
 
 __version__ = "0.1.0"
 
-from .dimensions import (
-    DimensionVector,
-    QuantityDecl,
-    UnitSystem,
-    is_dimensionless,
-    make_dimension,
-)
-from .errors import EvaluationError, ModelError, NumericalError
-from .pigroups import (
-    DimensionMatrix,
-    PiDecomposition,
-    build_dimension_matrix,
-    pi_decomposition,
-)
-from .quadrature import QuadratureRule1D, TensorGrid, gauss_legendre, tensor_grid
-from .ridge import constancy_directions
-from .activesubspace import (
-    SubspaceEstimate,
-    active_subspace,
-    eigendecompose,
-    estimate_C,
-    estimate_subspace,
-    estimate_subspaces,
-    fd_gradient,
-    pullback_T,
-)
-from .subspace import InclusionReport, SweepResult, convergence_sweep, inclusion_residual
-from .pipeflow import (
-    RE_CRITICAL,
-    PipeState,
-    builtin_model,
-    bulk_velocity,
-    friction_factor,
-    reynolds,
-)
+# submodule -> the public names it defines, in __all__ order
+_DEFINED = {
+    "dimensions": "DimensionVector QuantityDecl UnitSystem is_dimensionless make_dimension",
+    "errors": "EvaluationError ModelError NumericalError",
+    "pigroups": "DimensionMatrix PiDecomposition build_dimension_matrix pi_decomposition",
+    "quadrature": "QuadratureRule1D TensorGrid gauss_legendre tensor_grid",
+    "ridge": "constancy_directions",
+    "activesubspace": "SubspaceEstimate active_subspace eigendecompose estimate_C estimate_subspace "
+    "estimate_subspaces fd_gradient pullback_T",
+    "subspace": "InclusionReport SweepResult convergence_sweep inclusion_residual",
+    "pipeflow": "RE_CRITICAL PipeState builtin_model bulk_velocity friction_factor reynolds",
+}
+_EXPORTS = {name: module for module, names in _DEFINED.items() for name in names.split()}
 
-__all__ = [
-    "__version__",
-    "DimensionVector",
-    "QuantityDecl",
-    "UnitSystem",
-    "is_dimensionless",
-    "make_dimension",
-    "EvaluationError",
-    "ModelError",
-    "NumericalError",
-    "DimensionMatrix",
-    "PiDecomposition",
-    "build_dimension_matrix",
-    "pi_decomposition",
-    "QuadratureRule1D",
-    "TensorGrid",
-    "gauss_legendre",
-    "tensor_grid",
-    "constancy_directions",
-    "SubspaceEstimate",
-    "active_subspace",
-    "eigendecompose",
-    "estimate_C",
-    "estimate_subspace",
-    "estimate_subspaces",
-    "fd_gradient",
-    "pullback_T",
-    "InclusionReport",
-    "SweepResult",
-    "convergence_sweep",
-    "inclusion_residual",
-    "RE_CRITICAL",
-    "PipeState",
-    "builtin_model",
-    "bulk_velocity",
-    "friction_factor",
-    "reynolds",
-]
+__all__ = ["__version__", *_EXPORTS]
+
+
+def __getattr__(name):
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_EXPORTS[name]}", __name__), name)
+    globals()[name] = value  # later lookups skip this function
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

@@ -10,7 +10,12 @@ writes the same JSON text, the CSV files and a run.json whose config is every
 parsed option except --out (plus ``chunk_size`` for the estimating
 subcommands). Identical invocations produce byte-identical artifacts.
 
-Exit codes: 0 success, 2 usage error, 3 model/schema error, 4 numerical failure.
+Only the exact layer is imported at module level: the estimating
+subcommands import numpy and the estimation modules inside their functions,
+so ``pi``, --help, --version and usage errors run without numpy.
+
+Exit codes: 0 success, 2 usage error (one ``usage error:`` line, argparse's
+errors included), 3 model/schema error, 4 numerical failure.
 """
 
 from __future__ import annotations
@@ -24,16 +29,11 @@ from fractions import Fraction
 from pathlib import Path
 from typing import List, Sequence
 
-import numpy as np
-
 from . import __version__
-from .activesubspace import estimate_subspace
+from .defaults import DEFAULT_CHUNK, RE_CRITICAL
 from .errors import ModelError, NumericalError
 from .models import load_model
 from .pigroups import build_dimension_matrix, pi_decomposition
-from .quadrature import DEFAULT_CHUNK
-from .subspace import convergence_sweep, fit_loglog_slope, inclusion_residual
-from . import pipeflow
 
 DEFAULT_QUAD_ORDER = 11
 DEFAULT_FD_STEP = 1e-5
@@ -145,6 +145,9 @@ def _cmd_pi(args):
 
 
 def _cmd_active(args):
+    from . import pipeflow
+    from .activesubspace import estimate_subspace
+
     model = pipeflow.bind_builtin(load_model(pipeflow.shipped_id(args.model)))
     grid = model.grid(args.quad_order)
     est = estimate_subspace(model.f, grid, args.fd_step)
@@ -168,7 +171,9 @@ def _cmd_active(args):
     return "active.json", payload, files
 
 
-def _load_matrix_csv(path: str) -> np.ndarray:
+def _load_matrix_csv(path: str):
+    import numpy as np
+
     try:
         data = np.loadtxt(path, delimiter=",", ndmin=2)
     except Exception as exc:
@@ -179,6 +184,8 @@ def _load_matrix_csv(path: str) -> np.ndarray:
 
 
 def _cmd_inclusion(args):
+    from .subspace import inclusion_residual
+
     candidate = _load_matrix_csv(args.candidate)
     enclosing = _load_matrix_csv(args.enclosing)
     report = inclusion_residual(candidate, enclosing)
@@ -195,6 +202,8 @@ def _cmd_inclusion(args):
 
 
 def _sweep_csv(entries) -> str:
+    from .subspace import fit_loglog_slope
+
     rows = []
     for i, (h, r2) in enumerate(entries):
         slope = fit_loglog_slope(entries[: i + 1]) if i >= 1 else None
@@ -222,6 +231,9 @@ def _parse_steps(raw: str) -> List[float]:
 
 
 def _cmd_sweep(args):
+    from . import pipeflow
+    from .subspace import convergence_sweep
+
     result = convergence_sweep(pipeflow.builtin_model(args.model), args.steps, args.quad_order)
     payload = {
         "model": result.model,
@@ -234,6 +246,10 @@ def _cmd_sweep(args):
 
 
 def _cmd_eval(args):
+    import numpy as np
+
+    from . import pipeflow
+
     state = pipeflow.PipeState(
         rho=args.rho, mu=args.mu, diam=args.diam, eps=args.eps, dpdl=args.dpdl
     )
@@ -257,6 +273,9 @@ def _cmd_eval(args):
 
 
 def _cmd_reproduce(args):
+    from . import pipeflow
+    from .subspace import convergence_sweep
+
     builtin = pipeflow.builtin_model(args.regime, re_critical=args.re_crit)
     # the --fd-step estimate shares the sweep's single pass over one grid
     sweep = convergence_sweep(builtin, args.steps, args.quad_order, fd_step=args.fd_step)
@@ -275,8 +294,15 @@ def _cmd_reproduce(args):
     }
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises ValueError on a usage error, for run_command to print; its subparsers share the class."""
+
+    def error(self, message):
+        raise ValueError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="ridgelaw",
         description=(
             "Buckingham Pi nondimensionalization, active-subspace estimation, and "
@@ -325,7 +351,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--diam", type=_finite_float, required=True)
     p_eval.add_argument("--eps", type=_finite_float, required=True)
     p_eval.add_argument("--dpdl", type=_finite_float, required=True)
-    p_eval.add_argument("--re-crit", type=_finite_float, default=pipeflow.RE_CRITICAL)
+    p_eval.add_argument("--re-crit", type=_finite_float, default=RE_CRITICAL)
     p_eval.set_defaults(func=_cmd_eval)
 
     p_repro = pipe_sub.add_parser(
@@ -340,7 +366,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=",".join(fmt_float(h) for h in DEFAULT_SWEEP_STEPS),
         help="comma-separated descending step sizes for the sweep",
     )
-    p_repro.add_argument("--re-crit", type=_finite_float, default=pipeflow.RE_CRITICAL)
+    p_repro.add_argument("--re-crit", type=_finite_float, default=RE_CRITICAL)
     p_repro.add_argument("--out", help="directory for CSV/JSON artifacts")
     p_repro.set_defaults(func=_cmd_reproduce, chunk_size=DEFAULT_CHUNK)
 
@@ -349,12 +375,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def run_command(argv: Sequence[str]) -> int:
     """Parse argv and execute; returns the process exit status."""
-    parser = build_parser()
     try:
-        args = parser.parse_args(list(argv))
-    except SystemExit as exc:
-        return int(exc.code or 0)
-    try:
+        args = build_parser().parse_args(list(argv))
         name, payload, files = args.func(args)
         text = _json_text(payload)
         print(text, end="")
@@ -363,6 +385,8 @@ def run_command(argv: Sequence[str]) -> int:
             for filename, content in [(name, text), *files().items(), ("run.json", _run_json(args))]:
                 _write_text(Path(out), filename, content)
         return 0
+    except SystemExit as exc:  # --help and --version print and exit 0
+        return int(exc.code or 0)
     except ModelError as exc:
         print(f"model error: {exc}", file=sys.stderr)
         return 3
@@ -370,7 +394,7 @@ def run_command(argv: Sequence[str]) -> int:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 4
     except ValueError as exc:
-        # invalid numeric option values (step sizes, orders) are usage errors
+        # argparse errors and invalid numeric option values (step sizes, orders)
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
 

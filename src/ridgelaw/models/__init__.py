@@ -17,8 +17,6 @@ from importlib import resources
 from pathlib import Path
 from typing import Optional, Tuple
 
-import numpy as np
-
 from ..dimensions import DimensionVector, QuantityDecl, UnitSystem, as_fraction, make_dimension
 from ..errors import ModelError
 from ..pigroups import PiDecomposition, build_dimension_matrix, pi_decomposition
@@ -49,6 +47,8 @@ class ModelSpec:
         return tuple((q.range_lo, q.range_hi) for q in self.quantities)
 
     def log_bounds(self) -> Tuple[Tuple[float, float], ...]:
+        import numpy as np  # np.log, not math.log: the grid's bits depend on it
+
         return tuple((float(np.log(lo)), float(np.log(hi))) for lo, hi in self.ranges())
 
 

@@ -8,7 +8,7 @@ results are checked exactly, in integers: D·w = v, D·W = 0, and on the free
 rows W is diagonal and nonzero while w is zero, which proves that
 A = [w | W] has full column rank.
 Floating point only appears at the very end, when a rational matrix is
-rendered to doubles for the numerics.
+rendered to doubles for the numerics (A_float, which imports numpy on call).
 """
 
 from __future__ import annotations
@@ -18,8 +18,6 @@ import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Sequence, Tuple
-
-import numpy as np
 
 from .dimensions import DimensionVector, QuantityDecl, UnitSystem, is_dimensionless
 from .errors import ModelError
@@ -78,7 +76,10 @@ class PiDecomposition:
     def n(self) -> int:
         return len(self.W[0]) if self.W else 0
 
-    def A_float(self) -> np.ndarray:
+    def A_float(self):
+        """A as an m x (n+1) float array (m x n when qoi_dimensionless)."""
+        import numpy as np
+
         ncols = len(self.A[0]) if self.A else 0
         return np.array([[float(x) for x in row] for row in self.A], dtype=float).reshape(self.m, ncols)
 

@@ -24,13 +24,12 @@ from typing import Callable, Iterator, List, Sequence, Tuple
 
 import numpy as np
 
+from .defaults import RE_CRITICAL
 from .dimensions import DimensionVector
 from .errors import ModelError
 from .models import ModelSpec, load_model
 from .pigroups import PiDecomposition
 from .quadrature import TensorGrid, tensor_grid
-
-RE_CRITICAL = 3.0e3
 
 # expected active-subspace dimension of each built-in model (a shipped model
 # file); 'laminar' and 'turbulent' are short ids for them

@@ -14,11 +14,8 @@ from typing import Iterator, Sequence, Tuple
 
 import numpy as np
 
+from .defaults import DEFAULT_CHUNK
 from .errors import NumericalError
-
-# points per block when a grid is consumed in chunks: bounds an estimate's
-# working memory and, being fixed, pins the summation order bit for bit
-DEFAULT_CHUNK = 4096
 
 _NEWTON_TOL = 1e-15
 _NEWTON_MAX_ITER = 100

@@ -516,6 +516,42 @@ class TestUsageErrors:
         capsys.readouterr()
 
     @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["sweep", "--model", "laminar", "--steps", "1e-3,nan"], "argument --steps: expected a finite number"),
+            (["active", "--model", "laminar", "--quad-order", "x"], "argument --quad-order: invalid int value: 'x'"),
+            (["pi"], "the following arguments are required: model"),
+            (["frobnicate"], "argument command: invalid choice: 'frobnicate'"),
+            ([], "the following arguments are required: command"),
+            (["pipeflow"], "the following arguments are required: pipeflow_command"),
+            (["pi", "pipeflow_laminar", "--bogus"], "unrecognized arguments: --bogus"),
+            (["pipeflow", "reproduce", "--regime", "x"], "argument --regime: invalid choice: 'x'"),
+            (["active", "--model", "laminar", "--quad-order", "2", "--fd-step", "0"], "finite-difference step"),
+        ],
+    )
+    def test_every_usage_error_is_one_line(self, capsys, argv, message):
+        # argparse's errors and the kernel's ValueError share one format
+        assert run_command(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        assert captured.err.startswith(f"usage error: {message}")
+
+    @pytest.mark.parametrize(
+        "argv, start",
+        [
+            (["--help"], "usage: ridgelaw [-h]"),
+            (["pipeflow", "eval", "--help"], "usage: ridgelaw pipeflow eval [-h]"),
+            (["--version"], f"ridgelaw {ridgelaw.__version__}\n"),
+        ],
+    )
+    def test_help_and_version_exit_0(self, capsys, argv, start):
+        assert run_command(argv) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert captured.out.startswith(start)
+
+    @pytest.mark.parametrize(
         "argv",
         [
             ["pi", "pipeflow_laminar"],
@@ -601,20 +637,53 @@ def _shipped_laminar_doc():
 class TestEntryPoint:
     """python -m ridgelaw: main() and sys.exit in a real process."""
 
-    def _run(self, *argv):
+    def _python(self, *args):
+        """python -X importtime args: the process, its stderr without the import-time
+        lines, and the top-level packages it imported."""
         env = dict(os.environ, PYTHONPATH=str(Path(ridgelaw.__file__).parents[1]))
-        return subprocess.run(
-            [sys.executable, "-m", "ridgelaw", *argv], capture_output=True, text=True, env=env, timeout=120
+        proc = subprocess.run(
+            [sys.executable, "-X", "importtime", *args], capture_output=True, text=True, env=env, timeout=120
         )
+        lines = proc.stderr.splitlines(keepends=True)
+        timing = [line for line in lines if line.startswith("import time:")]
+        stderr = "".join(line for line in lines if line not in timing)
+        return proc, stderr, {line.rsplit("|", 1)[1].strip().split(".")[0] for line in timing}
+
+    def _run(self, *argv):
+        return self._python("-m", "ridgelaw", *argv)
 
     def test_pi_exits_0_with_json(self):
-        proc = self._run("pi", "pipeflow_laminar")
-        assert proc.returncode == 0, proc.stderr
+        proc, stderr, _ = self._run("pi", "pipeflow_laminar")
+        assert proc.returncode == 0, stderr
         assert json.loads(proc.stdout)["n_pi_groups"] == 2
-        assert proc.stderr == ""
+        assert stderr == ""
 
     def test_nonpositive_step_exits_2_with_one_line(self):
-        proc = self._run("sweep", "--model", "laminar", "--quad-order", "2", "--steps", "1e-3,0")
+        proc, stderr, _ = self._run("sweep", "--model", "laminar", "--quad-order", "2", "--steps", "1e-3,0")
         assert proc.returncode == 2
-        assert "Traceback" not in proc.stderr
-        assert proc.stderr.splitlines() == ["usage error: finite-difference step must be positive and finite, got 0.0"]
+        assert "Traceback" not in stderr
+        assert stderr.splitlines() == ["usage error: finite-difference step must be positive and finite, got 0.0"]
+
+    @pytest.mark.parametrize(
+        "args, code",
+        [
+            (("-c", "import ridgelaw.cli"), 0),
+            (("-m", "ridgelaw", "pi", "pipeflow_laminar"), 0),
+            (("-m", "ridgelaw", "--version"), 0),
+            (("-m", "ridgelaw", "--help"), 0),
+            (("-m", "ridgelaw", "sweep", "--model", "laminar", "--steps", "1e-3,nan"), 2),
+        ],
+    )
+    def test_exact_path_never_imports_numpy(self, args, code):
+        proc, stderr, imported = self._python(*args)
+        assert proc.returncode == code, stderr
+        assert "ridgelaw" in imported  # the probe sees the package's own imports
+        assert "numpy" not in imported
+        if code == 2:
+            assert len(stderr.splitlines()) == 1 and stderr.startswith("usage error: argument --steps")
+
+    def test_estimating_command_imports_numpy_and_succeeds(self):
+        proc, stderr, imported = self._run("active", "--model", "laminar", "--quad-order", "2")
+        assert proc.returncode == 0, stderr
+        assert len(json.loads(proc.stdout)["eigenvalues"]) == 5
+        assert "numpy" in imported

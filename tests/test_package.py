@@ -1,0 +1,81 @@
+"""The package's public names: each resolves, on first access, to its defining module's object."""
+
+import importlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import ridgelaw
+
+# defining module -> the names the package exports from it, in __all__ order
+EXPORTED_FROM = {
+    "dimensions": "DimensionVector QuantityDecl UnitSystem is_dimensionless make_dimension",
+    "errors": "EvaluationError ModelError NumericalError",
+    "pigroups": "DimensionMatrix PiDecomposition build_dimension_matrix pi_decomposition",
+    "quadrature": "QuadratureRule1D TensorGrid gauss_legendre tensor_grid",
+    "ridge": "constancy_directions",
+    "activesubspace": (
+        "SubspaceEstimate active_subspace eigendecompose estimate_C estimate_subspace "
+        "estimate_subspaces fd_gradient pullback_T"
+    ),
+    "subspace": "InclusionReport SweepResult convergence_sweep inclusion_residual",
+    "pipeflow": "RE_CRITICAL PipeState builtin_model bulk_velocity friction_factor reynolds",
+}
+DEFINED_IN = {name: module for module, names in EXPORTED_FROM.items() for name in names.split()}
+
+
+def test_all_lists_version_and_the_36_names():
+    assert ridgelaw.__all__ == ["__version__", *DEFINED_IN]
+    assert len(ridgelaw.__all__) == 36
+
+
+@pytest.mark.parametrize("name", sorted(DEFINED_IN))
+def test_name_is_the_defining_modules_object(name):
+    module = importlib.import_module(f"ridgelaw.{DEFINED_IN[name]}")
+    assert getattr(ridgelaw, name) is getattr(module, name)
+
+
+def test_star_import_binds_every_name():
+    namespace = {}
+    exec("from ridgelaw import *", namespace)
+    assert all(namespace[name] is getattr(ridgelaw, name) for name in ridgelaw.__all__)
+
+
+def _fresh(code):
+    """The JSON that code prints in a fresh interpreter."""
+    env = dict(os.environ, PYTHONPATH=str(Path(ridgelaw.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+def test_dir_lists_the_exports_before_any_access():
+    missing = _fresh("import json, ridgelaw; print(json.dumps(sorted(set(ridgelaw.__all__) - set(dir(ridgelaw)))))")
+    assert missing == []
+
+
+def test_unknown_attribute_raises_naming_it():
+    with pytest.raises(AttributeError, match="'no_such_name'"):
+        ridgelaw.no_such_name
+    assert not hasattr(ridgelaw, "no_such_name")
+
+
+def test_names_import_their_module_on_first_access():
+    probe = (
+        "import json, sys, ridgelaw\n"
+        "loaded = lambda: sorted(m for m in sys.modules if m.split('.')[0] in ('ridgelaw', 'numpy'))\n"
+        "steps = [loaded()]\n"
+        "ridgelaw.pi_decomposition\n"
+        "steps.append(loaded())\n"
+        "ridgelaw.estimate_C\n"
+        "steps.append(loaded())\n"
+        "print(json.dumps(steps))\n"
+    )
+    bare, exact, estimating = _fresh(probe)
+    assert bare == ["ridgelaw"]
+    assert "ridgelaw.pigroups" in exact and "numpy" not in exact
+    assert "ridgelaw.activesubspace" in estimating and "numpy" in estimating
