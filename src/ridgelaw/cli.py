@@ -12,7 +12,9 @@ subcommands). Identical invocations produce byte-identical artifacts.
 
 Only the exact layer is imported at module level: the estimating
 subcommands import numpy and the estimation modules inside their functions,
-so ``pi``, --help, --version and usage errors run without numpy.
+so ``pi``, --help, --version and usage errors run without numpy. The parser
+does not depend on argv: ``build_parser`` builds it on the first call, not at
+import, and every later ``run_command`` in the process reuses it.
 
 Exit codes: 0 success, 2 usage error (one ``usage error:`` line, argparse's
 errors included), 3 model/schema error, 4 numerical failure.
@@ -21,6 +23,7 @@ errors included), 3 model/schema error, 4 numerical failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -175,9 +178,14 @@ def _load_matrix_csv(path: str):
     import numpy as np
 
     try:
-        data = np.loadtxt(path, delimiter=",", ndmin=2)
+        with warnings.catch_warnings():
+            # loadtxt only warns on a file without data rows; the size check reports it
+            warnings.simplefilter("ignore", UserWarning)
+            data = np.loadtxt(path, delimiter=",", ndmin=2)
     except Exception as exc:
         raise ModelError(f"cannot read matrix CSV {path!r}: {exc}") from exc
+    if data.size == 0:
+        raise ModelError(f"matrix CSV {path!r} has no data")
     if not np.isfinite(data).all():
         raise ModelError(f"matrix CSV {path!r} has a non-finite entry")
     return data
@@ -301,7 +309,9 @@ class _Parser(argparse.ArgumentParser):
         raise ValueError(message)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process, built on first use; each parse returns a fresh namespace."""
     parser = _Parser(
         prog="ridgelaw",
         description=(

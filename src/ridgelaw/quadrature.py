@@ -9,6 +9,7 @@ ones stay cheap to iterate.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Iterator, Sequence, Tuple
 
@@ -40,12 +41,14 @@ class QuadratureRule1D:
     order: int
 
 
+@functools.cache
 def gauss_legendre(order: int) -> QuadratureRule1D:
     """Gauss-Legendre rule by Newton iteration on the Legendre polynomial.
 
     Initial guesses come from the Chebyshev-angle approximation of the roots;
     only the non-negative half is solved and then mirrored, which makes the
-    node set exactly symmetric about zero.
+    node set exactly symmetric about zero. Each order is computed once per
+    process and the rule is shared: it is frozen and its arrays are read-only.
     """
     if order < 1:
         raise ValueError(f"quadrature order must be >= 1, got {order}")

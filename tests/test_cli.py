@@ -506,6 +506,81 @@ def test_active_exits_3_on_a_pipe_law_term_of_the_wrong_dimension(capsys, monkey
     assert "pipe law term 't1' has dimension {'m': '1'}, expected dimensionless" in capsys.readouterr().err
 
 
+# one command of each kind, the estimating ones at small orders, each writing under root
+def _mixed_sequence(root):
+    return [
+        ["sweep", "--model", "laminar", "--steps", "1e-3,nan"],
+        ["--help"],
+        ["active", "--model", "laminar", "--quad-order", "2", "--out", f"{root}/active"],
+        ["sweep", "--model", "laminar", "--steps", "1e-3,1e-4", "--quad-order", "2", "--out", f"{root}/sweep"],
+        ["pi", "pipeflow_laminar", "--out", f"{root}/pi"],
+        ["pipeflow", "eval", "--rho", "0.12", "--mu", "5e-6", "--diam", "0.5", "--eps", "0.01", "--dpdl", "1.0"],
+        ["pipeflow", "reproduce", "--regime", "turbulent", "--quad-order", "2", "--steps", "1e-3,1e-4",
+         "--out", f"{root}/reproduce"],
+    ]
+
+
+def _tree(root):
+    """Every file under root, by relative path, as bytes."""
+    return {p.relative_to(root).as_posix(): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+class TestSharedParser:
+    """run_command builds its parser once per process; reusing it must leave no state between commands."""
+
+    def test_mixed_sequence_repeats_and_matches_a_fresh_process(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")  # --help wraps at the same width in every process
+        rounds = []
+        for name in ("first", "second"):
+            outcomes = []
+            for argv in _mixed_sequence(tmp_path / name):
+                code = run_command(argv)
+                captured = capsys.readouterr()
+                outcomes.append((code, captured.out, captured.err))
+            rounds.append((outcomes, _tree(tmp_path / name)))
+        env = dict(os.environ, PYTHONPATH=str(Path(ridgelaw.__file__).parents[1]), COLUMNS="80")
+        outcomes = []
+        for argv in _mixed_sequence(tmp_path / "fresh"):
+            proc = subprocess.run(
+                [sys.executable, "-m", "ridgelaw", *argv], capture_output=True, text=True, env=env, timeout=120
+            )
+            outcomes.append((proc.returncode, proc.stdout, proc.stderr))
+        rounds.append((outcomes, _tree(tmp_path / "fresh")))
+
+        first_outcomes, first_tree = rounds[0]
+        assert [code for code, _, _ in first_outcomes] == [2, 0, 0, 0, 0, 0, 0]
+        assert len(first_tree) == 17  # active 4, sweep 3, pi 6, reproduce 4
+        assert rounds[1] == rounds[0]
+        assert rounds[2] == rounds[0]
+        # pi runs after active and sweep: none of their options or defaults (chunk_size,
+        # quad_order, fd_step, ...) reach its run.json
+        assert set(json.loads(first_tree["pi/run.json"])["config"]) == {"model"}
+
+    def test_commands_after_the_first_build_no_parser(self, capsys, monkeypatch):
+        assert run_command(["pi", "pipeflow_laminar"]) == 0  # builds the parser unless an earlier test did
+        calls = []
+        original = argparse.ArgumentParser.add_argument
+
+        def counting(self, *args, **kwargs):
+            calls.append(args)
+            return original(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "add_argument", counting)
+        for argv in (
+            ["pi", "pipeflow_laminar"],
+            ["active", "--model", "laminar", "--quad-order", "2"],
+            ["frobnicate"],
+            ["pipeflow", "eval", "--help"],
+        ):
+            run_command(argv)
+        assert calls == []
+        assert build_parser() is build_parser()
+        build_parser.cache_clear()
+        assert run_command(["pi", "pipeflow_laminar"]) == 0
+        assert calls  # the counter does see a construction
+        capsys.readouterr()
+
+
 class TestUsageErrors:
     def test_unknown_flag_exits_2(self, capsys):
         assert run_command(["active", "--model", "pipeflow_laminar", "--bogus"]) == 2
@@ -681,6 +756,42 @@ class TestEntryPoint:
         assert "numpy" not in imported
         if code == 2:
             assert len(stderr.splitlines()) == 1 and stderr.startswith("usage error: argument --steps")
+
+    def test_import_builds_no_parser(self):
+        probe = (
+            "import argparse\n"
+            "built = []\n"
+            "init = argparse.ArgumentParser.__init__\n"
+            "def counting(self, *args, **kwargs):\n"
+            "    built.append(1)\n"
+            "    init(self, *args, **kwargs)\n"
+            "argparse.ArgumentParser.__init__ = counting\n"
+            "import ridgelaw.cli\n"
+            "print(len(built), ridgelaw.cli.build_parser.cache_info().currsize)\n"
+            "ridgelaw.cli.build_parser()\n"
+            "print(len(built) > 0)\n"
+        )
+        proc, stderr, _ = self._python("-c", probe)
+        assert proc.returncode == 0, stderr
+        assert proc.stdout.split() == ["0", "0", "True"]
+
+    @pytest.mark.parametrize(
+        "candidate, enclosing, named",
+        [("empty", "eye", "empty"), ("eye", "comments", "comments"), (os.devnull, os.devnull, os.devnull)],
+    )
+    def test_empty_matrix_csv_is_one_model_error_line(self, tmp_path, candidate, enclosing, named):
+        # a real process: in-process pytest turns numpy's no-data warning into an exception and hides it
+        files = {"empty": "", "comments": "# no data rows\n\n", "eye": "1,0\n0,1\n"}
+        for stem, text in files.items():
+            (tmp_path / f"{stem}.csv").write_text(text)
+
+        def path(name):
+            return str(tmp_path / f"{name}.csv") if name in files else name
+
+        proc, stderr, _ = self._run("inclusion", "--candidate", path(candidate), "--enclosing", path(enclosing))
+        assert proc.returncode == 3
+        assert proc.stdout == ""
+        assert stderr == f"model error: matrix CSV {path(named)!r} has no data\n"
 
     def test_estimating_command_imports_numpy_and_succeeds(self):
         proc, stderr, imported = self._run("active", "--model", "laminar", "--quad-order", "2")

@@ -1,13 +1,15 @@
-"""Mutated model files through the CLI: every outcome is an exit status, never a traceback."""
+"""Mutated model files and argv through the CLI: every outcome is an exit status, never a traceback."""
 
 import contextlib
 import io
 import json
+import os
 import tempfile
 from importlib import resources
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from ridgelaw.cli import run_command
@@ -150,3 +152,90 @@ def test_option_sets_end_in_an_exit_status_with_finite_output(argv):
     if code == 0:
         numbers = list(_numbers(json.loads(out.getvalue())))
         assert all(np.isfinite(numbers)), (argv, out.getvalue())
+
+
+# argv grammar: every subcommand with its options, plus unknown words and flags.
+# Option values are mostly good, else bad numbers, empty or unknown; quadrature orders stay
+# small, so every drawn command is cheap.
+def _mostly(good, bad):
+    """A good value in 3 of 4 draws, so that whole commands succeed too."""
+    return st.integers(0, 3).flatmap(lambda i: st.sampled_from(bad if i == 0 else good))
+
+
+FLOAT_TEXT = _mostly(["1e-3", "1e-5", "2"], ["0", "-1e-5", "nan", "-inf", "1e999", "abc", ""])
+STEPS_TEXT = st.lists(FLOAT_TEXT, min_size=1, max_size=3).map(",".join)
+MODEL_TEXT = _mostly(["laminar", "pipeflow_turbulent", "turbulent"], ["plasma", ""])
+QUAD_ORDER_TEXT = _mostly(["1", "2", "3"], ["0", "-1", "x"])
+EVAL_TEXT = {option: st.one_of(st.just(value), FLOAT_TEXT) for option, value in EVAL_STATE.items()}
+GRAMMAR = {
+    ("pi",): {"": st.sampled_from(["pipeflow_laminar", "pipeflow_turbulent", "plasma"])},
+    ("active",): {"--model": MODEL_TEXT, "--fd-step": FLOAT_TEXT},
+    ("sweep",): {"--model": MODEL_TEXT, "--steps": STEPS_TEXT},
+    ("inclusion",): {"--candidate": st.just(os.devnull), "--enclosing": st.just("missing.csv")},
+    ("pipeflow", "eval"): EVAL_TEXT,
+    ("pipeflow", "reproduce"): {
+        "--regime": st.sampled_from(["laminar", "turbulent", "plasma"]),
+        "--fd-step": FLOAT_TEXT,
+        "--steps": STEPS_TEXT,
+        "--re-crit": FLOAT_TEXT,
+    },
+    ("pipeflow",): {},
+    ("frobnicate",): {},
+    (): {},
+}
+ESTIMATING_WORDS = {("active",), ("sweep",), ("pipeflow", "reproduce")}
+STRAY = st.sampled_from(["--help", "-h", "--version", "--bogus", "stray"])
+
+
+@st.composite
+def argv_vectors(draw):
+    words = draw(st.sampled_from(sorted(GRAMMAR)))
+    options = GRAMMAR[words]
+    chosen = [option for option in sorted(options) if draw(st.integers(0, 3))]  # each one in 3 of 4 draws
+    pairs = [[draw(options[option])] if option == "" else [option, draw(options[option])] for option in chosen]
+    tail = [word for pair in draw(st.permutations(pairs)) for word in pair]
+    for stray in draw(st.lists(STRAY, max_size=1)):
+        tail.insert(draw(st.integers(0, len(tail))), stray)
+    # right after the subcommand, so no cut below can drop it and run the default order 11
+    head = list(words) + (["--quad-order", draw(QUAD_ORDER_TEXT)] if words in ESTIMATING_WORDS else [])
+    argv = head + tail
+    if draw(st.integers(0, 3)) == 0:  # cut short: a missing option value or required argument
+        argv = argv[: draw(st.sampled_from([len(words), *range(len(head), len(argv) + 1)]))]
+    return argv
+
+
+def _run(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), np.errstate(all="ignore"):
+        code = run_command(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+@pytest.fixture(scope="module")
+def probe(tmp_path_factory):
+    """A fixed command: a callable that runs it, returning its outcome and run.json, and its first result."""
+    out = tmp_path_factory.mktemp("probe")
+    argv = ["pi", "pipeflow_laminar", "--out", str(out)]
+
+    def run():
+        return _run(argv), (out / "run.json").read_text()
+
+    first = run()
+    (code, _, err), _ = first
+    assert (code, err) == (0, "")
+    return run, first
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(argv_vectors(), min_size=1, max_size=4))
+def test_back_to_back_argv_leave_no_state_in_the_parser(probe, batch):
+    run_probe, expected = probe
+    for argv in batch:
+        code, out, err = _run(argv)
+        assert code in {0, 2, 3, 4}, (argv, code, err)
+        if code == 2:
+            lines = err.splitlines()
+            assert len(lines) == 1 and lines[0].startswith("usage error: "), (argv, err)
+            assert out == "", argv
+        # the same fixed command after every drawn one prints and records the same bytes
+        assert run_probe() == expected, argv

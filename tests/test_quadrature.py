@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from ridgelaw import quadrature
 from ridgelaw.quadrature import gauss_legendre, tensor_grid
 
 
@@ -43,6 +44,40 @@ class TestGaussLegendre:
         rule = gauss_legendre(order)
         assert np.max(np.abs(rule.nodes - ref_nodes)) < 1e-14
         assert np.max(np.abs(rule.weights - ref_weights)) < 1e-14
+
+
+class TestRuleCache:
+    """Each order's rule is computed once per process and shared; grids still map nodes afresh."""
+
+    @pytest.mark.parametrize("order", [1, 2, 5, 11, 15])
+    def test_second_grid_runs_no_newton_and_keeps_every_bit(self, monkeypatch, order):
+        bounds = [(0.5, 2.0), (-3.0, 7.0), (1e-9, 10.0)]
+        calls = []
+        original = quadrature._legendre_value_derivative
+
+        def counting(n, x):
+            calls.append(n)
+            return original(n, x)
+
+        monkeypatch.setattr(quadrature, "_legendre_value_derivative", counting)
+        gauss_legendre.cache_clear()
+        fresh = tensor_grid(order, bounds)
+        assert calls  # the counter sees the Newton iteration of an uncached rule
+        calls.clear()
+        again = tensor_grid(order, bounds)
+        assert calls == []
+        assert np.array_equal(again.mapped_nodes, fresh.mapped_nodes)
+        assert np.array_equal(again.unit_weights, fresh.unit_weights)
+        assert again.mapped_nodes is not fresh.mapped_nodes
+
+    @pytest.mark.parametrize("order", [1, 4, 5, 16])
+    def test_shared_rule_is_read_only_and_equals_the_uncached_one(self, order):
+        rule = gauss_legendre(order)
+        assert gauss_legendre(order) is rule
+        assert not rule.nodes.flags.writeable and not rule.weights.flags.writeable
+        uncached = gauss_legendre.__wrapped__(order)
+        assert np.array_equal(rule.nodes, uncached.nodes)
+        assert np.array_equal(rule.weights, uncached.weights)
 
 
 class TestTensorGrid:
