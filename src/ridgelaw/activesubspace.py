@@ -116,10 +116,9 @@ def _gradient_outer_sums(
     sums = [0.0] * len(steps)
     for Y, w in blocks:
         for k, G in enumerate(_fd_gradients(f, Y, steps)):
-            M = (G * w[:, None]).T @ G
-            # accumulate the lower triangle only, then mirror: symmetric by construction
-            sums[k] += np.tril(M) + np.tril(M, -1).T
-    return sums
+            sums[k] += (G * w[:, None]).T @ G
+    # symmetrize once per step: mirror the lower triangle, summed block by block, onto the upper
+    return [np.tril(S) + np.tril(S, -1).T for S in sums]
 
 
 def estimate_C(f: Callable, grid: TensorGrid, h: float) -> np.ndarray:

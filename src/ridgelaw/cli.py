@@ -4,11 +4,12 @@ Model files (schema and loader in ``ridgelaw.models``) are JSON: a unit
 system, quantities with rational unit exponents and optional positive ranges,
 a quantity of interest, and optionally the id of a built-in model function.
 
-Each subcommand returns its JSON file name, its payload and a callable that
-builds its CSV files; ``run_command`` prints the payload and, with --out,
-writes the same JSON text, the CSV files and a run.json whose config is every
-parsed option except --out (plus ``chunk_size`` for the estimating
-subcommands). Identical invocations produce byte-identical artifacts.
+Each subcommand returns its JSON file name, its payload and a dict of CSV
+texts. Each number is rendered once, into the payload, and the CSVs are joined
+from the payload's strings. With --out, ``run_command`` writes the JSON text,
+the CSVs and a run.json whose config is every parsed option except --out (plus
+``chunk_size`` for the estimating subcommands), then prints the JSON text.
+Identical invocations produce byte-identical artifacts.
 
 Only the exact layer is imported at module level: the estimating
 subcommands import numpy and the estimation modules inside their functions,
@@ -30,7 +31,7 @@ import sys
 import warnings
 from fractions import Fraction
 from pathlib import Path
-from typing import List, Sequence
+from typing import Iterable, List, Sequence
 
 from . import __version__
 from .defaults import DEFAULT_CHUNK, RE_CRITICAL
@@ -89,23 +90,18 @@ def _run_json(args) -> str:
     return _json_text({"command": command, "package": "ridgelaw", "version": __version__, "config": config})
 
 
-def _csv_lines(header: Sequence[str], rows: Sequence[Sequence[str]]) -> str:
+def _csv_lines(header: Sequence[str], rows: Iterable[Sequence[str]]) -> str:
     lines = [",".join(header)]
     lines.extend(",".join(row) for row in rows)
     return "\n".join(lines) + "\n"
 
 
-def _eigenvalues_csv(values) -> str:
-    return _csv_lines(["index", "eigenvalue"], [[str(i + 1), fmt_float(v)] for i, v in enumerate(values)])
+def _eigenvalues_csv(values: Sequence[str]) -> str:
+    return _csv_lines(["index", "eigenvalue"], [[str(i + 1), v] for i, v in enumerate(values)])
 
 
-def _rational_matrix_csv(
-    row_labels: Sequence[str], col_labels: Sequence[str], rows
-) -> str:
-    body = [
-        [label] + [fmt_rational(x) for x in row] for label, row in zip(row_labels, rows)
-    ]
-    return _csv_lines([""] + list(col_labels), body)
+def _rational_matrix_csv(row_labels: Sequence[str], col_labels: Sequence[str], rows) -> str:
+    return _csv_lines([""] + list(col_labels), [[label, *row] for label, row in zip(row_labels, rows)])
 
 
 # ---------------------------------------------------------------------------
@@ -133,18 +129,15 @@ def _cmd_pi(args):
         "D": [[fmt_rational(x) for x in row] for row in D.entries],
     }
 
-    def files():
-        pi_labels = [f"pi_{j + 1}" for j in range(decomp.n)]
-        a_labels = pi_labels if decomp.qoi_dimensionless else ["w"] + pi_labels
-        w_rows = [[name, fmt_rational(x)] for name, x in zip(D.column_names, decomp.w)]
-        return {
-            "D.csv": _rational_matrix_csv(spec.system.unit_names, D.column_names, D.entries),
-            "w.csv": _csv_lines(["quantity", "exponent"], w_rows),
-            "W.csv": _rational_matrix_csv(D.column_names, pi_labels, decomp.W),
-            "A.csv": _rational_matrix_csv(D.column_names, a_labels, decomp.A),
-        }
-
-    return "pi.json", payload, files
+    pi_labels = [f"pi_{j + 1}" for j in range(decomp.n)]
+    a_labels = pi_labels if decomp.qoi_dimensionless else ["w"] + pi_labels
+    quantities = payload["quantities"]
+    return "pi.json", payload, {
+        "D.csv": _rational_matrix_csv(payload["unit_system"], quantities, payload["D"]),
+        "w.csv": _csv_lines(["quantity", "exponent"], zip(quantities, payload["w"])),
+        "W.csv": _rational_matrix_csv(quantities, pi_labels, payload["W"]),
+        "A.csv": _rational_matrix_csv(quantities, a_labels, payload["A"]),
+    }
 
 
 def _cmd_active(args):
@@ -163,15 +156,12 @@ def _cmd_active(args):
         "clamped": est.clamped,
     }
 
-    def files():
-        m = est.eigenvectors.shape[0]
-        rows = [[str(i + 1)] + [fmt_float(x) for x in est.eigenvectors[i]] for i in range(m)]
-        return {
-            "eigenvalues.csv": _eigenvalues_csv(est.eigenvalues),
-            "eigenvectors.csv": _csv_lines(["component"] + [f"u_{j + 1}" for j in range(m)], rows),
-        }
-
-    return "active.json", payload, files
+    m = est.eigenvectors.shape[0]
+    rows = [[str(i + 1)] + [fmt_float(x) for x in est.eigenvectors[i]] for i in range(m)]
+    return "active.json", payload, {
+        "eigenvalues.csv": _eigenvalues_csv(payload["eigenvalues"]),
+        "eigenvectors.csv": _csv_lines(["component"] + [f"u_{j + 1}" for j in range(m)], rows),
+    }
 
 
 def _load_matrix_csv(path: str):
@@ -206,16 +196,17 @@ def _cmd_inclusion(args):
         "candidate_condition": fmt_float(report.candidate_condition),
         "enclosing_condition": fmt_float(report.enclosing_condition),
     }
-    return "inclusion.json", payload, lambda: {}
+    return "inclusion.json", payload, {}
 
 
-def _sweep_csv(entries) -> str:
+def _sweep_csv(entries, rendered) -> str:
+    """Each row's h and r2 as rendered in the payload, then the slope fitted to the (h, r2) floats so far."""
     from .subspace import fit_loglog_slope
 
     rows = []
-    for i, (h, r2) in enumerate(entries):
+    for i, (h, r2) in enumerate(rendered):
         slope = fit_loglog_slope(entries[: i + 1]) if i >= 1 else None
-        rows.append([fmt_float(h), fmt_float(r2), "" if slope is None else fmt_float(slope)])
+        rows.append([h, r2, "" if slope is None else fmt_float(slope)])
     return _csv_lines(["h", "r2", "slope_so_far"], rows)
 
 
@@ -250,7 +241,7 @@ def _cmd_sweep(args):
         "entries": [[fmt_float(h), fmt_float(r2)] for h, r2 in result.entries],
         "slope": None if result.slope is None else fmt_float(result.slope),
     }
-    return "sweep.json", payload, lambda: {"sweep.csv": _sweep_csv(result.entries)}
+    return "sweep.json", payload, {"sweep.csv": _sweep_csv(result.entries, payload["entries"])}
 
 
 def _cmd_eval(args):
@@ -277,7 +268,7 @@ def _cmd_eval(args):
         raise NumericalError(f"pipe state is outside the double range: {', '.join(bad)} not finite")
     payload = {name: fmt_float(x) for name, x in numbers.items()}
     payload["regime"] = regime
-    return None, payload, None
+    return None, payload, {}
 
 
 def _cmd_reproduce(args):
@@ -296,9 +287,9 @@ def _cmd_reproduce(args):
         "sweep": [[fmt_float(h), fmt_float(r2)] for h, r2 in sweep.entries],
         "slope": None if sweep.slope is None else fmt_float(sweep.slope),
     }
-    return "reproduce.json", payload, lambda: {
-        "eigenvalues.csv": _eigenvalues_csv(est.eigenvalues),
-        "sweep.csv": _sweep_csv(sweep.entries),
+    return "reproduce.json", payload, {
+        "eigenvalues.csv": _eigenvalues_csv(payload["eigenvalues"]),
+        "sweep.csv": _sweep_csv(sweep.entries, payload["sweep"]),
     }
 
 
@@ -389,11 +380,11 @@ def run_command(argv: Sequence[str]) -> int:
         args = build_parser().parse_args(list(argv))
         name, payload, files = args.func(args)
         text = _json_text(payload)
-        print(text, end="")
         out = getattr(args, "out", None)  # pipeflow eval has no --out
         if out is not None:
-            for filename, content in [(name, text), *files().items(), ("run.json", _run_json(args))]:
+            for filename, content in [(name, text), *files.items(), ("run.json", _run_json(args))]:
                 _write_text(Path(out), filename, content)
+        print(text, end="")  # after the artifacts: an unusable --out prints nothing to stdout
         return 0
     except SystemExit as exc:  # --help and --version print and exit 0
         return int(exc.code or 0)

@@ -130,14 +130,22 @@ def convergence_sweep(
     extra = [] if fd_step is None else [fd_step]
     estimates = estimate_subspaces(model.f, grid, steps + extra)
     entries: List[Tuple[float, float]] = []
+    k = model.active_dim
     for h, est in zip(steps, estimates):
-        basis = active_subspace(est, model.active_dim)
+        try:
+            basis = active_subspace(est, k)
+        except NumericalError:
+            lam = est.eigenvalues
+            raise NumericalError(
+                f"no spectral gap at step h = {h:g} between eigenvalues {k} and {k + 1} "
+                f"({lam[k - 1]:.6e} vs {lam[k]:.6e}); k = {k} is the model's active dimension"
+            ) from None
         report = inclusion_residual(basis, enclosing)
         entries.append((h, report.total))
     return SweepResult(
         model=model.name,
         quad_order=quad_order,
-        subspace_dim=model.active_dim,
+        subspace_dim=k,
         entries=tuple(entries),
         slope=fit_loglog_slope(entries),
         estimate=estimates[-1] if fd_step is not None else None,

@@ -133,6 +133,45 @@ class TestEstimateC:
         C = estimate_C(lambda x: np.sin(x[..., 0] * x[..., 1]) + x[..., 2], grid, H)
         assert np.array_equal(C, C.T)
 
+    @pytest.mark.parametrize(
+        "estimate, distinct_steps",
+        [
+            (lambda f, grid: estimate_C(f, grid, H), 1),
+            (lambda f, grid: estimate_subspaces(f, grid, [1e-2, 1e-3, 1e-2]), 2),
+        ],
+    )
+    def test_symmetrized_once_per_step_however_many_blocks(self, estimate, distinct_steps, monkeypatch):
+        grid = tensor_grid(4, [(-1.0, 1.0)] * 3)  # 64 points: 64 blocks of 1, or one block
+        f = lambda x: np.sin(x[..., 0] * x[..., 1]) + x[..., 2]
+        calls = []
+        original = np.tril
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(np, "tril", counting)
+        counts = []
+        for chunk_size in (1, 4096):
+            monkeypatch.setattr(activesubspace, "DEFAULT_CHUNK", chunk_size)
+            calls.clear()
+            estimate(f, grid)
+            counts.append(len(calls))
+        # one mirror of the summed lower triangle per step: two np.tril calls
+        assert counts == [2 * distinct_steps] * 2
+
+    def test_equals_the_sum_of_blockwise_symmetrized_outer_products(self, monkeypatch):
+        # mirroring the summed lower triangle once gives the same bits as mirroring every block
+        f = lambda x: np.exp(0.3 * x[..., 0]) * np.cos(x[..., 1]) + x[..., 2] ** 3
+        monkeypatch.setattr(activesubspace, "DEFAULT_CHUNK", 4)
+        grid = tensor_grid(5, [(-1.0, 1.0)] * 3)  # 125 points: 32 blocks
+        expected = 0.0
+        for X, w in grid.chunks(4):
+            G = next(activesubspace._fd_gradients(f, X, [H]))
+            M = (G * w[:, None]).T @ G
+            expected += np.tril(M) + np.tril(M, -1).T
+        assert np.array_equal(estimate_C(f, grid, H), expected)
+
 
 class TestMultiStepPass:
     STEPS = (1e-2, 1e-3, 1e-2, 1e-5)  # 1e-2 repeats

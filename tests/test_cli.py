@@ -3,6 +3,7 @@
 import argparse
 import json
 import os
+import shlex
 import subprocess
 import sys
 import time
@@ -379,6 +380,23 @@ class TestSweepCommand:
         assert capsys.readouterr() == by_id
 
 
+@pytest.mark.parametrize(
+    "argv, h",
+    [
+        (["sweep", "--model", "pipeflow_turbulent", "--quad-order", "1", "--steps", "2,1e-3,1e-5"], "2"),
+        (["pipeflow", "reproduce", "--regime", "turbulent", "--quad-order", "1"], "0.01"),
+    ],
+)
+def test_no_spectral_gap_names_the_step_and_the_models_active_dimension(capsys, argv, h):
+    # a one-point grid gives C rank one: no gap at the turbulent model's k = 3, which no option sets
+    assert run_command(argv) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert captured.err.startswith(f"numerical failure: no spectral gap at step h = {h} between eigenvalues 3 and 4 (")
+    assert captured.err.endswith("); k = 3 is the model's active dimension\n")
+
+
 class TestPipeflowCommand:
     def test_eval_emits_state_summary(self, capsys):
         code = run_command(
@@ -495,6 +513,74 @@ def test_out_writes_stdout_and_every_option_but_out(tmp_path, capsys, command):
     sub = dict(_leaf_commands(build_parser()))[command]
     dests = {a.dest for a in sub._actions} - {"help", "out"}
     assert set(run_doc["config"]) == dests | ({"chunk_size"} if command in ESTIMATING else set())
+
+
+def _mirrored_cells(command, doc):
+    """{CSV file: its rows, cut to the cells that repeat a payload string} for one subcommand's payload."""
+    if command == "pi":
+        names = doc["quantities"]
+        pi_labels = [f"pi_{j + 1}" for j in range(doc["n_pi_groups"])]
+        a_labels = pi_labels if doc["qoi_dimensionless"] else ["w"] + pi_labels
+        return {
+            "D.csv": [[""] + names] + [[unit] + row for unit, row in zip(doc["unit_system"], doc["D"])],
+            "w.csv": [["quantity", "exponent"]] + [[name, x] for name, x in zip(names, doc["w"])],
+            "W.csv": [[""] + pi_labels] + [[name] + row for name, row in zip(names, doc["W"])],
+            "A.csv": [[""] + a_labels] + [[name] + row for name, row in zip(names, doc["A"])],
+        }
+    cells = {}
+    if "eigenvalues" in doc:
+        cells["eigenvalues.csv"] = [["index", "eigenvalue"]] + [[str(i + 1), v] for i, v in enumerate(doc["eigenvalues"])]
+    entries = doc.get("entries", doc.get("sweep"))
+    if entries is not None:
+        # h and r2, and the last running slope, which is the payload's slope
+        rows = [["h", "r2"]] + [list(e) for e in entries]
+        cells["sweep.csv"] = rows + [["" if doc["slope"] is None else doc["slope"]]]
+    return cells
+
+
+@pytest.mark.parametrize("command", sorted(ARTIFACT_RUNS))
+def test_every_csv_cell_that_repeats_a_payload_value_is_the_same_string(tmp_path, capsys, command):
+    argv, json_name = ARTIFACT_RUNS[command]
+    np.savetxt(tmp_path / "c.csv", np.eye(3)[:, :1], delimiter=",")
+    np.savetxt(tmp_path / "e.csv", np.eye(3)[:, :2], delimiter=",")
+    out = tmp_path / "out"
+    assert run_command([a.format(tmp=tmp_path) for a in argv] + ["--out", str(out)]) == 0
+    capsys.readouterr()
+    expected = _mirrored_cells(command, json.loads((out / json_name).read_text()))
+    unmirrored = {"eigenvectors.csv"} if command == "active" else set()  # the payload holds no eigenvectors
+    assert {p.name for p in out.glob("*.csv")} == set(expected) | unmirrored
+    for name, rows in expected.items():
+        cells = [line.split(",") for line in (out / name).read_text().splitlines()]
+        if name == "sweep.csv":
+            cells = [row[:2] for row in cells] + [[cells[-1][2]]]
+        assert cells == rows, name
+
+
+def test_pi_renders_each_rational_once(tmp_path, capsys, monkeypatch):
+    import ridgelaw.cli
+
+    calls = []
+    original = ridgelaw.cli.fmt_rational
+
+    def counting(x):
+        calls.append(x)
+        return original(x)
+
+    monkeypatch.setattr(ridgelaw.cli, "fmt_rational", counting)
+    assert run_command(["pi", "pipeflow_laminar", "--out", str(tmp_path)]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    cells = len(doc["w"]) + sum(len(row) for key in ("D", "W", "A") for row in doc[key])
+    assert len(calls) == cells == 45  # D 3x5, w 5, W 5x2, A 5x3: the CSVs format none again
+
+
+def test_readme_command_line_examples_parse():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = [line.split("#", 1)[0] for line in block.splitlines() if line.startswith("ridgelaw ")]
+    assert len(lines) == len(block.splitlines()) >= 8
+    for line in lines:
+        words = shlex.split(line)[1:]
+        assert build_parser().parse_args(words).func is not None, line
 
 
 def test_active_exits_3_on_a_pipe_law_term_of_the_wrong_dimension(capsys, monkeypatch):
@@ -637,8 +723,10 @@ class TestUsageErrors:
         (tmp_path / "file").write_text("")
         out = tmp_path / "file" / "out"
         assert run_command(argv + ["--out", str(out)]) == 2
-        err = capsys.readouterr().err
-        assert "usage error" in err and str(out) in err
+        captured = capsys.readouterr()
+        assert captured.out == ""  # the payload is printed only once its artifacts are written
+        assert len(captured.err.splitlines()) == 1
+        assert captured.err.startswith("usage error: ") and str(out) in captured.err
 
     EVAL = ["pipeflow", "eval", "--rho", "0.12", "--mu", "5e-6", "--diam", "0.5", "--eps", "0.01", "--dpdl", "1.0"]
     REPRODUCE = ["pipeflow", "reproduce", "--regime", "laminar", "--quad-order", "2", "--steps", "1e-3,1e-4"]
