@@ -114,9 +114,11 @@ def _gradient_outer_sums(
 ) -> List[np.ndarray]:
     """Weighted sums of FD-gradient outer products over (points, weights) blocks, one matrix per step."""
     sums = [0.0] * len(steps)
-    for Y, w in blocks:
-        for k, G in enumerate(_fd_gradients(f, Y, steps)):
-            sums[k] += (G * w[:, None]).T @ G
+    # C and every value are checked for finiteness; a with in the generator would leak its state
+    with np.errstate(all="ignore"):
+        for Y, w in blocks:
+            for k, G in enumerate(_fd_gradients(f, Y, steps)):
+                sums[k] += (G * w[:, None]).T @ G
     # symmetrize once per step: mirror the lower triangle, summed block by block, onto the upper
     return [np.tril(S) + np.tril(S, -1).T for S in sums]
 

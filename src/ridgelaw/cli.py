@@ -144,7 +144,8 @@ def _cmd_active(args):
     from . import pipeflow
     from .activesubspace import estimate_subspace
 
-    model = pipeflow.bind_builtin(load_model(pipeflow.shipped_id(args.model)))
+    # cli's own load_model, not builtin_model: the benchmark tracer wraps ridgelaw.cli.load_model
+    model = pipeflow.bind_builtin(load_model(args.model))
     grid = model.grid(args.quad_order)
     est = estimate_subspace(model.f, grid, args.fd_step)
     payload = {
@@ -221,6 +222,14 @@ def _finite_float(raw: str) -> float:
     raise argparse.ArgumentTypeError(f"expected a finite number, got {raw!r}")
 
 
+def _positive_float(raw: str) -> float:
+    """argparse type of --re-crit: a finite number above zero."""
+    value = _finite_float(raw)
+    if value > 0.0:
+        return value
+    raise argparse.ArgumentTypeError(f"expected a positive number, got {raw!r}")
+
+
 def _parse_steps(raw: str) -> List[float]:
     """argparse type of --steps: comma-separated finite numbers, at least one."""
     steps = [_finite_float(s) for s in raw.split(",") if s.strip()]
@@ -252,20 +261,16 @@ def _cmd_eval(args):
     state = pipeflow.PipeState(
         rho=args.rho, mu=args.mu, diam=args.diam, eps=args.eps, dpdl=args.dpdl
     )
-    try:
-        with np.errstate(all="ignore"):
-            velocity = pipeflow.bulk_velocity(state, re_critical=args.re_crit)
-            numbers = {
-                "V": velocity,
-                "Re": pipeflow.reynolds(state, velocity),
-                "f": pipeflow.friction_factor(state, velocity),
-            }
-            regime = pipeflow.flow_regime(state, re_critical=args.re_crit)
-    except (ZeroDivisionError, OverflowError) as exc:  # raised by Python float arithmetic
-        raise NumericalError(f"pipe state is outside the double range: {exc}") from None
-    bad = [name for name, x in numbers.items() if not math.isfinite(x)]
-    if bad:
-        raise NumericalError(f"pipe state is outside the double range: {', '.join(bad)} not finite")
+    with np.errstate(all="ignore"):
+        # numpy doubles: a value past the double range is 0 or inf, and nothing raises
+        velocity = np.float64(pipeflow.bulk_velocity(state, re_critical=args.re_crit))
+        numbers = {"V": velocity}
+        if 0.0 < velocity < np.inf:  # f needs a positive V; without Re and f the check fails
+            numbers.update(Re=pipeflow.reynolds(state, velocity), f=pipeflow.friction_factor(state, velocity))
+        regime = pipeflow.flow_regime(state, re_critical=args.re_crit)
+    if len(numbers) < 3 or not np.isfinite(list(numbers.values())).all():
+        shown = ", ".join(f"{name} = {fmt_float(x)}" for name, x in numbers.items())
+        raise NumericalError(f"pipe state is outside the double range: {shown}")
     payload = {name: fmt_float(x) for name, x in numbers.items()}
     payload["regime"] = regime
     return None, payload, {}
@@ -352,7 +357,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--diam", type=_finite_float, required=True)
     p_eval.add_argument("--eps", type=_finite_float, required=True)
     p_eval.add_argument("--dpdl", type=_finite_float, required=True)
-    p_eval.add_argument("--re-crit", type=_finite_float, default=RE_CRITICAL)
+    p_eval.add_argument("--re-crit", type=_positive_float, default=RE_CRITICAL)
     p_eval.set_defaults(func=_cmd_eval)
 
     p_repro = pipe_sub.add_parser(
@@ -367,7 +372,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=",".join(fmt_float(h) for h in DEFAULT_SWEEP_STEPS),
         help="comma-separated descending step sizes for the sweep",
     )
-    p_repro.add_argument("--re-crit", type=_finite_float, default=RE_CRITICAL)
+    p_repro.add_argument("--re-crit", type=_positive_float, default=RE_CRITICAL)
     p_repro.add_argument("--out", help="directory for CSV/JSON artifacts")
     p_repro.set_defaults(func=_cmd_reproduce, chunk_size=DEFAULT_CHUNK)
 

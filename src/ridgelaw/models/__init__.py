@@ -1,10 +1,10 @@
 """Model files (JSON): the schema, its loader, and the shipped models.
 
-A shipped model is resolved by id through importlib.resources. It is also
-the signature of the built-in function of the same id: a file that declares
-``"builtin": X`` must declare the quantities of the shipped file ``X.json``
-(names and dimensions, in order) and its QoI dimension; only the ranges
-may differ.
+A shipped model is resolved by id or short form ('laminar'), before any file
+of that name, through importlib.resources. It is also the signature of the
+built-in function of the same id: a file that declares ``"builtin": X`` (a
+full id) must declare the quantities of the shipped file ``X.json`` (names
+and dimensions, in order) and its QoI dimension; only the ranges may differ.
 """
 
 from __future__ import annotations
@@ -177,14 +177,15 @@ def _load_shipped(model_id: str) -> ModelSpec:
 
 
 def load_model(path_or_id: str) -> ModelSpec:
-    """Load and validate a model file; shipped model ids resolve to packaged files."""
-    if path_or_id in SHIPPED_MODELS:
-        return _load_shipped(path_or_id)
+    """Load and validate a model file: a shipped id, its short form or a path."""
+    model_id = path_or_id if path_or_id in SHIPPED_MODELS else f"pipeflow_{path_or_id}"
+    if model_id in SHIPPED_MODELS:
+        return _load_shipped(model_id)
     path = Path(path_or_id)
     if not path.exists():
         raise ModelError(
-            f"model {path_or_id!r} is neither a file nor one of the shipped "
-            f"models {list(SHIPPED_MODELS)}"
+            f"model {path_or_id!r} is neither a file nor one of the shipped models {list(SHIPPED_MODELS)} "
+            f"or their short forms {[m.removeprefix('pipeflow_') for m in SHIPPED_MODELS]}"
         )
     try:
         text = path.read_text()

@@ -31,8 +31,7 @@ from .models import ModelSpec, load_model
 from .pigroups import PiDecomposition
 from .quadrature import TensorGrid, tensor_grid
 
-# expected active-subspace dimension of each built-in model (a shipped model
-# file); 'laminar' and 'turbulent' are short ids for them
+# expected active-subspace dimension of each built-in model (a shipped model file)
 _ACTIVE_DIM = {"pipeflow_laminar": 1, "pipeflow_turbulent": 3}
 
 
@@ -202,12 +201,6 @@ class BuiltinModel:
         return tensor_grid(quad_order, self.spec.log_bounds())
 
 
-def shipped_id(model_id: str) -> str:
-    """'pipeflow_laminar' for the short id 'laminar', likewise 'turbulent'; others unchanged."""
-    long_id = f"pipeflow_{model_id}"
-    return long_id if long_id in _ACTIVE_DIM else model_id
-
-
 def bind_builtin(spec: ModelSpec, re_critical: float = RE_CRITICAL) -> BuiltinModel:
     """Bind a loaded model file to the built-in function its 'builtin' field names."""
     if spec.builtin is None:
@@ -224,5 +217,5 @@ def bind_builtin(spec: ModelSpec, re_critical: float = RE_CRITICAL) -> BuiltinMo
 
 
 def builtin_model(model: str, re_critical: float = RE_CRITICAL) -> BuiltinModel:
-    """'laminar', 'turbulent', a shipped id or a model file naming a builtin, bound to its function."""
-    return bind_builtin(load_model(shipped_id(model)), re_critical)
+    """A shipped model name or a model file naming a builtin, bound to its function."""
+    return bind_builtin(load_model(model), re_critical)

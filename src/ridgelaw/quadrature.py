@@ -104,12 +104,11 @@ class TensorGrid:
 
     def chunk(self, start: int, stop: int) -> Tuple[np.ndarray, np.ndarray]:
         """Points and weights for lexicographic indices [start, stop)."""
-        idx = np.arange(start, stop)
-        m = self.ndim
-        points = np.empty((len(idx), m), dtype=float)
-        weights = np.ones(len(idx), dtype=float)
-        for d in range(m):
-            digits = (idx // self.order ** (m - 1 - d)) % self.order
+        # C order is the dimension-0-slowest order
+        digits_by_dim = np.unravel_index(np.arange(start, stop), (self.order,) * self.ndim)
+        points = np.empty((stop - start, self.ndim), dtype=float)
+        weights = np.ones(stop - start, dtype=float)
+        for d, digits in enumerate(digits_by_dim):
             points[:, d] = self.mapped_nodes[d, digits]
             weights *= self.unit_weights[digits]
         return points, weights

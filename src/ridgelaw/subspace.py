@@ -121,10 +121,8 @@ def convergence_sweep(
     pass also yields the full estimate at fd_step, returned as ``estimate``.
     """
     steps = [float(h) for h in steps]
-    if not steps:
-        raise ModelError("sweep needs at least one step size")
-    if any(a <= b for a, b in zip(steps, steps[1:])):
-        raise ModelError("step sizes must be strictly descending")
+    if not steps or any(a <= b for a, b in zip(steps, steps[1:])):
+        raise ValueError(f"sweep needs strictly descending step sizes, got {steps}")
     grid = model.grid(quad_order)
     enclosing = _orthonormalize(model.decomposition.A_float(), "dimensional-analysis")
     extra = [] if fd_step is None else [fd_step]

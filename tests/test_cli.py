@@ -94,6 +94,20 @@ class TestLoadModel:
         with pytest.raises(ModelError, match="shipped"):
             load_model("no_such_model.json")
 
+    def test_short_ids_name_the_shipped_models_over_a_file_of_that_name(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "laminar").write_text("not a model file")
+        for short in ("laminar", "turbulent"):
+            assert load_model(short) is load_model(f"pipeflow_{short}")
+            assert run_command(["pi", short]) == 0
+            by_short = capsys.readouterr()
+            assert run_command(["pi", f"pipeflow_{short}"]) == 0
+            assert capsys.readouterr() == by_short
+        assert run_command(["active", "--model", "laminar", "--quad-order", "2"]) == 0
+        assert capsys.readouterr().err == ""
+        with pytest.raises(ModelError, match=r"or their short forms \['laminar', 'turbulent'\]$"):
+            load_model("plasma")
+
     def test_integer_past_the_digit_limit_is_invalid_json(self, tmp_path):
         path = tmp_path / "big.json"
         path.write_text(json.dumps(BASE_DOC).replace('"kg": 1', '"kg": ' + "9" * 5000, 1))
@@ -367,9 +381,11 @@ class TestSweepCommand:
         assert first[2] == ""  # no slope from a single point
         assert float(lines[2].split(",")[2]) > 0.0
 
-    def test_ascending_steps_exit_3(self, capsys):
-        assert run_command(["sweep", "--model", "pipeflow_laminar", "--steps", "1e-5,1e-3", "--quad-order", "3"]) == 3
-        capsys.readouterr()
+    def test_ascending_steps_exit_2(self, capsys):
+        assert run_command(["sweep", "--model", "pipeflow_laminar", "--steps", "1e-5,1e-3", "--quad-order", "3"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "usage error: sweep needs strictly descending step sizes, got [1e-05, 0.001]\n"
 
     def test_model_file_prints_the_same_bytes_as_its_builtin_id(self, tmp_path, capsys):
         path = write_model(tmp_path, _shipped_laminar_doc(), name="copy.json")
@@ -821,6 +837,33 @@ class TestEntryPoint:
         assert json.loads(proc.stdout)["n_pi_groups"] == 2
         assert stderr == ""
 
+    @pytest.mark.parametrize(
+        "argv, code, start",
+        [
+            (["active", "--model", "pipeflow_turbulent", "--quad-order", "2", "--fd-step", "1e300"], 4,
+             "numerical failure: model returned non-finite value inf"),
+            (["active", "--model", "HUGE", "--quad-order", "2"], 4, "numerical failure: model returned non-finite"),
+            (["pipeflow", "eval", "--rho", "1", "--mu", "1", "--diam", "1e-200", "--eps", "1e-201", "--dpdl", "1e-300"],
+             4, "numerical failure: pipe state is outside the double range: V = 0"),
+            (["pipeflow", "eval", "--rho", "1e-300", "--mu", "1e-300", "--diam", "1e300", "--eps", "1e299",
+              "--dpdl", "1e300"], 4, "numerical failure: pipe state is outside the double range: V = inf"),
+            (["pipeflow", "eval", "--rho", "1", "--mu", "10", "--diam", "0.5", "--eps", "0.01", "--dpdl", "1",
+              "--re-crit=-1e9"], 2, "usage error: argument --re-crit: expected a positive number, got '-1e9'"),
+            (["pipeflow", "reproduce", "--regime", "laminar", "--quad-order", "2", "--re-crit", "0"], 2,
+             "usage error: argument --re-crit: expected a positive number, got '0'"),
+        ],
+    )
+    def test_failures_print_one_stderr_line(self, tmp_path, argv, code, start):
+        # a subprocess, so that numpy's floating-point warnings would reach stderr, not raise
+        doc = _shipped_laminar_doc()
+        for q in doc["quantities"]:
+            q["range"] = [1e305, 1e306]
+        huge = write_model(tmp_path, doc, name="huge.json")
+        proc, stderr, _ = self._run(*[huge if word == "HUGE" else word for word in argv])
+        assert proc.returncode == code, stderr
+        assert proc.stdout == ""
+        assert len(stderr.splitlines()) == 1 and stderr.startswith(start), stderr
+
     def test_nonpositive_step_exits_2_with_one_line(self):
         proc, stderr, _ = self._run("sweep", "--model", "laminar", "--quad-order", "2", "--steps", "1e-3,0")
         assert proc.returncode == 2
@@ -835,6 +878,7 @@ class TestEntryPoint:
             (("-m", "ridgelaw", "--version"), 0),
             (("-m", "ridgelaw", "--help"), 0),
             (("-m", "ridgelaw", "sweep", "--model", "laminar", "--steps", "1e-3,nan"), 2),
+            (("-m", "ridgelaw", "pi", "laminar"), 0),
         ],
     )
     def test_exact_path_never_imports_numpy(self, args, code):

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from ridgelaw.cli import run_command
 
@@ -162,22 +162,30 @@ def _mostly(good, bad):
     return st.integers(0, 3).flatmap(lambda i: st.sampled_from(bad if i == 0 else good))
 
 
-FLOAT_TEXT = _mostly(["1e-3", "1e-5", "2"], ["0", "-1e-5", "nan", "-inf", "1e999", "abc", ""])
-STEPS_TEXT = st.lists(FLOAT_TEXT, min_size=1, max_size=3).map(",".join)
-MODEL_TEXT = _mostly(["laminar", "pipeflow_turbulent", "turbulent"], ["plasma", ""])
+FLOAT_TEXT = _mostly(["1e-3", "1e-5", "2"], ["0", "-1e-5", "1e-300", "1e300", "nan", "-inf", "1e999", "abc", ""])
+FD_STEP_TEXT = _mostly(["1e-3", "1e-5"], ["0", "-1e-5", "1e300", "nan"])
+RE_CRIT_TEXT = _mostly(["3000", "2e3"], ["0", "-1", "-1e9", "inf"])
+STEPS_TEXT = st.one_of(
+    st.lists(FLOAT_TEXT, min_size=1, max_size=3).map(",".join),
+    st.sampled_from(["1e-5,1e-3", "1e-3,1e-3", "1e-4,1e-2,1e-3"]),  # not strictly descending
+)
+MODEL_TEXT = _mostly(["laminar", "pipeflow_turbulent", "turbulent", "pipeflow_laminar"], ["plasma", ""])
 QUAD_ORDER_TEXT = _mostly(["1", "2", "3"], ["0", "-1", "x"])
-EVAL_TEXT = {option: st.one_of(st.just(value), FLOAT_TEXT) for option, value in EVAL_STATE.items()}
+EVAL_TEXT = {
+    **{option: st.one_of(st.just(value), FLOAT_TEXT) for option, value in EVAL_STATE.items()},
+    "--re-crit": RE_CRIT_TEXT,
+}
 GRAMMAR = {
-    ("pi",): {"": st.sampled_from(["pipeflow_laminar", "pipeflow_turbulent", "plasma"])},
-    ("active",): {"--model": MODEL_TEXT, "--fd-step": FLOAT_TEXT},
+    ("pi",): {"": MODEL_TEXT},
+    ("active",): {"--model": MODEL_TEXT, "--fd-step": FD_STEP_TEXT},
     ("sweep",): {"--model": MODEL_TEXT, "--steps": STEPS_TEXT},
     ("inclusion",): {"--candidate": st.just(os.devnull), "--enclosing": st.just("missing.csv")},
     ("pipeflow", "eval"): EVAL_TEXT,
     ("pipeflow", "reproduce"): {
         "--regime": st.sampled_from(["laminar", "turbulent", "plasma"]),
-        "--fd-step": FLOAT_TEXT,
+        "--fd-step": FD_STEP_TEXT,
         "--steps": STEPS_TEXT,
-        "--re-crit": FLOAT_TEXT,
+        "--re-crit": RE_CRIT_TEXT,
     },
     ("pipeflow",): {},
     ("frobnicate",): {},
@@ -205,8 +213,9 @@ def argv_vectors(draw):
 
 
 def _run(argv):
+    """run_command in process; a numpy floating-point warning it lets through raises under pytest."""
     out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), np.errstate(all="ignore"):
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = run_command(argv)
     return code, out.getvalue(), err.getvalue()
 
@@ -228,14 +237,25 @@ def probe(tmp_path_factory):
 
 @settings(max_examples=80, deadline=None)
 @given(st.lists(argv_vectors(), min_size=1, max_size=4))
+@example(  # one draw of each rule the grammar reaches only rarely
+    batch=[
+        ["pi", "laminar"],
+        ["active", "--quad-order", "2", "--model", "turbulent", "--fd-step", "1e300"],
+        ["sweep", "--quad-order", "2", "--model", "laminar", "--steps", "1e-5,1e-3"],
+        ["pipeflow", "eval", "--rho=1", "--mu=10", "--diam=0.5", "--eps=0.01", "--dpdl=1", "--re-crit=-1e9"],
+        ["pipeflow", "eval", "--rho=1", "--mu=1", "--diam=1e-200", "--eps=1e-201", "--dpdl=1e-300"],
+        ["pipeflow", "reproduce", "--quad-order", "2", "--regime", "laminar", "--re-crit", "0"],
+    ]
+)
 def test_back_to_back_argv_leave_no_state_in_the_parser(probe, batch):
     run_probe, expected = probe
     for argv in batch:
         code, out, err = _run(argv)
         assert code in {0, 2, 3, 4}, (argv, code, err)
-        if code == 2:
+        if code:
+            prefix = {2: "usage error: ", 3: "model error: ", 4: "numerical failure: "}[code]
             lines = err.splitlines()
-            assert len(lines) == 1 and lines[0].startswith("usage error: "), (argv, err)
+            assert len(lines) == 1 and lines[0].startswith(prefix), (argv, err)
             assert out == "", argv
         # the same fixed command after every drawn one prints and records the same bytes
         assert run_probe() == expected, argv
