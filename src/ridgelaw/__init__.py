@@ -26,7 +26,7 @@ _DEFINED = {
     "activesubspace": "SubspaceEstimate active_subspace eigendecompose estimate_C estimate_subspace "
     "estimate_subspaces fd_gradient pullback_T",
     "subspace": "InclusionReport SweepResult convergence_sweep inclusion_residual",
-    "pipeflow": "RE_CRITICAL PipeState builtin_model bulk_velocity friction_factor reynolds",
+    "pipeflow": "RE_CRITICAL builtin_model",
 }
 _EXPORTS = {name: module for module, names in _DEFINED.items() for name in names.split()}
 

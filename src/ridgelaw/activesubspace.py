@@ -84,11 +84,18 @@ def _fd_gradients(f: Callable, Y: np.ndarray, steps: Sequence[float]) -> Iterato
     The values come from the model's ``fd_values(Y, steps)`` when it has one
     (it yields what ``_shifted_values`` would, usually more cheaply), else
     from calling f on each shifted copy of Y. The yielded array is reused by
-    the next step. Every step must be positive and finite.
+    the next step. Every step must be positive and finite, and must move the
+    block's largest |x|: a step below its spacing gives x + h == x.
     """
     bad = [h for h in steps if not 0.0 < h < np.inf]
     if bad:
         raise ValueError(f"finite-difference step must be positive and finite, got {bad[0]}")
+    x_max = np.max(np.abs(Y), initial=0.0)
+    lost = [h for h in steps if x_max + h == x_max]
+    if lost:
+        raise ValueError(
+            f"finite-difference step {lost[0]} is below the spacing of the inputs: x + h == x at |x| = {x_max:.6g}"
+        )
     fd_values = getattr(f, "fd_values", None)
     values = fd_values(Y, steps) if fd_values is not None else _shifted_values(f, Y, steps)
     f0 = _checked(next(values), Y)
@@ -164,9 +171,12 @@ def eigendecompose(C: np.ndarray) -> SubspaceEstimate:
     if scale > 0.0 and asym > _SYMMETRY_TOL * scale:
         raise ValueError(f"matrix is asymmetric: max |C - C^T| = {asym:.3e}")
     try:
-        values, vectors = np.linalg.eigh((C + C.T) / 2.0)
+        # eigh reads one triangle; the symmetry check above bounds the other's difference
+        values, vectors = np.linalg.eigh(C)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"eigendecomposition failed: {exc}") from exc
+    if not np.all(np.isfinite(values)):
+        raise NumericalError(f"eigenvalues of a finite matrix are not finite: {values.tolist()}")
     order = np.argsort(-values, kind="stable")
     values = values[order]
     vectors = vectors[:, order]

@@ -57,11 +57,14 @@ def fmt_rational(x: Fraction) -> str:
 # artifact writers
 
 
-def _write_text(out_dir: Path, filename: str, text: str) -> None:
-    target = out_dir / filename
+def _write_files(out_dir: Path, files) -> None:
+    """Create out_dir once, then write each (filename, text) into it."""
+    targets = [(out_dir / filename, text) for filename, text in files]
+    target = targets[0][0]  # a directory that cannot be made is reported with the first file
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
-        target.write_text(text)
+        for target, text in targets:
+            target.write_text(text)
     except OSError as exc:
         # an unusable --out is a usage error
         raise ValueError(f"cannot write {str(target)!r}: {exc.strerror or exc}") from None
@@ -258,16 +261,7 @@ def _cmd_eval(args):
 
     from . import pipeflow
 
-    state = pipeflow.PipeState(
-        rho=args.rho, mu=args.mu, diam=args.diam, eps=args.eps, dpdl=args.dpdl
-    )
-    with np.errstate(all="ignore"):
-        # numpy doubles: a value past the double range is 0 or inf, and nothing raises
-        velocity = np.float64(pipeflow.bulk_velocity(state, re_critical=args.re_crit))
-        numbers = {"V": velocity}
-        if 0.0 < velocity < np.inf:  # f needs a positive V; without Re and f the check fails
-            numbers.update(Re=pipeflow.reynolds(state, velocity), f=pipeflow.friction_factor(state, velocity))
-        regime = pipeflow.flow_regime(state, re_critical=args.re_crit)
+    numbers, regime = pipeflow.evaluate_state(args.rho, args.mu, args.diam, args.eps, args.dpdl, args.re_crit)
     if len(numbers) < 3 or not np.isfinite(list(numbers.values())).all():
         shown = ", ".join(f"{name} = {fmt_float(x)}" for name, x in numbers.items())
         raise NumericalError(f"pipe state is outside the double range: {shown}")
@@ -387,8 +381,7 @@ def run_command(argv: Sequence[str]) -> int:
         text = _json_text(payload)
         out = getattr(args, "out", None)  # pipeflow eval has no --out
         if out is not None:
-            for filename, content in [(name, text), *files.items(), ("run.json", _run_json(args))]:
-                _write_text(Path(out), filename, content)
+            _write_files(Path(out), [(name, text), *files.items(), ("run.json", _run_json(args))])
         print(text, end="")  # after the artifacts: an unusable --out prints nothing to stdout
         return 0
     except SystemExit as exc:  # --help and --version print and exit 0

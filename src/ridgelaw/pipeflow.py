@@ -35,28 +35,6 @@ from .quadrature import TensorGrid, tensor_grid
 _ACTIVE_DIM = {"pipeflow_laminar": 1, "pipeflow_turbulent": 3}
 
 
-@dataclass(frozen=True)
-class PipeState:
-    """One pipe configuration; all fields strictly positive, eps < diam."""
-
-    rho: float   # fluid density, kg/m^3
-    mu: float    # dynamic viscosity, kg/(m s)
-    diam: float  # pipe diameter, m
-    eps: float   # wall roughness, m
-    dpdl: float  # pressure gradient, kg/(m^2 s^2)
-
-    def __post_init__(self):
-        for field_name in ("rho", "mu", "diam", "eps", "dpdl"):
-            value = float(getattr(self, field_name))
-            if not value > 0.0:
-                raise ModelError(f"pipe state field {field_name!r} must be positive, got {value}")
-            object.__setattr__(self, field_name, value)
-        if not self.eps < self.diam:
-            raise ModelError(
-                f"relative roughness must be below 1: eps = {self.eps}, diam = {self.diam}"
-            )
-
-
 # The pipe law in Pi form. Each term is a monomial in the inputs,
 # exp(log_coef + sum_i e_i log q_i) over q = (rho, mu, D, eps, dPdL); the last
 # field is the term's dimension as a power of the QoI's, which bind_builtin
@@ -124,33 +102,30 @@ def _check_law(dims: Tuple[DimensionVector, ...], qoi: DimensionVector, law) -> 
             raise ModelError(f"pipe law term {name!r} has dimension {show(got)}, expected {show(want)}")
 
 
-def reynolds(s: PipeState, velocity: float) -> float:
-    """Reynolds number rho * V * D / mu."""
-    if velocity < 0.0:
-        raise ModelError(f"Reynolds number needs a non-negative velocity, got {velocity}")
-    return s.rho * velocity * s.diam / s.mu
+def evaluate_state(rho, mu, diam, eps, dpdl, re_critical: float = RE_CRITICAL):
+    """V, Re and f of one pipe state and its regime, from one evaluation of the law.
 
-
-def friction_factor(s: PipeState, velocity: float) -> float:
-    """Darcy friction factor dPdL * D / (rho V^2 / 2)."""
-    if not velocity > 0.0:
-        raise ModelError(f"friction factor needs a positive velocity, got {velocity}")
-    # divide by V twice rather than by V^2, which overflows for V above ~1e154
-    return s.dpdl / velocity * s.diam / (0.5 * s.rho * velocity)
-
-
-def _state_law(s: PipeState, re_critical: float):
-    return combine(_terms(np.log([s.rho, s.mu, s.diam, s.eps, s.dpdl])), re_critical)
-
-
-def bulk_velocity(s: PipeState, re_critical: float = RE_CRITICAL) -> float:
-    """Regime-selected velocity: turbulent iff Re evaluated at v_tur exceeds re_critical."""
-    return float(_state_law(s, re_critical)[0])
-
-
-def flow_regime(s: PipeState, re_critical: float = RE_CRITICAL) -> str:
-    """Which branch bulk_velocity takes for this state."""
-    return "turbulent" if _state_law(s, re_critical)[1] else "laminar"
+    The state is rho (kg/m^3), mu (kg/(m s)), diam and eps (m) and dpdl
+    (kg/(m^2 s^2)), each positive and eps below diam, else ModelError.
+    Returns ({"V": V, "Re": rho V D / mu, "f": dPdL D / (rho V^2 / 2)}, regime)
+    in numpy doubles: a value past the double range is 0 or inf, and nothing
+    raises. Re and f are left out unless 0 < V < inf.
+    """
+    q = [float(x) for x in (rho, mu, diam, eps, dpdl)]
+    for name, value in zip(("rho", "mu", "diam", "eps", "dpdl"), q):
+        if not value > 0.0:
+            raise ModelError(f"pipe state field {name!r} must be positive, got {value}")
+    rho, mu, diam, eps, dpdl = q
+    if not eps < diam:
+        raise ModelError(f"relative roughness must be below 1: eps = {eps}, diam = {diam}")
+    with np.errstate(all="ignore"):
+        v, turbulent = combine(_terms(np.log(q)), re_critical)
+        v = v[()]  # the 0-d array's numpy double
+        numbers = {"V": v}
+        if 0.0 < v < np.inf:
+            # divide by V twice rather than by V^2, which overflows for V above ~1e154
+            numbers.update(Re=rho * v * diam / mu, f=dpdl / v * diam / (0.5 * rho * v))
+    return numbers, "turbulent" if turbulent else "laminar"
 
 
 @dataclass(frozen=True)

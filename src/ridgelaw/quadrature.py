@@ -10,6 +10,7 @@ ones stay cheap to iterate.
 from __future__ import annotations
 
 import functools
+import sys
 from dataclasses import dataclass
 from typing import Iterator, Sequence, Tuple
 
@@ -120,7 +121,15 @@ class TensorGrid:
 
 
 def tensor_grid(rule_order: int, bounds: Sequence[Tuple[float, float]]) -> TensorGrid:
-    """Tensor grid of a given 1-D order over per-dimension (lo, hi) intervals."""
+    """Tensor grid of a given 1-D order over per-dimension (lo, hi) intervals.
+
+    The point count order ** ndim must fit an index (sys.maxsize); a larger
+    grid is rejected before any rule is computed.
+    """
+    if rule_order ** len(bounds) > sys.maxsize:
+        raise ValueError(
+            f"a grid of quadrature order {rule_order} in {len(bounds)} dimensions has more than {sys.maxsize} points"
+        )
     rule = gauss_legendre(rule_order)
     clean = []
     for d, (lo, hi) in enumerate(bounds):

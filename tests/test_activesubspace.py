@@ -72,6 +72,34 @@ def test_step_must_be_positive_and_finite(entry, h):
     assert calls == []  # rejected before the model is called
 
 
+@pytest.mark.parametrize("h", [1e-17, 5e-324])
+@pytest.mark.parametrize("entry", ["fd_gradient", "estimate_C", "estimate_subspaces", "pullback_T"])
+def test_step_must_move_the_largest_input(entry, h):
+    # on [20, 21] a step below ~3.6e-15 gives x + h == x: a zero gradient everywhere
+    grid = tensor_grid(2, [(20.0, 21.0)] * 2)
+    calls = []
+
+    def f(x):
+        calls.append(len(x))
+        return x[..., 0]
+
+    run = {
+        "fd_gradient": lambda: fd_gradient(lambda x: f(x[None, :])[0], np.full(2, 20.5), h),
+        "estimate_C": lambda: estimate_C(f, grid, h),
+        "estimate_subspaces": lambda: estimate_subspaces(f, grid, [1e-3, h]),
+        "pullback_T": lambda: pullback_T(f, np.eye(2)[:, :1], grid, h),
+    }[entry]
+    with pytest.raises(ValueError, match=rf"^finite-difference step {h} is below the spacing of the inputs: "):
+        run()
+    assert calls == []
+
+
+def test_step_that_moves_the_largest_input_is_kept():
+    # 1e-14 is above the spacing of doubles near 20 (3.6e-15)
+    g = fd_gradient(lambda x: 3.0 * x[0] - x[1], np.array([20.5, 1.0]), 1e-14)
+    assert np.all(g != 0.0)
+
+
 class TestEstimateC:
     def test_linear_function_gives_rank_one_outer_product(self):
         a = np.array([1.0, -2.0, 0.5])
@@ -306,6 +334,17 @@ class TestEigendecompose:
         # squares of these entries overflow, which must not stop the solver
         est = eigendecompose(1e300 * np.array([[2.0, 1.0], [1.0, 2.0]]))
         assert est.eigenvalues == pytest.approx([3e300, 1e300], rel=1e-12)
+
+    def test_largest_doubles_solved_without_overflow(self):
+        # (C + C^T) / 2 would overflow to inf and give nan eigenvalues
+        est = eigendecompose(np.diag([1e308, 1e308]))
+        assert est.eigenvalues.tolist() == [1e308, 1e308]
+
+    @pytest.mark.parametrize("C", [1e308 * np.array([[1.5, 0.5], [0.5, 1.5]]), 1.7e308 * np.ones((2, 2))])
+    def test_eigenvalue_past_the_double_range_is_a_numerical_failure(self, C):
+        # the largest eigenvalue (2e308, 3.4e308) is not a double
+        with pytest.raises(NumericalError, match="eigenvalues of a finite matrix are not finite"):
+            eigendecompose(C)
 
     def test_asymmetric_input_rejected(self):
         with pytest.raises(ValueError, match="asymmetric"):

@@ -434,6 +434,17 @@ class TestPipeflowCommand:
         colebrook = -2.0 * np.log10(0.01 / (3.7 * 0.5) + 2.51 / (re_ * np.sqrt(f)))
         assert abs(1.0 / np.sqrt(f) - colebrook) <= 1e-12
 
+    def test_eval_prints_one_evaluation_of_the_law(self, capsys, monkeypatch):
+        calls = []
+        terms = pipeflow._terms
+        monkeypatch.setattr(pipeflow, "_terms", lambda x: calls.append(x) or terms(x))
+        argv = ["pipeflow", "eval", "--rho", "0.12", "--mu", "5e-6", "--diam", "0.5", "--eps", "0.01", "--dpdl", "1.0"]
+        assert run_command(argv) == 0
+        assert len(calls) == 1
+        numbers, regime = pipeflow.evaluate_state(0.12, 5e-6, 0.5, 0.01, 1.0)
+        printed = {name: fmt_float(x) for name, x in numbers.items()}
+        assert json.loads(capsys.readouterr().out) == {**printed, "regime": regime}
+
     def test_eval_invalid_state_exits_3(self, capsys):
         code = run_command(
             ["pipeflow", "eval", "--rho", "0.12", "--mu", "5e-6", "--diam", "0.5", "--eps", "0.6", "--dpdl", "1.0"]
@@ -744,6 +755,16 @@ class TestUsageErrors:
         assert len(captured.err.splitlines()) == 1
         assert captured.err.startswith("usage error: ") and str(out) in captured.err
 
+    def test_out_directory_is_made_once_per_run(self, tmp_path, capsys, monkeypatch):
+        made = []
+        mkdir = Path.mkdir
+        monkeypatch.setattr(Path, "mkdir", lambda path, *args, **kw: made.append(path) or mkdir(path, *args, **kw))
+        out = tmp_path / "out"
+        assert run_command(["pi", "pipeflow_laminar", "--out", str(out)]) == 0
+        assert made == [out]
+        assert len(list(out.iterdir())) == 6  # pi.json, four CSVs and run.json
+        capsys.readouterr()
+
     EVAL = ["pipeflow", "eval", "--rho", "0.12", "--mu", "5e-6", "--diam", "0.5", "--eps", "0.01", "--dpdl", "1.0"]
     REPRODUCE = ["pipeflow", "reproduce", "--regime", "laminar", "--quad-order", "2", "--steps", "1e-3,1e-4"]
 
@@ -789,6 +810,39 @@ class TestUsageErrors:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"usage error: finite-difference step must be positive and finite, got {bad}\n"
+
+    @pytest.mark.parametrize("h", ["1e-17", "5e-324"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["active", "--model", "laminar", "--quad-order", "3", "--fd-step", "{h}"],
+            ["pipeflow", "reproduce", "--regime", "laminar", "--quad-order", "3", "--fd-step", "{h}"],
+            ["sweep", "--model", "turbulent", "--quad-order", "3", "--steps", "1e-3,{h}"],
+        ],
+    )
+    def test_step_below_the_spacing_of_the_inputs_exits_2(self, capsys, argv, h):
+        # x + h == x at the largest |log input|: every gradient would be zero
+        assert run_command([word.format(h=h) for word in argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        assert captured.err.startswith(f"usage error: finite-difference step {h} is below the spacing of the inputs: ")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["active", "--model", "laminar"],
+            ["sweep", "--model", "turbulent", "--steps", "1e-3"],
+            ["pipeflow", "reproduce", "--regime", "laminar"],
+        ],
+    )
+    def test_grid_too_large_to_index_exits_2(self, capsys, argv):
+        assert run_command(argv + ["--quad-order", "6209"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"usage error: a grid of quadrature order 6209 in 5 dimensions has more than {sys.maxsize} points\n"
+        )
 
     @pytest.mark.parametrize("steps", [",", " , "])
     @pytest.mark.parametrize(
@@ -851,6 +905,10 @@ class TestEntryPoint:
               "--re-crit=-1e9"], 2, "usage error: argument --re-crit: expected a positive number, got '-1e9'"),
             (["pipeflow", "reproduce", "--regime", "laminar", "--quad-order", "2", "--re-crit", "0"], 2,
              "usage error: argument --re-crit: expected a positive number, got '0'"),
+            (["active", "--model", "laminar", "--quad-order", "6209"], 2,
+             "usage error: a grid of quadrature order 6209 in 5 dimensions has more than"),
+            (["active", "--model", "laminar", "--quad-order", "3", "--fd-step", "1e-17"], 2,
+             "usage error: finite-difference step 1e-17 is below the spacing of the inputs"),
         ],
     )
     def test_failures_print_one_stderr_line(self, tmp_path, argv, code, start):

@@ -163,14 +163,15 @@ def _mostly(good, bad):
 
 
 FLOAT_TEXT = _mostly(["1e-3", "1e-5", "2"], ["0", "-1e-5", "1e-300", "1e300", "nan", "-inf", "1e999", "abc", ""])
-FD_STEP_TEXT = _mostly(["1e-3", "1e-5"], ["0", "-1e-5", "1e300", "nan"])
+FD_STEP_TEXT = _mostly(["1e-3", "1e-5"], ["0", "-1e-5", "1e300", "nan", "1e-17", "5e-324"])
 RE_CRIT_TEXT = _mostly(["3000", "2e3"], ["0", "-1", "-1e9", "inf"])
 STEPS_TEXT = st.one_of(
     st.lists(FLOAT_TEXT, min_size=1, max_size=3).map(",".join),
     st.sampled_from(["1e-5,1e-3", "1e-3,1e-3", "1e-4,1e-2,1e-3"]),  # not strictly descending
 )
 MODEL_TEXT = _mostly(["laminar", "pipeflow_turbulent", "turbulent", "pipeflow_laminar"], ["plasma", ""])
-QUAD_ORDER_TEXT = _mostly(["1", "2", "3"], ["0", "-1", "x"])
+# 6209 ** 5 points overflow an index; no large order that still fits one is drawn, as its grid takes hours
+QUAD_ORDER_TEXT = _mostly(["1", "2", "3"], ["0", "-1", "x", "6209"])
 EVAL_TEXT = {
     **{option: st.one_of(st.just(value), FLOAT_TEXT) for option, value in EVAL_STATE.items()},
     "--re-crit": RE_CRIT_TEXT,
@@ -241,6 +242,8 @@ def probe(tmp_path_factory):
     batch=[
         ["pi", "laminar"],
         ["active", "--quad-order", "2", "--model", "turbulent", "--fd-step", "1e300"],
+        ["active", "--quad-order", "3", "--model", "laminar", "--fd-step", "1e-17"],
+        ["active", "--quad-order", "6209", "--model", "laminar"],
         ["sweep", "--quad-order", "2", "--model", "laminar", "--steps", "1e-5,1e-3"],
         ["pipeflow", "eval", "--rho=1", "--mu=10", "--diam=0.5", "--eps=0.01", "--dpdl=1", "--re-crit=-1e9"],
         ["pipeflow", "eval", "--rho=1", "--mu=1", "--diam=1e-200", "--eps=1e-201", "--dpdl=1e-300"],

@@ -1,5 +1,6 @@
 """The pipe-flow virtual laboratory: velocity laws, regime switch, built-in models."""
 
+import collections
 import itertools
 import json
 import math
@@ -16,25 +17,33 @@ from ridgelaw.models import load_model
 from ridgelaw.pipeflow import (
     RE_CRITICAL,
     LogSpaceVelocity,
-    PipeState,
     _terms,
     bind_builtin,
     builtin_model,
-    bulk_velocity,
     combine,
-    flow_regime,
-    friction_factor,
-    reynolds,
+    evaluate_state,
 )
 
 
+# a pipe state, in evaluate_state's argument order
+State = collections.namedtuple("State", "rho mu diam eps dpdl")
+
+
 # the package's two branches, each forced by an unreachable critical Reynolds number
+def laminar(s):
+    return evaluate_state(*s, re_critical=math.inf)[0]
+
+
+def turbulent(s):
+    return evaluate_state(*s, re_critical=-math.inf)[0]
+
+
 def v_laminar(s):
-    return bulk_velocity(s, re_critical=math.inf)
+    return laminar(s)["V"]
 
 
 def v_turbulent(s):
-    return bulk_velocity(s, re_critical=-math.inf)
+    return turbulent(s)["V"]
 
 
 def physical_terms(rho, mu, diam, eps, dpdl):
@@ -48,80 +57,78 @@ def physical_terms(rho, mu, diam, eps, dpdl):
     )
 
 
-def colebrook_residual(state, velocity):
-    """Implicit Colebrook relation evaluated at (f, Re) from a velocity."""
-    f = friction_factor(state, velocity)
-    re = reynolds(state, velocity)
+def colebrook_residual(s):
+    """Implicit Colebrook relation evaluated at the (f, Re) of the turbulent branch."""
+    numbers = turbulent(s)
+    f, re = numbers["f"], numbers["Re"]
     lhs = 1.0 / math.sqrt(f)
-    rhs = -2.0 * math.log10(state.eps / (3.7 * state.diam) + 2.51 / (re * math.sqrt(f)))
+    rhs = -2.0 * math.log10(s.eps / (3.7 * s.diam) + 2.51 / (re * math.sqrt(f)))
     return abs(lhs - rhs)
 
 
 class TestPipeState:
     def test_nonpositive_field_named(self):
         with pytest.raises(ModelError, match="mu"):
-            PipeState(rho=1.0, mu=0.0, diam=1.0, eps=0.1, dpdl=1.0)
+            evaluate_state(rho=1.0, mu=0.0, diam=1.0, eps=0.1, dpdl=1.0)
 
     def test_roughness_must_stay_below_diameter(self):
-        with pytest.raises(ModelError):
-            PipeState(rho=1.0, mu=1.0, diam=0.1, eps=0.1, dpdl=1.0)
+        with pytest.raises(ModelError, match="relative roughness must be below 1"):
+            evaluate_state(rho=1.0, mu=1.0, diam=0.1, eps=0.1, dpdl=1.0)
 
 
 class TestVLaminar:
     def test_closed_form_value(self):
-        s = PipeState(rho=0.12, mu=1e-5, diam=1.0, eps=0.01, dpdl=3.2e-8)
+        s = State(rho=0.12, mu=1e-5, diam=1.0, eps=0.01, dpdl=3.2e-8)
         assert v_laminar(s) == pytest.approx(1e-4, rel=1e-14)
 
     def test_doubling_diameter_quadruples_velocity(self):
-        s1 = PipeState(rho=0.1, mu=1e-5, diam=0.25, eps=0.01, dpdl=1e-8)
-        s2 = PipeState(rho=0.1, mu=1e-5, diam=0.5, eps=0.01, dpdl=1e-8)
+        s1 = State(rho=0.1, mu=1e-5, diam=0.25, eps=0.01, dpdl=1e-8)
+        s2 = State(rho=0.1, mu=1e-5, diam=0.5, eps=0.01, dpdl=1e-8)
         assert v_laminar(s2) == pytest.approx(4.0 * v_laminar(s1), rel=1e-14)
 
     def test_independent_of_density_and_roughness(self):
-        base = PipeState(rho=0.1, mu=1e-5, diam=0.5, eps=0.01, dpdl=1e-8)
-        other = PipeState(rho=0.14, mu=1e-5, diam=0.5, eps=0.05, dpdl=1e-8)
+        base = State(rho=0.1, mu=1e-5, diam=0.5, eps=0.01, dpdl=1e-8)
+        other = State(rho=0.14, mu=1e-5, diam=0.5, eps=0.05, dpdl=1e-8)
         assert v_laminar(base) == v_laminar(other)
 
 
 class TestVTurbulent:
     def test_colebrook_back_substitution_oracle(self):
-        s = PipeState(rho=0.12, mu=5e-6, diam=0.5, eps=0.01, dpdl=1.0)
-        v = v_turbulent(s)
-        assert colebrook_residual(s, v) <= 1e-12
+        s = State(rho=0.12, mu=5e-6, diam=0.5, eps=0.01, dpdl=1.0)
+        assert colebrook_residual(s) <= 1e-12
 
     def test_colebrook_oracle_over_random_turbulent_states(self):
         rng = np.random.default_rng(23)
         for _ in range(50):
-            s = PipeState(
+            s = State(
                 rho=rng.uniform(0.1, 0.14),
                 mu=rng.uniform(1e-6, 1e-5),
                 diam=rng.uniform(0.1, 1.0),
                 eps=rng.uniform(1e-3, 0.09),
                 dpdl=rng.uniform(0.1, 10.0),
             )
-            assert colebrook_residual(s, v_turbulent(s)) <= 1e-12
+            assert colebrook_residual(s) <= 1e-12
 
     def test_velocity_increases_as_roughness_vanishes(self):
         kwargs = dict(rho=0.12, mu=5e-6, diam=0.5, dpdl=1.0)
-        velocities = [v_turbulent(PipeState(eps=e, **kwargs)) for e in (0.05, 0.01, 1e-4, 1e-7)]
+        velocities = [v_turbulent(State(eps=e, **kwargs)) for e in (0.05, 0.01, 1e-4, 1e-7)]
         assert all(a < b for a, b in zip(velocities, velocities[1:]))
 
     def test_log_factor_invariant_when_rho_dpdl_product_fixed(self):
         # the log argument depends on (rho * dPdL) only, so scaling rho by c
         # and dPdL by 1/c leaves it fixed and scales V by the prefactor ratio
-        s1 = PipeState(rho=0.12, mu=5e-6, diam=0.5, eps=0.01, dpdl=1.0)
+        s1 = State(rho=0.12, mu=5e-6, diam=0.5, eps=0.01, dpdl=1.0)
         c = 1.15
-        s2 = PipeState(rho=0.12 * c, mu=5e-6, diam=0.5, eps=0.01, dpdl=1.0 / c)
+        s2 = State(rho=0.12 * c, mu=5e-6, diam=0.5, eps=0.01, dpdl=1.0 / c)
         assert v_turbulent(s2) == pytest.approx(v_turbulent(s1) / c, rel=1e-13)
 
     def test_out_of_validity_state_is_flagged(self):
         # huge viscosity with a tiny pressure gradient pushes the log argument
         # past 1, where the formula stops producing a positive velocity; the
         # regime switch then routes the state to Poiseuille
-        s = PipeState(rho=0.1, mu=1e-5, diam=0.1, eps=1e-3, dpdl=1e-9)
+        s = State(rho=0.1, mu=1e-5, diam=0.1, eps=1e-3, dpdl=1e-9)
         assert v_turbulent(s) <= 0.0
-        assert flow_regime(s) == "laminar"
-        assert bulk_velocity(s) == v_laminar(s)
+        assert evaluate_state(*s) == (laminar(s), "laminar")
 
 
 class TestPipeLaw:
@@ -212,64 +219,71 @@ class TestLawCheck:
 
 class TestReynoldsAndFriction:
     def test_unit_state(self):
-        s = PipeState(rho=1.0, mu=1.0, diam=1.0, eps=0.5, dpdl=1.0)
-        assert reynolds(s, 1.0) == 1.0
+        numbers, _ = evaluate_state(rho=1.0, mu=1.0, diam=1.0, eps=0.5, dpdl=1.0)
+        assert numbers["Re"] == numbers["V"]
+        assert numbers["f"] == pytest.approx(2.0 / numbers["V"] ** 2, rel=1e-15)
 
     def test_doubling_viscosity_halves_re(self):
-        s1 = PipeState(rho=1.0, mu=1.0, diam=1.0, eps=0.5, dpdl=1.0)
-        s2 = PipeState(rho=1.0, mu=2.0, diam=1.0, eps=0.5, dpdl=1.0)
-        assert reynolds(s2, 3.0) == pytest.approx(0.5 * reynolds(s1, 3.0))
+        # Re per unit velocity, rho D / mu
+        s1 = State(rho=0.12, mu=5e-6, diam=0.5, eps=0.01, dpdl=1.0)
+        s2 = s1._replace(mu=1e-5)
+        ratios = [numbers["Re"] / numbers["V"] for numbers in (turbulent(s1), turbulent(s2))]
+        assert ratios[1] == pytest.approx(0.5 * ratios[0], rel=1e-15)
 
     def test_laminar_branch_satisfies_poiseuille(self):
-        s = PipeState(rho=0.12, mu=1e-5, diam=0.5, eps=0.01, dpdl=1e-8)
-        v = v_laminar(s)
-        assert friction_factor(s, v) * reynolds(s, v) == pytest.approx(64.0, rel=1e-12)
+        numbers = laminar(State(rho=0.12, mu=1e-5, diam=0.5, eps=0.01, dpdl=1e-8))
+        assert numbers["f"] * numbers["Re"] == pytest.approx(64.0, rel=1e-12)
 
     def test_turbulent_branch_satisfies_colebrook(self):
-        s = PipeState(rho=0.1, mu=2e-6, diam=0.8, eps=0.005, dpdl=2.0)
-        assert colebrook_residual(s, v_turbulent(s)) <= 1e-12
+        s = State(rho=0.1, mu=2e-6, diam=0.8, eps=0.005, dpdl=2.0)
+        assert colebrook_residual(s) <= 1e-12
 
     def test_doubling_velocity_quarters_friction(self):
-        s = PipeState(rho=0.12, mu=1e-5, diam=0.5, eps=0.01, dpdl=1e-8)
-        assert friction_factor(s, 2.0) == pytest.approx(friction_factor(s, 1.0) / 4.0)
+        # on the laminar branch, halving mu doubles V and changes f only through V
+        s1 = State(rho=0.12, mu=1e-5, diam=0.5, eps=0.01, dpdl=1e-8)
+        n1, n2 = laminar(s1), laminar(s1._replace(mu=5e-6))
+        assert n2["V"] == pytest.approx(2.0 * n1["V"], rel=1e-14)
+        assert n2["f"] == pytest.approx(n1["f"] / 4.0, rel=1e-14)
 
     def test_zero_velocity_rejected(self):
-        s = PipeState(rho=1.0, mu=1.0, diam=1.0, eps=0.5, dpdl=1.0)
-        with pytest.raises(ModelError):
-            friction_factor(s, 0.0)
-        with pytest.raises(ModelError):
-            reynolds(s, -1.0)
+        # Re and f are computed only for 0 < V < inf
+        underflow = State(rho=1.0, mu=1.0, diam=1e-200, eps=1e-201, dpdl=1e-300)
+        overflow = State(rho=1e-300, mu=1e-300, diam=1e300, eps=1e299, dpdl=1e300)
+        assert evaluate_state(*underflow) == ({"V": 0.0}, "laminar")
+        assert evaluate_state(*overflow)[0] == {"V": np.inf}
 
 
 class TestBulkVelocity:
     def test_laminar_box_interior_routes_to_poiseuille(self, laminar_model):
         rng = np.random.default_rng(31)
         for _ in range(50):
-            point = [rng.uniform(lo, hi) for lo, hi in laminar_model.spec.ranges()]
-            s = PipeState(*point)
-            assert flow_regime(s) == "laminar"
-            assert bulk_velocity(s) == v_laminar(s)
+            s = State(*[rng.uniform(lo, hi) for lo, hi in laminar_model.spec.ranges()])
+            numbers, regime = evaluate_state(*s)
+            assert regime == "laminar"
+            assert numbers == laminar(s)
 
     def test_most_of_turbulent_box_routes_to_colebrook(self, turbulent_model):
         grid = turbulent_model.grid(5)
         X, _ = grid.chunk(0, len(grid))
         q = np.exp(X)
-        turbulent = 0
+        routed = 0
         for row in q:
-            s = PipeState(*row)
-            if flow_regime(s) == "turbulent":
-                turbulent += 1
-                assert bulk_velocity(s) == v_turbulent(s)
-        assert turbulent / len(q) >= 0.95
+            s = State(*row)
+            numbers, regime = evaluate_state(*s)
+            if regime == "turbulent":
+                routed += 1
+                assert numbers == turbulent(s)
+        assert routed / len(q) >= 0.95
 
     def test_exact_critical_reynolds_stays_laminar(self):
         # the switch requires Re to strictly exceed the threshold
-        s = PipeState(rho=0.12, mu=5e-6, diam=0.5, eps=0.01, dpdl=1.0)
-        re_per_v = _terms(np.log([s.rho, s.mu, s.diam, s.eps, s.dpdl]))[4]
+        s = State(rho=0.12, mu=5e-6, diam=0.5, eps=0.01, dpdl=1.0)
+        re_per_v = _terms(np.log(s))[4]
         re_at_v_tur = float(re_per_v * v_turbulent(s))  # the Reynolds number the switch compares
-        assert flow_regime(s, re_critical=re_at_v_tur) == "laminar"
-        assert bulk_velocity(s, re_critical=re_at_v_tur) == v_laminar(s)
-        assert flow_regime(s, re_critical=re_at_v_tur * (1.0 - 1e-12)) == "turbulent"
+        numbers, regime = evaluate_state(*s, re_critical=re_at_v_tur)
+        assert regime == "laminar"
+        assert numbers == laminar(s)
+        assert evaluate_state(*s, re_critical=re_at_v_tur * (1.0 - 1e-12))[1] == "turbulent"
 
     def test_positive_over_both_regime_boxes(self, laminar_model, turbulent_model):
         for model in (laminar_model, turbulent_model):
@@ -282,14 +296,13 @@ class TestBulkVelocity:
         # the corner maximizing Re over the laminar box must stay laminar
         worst = 0.0
         for corner in itertools.product(*laminar_model.spec.ranges()):
-            rho, mu, diam, eps, dpdl = corner
-            if not eps < diam:
+            s = State(*corner)
+            if not s.eps < s.diam:
                 continue  # eps = diam corners are outside the state space
-            s = PipeState(rho, mu, diam, eps, dpdl)
-            v = v_turbulent(s)
-            if v <= 0.0:
+            numbers = turbulent(s)
+            if numbers["V"] <= 0.0:
                 continue  # negative turbulent velocity: definitely laminar
-            worst = max(worst, reynolds(s, v))
+            worst = max(worst, numbers["Re"])
         assert worst < RE_CRITICAL
 
 
@@ -341,9 +354,9 @@ class TestBuiltinModel:
             assert lhi == pytest.approx(math.log(hi))
 
     def test_model_function_matches_bulk_velocity(self, laminar_model):
-        point = np.log([0.12, 5e-6, 0.5, 0.01, 1e-8])
-        s = PipeState(0.12, 5e-6, 0.5, 0.01, 1e-8)
-        assert laminar_model.f(point) == pytest.approx(bulk_velocity(s), rel=1e-15)
+        s = State(0.12, 5e-6, 0.5, 0.01, 1e-8)
+        # the same evaluation of the law: bit for bit
+        assert laminar_model.f(np.log(s)).tobytes() == evaluate_state(*s)[0]["V"].tobytes()
 
     def test_vectorized_and_scalar_paths_agree(self, turbulent_model):
         f = LogSpaceVelocity()

@@ -105,6 +105,13 @@ class TestTensorGrid:
         with pytest.raises(ValueError):
             tensor_grid(3, [(1.0, 1.0)])
 
+    @pytest.mark.parametrize("order", [6209, 100000])
+    def test_grid_past_an_index_rejected_before_any_rule(self, monkeypatch, order):
+        # 6209 ** 5 > sys.maxsize; the grid could not even report its length
+        monkeypatch.setattr(quadrature, "_legendre_value_derivative", None)
+        with pytest.raises(ValueError, match=rf"^a grid of quadrature order {order} in 5 dimensions has more than"):
+            tensor_grid(order, [(0.0, 1.0)] * 5)
+
     def test_lexicographic_ordering(self):
         grid = tensor_grid(2, [(0.0, 1.0), (10.0, 11.0)])
         X, _ = grid.chunk(0, len(grid))
