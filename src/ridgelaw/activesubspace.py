@@ -39,28 +39,27 @@ class SubspaceEstimate:
     clamped: bool = False  # true if tiny negative eigenvalues were zeroed
 
 
-def _checked(values, X: np.ndarray, i: Optional[int] = None, h: float = 0.0) -> np.ndarray:
-    """f's values at the rows of X, shifted by h along dimension i if given, as n finite floats.
-
-    f must map (n, m) points to n values; a non-finite value raises naming
-    its (shifted) point.
-    """
+def _shaped(values, n: int) -> np.ndarray:
+    """f's values at n points as n floats; f must map (n, m) points to n values."""
     values = np.asarray(values, dtype=float)
-    if values.shape != (X.shape[0],):
+    if values.shape != (n,):
         raise ModelError(
-            f"model function returned shape {values.shape} for {X.shape[0]} points; "
+            f"model function returned shape {values.shape} for {n} points; "
             f"it must map an (n, m) array of points to n values"
         )
-    if not np.all(np.isfinite(values)):
-        bad = int(np.argmin(np.isfinite(values)))
-        point = X[bad].copy()
-        if i is not None:
-            point[i] += h
-        raise EvaluationError(
-            f"model returned non-finite value {values[bad]} at point {point.tolist()}",
-            point=point,
-        )
     return values
+
+
+def _nonfinite(values: np.ndarray, X: np.ndarray, i: Optional[int] = None, h: float = 0.0) -> EvaluationError:
+    """The error for the first non-finite entry of values, taken at the rows of X shifted by h along i."""
+    bad = int(np.argmin(np.isfinite(values)))
+    point = X[bad].copy()
+    if i is not None:
+        point[i] += h
+    return EvaluationError(
+        f"model returned non-finite value {values[bad]} at point {point.tolist()}",
+        point=point,
+    )
 
 
 def _shifted_values(f: Callable, Y: np.ndarray, steps: Sequence[float]) -> Iterator[np.ndarray]:
@@ -79,13 +78,18 @@ def _shifted_values(f: Callable, Y: np.ndarray, steps: Sequence[float]) -> Itera
 
 
 def _fd_gradients(f: Callable, Y: np.ndarray, steps: Sequence[float]) -> Iterator[np.ndarray]:
-    """Forward-difference gradients at the rows of Y, one (n, m) array per step.
+    """Forward-difference gradients at the rows of Y, one (m, n) array per step.
 
-    The values come from the model's ``fd_values(Y, steps)`` when it has one
-    (it yields what ``_shifted_values`` would, usually more cheaply), else
-    from calling f on each shifted copy of Y. The yielded array is reused by
-    the next step. Every step must be positive and finite, and must move the
-    block's largest |x|: a step below its spacing gives x + h == x.
+    Row i of a gradient array is the derivative along dimension i at every
+    point. The values come from the model's ``fd_values(Y, steps)`` when it
+    has one (it yields what ``_shifted_values`` would, usually more cheaply),
+    else from calling f on each shifted copy of Y. Each value's shape is
+    checked as it arrives and copied into its row; a step's values are then
+    checked for finiteness at once, and the first non-finite one in
+    (dimension, row) order raises with its shifted point. The yielded array
+    is reused by the next step. Every step must be positive and finite, and
+    must move the block's largest |x|: a step below its spacing gives
+    x + h == x.
     """
     bad = [h for h in steps if not 0.0 < h < np.inf]
     if bad:
@@ -98,11 +102,19 @@ def _fd_gradients(f: Callable, Y: np.ndarray, steps: Sequence[float]) -> Iterato
         )
     fd_values = getattr(f, "fd_values", None)
     values = fd_values(Y, steps) if fd_values is not None else _shifted_values(f, Y, steps)
-    f0 = _checked(next(values), Y)
-    G = np.empty_like(Y)
+    n, m = Y.shape
+    f0 = _shaped(next(values), n)
+    if not np.isfinite(f0).all():
+        raise _nonfinite(f0, Y)
+    G = np.empty((m, n))
     for h in steps:
-        for i in range(Y.shape[1]):
-            G[:, i] = (_checked(next(values), Y, i, h) - f0) / h
+        for i in range(m):
+            G[i] = _shaped(next(values), n)
+        if not np.isfinite(G).all():
+            i = int(np.argmin(np.isfinite(G).all(axis=1)))
+            raise _nonfinite(G[i], Y, i, h)
+        G -= f0
+        G /= h
         yield G
 
 
@@ -113,7 +125,7 @@ def fd_gradient(f: Callable, x: np.ndarray, h: float) -> np.ndarray:
     """
     x = np.asarray(x, dtype=float)
     rows = lambda Z: np.array([float(f(z)) for z in Z])
-    return next(_fd_gradients(rows, x[None, :], [h]))[0]
+    return next(_fd_gradients(rows, x[None, :], [h]))[:, 0]
 
 
 def _gradient_outer_sums(
@@ -124,8 +136,10 @@ def _gradient_outer_sums(
     # C and every value are checked for finiteness; a with in the generator would leak its state
     with np.errstate(all="ignore"):
         for Y, w in blocks:
+            weighted = None  # G * w, in one buffer per block
             for k, G in enumerate(_fd_gradients(f, Y, steps)):
-                sums[k] += (G * w[:, None]).T @ G
+                weighted = np.multiply(G, w, out=weighted)
+                sums[k] += weighted @ G.T
     # symmetrize once per step: mirror the lower triangle, summed block by block, onto the upper
     return [np.tril(S) + np.tril(S, -1).T for S in sums]
 

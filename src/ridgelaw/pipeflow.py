@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from typing import Callable, Iterator, List, Sequence, Tuple
+from typing import Callable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -50,36 +50,52 @@ PIPE_LAW = (
     ("Re/v", 0.0, (1.0, -1.0, 1.0, 0.0, 0.0), -1),  # rho D / mu
 )
 
+# the exponent table, one row per term, and for each input the terms whose exponent on it is nonzero
+_EXPONENTS = np.array([law[2] for law in PIPE_LAW])
+_MOVING = tuple(tuple(np.flatnonzero(column).tolist()) for column in _EXPONENTS.T)
+
 
 def _terms(x) -> List[np.ndarray]:
     """The law's terms at log inputs x: an (n, 5) array of rows, or one point.
 
     The exponent sum runs elementwise in a fixed order, so a row gives the
-    same bits alone as in a block.
+    same bits alone as in a block. An exponent of +-1 adds or subtracts its
+    column without the multiply, which gives the same bits.
     """
     cols = np.ascontiguousarray(np.asarray(x, dtype=float).T)
     terms = []
     for _, log_coef, exponents, _ in PIPE_LAW:
-        s = log_coef
+        s = None
         for e, col in zip(exponents, cols):
-            if e:
-                s = s + e * col
-        terms.append(np.exp(s))
+            if not e:
+                continue
+            if s is None:  # a 0-d array for one point, so that exp can run in place
+                s = np.asarray(log_coef + col if e == 1.0 else log_coef - col if e == -1.0 else log_coef + e * col)
+            elif e == 1.0:
+                s += col
+            elif e == -1.0:
+                s -= col
+            else:
+                s += e * col
+        terms.append(np.exp(s, out=s))
     return terms
 
 
-def combine(terms: Sequence[np.ndarray], re_critical: float):
+def combine(terms: Sequence[np.ndarray], re_critical: float, out: Optional[np.ndarray] = None):
     """Velocity and turbulent mask from the terms (P, t1, t2, v_lam, Re/v).
 
     V = -2 P log10(t1 + t2), the Colebrook-derived velocity, where its
     Reynolds number (Re/v) V exceeds re_critical, else Poiseuille's v_lam.
+    V is written into out when given; one point gives a 0-d V.
     """
     P, t1, t2, v_lam, re_per_v = terms
-    v_tur = np.log10(t1 + t2)
-    v_tur *= P
-    v_tur *= -2.0  # exact, so the same bits as -2 P log10(t1 + t2)
-    turbulent = re_per_v * v_tur > re_critical
-    return np.where(turbulent, v_tur, v_lam), turbulent
+    v = np.add(t1, t2, out=np.empty(np.shape(t1)) if out is None else out)
+    np.log10(v, out=v)
+    v *= P
+    v *= -2.0  # exact, so the same bits as -2 P log10(t1 + t2)
+    turbulent = re_per_v * v > re_critical
+    np.copyto(v, v_lam, where=~turbulent)
+    return v, turbulent
 
 
 @lru_cache(maxsize=None)
@@ -143,17 +159,22 @@ class LogSpaceVelocity:
         f(Y) is the one full evaluation (a call of the model); each shift
         then multiplies the terms at Y that depend on dimension i by the
         scalar exp(h e_i) and combines again, with no exp or sqrt over the
-        rows.
+        rows. The shifted values share one buffer: each is valid until the
+        next one is requested, so a caller that keeps one copies it.
         """
         yield self(Y)
         terms = _terms(Y)
-        for h in steps:
-            for i in range(Y.shape[1]):
-                shifted = [
-                    t * np.exp(h * exponents[i]) if exponents[i] else t
-                    for t, (_, _, exponents, _) in zip(terms, PIPE_LAW)
-                ]
-                yield combine(shifted, self.re_critical)[0]
+        m = Y.shape[1]
+        # every exp(h e_i) of every step, with the bits of the scalar np.exp(h * e_i)
+        scales = np.exp(np.multiply.outer(np.asarray(steps, dtype=float), _EXPONENTS[:, :m]))
+        buffers = [np.empty_like(t) for t in terms]
+        values = np.empty(Y.shape[0])
+        for scale in scales:
+            for i in range(m):
+                shifted = list(terms)
+                for j in _MOVING[i]:
+                    shifted[j] = np.multiply(terms[j], scale[j, i], out=buffers[j])
+                yield combine(shifted, self.re_critical, out=values)[0]
 
 
 @dataclass(frozen=True)

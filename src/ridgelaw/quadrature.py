@@ -4,15 +4,14 @@ Grid weights are normalized so they sum to one: a weighted sum of function
 values is the average of the function under a uniform probability density on
 the box. Grids are never materialized whole; points are produced lazily from
 their lexicographic index, so large orders cannot exhaust memory while small
-ones stay cheap to iterate.
+ones stay cheap to iterate. A grid holds at most MAX_GRID_POINTS points.
 """
 
 from __future__ import annotations
 
 import functools
-import sys
 from dataclasses import dataclass
-from typing import Iterator, Sequence, Tuple
+from typing import Iterator, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -21,6 +20,9 @@ from .errors import NumericalError
 
 _NEWTON_TOL = 1e-15
 _NEWTON_MAX_ITER = 100
+
+# the most points a tensor grid may have: five dimensions up to order 63
+MAX_GRID_POINTS = 10**9
 
 
 def _legendre_value_derivative(n: int, x: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -103,15 +105,54 @@ class TensorGrid:
     def __len__(self) -> int:
         return self.order ** self.ndim
 
+    @functools.cached_property
+    def _axis_tiles(self) -> Tuple[Tuple[int, Optional[np.ndarray], Optional[np.ndarray]], ...]:
+        """Per dimension: the index stride of its digit, and node and weight tiles.
+
+        Dimension d's digit advances every stride = order ** (ndim - 1 - d)
+        indices and repeats with period order * stride. Where that period is
+        at most DEFAULT_CHUNK, the tiles hold the dimension's column over the
+        fewest whole periods that span period + DEFAULT_CHUNK - 1 indices or
+        the whole grid, so any range of up to DEFAULT_CHUNK indices is one
+        slice of them; elsewhere the tiles are None. They are built on the
+        first chunk and live as long as the grid.
+        """
+        total = len(self)
+        tiles = []
+        for d in range(self.ndim):
+            stride = self.order ** (self.ndim - 1 - d)
+            period = self.order * stride
+            if period > DEFAULT_CHUNK:
+                tiles.append((stride, None, None))
+                continue
+            shape = (-(-min(total, period + DEFAULT_CHUNK - 1) // period), self.order, stride)
+            node_tile, weight_tile = np.empty(shape), np.empty(shape)
+            node_tile[...] = self.mapped_nodes[d, :, None]
+            weight_tile[...] = self.unit_weights[:, None]
+            tiles.append((stride, node_tile.reshape(-1), weight_tile.reshape(-1)))
+        return tuple(tiles)
+
     def chunk(self, start: int, stop: int) -> Tuple[np.ndarray, np.ndarray]:
-        """Points and weights for lexicographic indices [start, stop)."""
-        # C order is the dimension-0-slowest order
-        digits_by_dim = np.unravel_index(np.arange(start, stop), (self.order,) * self.ndim)
-        points = np.empty((stop - start, self.ndim), dtype=float)
-        weights = np.ones(stop - start, dtype=float)
-        for d, digits in enumerate(digits_by_dim):
-            points[:, d] = self.mapped_nodes[d, digits]
-            weights *= self.unit_weights[digits]
+        """Points and weights for lexicographic indices [start, stop).
+
+        A dimension whose tiles cover the range is sliced from them; any other
+        is np.repeat over its runs of one digit. Either way the values are
+        those of the multi-index, and the weights multiply in dimension order.
+        """
+        n = stop - start
+        points = np.empty((n, self.ndim), dtype=float)
+        weights = np.ones(n, dtype=float)
+        for d, (stride, node_tile, weight_tile) in enumerate(self._axis_tiles):
+            offset = start % (self.order * stride)
+            if node_tile is not None and offset + n <= node_tile.shape[0]:
+                points[:, d] = node_tile[offset : offset + n]
+                weights *= weight_tile[offset : offset + n]
+                continue
+            runs = np.arange(start // stride, (stop - 1) // stride + 1)
+            counts = np.minimum(stop, (runs + 1) * stride) - np.maximum(start, runs * stride)
+            runs %= self.order
+            points[:, d] = np.repeat(self.mapped_nodes[d, runs], counts)
+            weights *= np.repeat(self.unit_weights[runs], counts)
         return points, weights
 
     def chunks(self, size: int = DEFAULT_CHUNK) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
@@ -123,12 +164,14 @@ class TensorGrid:
 def tensor_grid(rule_order: int, bounds: Sequence[Tuple[float, float]]) -> TensorGrid:
     """Tensor grid of a given 1-D order over per-dimension (lo, hi) intervals.
 
-    The point count order ** ndim must fit an index (sys.maxsize); a larger
+    The point count order ** ndim may be at most MAX_GRID_POINTS; a larger
     grid is rejected before any rule is computed.
     """
-    if rule_order ** len(bounds) > sys.maxsize:
+    count = rule_order ** len(bounds)
+    if count > MAX_GRID_POINTS:
         raise ValueError(
-            f"a grid of quadrature order {rule_order} in {len(bounds)} dimensions has more than {sys.maxsize} points"
+            f"a grid of quadrature order {rule_order} in {len(bounds)} dimensions has more than "
+            f"{MAX_GRID_POINTS} points ({count})"
         )
     rule = gauss_legendre(rule_order)
     clean = []

@@ -195,8 +195,8 @@ class TestEstimateC:
         grid = tensor_grid(5, [(-1.0, 1.0)] * 3)  # 125 points: 32 blocks
         expected = 0.0
         for X, w in grid.chunks(4):
-            G = next(activesubspace._fd_gradients(f, X, [H]))
-            M = (G * w[:, None]).T @ G
+            G = next(activesubspace._fd_gradients(f, X, [H]))  # (m, n): one row per dimension
+            M = (G * w) @ G.T
             expected += np.tril(M) + np.tril(M, -1).T
         assert np.array_equal(estimate_C(f, grid, H), expected)
 
@@ -305,6 +305,71 @@ class TestFdValuesHook:
 
         with pytest.raises(ModelError, match="returned shape"):
             estimate_C(Short(), tensor_grid(2, [(-1.0, 1.0)] * 3), H)
+
+
+class TestBatchedChecks:
+    """A step's values are shape-checked as they arrive and checked for finiteness together."""
+
+    class Spoiled:
+        """A linear model whose k-th yielded value (0 is f(Y)) gets a spoiled row, or loses its last."""
+
+        def __init__(self, spoil):
+            self.spoil = spoil  # {k: (row, value)} or {k: "short"}
+
+        def __call__(self, x):
+            return x @ np.array([1.0, 2.0, -3.0])
+
+        def fd_values(self, Y, steps):
+            values = [self(Y)]
+            for h in steps:
+                for i in range(Y.shape[1]):
+                    shifted = Y.copy()
+                    shifted[:, i] += h
+                    values.append(self(shifted))
+            for k, v in enumerate(values):
+                if self.spoil.get(k) == "short":
+                    v = v[:-1]
+                elif k in self.spoil:
+                    row, bad = self.spoil[k]
+                    v[row] = bad
+                yield v
+
+    GRID = tensor_grid(3, [(-1.0, 1.0)] * 3)
+    STEPS = [1e-2, 1e-3]
+
+    def run(self, spoil, monkeypatch):
+        monkeypatch.setattr(activesubspace, "DEFAULT_CHUNK", 8)
+        return estimate_subspaces(self.Spoiled(spoil), self.GRID, self.STEPS)
+
+    def test_two_dimensions_of_one_step_name_the_first(self, monkeypatch):
+        # step 1e-3 is values 4, 5, 6: dimension 2 spoils row 1, dimension 1 row 5
+        with pytest.raises(EvaluationError, match=r"^model returned non-finite value inf at point") as err:
+            self.run({6: (1, np.nan), 5: (5, np.inf)}, monkeypatch)
+        expected = self.GRID.chunk(0, 8)[0][5]
+        expected[1] += 1e-3
+        assert np.array_equal(err.value.point, expected)
+
+    def test_nonfinite_f_at_Y_is_reported_first(self, monkeypatch):
+        with pytest.raises(EvaluationError, match=r"^model returned non-finite value nan at point") as err:
+            self.run({0: (3, np.nan), 1: (0, np.inf)}, monkeypatch)
+        assert np.array_equal(err.value.point, self.GRID.chunk(0, 8)[0][3])
+
+    def test_wrong_shape_is_a_model_error_before_the_step_is_checked(self, monkeypatch):
+        with pytest.raises(ModelError, match=r"returned shape \(7,\) for 8 points"):
+            self.run({1: (0, np.inf), 2: "short"}, monkeypatch)
+
+    def test_C_agrees_with_the_column_major_gradient_layout(self, turbulent_model):
+        # the same values summed as (G * w[:, None]).T @ G with G of shape (n, m): only BLAS's order differs
+        steps = [1e-2, 1e-4, 1e-6]
+        grid = turbulent_model.grid(7)
+        expected = [0.0] * len(steps)
+        for Y, w in grid.chunks():
+            for k, G in enumerate(activesubspace._fd_gradients(turbulent_model.f, Y, steps)):
+                columns = np.ascontiguousarray(G.T)
+                expected[k] += (columns * w[:, None]).T @ columns
+        for C, S in zip(_gradient_outer_sums(turbulent_model.f, grid.chunks(), steps), expected):
+            S = np.tril(S) + np.tril(S, -1).T
+            assert np.max(np.abs(C - S)) <= 1e-13 * np.linalg.norm(S)
 
 
 class TestEigendecompose:

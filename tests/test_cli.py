@@ -16,7 +16,7 @@ import ridgelaw
 from ridgelaw import pipeflow
 from ridgelaw.cli import build_parser, fmt_float, load_model, run_command
 from ridgelaw.errors import ModelError
-from ridgelaw.quadrature import DEFAULT_CHUNK
+from ridgelaw.quadrature import DEFAULT_CHUNK, MAX_GRID_POINTS
 
 
 def write_model(tmp_path, doc, name="model.json"):
@@ -841,7 +841,20 @@ class TestUsageErrors:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == (
-            f"usage error: a grid of quadrature order 6209 in 5 dimensions has more than {sys.maxsize} points\n"
+            f"usage error: a grid of quadrature order 6209 in 5 dimensions has more than {MAX_GRID_POINTS} points "
+            f"({6209 ** 5})\n"
+        )
+
+    @pytest.mark.parametrize(
+        "command", [["active", "--model", "laminar"], ["pipeflow", "reproduce", "--regime", "turbulent"]]
+    )
+    def test_grid_past_the_point_budget_exits_2(self, capsys, command):
+        # 64 ** 5 = 1073741824 fits an index but not the budget of 1e9 points
+        assert run_command(command + ["--quad-order", "64"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "usage error: a grid of quadrature order 64 in 5 dimensions has more than 1000000000 points (1073741824)\n"
         )
 
     @pytest.mark.parametrize("steps", [",", " , "])

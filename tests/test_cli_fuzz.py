@@ -170,7 +170,8 @@ STEPS_TEXT = st.one_of(
     st.sampled_from(["1e-5,1e-3", "1e-3,1e-3", "1e-4,1e-2,1e-3"]),  # not strictly descending
 )
 MODEL_TEXT = _mostly(["laminar", "pipeflow_turbulent", "turbulent", "pipeflow_laminar"], ["plasma", ""])
-# 6209 ** 5 points overflow an index; no large order that still fits one is drawn, as its grid takes hours
+# 6209 ** 5 points overflow an index and exceed the point budget; orders 4 to 63, within the budget,
+# are not drawn, as their grids take seconds to hours
 QUAD_ORDER_TEXT = _mostly(["1", "2", "3"], ["0", "-1", "x", "6209"])
 EVAL_TEXT = {
     **{option: st.one_of(st.just(value), FLOAT_TEXT) for option, value in EVAL_STATE.items()},

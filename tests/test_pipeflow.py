@@ -140,6 +140,34 @@ class TestPipeLaw:
                 got = [float(t) for t in _terms(np.log(q))]
                 assert got == pytest.approx(physical_terms(*q), rel=1e-13)
 
+    def test_terms_equal_the_multiplied_exponent_sums_bit_for_bit(self):
+        # the reference multiplies every nonzero exponent, +-1 included, and exponentiates a fresh sum
+        X = np.random.default_rng(6).uniform(-30.0, 30.0, size=(257, 5))
+        X[0] = [0.0, -0.0, 1.0, -1.0, 1e-300]
+        for x in (X, X[0], X[7]):
+            got = _terms(x)
+            for t, (_, log_coef, exponents, _) in zip(got, pipeflow.PIPE_LAW):
+                s = log_coef
+                for e, col in zip(exponents, np.asarray(x).T):
+                    if e:
+                        s = s + e * col
+                assert np.shape(t) == np.shape(s)
+                assert np.asarray(t).tobytes() == np.asarray(np.exp(s)).tobytes()
+
+    def test_combine_into_out_gives_the_bits_of_np_where(self):
+        X = np.random.default_rng(7).uniform(-3.0, 3.0, size=(300, 5))
+        for x in (X, X[0], X[1]):
+            terms = _terms(x)
+            P, t1, t2, v_lam, re_per_v = terms
+            v_tur = -2.0 * P * np.log10(t1 + t2)
+            want = np.where(re_per_v * v_tur > 1.0, v_tur, v_lam)
+            v, turbulent = combine(terms, 1.0)
+            assert v.shape == np.shape(x)[:-1] and v.tobytes() == want.tobytes()
+            assert np.array_equal(turbulent, re_per_v * v_tur > 1.0)
+            out = np.full(np.shape(x)[:-1], np.nan)
+            v_out, _ = combine(terms, 1.0, out=out)
+            assert v_out is out and out.tobytes() == want.tobytes()
+
     def test_velocity_matches_the_physical_formulas(self, turbulent_model):
         grid = turbulent_model.grid(5)
         X, _ = grid.chunk(0, len(grid))
@@ -172,6 +200,41 @@ class TestFdValues:
                     got = next(values)
                     assert np.all(np.abs(got - direct) <= 1e-13 * np.abs(direct))
             assert next(values, None) is None  # exactly 1 + m * len(steps) arrays
+
+    @staticmethod
+    def per_shift_values(f, Y, steps):
+        """The shifted values as fresh copies: each term times the scalar np.exp(h * e_i), combined anew."""
+        yield f(Y)
+        terms = _terms(Y)
+        for h in steps:
+            for i in range(Y.shape[1]):
+                shifted = [
+                    t * np.exp(h * exponents[i]) if exponents[i] else t
+                    for t, (_, _, exponents, _) in zip(terms, pipeflow.PIPE_LAW)
+                ]
+                yield combine(shifted, f.re_critical)[0]
+
+    def test_shifted_values_equal_the_per_shift_scaling_bit_for_bit(self, laminar_model, turbulent_model):
+        for model in (laminar_model, turbulent_model):
+            grid = model.grid(5)
+            Y, _ = grid.chunk(0, len(grid))
+            got = model.f.fd_values(Y, self.STEPS)
+            want = self.per_shift_values(model.f, Y, self.STEPS)
+            for count, (value, expected) in enumerate(itertools.zip_longest(got, want)):
+                assert value is not None and expected is not None
+                assert value.tobytes() == expected.tobytes(), count
+            assert count == Y.shape[1] * len(self.STEPS)
+
+    def test_later_values_leave_f_at_Y_alone(self, turbulent_model):
+        # the shifted values may share a buffer, but f(Y) is the caller's to keep
+        grid = turbulent_model.grid(3)
+        Y, _ = grid.chunk(0, len(grid))
+        values = turbulent_model.f.fd_values(Y, self.STEPS)
+        f0 = next(values)
+        kept = f0.copy()
+        for _ in values:
+            pass
+        assert f0.tobytes() == kept.tobytes()
 
     def test_model_is_called_once_per_chunk(self, turbulent_model, monkeypatch):
         rows = []

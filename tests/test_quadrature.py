@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from ridgelaw import quadrature
-from ridgelaw.quadrature import gauss_legendre, tensor_grid
+from ridgelaw.quadrature import DEFAULT_CHUNK, gauss_legendre, tensor_grid
 
 
 class TestGaussLegendre:
@@ -107,10 +107,23 @@ class TestTensorGrid:
 
     @pytest.mark.parametrize("order", [6209, 100000])
     def test_grid_past_an_index_rejected_before_any_rule(self, monkeypatch, order):
-        # 6209 ** 5 > sys.maxsize; the grid could not even report its length
+        # 6209 ** 5 > sys.maxsize, far past MAX_GRID_POINTS; the grid could not even report its length
         monkeypatch.setattr(quadrature, "_legendre_value_derivative", None)
         with pytest.raises(ValueError, match=rf"^a grid of quadrature order {order} in 5 dimensions has more than"):
             tensor_grid(order, [(0.0, 1.0)] * 5)
+
+    def test_order_63_in_5_dimensions_is_within_the_point_budget(self):
+        grid = tensor_grid(63, [(0.0, 1.0)] * 5)
+        assert len(grid) == 63**5 <= quadrature.MAX_GRID_POINTS
+        assert "_axis_tiles" not in vars(grid)  # nothing is built until the first chunk
+
+    def test_order_64_in_5_dimensions_is_past_the_point_budget(self, monkeypatch):
+        monkeypatch.setattr(quadrature, "_legendre_value_derivative", None)
+        with pytest.raises(ValueError) as err:
+            tensor_grid(64, [(0.0, 1.0)] * 5)
+        assert str(err.value) == (
+            "a grid of quadrature order 64 in 5 dimensions has more than 1000000000 points (1073741824)"
+        )
 
     def test_lexicographic_ordering(self):
         grid = tensor_grid(2, [(0.0, 1.0), (10.0, 11.0)])
@@ -165,3 +178,68 @@ def test_degree_2n_is_not_exact():
     estimate = float(w @ X[:, 0] ** (2 * order))
     exact = 1.0 / (2 * order + 1)
     assert abs(estimate - exact) > 1e-3
+
+
+def _unravel_chunk(grid, start, stop):
+    """Reference chunk: every index's digits by np.unravel_index, weights multiplied in dimension order."""
+    digits_by_dim = np.unravel_index(np.arange(start, stop), (grid.order,) * grid.ndim)
+    points = np.empty((stop - start, grid.ndim))
+    weights = np.ones(stop - start)
+    for d, digits in enumerate(digits_by_dim):
+        points[:, d] = grid.mapped_nodes[d, digits]
+        weights *= grid.unit_weights[digits]
+    return points, weights
+
+
+def _ranges(grid, size):
+    """Index ranges of `size` (cut at the grid's end) at and across every digit and period boundary."""
+    total = len(grid)
+    if size > total:
+        # ends of the grid longer than a chunk, and the whole grid where it is small enough to keep memory low
+        ends = [(max(total - k, 0), total) for k in (2 * DEFAULT_CHUNK + 1, DEFAULT_CHUNK + 1, 7)]
+        return ends + [(0, total)] * (total <= 2**16)
+    starts = {0, total - size}
+    for d in range(grid.ndim):
+        stride = grid.order ** (grid.ndim - 1 - d)
+        for boundary in (stride, 2 * stride, grid.order * stride):
+            starts.update(boundary + shift for shift in (-size, -(size // 2), -1, 0, 1))
+    return [(start, min(start + size, total)) for start in sorted(starts) if 0 <= start < total]
+
+
+class TestChunkTiles:
+    """Chunks sliced from per-axis tiles keep every bit of the index arithmetic."""
+
+    @pytest.mark.parametrize("size", [1, 7, DEFAULT_CHUNK, "past the end"])
+    @pytest.mark.parametrize("ndim", [1, 2, 5])
+    @pytest.mark.parametrize("order", [1, 2, 3, 5, 15, 16])
+    def test_chunk_equals_the_unravel_index_reference(self, order, ndim, size):
+        rng = np.random.default_rng(order * 10 + ndim)
+        bounds = [(rng.uniform(-3.0, 0.0), rng.uniform(0.5, 4.0)) for _ in range(ndim)]
+        grid = tensor_grid(order, bounds)
+        size = len(grid) + 1 if size == "past the end" else size
+        for start, stop in _ranges(grid, size):
+            points, weights = grid.chunk(start, stop)
+            ref_points, ref_weights = _unravel_chunk(grid, start, stop)
+            assert points.shape == (stop - start, ndim) and points.flags.c_contiguous
+            assert points.tobytes() == ref_points.tobytes(), (start, stop)
+            assert weights.tobytes() == ref_weights.tobytes(), (start, stop)
+
+    def test_chunks_cover_the_grid_as_the_reference_does(self):
+        grid = tensor_grid(15, [(-1.0, 2.0), (0.5, 1.5), (-3.0, -1.0)])  # 3375 points; periods 15, 225, 3375
+        for size in (7, 100, DEFAULT_CHUNK):
+            got = list(grid.chunks(size))
+            points = np.concatenate([X for X, _ in got])
+            weights = np.concatenate([w for _, w in got])
+            ref_points, ref_weights = _unravel_chunk(grid, 0, len(grid))
+            assert points.tobytes() == ref_points.tobytes()
+            assert weights.tobytes() == ref_weights.tobytes()
+
+    @pytest.mark.parametrize("ndim", [1, 3])
+    def test_chunks_leave_the_tiles_as_they_were(self, ndim):
+        # a chunk is the caller's to write: it must not be a view of the grid's tiles
+        grid = tensor_grid(5, [(0.0, 1.0)] * ndim)
+        X, w = grid.chunk(1, 4)
+        X[...] = np.nan
+        w[...] = np.nan
+        assert np.array_equal(grid.chunk(1, 4)[0], _unravel_chunk(grid, 1, 4)[0])
+        assert np.array_equal(grid.chunk(1, 4)[1], _unravel_chunk(grid, 1, 4)[1])
