@@ -36,7 +36,7 @@ class SubspaceEstimate:
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
-    clamped: bool = False  # true if tiny negative eigenvalues were zeroed
+    clamped: bool = False  # an eigenvalue at the rounding floor was zeroed; zero ones have arbitrary eigenvectors
 
 
 def _shaped(values, n: int) -> np.ndarray:
@@ -170,9 +170,9 @@ def pullback_T(g_profile: Callable, A: np.ndarray, grid: TensorGrid, h: float) -
 def eigendecompose(C: np.ndarray) -> SubspaceEstimate:
     """Full spectral decomposition of a symmetric PSD matrix, descending order.
 
-    Eigenvalues in (-1e-12 * lambda_1, 0) are clamped to zero with the
-    ``clamped`` flag set; anything more negative means the input was not
-    positive semidefinite and raises. Each eigenvector's largest-magnitude
+    Eigenvalues at or below the rounding floor m * eps * lambda_1 (m the size
+    of C) are set to exactly 0 with the ``clamped`` flag set; one below
+    -1e-12 * lambda_1 means C is not PSD and raises. Each eigenvector's largest-magnitude
     component is positive, which fixes the sign LAPACK leaves free.
     """
     C = np.atleast_2d(np.asarray(C, dtype=float))
@@ -203,9 +203,9 @@ def eigendecompose(C: np.ndarray) -> SubspaceEstimate:
         raise NumericalError(
             f"eigenvalue {worst:.6e} is negative beyond rounding; matrix is not PSD"
         )
-    clamped = bool(np.any(values < 0.0))
-    values = np.maximum(values, 0.0)
-    return SubspaceEstimate(eigenvalues=values, eigenvectors=vectors, clamped=clamped)
+    at_floor = values <= len(values) * np.finfo(float).eps * lam_max
+    values[at_floor] = 0.0
+    return SubspaceEstimate(eigenvalues=values, eigenvectors=vectors, clamped=bool(at_floor.any()))
 
 
 def active_subspace(est: SubspaceEstimate, k: int) -> np.ndarray:

@@ -1,4 +1,4 @@
-"""Gauss-Legendre rules and tensor-product grids over hyperrectangles.
+"""Gauss-Legendre rules, each from one LAPACK eigensolve, and tensor-product grids over boxes.
 
 Grid weights are normalized so they sum to one: a weighted sum of function
 values is the average of the function under a uniform probability density on
@@ -16,23 +16,9 @@ from typing import Iterator, Optional, Sequence, Tuple
 import numpy as np
 
 from .defaults import DEFAULT_CHUNK
-from .errors import NumericalError
-
-_NEWTON_TOL = 1e-15
-_NEWTON_MAX_ITER = 100
 
 # the most points a tensor grid may have: five dimensions up to order 63
 MAX_GRID_POINTS = 10**9
-
-
-def _legendre_value_derivative(n: int, x: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """P_n(x) and P_n'(x) by the three-term recurrence, for |x| < 1."""
-    p_prev = np.ones_like(x)
-    p = x.copy()
-    for j in range(2, n + 1):
-        p_prev, p = p, ((2 * j - 1) * x * p - (j - 1) * p_prev) / j
-    dp = n * (x * p - p_prev) / (x * x - 1.0)
-    return p, dp
 
 
 @dataclass(frozen=True)
@@ -46,40 +32,24 @@ class QuadratureRule1D:
 
 @functools.cache
 def gauss_legendre(order: int) -> QuadratureRule1D:
-    """Gauss-Legendre rule by Newton iteration on the Legendre polynomial.
+    """Gauss-Legendre rule by the Golub-Welsch method.
 
-    Initial guesses come from the Chebyshev-angle approximation of the roots;
-    only the non-negative half is solved and then mirrored, which makes the
-    node set exactly symmetric about zero. Each order is computed once per
-    process and the rule is shared: it is frozen and its arrays are read-only.
+    Nodes and weights come from the eigenpairs of the Legendre Jacobi matrix
+    (off-diagonal k / sqrt(4k^2 - 1)), each averaged with its mirror image,
+    which makes the rule exactly symmetric. Each order is computed once per
+    process and shared: the rule is frozen and its arrays are read-only.
     """
     if order < 1:
         raise ValueError(f"quadrature order must be >= 1, got {order}")
-    n = order
-    half = (n + 1) // 2
-    i = np.arange(1, half + 1)
-    x = np.cos(np.pi * (4 * i - 1) / (4 * n + 2))  # descending, positive half
-    for _ in range(_NEWTON_MAX_ITER):
-        p, dp = _legendre_value_derivative(n, x)
-        dx = p / dp
-        x = x - dx
-        if np.max(np.abs(dx)) < _NEWTON_TOL:
-            break
-    else:
-        raise NumericalError(f"Legendre root Newton iteration failed to converge at order {n}")
-    if n % 2 == 1:
-        x[-1] = 0.0  # odd-degree middle root is exactly zero
-    _, dp = _legendre_value_derivative(n, x)
-    w = 2.0 / ((1.0 - x * x) * dp * dp)
-    if n % 2 == 1:
-        nodes = np.concatenate([-x[:-1], [0.0], x[-2::-1]])
-        weights = np.concatenate([w[:-1], [w[-1]], w[-2::-1]])
-    else:
-        nodes = np.concatenate([-x, x[::-1]])
-        weights = np.concatenate([w, w[::-1]])
+    k = np.arange(1.0, order)
+    beta = k / np.sqrt(4.0 * k * k - 1.0)
+    x, vectors = np.linalg.eigh(np.diag(beta, 1) + np.diag(beta, -1))  # ascending nodes
+    v0 = vectors[0]
+    nodes = (x - x[::-1]) / 2.0
+    weights = v0**2 + v0[::-1] ** 2
     nodes.setflags(write=False)
     weights.setflags(write=False)
-    return QuadratureRule1D(nodes=nodes, weights=weights, order=n)
+    return QuadratureRule1D(nodes=nodes, weights=weights, order=order)
 
 
 @dataclass(frozen=True)

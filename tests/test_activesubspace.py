@@ -422,7 +422,24 @@ class TestEigendecompose:
         C = (C + C.T) / 2.0
         est = eigendecompose(C)
         assert est.clamped
-        assert np.all(est.eigenvalues >= 0.0)
+        assert est.eigenvalues[0] == pytest.approx(1.0, rel=1e-14)
+        assert est.eigenvalues[1:].tolist() == [0.0, 0.0]
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_rounding_noise_does_not_change_the_floor_or_the_flag(self, seed):
+        # a rank-one C, then the same C plus symmetric noise of norm 1e-16 ||C||: the null eigenvalues
+        # read exactly 0 both times, not whatever the noise made of them
+        rng = np.random.default_rng(seed)
+        u = rng.normal(size=5)
+        C = np.outer(u, u)
+        E = rng.normal(size=(5, 5))
+        E += E.T
+        noisy = C + 1e-16 * np.linalg.norm(C, 2) / np.linalg.norm(E, 2) * E
+        exact, perturbed = eigendecompose(C), eigendecompose(noisy)
+        assert exact.eigenvalues[1:].tolist() == perturbed.eigenvalues[1:].tolist() == [0.0] * 4
+        assert exact.clamped and perturbed.clamped
+        # the noise is a real change of C, so lambda_1 may move by as much as the noise itself
+        assert perturbed.eigenvalues[0] == pytest.approx(exact.eigenvalues[0], rel=1e-14)
 
     def test_genuinely_negative_eigenvalue_aborts(self):
         with pytest.raises(NumericalError, match="not PSD"):

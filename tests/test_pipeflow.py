@@ -4,7 +4,6 @@ import collections
 import itertools
 import json
 import math
-import re
 from importlib import resources
 
 import numpy as np
@@ -13,7 +12,7 @@ import pytest
 from ridgelaw import activesubspace, pipeflow
 from ridgelaw.activesubspace import estimate_subspaces
 from ridgelaw.errors import ModelError
-from ridgelaw.models import load_model
+from ridgelaw.models import SHIPPED_MODELS, load_model
 from ridgelaw.pipeflow import (
     RE_CRITICAL,
     LogSpaceVelocity,
@@ -23,6 +22,7 @@ from ridgelaw.pipeflow import (
     combine,
     evaluate_state,
 )
+from tests.conftest import exact_matvec
 
 
 # a pipe state, in evaluate_state's argument order
@@ -251,8 +251,31 @@ class TestFdValues:
         assert rows == [8] * 30 + [3]
 
 
+def law_dimension_error(law, spec):
+    """A message naming the first term of law whose exponents e give D e != power * v(QoI), else None.
+
+    D and v(QoI) are spec's, compared in exact rationals; a float exponent
+    converts to a rational without rounding.
+    """
+    units = spec.system.unit_names
+    D = [[q.dimension.exponents[u] for q in spec.quantities] for u in range(len(units))]
+
+    def show(exponents):
+        return {label: str(x) for label, x in zip(units, exponents) if x} or "dimensionless"
+
+    for name, _, exponents, power in law:
+        got, want = exact_matvec(D, exponents), [power * x for x in spec.qoi.exponents]
+        if got != want:
+            return f"pipe law term {name!r} has dimension {show(got)}, expected {show(want)}"
+    return None
+
+
 class TestLawCheck:
-    """Binding checks each term's dimension against the model file, exactly."""
+    """Each PIPE_LAW term has the dimension its last field states, in both shipped model files."""
+
+    def test_every_term_has_its_stated_dimension_in_both_shipped_files(self):
+        for model_id in SHIPPED_MODELS:
+            assert law_dimension_error(pipeflow.PIPE_LAW, load_model(model_id)) is None, model_id
 
     def test_shipped_law_passes_for_both_ids_and_a_range_only_variant(self, tmp_path):
         for model_id in ("laminar", "turbulent"):
@@ -270,14 +293,15 @@ class TestLawCheck:
             (2, 1, 1.5, "term 't2' has dimension {'kg': '1/2', 'm': '-1/2', 's': '-1/2'}, expected dimensionless"),
             (0, 0, -1.0, "term 'P' has dimension {'kg': '-1/2', 'm': '5/2', 's': '-1'}, expected {'m': '1', 's': '-1'}"),
             (4, 3, 0.1, "term 'Re/v'"),
+            (1, 3, 2.0, "term 't1' has dimension {'m': '1'}, expected dimensionless"),  # eps^2 / (3.7 D)
         ],
     )
-    def test_one_wrong_exponent_is_named(self, monkeypatch, term, column, value, message):
+    def test_one_wrong_exponent_is_named(self, term, column, value, message):
         law = [list(row) for row in pipeflow.PIPE_LAW]
         law[term][2] = tuple(value if i == column else e for i, e in enumerate(law[term][2]))
-        monkeypatch.setattr(pipeflow, "PIPE_LAW", tuple(tuple(row) for row in law))
-        with pytest.raises(ModelError, match=re.escape(message)):
-            builtin_model("turbulent")
+        for model_id in SHIPPED_MODELS:
+            error = law_dimension_error(law, load_model(model_id))
+            assert error.startswith(f"pipe law {message}"), error
 
 
 class TestReynoldsAndFriction:
@@ -384,6 +408,13 @@ def test_log_laminar_velocity_has_constant_gradient(laminar_model):
         x = lo + (hi - lo) * rng.uniform(0.1, 0.9, size=5)
         g = fd_gradient(log_f, x, h)
         assert np.max(np.abs(g - exponents)) <= 10.0 * h
+
+
+def test_order_9_turbulent_lambda_1_keeps_its_straddling_stencils(turbulent_model):
+    # at h = 1e-4 two stencils of the order-9 grid cross the regime switch and raise lambda_1 from
+    # ~312 (h = 1e-6) to ~6.3e5: a node or model-value change that moves one across Re_c fails here
+    est = estimate_subspaces(turbulent_model.f, turbulent_model.grid(9), [1e-4])[0]
+    assert est.eigenvalues[0] == pytest.approx(628958.5863950638, rel=1e-9)
 
 
 class TestBuiltinModel:

@@ -9,6 +9,10 @@ from ridgelaw import quadrature
 from ridgelaw.quadrature import DEFAULT_CHUNK, gauss_legendre, tensor_grid
 
 
+def _no_rule(order):
+    raise AssertionError(f"a rule of order {order} was computed")
+
+
 class TestGaussLegendre:
     def test_order_one_is_midpoint_rule(self):
         rule = gauss_legendre(1)
@@ -37,9 +41,19 @@ class TestGaussLegendre:
         assert np.all(rule.weights > 0.0)
         assert np.all(np.diff(rule.nodes) > 0.0)
 
+    @pytest.mark.parametrize("order", range(1, 64))
+    def test_exact_to_degree_2n_minus_1_exactly_symmetric_and_ascending(self, order):
+        rule = gauss_legendre(order)
+        for k in range(2 * order):
+            exact = 2.0 / (k + 1) if k % 2 == 0 else 0.0  # integral of x^k over [-1, 1]
+            assert abs(np.sum(rule.weights * rule.nodes**k) - exact) <= 1e-13, k
+        assert np.array_equal(rule.nodes, -rule.nodes[::-1])
+        assert np.array_equal(rule.weights, rule.weights[::-1])
+        assert np.all(np.diff(rule.nodes) > 0.0) and np.all(rule.weights > 0.0)
+
     @pytest.mark.parametrize("order", [2, 5, 11, 20])
     def test_matches_reference_nodes(self, order):
-        # independent oracle: numpy's Golub-Welsch implementation
+        # independent oracle: numpy's Golub-Welsch implementation, which the package does not use
         ref_nodes, ref_weights = np.polynomial.legendre.leggauss(order)
         rule = gauss_legendre(order)
         assert np.max(np.abs(rule.nodes - ref_nodes)) < 1e-14
@@ -50,22 +64,14 @@ class TestRuleCache:
     """Each order's rule is computed once per process and shared; grids still map nodes afresh."""
 
     @pytest.mark.parametrize("order", [1, 2, 5, 11, 15])
-    def test_second_grid_runs_no_newton_and_keeps_every_bit(self, monkeypatch, order):
+    def test_second_grid_runs_no_newton_and_keeps_every_bit(self, order):
         bounds = [(0.5, 2.0), (-3.0, 7.0), (1e-9, 10.0)]
-        calls = []
-        original = quadrature._legendre_value_derivative
-
-        def counting(n, x):
-            calls.append(n)
-            return original(n, x)
-
-        monkeypatch.setattr(quadrature, "_legendre_value_derivative", counting)
         gauss_legendre.cache_clear()
         fresh = tensor_grid(order, bounds)
-        assert calls  # the counter sees the Newton iteration of an uncached rule
-        calls.clear()
+        assert gauss_legendre.cache_info().misses == 1  # the cache sees the rule computed once
         again = tensor_grid(order, bounds)
-        assert calls == []
+        info = gauss_legendre.cache_info()
+        assert (info.hits, info.misses) == (1, 1)
         assert np.array_equal(again.mapped_nodes, fresh.mapped_nodes)
         assert np.array_equal(again.unit_weights, fresh.unit_weights)
         assert again.mapped_nodes is not fresh.mapped_nodes
@@ -108,7 +114,7 @@ class TestTensorGrid:
     @pytest.mark.parametrize("order", [6209, 100000])
     def test_grid_past_an_index_rejected_before_any_rule(self, monkeypatch, order):
         # 6209 ** 5 > sys.maxsize, far past MAX_GRID_POINTS; the grid could not even report its length
-        monkeypatch.setattr(quadrature, "_legendre_value_derivative", None)
+        monkeypatch.setattr(quadrature, "gauss_legendre", _no_rule)
         with pytest.raises(ValueError, match=rf"^a grid of quadrature order {order} in 5 dimensions has more than"):
             tensor_grid(order, [(0.0, 1.0)] * 5)
 
@@ -118,7 +124,7 @@ class TestTensorGrid:
         assert "_axis_tiles" not in vars(grid)  # nothing is built until the first chunk
 
     def test_order_64_in_5_dimensions_is_past_the_point_budget(self, monkeypatch):
-        monkeypatch.setattr(quadrature, "_legendre_value_derivative", None)
+        monkeypatch.setattr(quadrature, "gauss_legendre", _no_rule)
         with pytest.raises(ValueError) as err:
             tensor_grid(64, [(0.0, 1.0)] * 5)
         assert str(err.value) == (
