@@ -23,8 +23,8 @@ _DEFINED = {
     "pigroups": "DimensionMatrix PiDecomposition build_dimension_matrix pi_decomposition",
     "quadrature": "QuadratureRule1D TensorGrid gauss_legendre tensor_grid",
     "ridge": "constancy_directions",
-    "activesubspace": "SubspaceEstimate active_subspace eigendecompose estimate_C estimate_subspace "
-    "estimate_subspaces fd_gradient pullback_T",
+    "activesubspace": "SubspaceEstimate active_subspace eigendecompose estimate_C estimate_subspaces "
+    "fd_gradient pullback_T",
     "subspace": "InclusionReport SweepResult convergence_sweep inclusion_residual",
     "pipeflow": "RE_CRITICAL builtin_model",
 }

@@ -136,10 +136,8 @@ def _gradient_outer_sums(
     # C and every value are checked for finiteness; a with in the generator would leak its state
     with np.errstate(all="ignore"):
         for Y, w in blocks:
-            weighted = None  # G * w, in one buffer per block
             for k, G in enumerate(_fd_gradients(f, Y, steps)):
-                weighted = np.multiply(G, w, out=weighted)
-                sums[k] += weighted @ G.T
+                sums[k] += (G * w) @ G.T
     # symmetrize once per step: mirror the lower triangle, summed block by block, onto the upper
     return [np.tril(S) + np.tril(S, -1).T for S in sums]
 
@@ -223,17 +221,12 @@ def active_subspace(est: SubspaceEstimate, k: int) -> np.ndarray:
     return est.eigenvectors[:, :k].copy()
 
 
-def estimate_subspace(f: Callable, grid: TensorGrid, h: float) -> SubspaceEstimate:
-    """Estimate C on the grid and eigendecompose it."""
-    return eigendecompose(estimate_C(f, grid, h))
-
-
 def estimate_subspaces(f: Callable, grid: TensorGrid, steps: Sequence[float]) -> List[SubspaceEstimate]:
     """One estimate per FD step, all from a single pass over the grid.
 
     Each chunk is generated once and f is evaluated once at its points, then
     once per distinct step and dimension; a repeated step is computed once.
-    Every estimate equals the one ``estimate_subspace`` gives for its step.
+    Each estimate equals ``eigendecompose(estimate_C(f, grid, h))`` for its step h.
     """
     hs = [float(h) for h in steps]
     distinct = list(dict.fromkeys(hs))

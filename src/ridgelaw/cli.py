@@ -145,12 +145,12 @@ def _cmd_pi(args):
 
 def _cmd_active(args):
     from . import pipeflow
-    from .activesubspace import estimate_subspace
+    from .activesubspace import eigendecompose, estimate_C
 
     # cli's own load_model, not builtin_model: the benchmark tracer wraps ridgelaw.cli.load_model
     model = pipeflow.bind_builtin(load_model(args.model))
     grid = model.grid(args.quad_order)
-    est = estimate_subspace(model.f, grid, args.fd_step)
+    est = eigendecompose(estimate_C(model.f, grid, args.fd_step))
     payload = {
         "model": args.model,
         "quad_order": args.quad_order,

@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Iterator, List, Optional, Sequence
+from typing import Callable, Iterator, List, Sequence
 
 import numpy as np
 
@@ -80,15 +80,15 @@ def _terms(x) -> List[np.ndarray]:
     return terms
 
 
-def combine(terms: Sequence[np.ndarray], re_critical: float, out: Optional[np.ndarray] = None):
+def combine(terms: Sequence[np.ndarray], re_critical: float):
     """Velocity and turbulent mask from the terms (P, t1, t2, v_lam, Re/v).
 
     V = -2 P log10(t1 + t2), the Colebrook-derived velocity, where its
     Reynolds number (Re/v) V exceeds re_critical, else Poiseuille's v_lam.
-    V is written into out when given; one point gives a 0-d V.
+    V is a fresh array; one point gives a 0-d V.
     """
     P, t1, t2, v_lam, re_per_v = terms
-    v = np.add(t1, t2, out=np.empty(np.shape(t1)) if out is None else out)
+    v = np.add(t1, t2, out=np.empty(np.shape(t1)))
     np.log10(v, out=v)
     v *= P
     v *= -2.0  # exact, so the same bits as -2 P log10(t1 + t2)
@@ -135,25 +135,22 @@ class LogSpaceVelocity:
     def fd_values(self, Y: np.ndarray, steps: Sequence[float]) -> Iterator[np.ndarray]:
         """f(Y), then f(Y + h e_i) for each step h and dimension i, in that order.
 
-        f(Y) is the one full evaluation (a call of the model); each shift
-        then multiplies the terms at Y that depend on dimension i by the
-        scalar exp(h e_i) and combines again, with no exp or sqrt over the
-        rows. The shifted values share one buffer: each is valid until the
-        next one is requested, so a caller that keeps one copies it.
+        The terms at Y are computed once and give f(Y); each shift then
+        multiplies the terms that depend on dimension i by the scalar
+        exp(h e_i) and combines again, with no exp or sqrt over the rows.
+        Every value is a fresh array.
         """
-        yield self(Y)
         terms = _terms(Y)
+        yield combine(terms, self.re_critical)[0]
         m = Y.shape[1]
         # every exp(h e_i) of every step, with the bits of the scalar np.exp(h * e_i)
         scales = np.exp(np.multiply.outer(np.asarray(steps, dtype=float), _EXPONENTS[:, :m]))
-        buffers = [np.empty_like(t) for t in terms]
-        values = np.empty(Y.shape[0])
         for scale in scales:
             for i in range(m):
                 shifted = list(terms)
                 for j in _MOVING[i]:
-                    shifted[j] = np.multiply(terms[j], scale[j, i], out=buffers[j])
-                yield combine(shifted, self.re_critical, out=values)[0]
+                    shifted[j] = terms[j] * scale[j, i]
+                yield combine(shifted, self.re_critical)[0]
 
 
 @dataclass(frozen=True)

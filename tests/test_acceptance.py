@@ -23,7 +23,7 @@ import pytest
 
 from ridgelaw.activesubspace import (
     eigendecompose,
-    estimate_subspace,
+    estimate_C,
     fd_gradient,
     pullback_T,
 )
@@ -57,12 +57,12 @@ def report(number: int, name: str, ok: bool, detail: str) -> None:
 
 @pytest.fixture(scope="module")
 def est11_laminar(laminar_model):
-    return estimate_subspace(laminar_model.f, laminar_model.grid(11), H_DEFAULT)
+    return eigendecompose(estimate_C(laminar_model.f, laminar_model.grid(11), H_DEFAULT))
 
 
 @pytest.fixture(scope="module")
 def est11_turbulent(turbulent_model):
-    return estimate_subspace(turbulent_model.f, turbulent_model.grid(11), H_DEFAULT)
+    return eigendecompose(estimate_C(turbulent_model.f, turbulent_model.grid(11), H_DEFAULT))
 
 
 def test_criterion_1_exact_pi_decomposition(laminar_model):
@@ -107,12 +107,12 @@ def test_criterion_1_exact_pi_decomposition(laminar_model):
 def test_criterion_2_laminar_spectrum(laminar_model, est11_laminar):
     lam11 = est11_laminar.eigenvalues
     ratio_h5 = lam11[1] / lam11[0]
-    est11_h7 = estimate_subspace(laminar_model.f, laminar_model.grid(11), 1e-7)
+    est11_h7 = eigendecompose(estimate_C(laminar_model.f, laminar_model.grid(11), 1e-7))
     ratio_h7 = est11_h7.eigenvalues[1] / est11_h7.eigenvalues[0]
 
     started = time.perf_counter()
-    est7_h5 = estimate_subspace(laminar_model.f, laminar_model.grid(7), 1e-5)
-    est7_h7 = estimate_subspace(laminar_model.f, laminar_model.grid(7), 1e-7)
+    est7_h5 = eigendecompose(estimate_C(laminar_model.f, laminar_model.grid(7), 1e-5))
+    est7_h7 = eigendecompose(estimate_C(laminar_model.f, laminar_model.grid(7), 1e-7))
     order7_seconds = time.perf_counter() - started
     ratio7_h5 = est7_h5.eigenvalues[1] / est7_h5.eigenvalues[0]
     ratio7_h7 = est7_h7.eigenvalues[1] / est7_h7.eigenvalues[0]
@@ -144,7 +144,7 @@ def test_criterion_3_turbulent_spectrum(turbulent_model, est11_turbulent):
     lam = est11_turbulent.eigenvalues
     ratio3 = lam[2] / lam[0]
     ratio4 = lam[3] / lam[0]
-    est_h6 = estimate_subspace(turbulent_model.f, turbulent_model.grid(11), 1e-6)
+    est_h6 = eigendecompose(estimate_C(turbulent_model.f, turbulent_model.grid(11), 1e-6))
     ratio4_h6 = est_h6.eigenvalues[3] / est_h6.eigenvalues[0]
 
     ok = (
@@ -209,7 +209,7 @@ def test_criterion_5_quadrature_stabilization(turbulent_model, est11_turbulent):
     # near 1e-2..1e-4 for these eigenvalues. With the switch removed the
     # same pipeline agrees to ~1e-11, so the limit is the model's
     # discontinuity, not the quadrature. Expected to fail as stated.
-    est9 = estimate_subspace(turbulent_model.f, turbulent_model.grid(9), H_DEFAULT)
+    est9 = eigendecompose(estimate_C(turbulent_model.f, turbulent_model.grid(9), H_DEFAULT))
     top11 = est11_turbulent.eigenvalues[:3]
     top9 = est9.eigenvalues[:3]
     rel_changes = np.abs(top11 - top9) / top11

@@ -154,9 +154,9 @@ class TestPipeLaw:
                 assert np.shape(t) == np.shape(s)
                 assert np.asarray(t).tobytes() == np.asarray(np.exp(s)).tobytes()
 
-    def test_combine_into_out_gives_the_bits_of_np_where(self):
+    def test_combine_gives_the_bits_of_np_where(self):
         X = np.random.default_rng(7).uniform(-3.0, 3.0, size=(300, 5))
-        for x in (X, X[0], X[1]):
+        for x in (X, X[0], X[1]):  # one point gives a 0-d V
             terms = _terms(x)
             P, t1, t2, v_lam, re_per_v = terms
             v_tur = -2.0 * P * np.log10(t1 + t2)
@@ -164,9 +164,6 @@ class TestPipeLaw:
             v, turbulent = combine(terms, 1.0)
             assert v.shape == np.shape(x)[:-1] and v.tobytes() == want.tobytes()
             assert np.array_equal(turbulent, re_per_v * v_tur > 1.0)
-            out = np.full(np.shape(x)[:-1], np.nan)
-            v_out, _ = combine(terms, 1.0, out=out)
-            assert v_out is out and out.tobytes() == want.tobytes()
 
     def test_velocity_matches_the_physical_formulas(self, turbulent_model):
         grid = turbulent_model.grid(5)
@@ -218,33 +215,22 @@ class TestFdValues:
         for model in (laminar_model, turbulent_model):
             grid = model.grid(5)
             Y, _ = grid.chunk(0, len(grid))
-            got = model.f.fd_values(Y, self.STEPS)
-            want = self.per_shift_values(model.f, Y, self.STEPS)
-            for count, (value, expected) in enumerate(itertools.zip_longest(got, want)):
-                assert value is not None and expected is not None
+            # every value is kept before any is compared, so a reused buffer would show
+            got = list(model.f.fd_values(Y, self.STEPS))
+            want = list(self.per_shift_values(model.f, Y, self.STEPS))
+            assert len(got) == len(want) == 1 + Y.shape[1] * len(self.STEPS)
+            for count, (value, expected) in enumerate(zip(got, want)):
                 assert value.tobytes() == expected.tobytes(), count
-            assert count == Y.shape[1] * len(self.STEPS)
 
-    def test_later_values_leave_f_at_Y_alone(self, turbulent_model):
-        # the shifted values may share a buffer, but f(Y) is the caller's to keep
-        grid = turbulent_model.grid(3)
-        Y, _ = grid.chunk(0, len(grid))
-        values = turbulent_model.f.fd_values(Y, self.STEPS)
-        f0 = next(values)
-        kept = f0.copy()
-        for _ in values:
-            pass
-        assert f0.tobytes() == kept.tobytes()
-
-    def test_model_is_called_once_per_chunk(self, turbulent_model, monkeypatch):
+    def test_terms_are_computed_once_per_chunk(self, turbulent_model, monkeypatch):
         rows = []
-        original_call = LogSpaceVelocity.__call__
+        original_terms = pipeflow._terms
 
-        def counting_call(f_self, x):
+        def counting_terms(x):
             rows.append(len(x))
-            return original_call(f_self, x)
+            return original_terms(x)
 
-        monkeypatch.setattr(LogSpaceVelocity, "__call__", counting_call)
+        monkeypatch.setattr(pipeflow, "_terms", counting_terms)
         monkeypatch.setattr(activesubspace, "DEFAULT_CHUNK", 8)
         grid = turbulent_model.grid(3)  # 243 points: 30 chunks of 8 and one of 3
         estimate_subspaces(turbulent_model.f, grid, [1e-2, 1e-4, 1e-6])
