@@ -64,6 +64,13 @@ def test_unknown_attribute_raises_naming_it():
     assert not hasattr(ridgelaw, "no_such_name")
 
 
+def test_the_deleted_estimate_subspace_wrapper_is_not_reachable():
+    # eigendecompose(estimate_C(f, grid, h)) is the one way to a single-step estimate
+    with pytest.raises(AttributeError, match="'estimate_subspace'"):
+        ridgelaw.estimate_subspace
+    assert not hasattr(importlib.import_module("ridgelaw.activesubspace"), "estimate_subspace")
+
+
 def test_names_import_their_module_on_first_access():
     probe = (
         "import json, sys, ridgelaw\n"

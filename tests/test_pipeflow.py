@@ -222,6 +222,26 @@ class TestFdValues:
             for count, (value, expected) in enumerate(zip(got, want)):
                 assert value.tobytes() == expected.tobytes(), count
 
+    def test_later_values_leave_f_at_Y_alone(self, turbulent_model):
+        # f(Y) is the caller's to keep while the shifted values are drawn
+        grid = turbulent_model.grid(3)
+        Y, _ = grid.chunk(0, len(grid))
+        values = turbulent_model.f.fd_values(Y, self.STEPS)
+        f0 = next(values)
+        kept = f0.copy()
+        for _ in values:
+            pass
+        assert f0.tobytes() == kept.tobytes()
+
+    def test_no_two_values_share_memory(self, turbulent_model):
+        grid = turbulent_model.grid(3)
+        Y, _ = grid.chunk(0, len(grid))
+        values = list(turbulent_model.f.fd_values(Y, self.STEPS))
+        for a in range(len(values)):
+            assert not np.shares_memory(values[a], Y), a
+            for b in range(a + 1, len(values)):
+                assert not np.shares_memory(values[a], values[b]), (a, b)
+
     def test_terms_are_computed_once_per_chunk(self, turbulent_model, monkeypatch):
         rows = []
         original_terms = pipeflow._terms
