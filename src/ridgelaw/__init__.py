@@ -22,10 +22,9 @@ _DEFINED = {
     "errors": "EvaluationError ModelError NumericalError",
     "pigroups": "DimensionMatrix PiDecomposition build_dimension_matrix pi_decomposition",
     "quadrature": "QuadratureRule1D TensorGrid gauss_legendre tensor_grid",
-    "ridge": "constancy_directions",
     "activesubspace": "SubspaceEstimate active_subspace eigendecompose estimate_C estimate_subspaces "
     "fd_gradient pullback_T",
-    "subspace": "InclusionReport SweepResult convergence_sweep inclusion_residual",
+    "subspace": "InclusionReport SweepResult constancy_directions convergence_sweep inclusion_residual",
     "pipeflow": "RE_CRITICAL builtin_model",
 }
 _EXPORTS = {name: module for module, names in _DEFINED.items() for name in names.split()}

@@ -114,11 +114,7 @@ def _rational_matrix_csv(row_labels: Sequence[str], col_labels: Sequence[str], r
 def _cmd_pi(args):
     spec = load_model(args.model)
     D = build_dimension_matrix(spec.quantities)
-    with warnings.catch_warnings():
-        # an incomplete unit system is a one-line note, on every run
-        warnings.simplefilter("always")
-        warnings.showwarning = lambda message, *_: print(f"warning: {message}", file=sys.stderr)
-        decomp = pi_decomposition(D, spec.qoi)
+    decomp = pi_decomposition(D, spec.qoi)
     payload = {
         "model": spec.name,
         "unit_system": list(spec.system.unit_names),
@@ -377,7 +373,12 @@ def run_command(argv: Sequence[str]) -> int:
     """Parse argv and execute; returns the process exit status."""
     try:
         args = build_parser().parse_args(list(argv))
-        name, payload, files = args.func(args)
+        with warnings.catch_warnings():
+            # a library note, such as an incomplete unit system, is one line on every run;
+            # only UserWarning, so a filter that turns numpy's RuntimeWarning into an error still holds
+            warnings.simplefilter("always", UserWarning)
+            warnings.showwarning = lambda message, *_: print(f"warning: {message}", file=sys.stderr)
+            name, payload, files = args.func(args)
         text = _json_text(payload)
         out = getattr(args, "out", None)  # pipeflow eval has no --out
         if out is not None:

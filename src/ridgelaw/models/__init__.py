@@ -26,12 +26,11 @@ SHIPPED_MODELS = ("pipeflow_laminar", "pipeflow_turbulent")
 
 @dataclass(frozen=True)
 class ModelSpec:
-    """Validated model file: unit system, quantities, QoI, optional builtin id."""
+    """Validated model file: unit system, quantities, QoI dimension, optional builtin id."""
 
     name: str
     system: UnitSystem
     quantities: Tuple[QuantityDecl, ...]
-    qoi_name: str
     qoi: DimensionVector
     builtin: Optional[str] = None
 
@@ -49,7 +48,13 @@ class ModelSpec:
     def log_bounds(self) -> Tuple[Tuple[float, float], ...]:
         import numpy as np  # np.log, not math.log: the grid's bits depend on it
 
-        return tuple((float(np.log(lo)), float(np.log(hi))) for lo, hi in self.ranges())
+        bounds = []
+        for q, (lo, hi) in zip(self.quantities, self.ranges()):
+            log_lo, log_hi = float(np.log(lo)), float(np.log(hi))
+            if not log_lo < log_hi:
+                raise ModelError(f"quantity {q.name!r}: range ({lo!r}, {hi!r}) has no width in log space")
+            bounds.append((log_lo, log_hi))
+        return tuple(bounds)
 
 
 def _require(mapping: dict, key: str, context: str):
@@ -164,7 +169,6 @@ def _parse(text: str, name: str) -> ModelSpec:
         name=name,
         system=system,
         quantities=tuple(quantities),
-        qoi_name=qoi_name,
         qoi=qoi,
         builtin=builtin,
     )

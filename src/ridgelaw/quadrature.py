@@ -23,11 +23,10 @@ MAX_GRID_POINTS = 10**9
 
 @dataclass(frozen=True)
 class QuadratureRule1D:
-    """Nodes and weights on [-1, 1]; exact for polynomials up to degree 2*order - 1."""
+    """Nodes and weights on [-1, 1]; exact for polynomials up to degree 2n - 1 for n nodes."""
 
     nodes: np.ndarray
     weights: np.ndarray
-    order: int
 
 
 @functools.cache
@@ -49,7 +48,7 @@ def gauss_legendre(order: int) -> QuadratureRule1D:
     weights = v0**2 + v0[::-1] ** 2
     nodes.setflags(write=False)
     weights.setflags(write=False)
-    return QuadratureRule1D(nodes=nodes, weights=weights, order=order)
+    return QuadratureRule1D(nodes=nodes, weights=weights)
 
 
 @dataclass(frozen=True)

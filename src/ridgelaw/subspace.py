@@ -1,4 +1,10 @@
-"""Subspace-inclusion residuals and the step-size convergence sweep.
+"""The orthogonal split of log-input space that dimensional analysis predicts.
+
+A ridge model computes profile(A^T x): nominally a function of all m inputs,
+but constant along every direction orthogonal to A's columns. Its active
+subspace therefore lies inside span(A). Both halves of that split come from
+one QR routine: ``constancy_directions`` returns the orthogonal complement of
+span(A), and the inclusion test orthonormalizes both bases it compares.
 
 The inclusion test asks whether every basis vector of a candidate subspace
 can be written as a linear combination of an enclosing basis: each column is
@@ -19,6 +25,7 @@ from .errors import ModelError, NumericalError
 from .pipeflow import BuiltinModel
 
 _RANK_TOL = 1e-12
+_ANNIHILATION_TOL = 1e-12
 _SLOPE_FLOOR = 1e-24  # residuals below this are rounding noise; excluded from fits
 
 
@@ -33,14 +40,31 @@ class InclusionReport:
     enclosing_condition: float
 
 
-def _orthonormalize(B: np.ndarray, name: str) -> np.ndarray:
-    Q, R = np.linalg.qr(B)
+def _orthonormalize(B: np.ndarray, name: str, mode: str = "reduced") -> np.ndarray:
+    """Q of B's reduced or complete QR, checked finite and of full column rank."""
+    Q, R = np.linalg.qr(B, mode=mode)
     if not (np.isfinite(Q).all() and np.isfinite(R).all()):
         raise NumericalError(f"{name} basis has a non-finite QR factor")
     diag = np.abs(np.diag(R))
-    if diag.min() <= _RANK_TOL * max(diag.max(), 1.0):
+    if diag.size and diag.min() <= _RANK_TOL * max(diag.max(), 1.0):
         raise ModelError(f"{name} basis is numerically rank deficient")
     return Q
+
+
+def constancy_directions(A: np.ndarray) -> np.ndarray:
+    """Orthonormal basis of the null space of A^T: the invariant directions.
+
+    The trailing columns of the complete QR factor of A. Every returned
+    column u satisfies max|A^T u| < 1e-12.
+    """
+    A = np.atleast_2d(np.asarray(A, dtype=float))
+    m, ncols = A.shape
+    if ncols > m:
+        raise ModelError(f"A has more columns ({ncols}) than rows ({m})")
+    U = _orthonormalize(A, "A", mode="complete")[:, ncols:]
+    if np.any(np.abs(A.T @ U) >= _ANNIHILATION_TOL):
+        raise NumericalError("constancy directions failed the A^T u = 0 check")
+    return U
 
 
 def inclusion_residual(B1: np.ndarray, B2: np.ndarray) -> InclusionReport:

@@ -30,8 +30,7 @@ from ridgelaw.activesubspace import (
 from ridgelaw.pigroups import build_dimension_matrix, pi_decomposition
 from ridgelaw.pipeflow import RE_CRITICAL, builtin_model
 from ridgelaw.quadrature import tensor_grid
-from ridgelaw.ridge import constancy_directions
-from ridgelaw.subspace import convergence_sweep, inclusion_residual
+from ridgelaw.subspace import constancy_directions, convergence_sweep, inclusion_residual
 from tests.conftest import CLASSICAL_PIPE_W, exact_matvec
 
 H_DEFAULT = 1e-5

@@ -365,6 +365,42 @@ class TestInclusionCommand:
         assert captured.err == f"numerical failure: {name} basis has a non-finite QR factor\n"
 
 
+def _reachable_model_error(tmp_path, case):
+    """argv of one command that ends in a model error, with the files it names."""
+    if case == "no range":
+        return ["active", "--model", write_model(tmp_path, _pipe_doc(lambda qs, d: qs[2].pop("range")))]
+    if case == "ambient dimensions":
+        (tmp_path / "two.csv").write_text("1\n0\n")
+        (tmp_path / "three.csv").write_text("1,0\n0,1\n0,0\n")
+        return ["inclusion", "--candidate", str(tmp_path / "two.csv"), "--enclosing", str(tmp_path / "three.csv")]
+    if case == "directory":
+        return ["pi", str(tmp_path)]
+    if case == "unit labels":
+        return ["pi", write_model(tmp_path, dict(BASE_DOC, unit_system=["kg", 1, "s"]))]
+    if case == "log width":  # 0 < lo < hi holds, but np.log maps both ends to one double
+        flat = _pipe_doc(lambda qs, d: qs[0].update(range=[1e300, 1.0000000000000002e300]))
+        return ["active", "--model", write_model(tmp_path, flat), "--quad-order", "2"]
+    raise AssertionError(case)
+
+
+REACHABLE_MODEL_ERRORS = {
+    "no range": "subspace estimation needs ranges for all quantities; missing: ['D']",
+    "ambient dimensions": "bases live in different ambient dimensions: 2 vs 3",
+    "directory": "cannot read model file",
+    "unit labels": "'unit_system' must be a list of unit labels",
+    "log width": "quantity 'rho': range (1e+300, 1.0000000000000002e+300) has no width in log space",
+}
+
+
+@pytest.mark.parametrize("case", list(REACHABLE_MODEL_ERRORS))
+def test_reachable_model_errors_exit_3_with_one_line(tmp_path, capsys, case):
+    assert run_command(_reachable_model_error(tmp_path, case)) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert captured.err.startswith("model error: ") and REACHABLE_MODEL_ERRORS[case] in captured.err
+
+
 class TestSweepCommand:
     def test_writes_sweep_csv_with_running_slope(self, tmp_path, capsys):
         out = tmp_path / "sweep"
@@ -925,6 +961,23 @@ class TestEntryPoint:
         assert proc.returncode == code, stderr
         assert proc.stdout == ""
         assert len(stderr.splitlines()) == 1 and stderr.startswith(start), stderr
+
+    def test_library_note_is_one_warning_line_on_sweep(self, tmp_path, capsys):
+        def unused_unit(qs, d):
+            d["builtin"] = "pipeflow_turbulent"
+            d["unit_system"].append("K")
+            qs[4]["range"] = [0.1, 10.0]  # the shipped turbulent box
+
+        path = write_model(tmp_path, _pipe_doc(unused_unit))
+        argv = ["--steps", "1e-2,1e-3", "--quad-order", "3"]
+        proc, stderr, _ = self._run("sweep", "--model", path, *argv)
+        assert proc.returncode == 0, stderr
+        assert stderr.splitlines() == [
+            "warning: dimension matrix has rank 3 < 4 fundamental units; "
+            "the quantities do not span a complete set of dimensions"
+        ]
+        assert run_command(["sweep", "--model", "turbulent", *argv]) == 0
+        assert proc.stdout == capsys.readouterr().out
 
     def test_nonpositive_step_exits_2_with_one_line(self):
         proc, stderr, _ = self._run("sweep", "--model", "laminar", "--quad-order", "2", "--steps", "1e-3,0")

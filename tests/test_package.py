@@ -17,12 +17,11 @@ EXPORTED_FROM = {
     "errors": "EvaluationError ModelError NumericalError",
     "pigroups": "DimensionMatrix PiDecomposition build_dimension_matrix pi_decomposition",
     "quadrature": "QuadratureRule1D TensorGrid gauss_legendre tensor_grid",
-    "ridge": "constancy_directions",
     "activesubspace": (
         "SubspaceEstimate active_subspace eigendecompose estimate_C estimate_subspaces "
         "fd_gradient pullback_T"
     ),
-    "subspace": "InclusionReport SweepResult convergence_sweep inclusion_residual",
+    "subspace": "InclusionReport SweepResult constancy_directions convergence_sweep inclusion_residual",
     "pipeflow": "RE_CRITICAL builtin_model",
 }
 DEFINED_IN = {name: module for module, names in EXPORTED_FROM.items() for name in names.split()}
@@ -86,3 +85,10 @@ def test_names_import_their_module_on_first_access():
     assert bare == ["ridgelaw"]
     assert "ridgelaw.pigroups" in exact and "numpy" not in exact
     assert "ridgelaw.activesubspace" in estimating and "numpy" in estimating
+
+
+def test_constancy_directions_lives_with_the_inclusion_test():
+    # one module, one QR routine, for both halves of the orthogonal split
+    assert ridgelaw.constancy_directions is importlib.import_module("ridgelaw.subspace").constancy_directions
+    with pytest.raises(ModuleNotFoundError):
+        importlib.import_module("ridgelaw.ridge")

@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
-from ridgelaw.errors import ModelError
+from ridgelaw.errors import ModelError, NumericalError
 from ridgelaw.pigroups import build_dimension_matrix
-from ridgelaw.ridge import constancy_directions
+from ridgelaw.subspace import constancy_directions
 
 
 class TestRidgeEval:
@@ -73,6 +73,24 @@ class TestConstancyDirections:
     def test_rank_deficient_rejected(self):
         with pytest.raises(ModelError):
             constancy_directions(np.array([[1.0, 2.0], [2.0, 4.0], [0.0, 0.0]]))
+
+    @pytest.mark.parametrize("entry", [np.nan, np.inf, -np.inf])
+    def test_non_finite_A_is_a_numerical_error(self, entry):
+        # the one QR routine checks its factors: no NaN basis, no misleading rank message
+        with pytest.raises(NumericalError, match="A basis has a non-finite QR factor"):
+            constancy_directions(np.array([[entry], [1.0], [0.0]]))
+
+    def test_more_columns_than_rows_rejected(self):
+        with pytest.raises(ModelError, match=r"A has more columns \(3\) than rows \(2\)"):
+            constancy_directions(np.ones((2, 3)))
+
+    def test_no_columns_leave_every_direction_invariant(self):
+        U = constancy_directions(np.zeros((3, 0)))
+        assert np.array_equal(np.abs(U), np.eye(3))
+
+    def test_same_bits_as_the_complete_qr(self, turbulent_model):
+        A = turbulent_model.decomposition.A_float()
+        assert np.array_equal(constancy_directions(A), np.linalg.qr(A, mode="complete")[0][:, A.shape[1]:])
 
 
 def test_pipe_flow_bulk_velocity_is_a_ridge_function(laminar_model, turbulent_model):
