@@ -6,12 +6,16 @@ span the active subspace. For a ridge function the same matrix factors
 through the low-dimensional profile, so the pullback path estimates the small
 matrix T with gradients taken in the profile's own coordinates.
 
-Accumulation is blocked into fixed-size chunks summed in index order, which
-bounds working memory and makes every result bit-reproducible. One pass over
-the grid serves any number of FD steps: each chunk and its base values f(x)
-are computed once and shared by every step. A model can supply the shifted
-values itself through an ``fd_values(Y, steps)`` method; the differencing
-and the checks on every value stay here.
+Two sizes bound the pass. The grid is evaluated in blocks of
+BLOCK_CHUNKS * DEFAULT_CHUNK points, which keeps numpy's per-call cost low
+and working memory small. Each block's outer products are summed per
+DEFAULT_CHUNK slice in index order, and blocks start at multiples of the
+chunk, so every sum runs in one fixed order and every result repeats bit for
+bit. One pass over the grid serves any number of FD steps: each block and
+its base values f(x) are computed once and shared by every step. A model can
+supply the shifted values itself through an ``fd_values(Y, steps)`` method,
+one (m, n) array per step; the differencing, done in place, and the checks
+on every value stay here.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ from typing import Callable, Iterable, Iterator, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import EvaluationError, ModelError, NumericalError
-from .quadrature import DEFAULT_CHUNK, TensorGrid
+from .quadrature import BLOCK_CHUNKS, DEFAULT_CHUNK, TensorGrid
 
 _SYMMETRY_TOL = 1e-12
 _EIG_CLAMP_REL = 1e-12
@@ -37,6 +41,12 @@ class SubspaceEstimate:
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
     clamped: bool = False  # an eigenvalue at the rounding floor was zeroed; zero ones have arbitrary eigenvectors
+
+
+def _columns(B) -> np.ndarray:
+    """B as a float array of basis vectors in its columns: a 1-D array is one column."""
+    B = np.asarray(B, dtype=float)
+    return B.reshape(-1, 1) if B.ndim < 2 else B
 
 
 def _shaped(values, n: int) -> np.ndarray:
@@ -63,18 +73,23 @@ def _nonfinite(values: np.ndarray, X: np.ndarray, i: Optional[int] = None, h: fl
 
 
 def _shifted_values(f: Callable, Y: np.ndarray, steps: Sequence[float]) -> Iterator[np.ndarray]:
-    """f(Y), then f(Y + h e_i) for each step h and dimension i, in that order.
+    """f(Y), then one (m, n) array per step h whose row i is f(Y + h e_i).
 
     Each shift is applied in place to one work array and undone from Y after
-    its evaluation, so a pass costs 1 + m * len(steps) calls of f.
+    its evaluation, so a pass costs 1 + m * len(steps) calls of f. Each
+    value's shape is checked as it arrives and copied into its row of one
+    array, which every step reuses.
     """
+    n, m = Y.shape
     yield f(Y)
     work = Y.copy()
+    rows = np.empty((m, n))
     for h in steps:
-        for i in range(Y.shape[1]):
+        for i in range(m):
             work[:, i] += h
-            yield f(work)
+            rows[i] = _shaped(f(work), n)
             work[:, i] = Y[:, i]
+        yield rows
 
 
 def _fd_gradients(f: Callable, Y: np.ndarray, steps: Sequence[float]) -> Iterator[np.ndarray]:
@@ -83,13 +98,13 @@ def _fd_gradients(f: Callable, Y: np.ndarray, steps: Sequence[float]) -> Iterato
     Row i of a gradient array is the derivative along dimension i at every
     point. The values come from the model's ``fd_values(Y, steps)`` when it
     has one (it yields what ``_shifted_values`` would, usually more cheaply),
-    else from calling f on each shifted copy of Y. Each value's shape is
-    checked as it arrives and copied into its row; a step's values are then
-    checked for finiteness at once, and the first non-finite one in
-    (dimension, row) order raises with its shifted point. The yielded array
-    is reused by the next step. Every step must be positive and finite, and
-    must move the block's largest |x|: a step below its spacing gives
-    x + h == x.
+    else from calling f on each shifted copy of Y. f(Y) is checked first;
+    then each step's array is checked for its shape and finiteness, and the
+    first non-finite value in (dimension, row) order raises with its shifted
+    point. The step's array is differenced in place and yielded, so the
+    model may reuse it for the next step. Every step must be positive and
+    finite, and must move the block's largest |x|: a step below its spacing
+    gives x + h == x.
     """
     bad = [h for h in steps if not 0.0 < h < np.inf]
     if bad:
@@ -106,10 +121,15 @@ def _fd_gradients(f: Callable, Y: np.ndarray, steps: Sequence[float]) -> Iterato
     f0 = _shaped(next(values), n)
     if not np.isfinite(f0).all():
         raise _nonfinite(f0, Y)
-    G = np.empty((m, n))
     for h in steps:
-        for i in range(m):
-            G[i] = _shaped(next(values), n)
+        G = np.asarray(next(values), dtype=float)
+        if G.shape != (m, n):
+            raise ModelError(
+                f"model fd_values returned shape {G.shape} for step {h}; "
+                f"it must yield one (m, n) = {(m, n)} array per step"
+            )
+        if not G.flags.writeable:
+            raise ModelError(f"model fd_values returned a read-only array for step {h}; it is differenced in place")
         if not np.isfinite(G).all():
             i = int(np.argmin(np.isfinite(G).all(axis=1)))
             raise _nonfinite(G[i], Y, i, h)
@@ -131,29 +151,43 @@ def fd_gradient(f: Callable, x: np.ndarray, h: float) -> np.ndarray:
 def _gradient_outer_sums(
     f: Callable, blocks: Iterable[Tuple[np.ndarray, np.ndarray]], steps: Sequence[float]
 ) -> List[np.ndarray]:
-    """Weighted sums of FD-gradient outer products over (points, weights) blocks, one matrix per step."""
+    """Weighted sums of FD-gradient outer products over (points, weights) blocks, one matrix per step.
+
+    Each block's product is summed per DEFAULT_CHUNK slice, read at call
+    time, in index order; a block that starts at a multiple of the chunk
+    then adds what the same points would add as chunk-sized blocks.
+    """
+    chunk = DEFAULT_CHUNK
     sums = [0.0] * len(steps)
     # C and every value are checked for finiteness; a with in the generator would leak its state
     with np.errstate(all="ignore"):
         for Y, w in blocks:
             for k, G in enumerate(_fd_gradients(f, Y, steps)):
-                sums[k] += (G * w) @ G.T
-    # symmetrize once per step: mirror the lower triangle, summed block by block, onto the upper
+                for start in range(0, len(w), chunk):
+                    c = slice(start, start + chunk)
+                    sums[k] += (G[:, c] * w[c]) @ G[:, c].T
+    # symmetrize once per step: mirror the lower triangle, summed chunk by chunk, onto the upper
     return [np.tril(S) + np.tril(S, -1).T for S in sums]
+
+
+def _blocks(grid: TensorGrid) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
+    """The grid's evaluation blocks: BLOCK_CHUNKS summation chunks each, DEFAULT_CHUNK read at call time."""
+    return grid.chunks(BLOCK_CHUNKS * DEFAULT_CHUNK)
 
 
 def estimate_C(f: Callable, grid: TensorGrid, h: float) -> np.ndarray:
     """Quadrature estimate of the m x m matrix C = avg of grad f grad f^T."""
-    return _gradient_outer_sums(f, grid.chunks(DEFAULT_CHUNK), [h])[0]
+    return _gradient_outer_sums(f, _blocks(grid), [h])[0]
 
 
 def pullback_T(g_profile: Callable, A: np.ndarray, grid: TensorGrid, h: float) -> np.ndarray:
     """Estimate the n x n pulled-back matrix T = avg of grad g grad g^T at A^T x.
 
-    A needs one row per grid dimension and orthonormal columns; the
-    eigenpairs of T then lift to the leading eigenpairs of C through U_C = A @ U_T.
+    A needs one row per grid dimension and orthonormal columns (a 1-D A is
+    one column); the eigenpairs of T then lift to the leading eigenpairs of C
+    through U_C = A @ U_T.
     """
-    A = np.atleast_2d(np.asarray(A, dtype=float))
+    A = _columns(A)
     if A.shape[0] != grid.ndim:
         raise ValueError(f"A has {A.shape[0]} rows but the grid has {grid.ndim} dimensions")
     gram_err = np.max(np.abs(A.T @ A - np.eye(A.shape[1])))
@@ -161,7 +195,7 @@ def pullback_T(g_profile: Callable, A: np.ndarray, grid: TensorGrid, h: float) -
         raise ValueError(
             f"pullback requires orthonormal columns; Gram deviation {gram_err:.3e}"
         )
-    blocks = ((X @ A, w) for X, w in grid.chunks(DEFAULT_CHUNK))
+    blocks = ((X @ A, w) for X, w in _blocks(grid))
     return _gradient_outer_sums(g_profile, blocks, [h])[0]
 
 
@@ -224,12 +258,12 @@ def active_subspace(est: SubspaceEstimate, k: int) -> np.ndarray:
 def estimate_subspaces(f: Callable, grid: TensorGrid, steps: Sequence[float]) -> List[SubspaceEstimate]:
     """One estimate per FD step, all from a single pass over the grid.
 
-    Each chunk is generated once and f is evaluated once at its points, then
+    Each block is generated once and f is evaluated once at its points, then
     once per distinct step and dimension; a repeated step is computed once.
     Each estimate equals ``eigendecompose(estimate_C(f, grid, h))`` for its step h.
     """
     hs = [float(h) for h in steps]
     distinct = list(dict.fromkeys(hs))
-    sums = _gradient_outer_sums(f, grid.chunks(DEFAULT_CHUNK), distinct)
+    sums = _gradient_outer_sums(f, _blocks(grid), distinct)
     by_step = {h: eigendecompose(C) for h, C in zip(distinct, sums)}
     return [by_step[h] for h in hs]

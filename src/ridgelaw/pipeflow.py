@@ -49,9 +49,8 @@ PIPE_LAW = (
     ("Re/v", 0.0, (1.0, -1.0, 1.0, 0.0, 0.0), -1),  # rho D / mu
 )
 
-# the exponent table, one row per term, and for each input the terms whose exponent on it is nonzero
+# the exponent table, one row per term and one column per input
 _EXPONENTS = np.array([law[2] for law in PIPE_LAW])
-_MOVING = tuple(tuple(np.flatnonzero(column).tolist()) for column in _EXPONENTS.T)
 
 
 def _terms(x) -> List[np.ndarray]:
@@ -133,24 +132,46 @@ class LogSpaceVelocity:
         return combine(_terms(x), self.re_critical)[0]
 
     def fd_values(self, Y: np.ndarray, steps: Sequence[float]) -> Iterator[np.ndarray]:
-        """f(Y), then f(Y + h e_i) for each step h and dimension i, in that order.
+        """f(Y), then one (m, n) array per step h whose row i is f(Y + h e_i).
 
-        The terms at Y are computed once and give f(Y); each shift then
-        multiplies the terms that depend on dimension i by the scalar
-        exp(h e_i) and combines again, with no exp or sqrt over the rows.
-        Every value is a fresh array.
+        The terms at Y are computed once and give f(Y), a fresh array. A
+        shift along dimension i multiplies each term that depends on it by
+        the scalar exp(h e_i) and combines again, with no exp or sqrt over
+        the rows: each value is written straight into its row through
+        scratch buffers made once per call, with the bits of ``combine`` on
+        the scaled terms. Inputs whose shift scales t1 and t2 by the same
+        factors share one log10(t1 + t2) per step. The step array is reused
+        by the next step.
         """
         terms = _terms(Y)
         yield combine(terms, self.re_critical)[0]
-        m = Y.shape[1]
+        P, t1, t2, v_lam, re_per_v = terms
+        n, m = Y.shape
+        exponents = _EXPONENTS[:, :m]
         # every exp(h e_i) of every step, with the bits of the scalar np.exp(h * e_i)
-        scales = np.exp(np.multiply.outer(np.asarray(steps, dtype=float), _EXPONENTS[:, :m]))
+        scales = np.exp(np.multiply.outer(np.asarray(steps, dtype=float), exponents))
+        log_groups = {}
+        for i in range(m):
+            log_groups.setdefault((exponents[1, i], exponents[2, i]), []).append(i)
+        # exact, so -2 P times exp(h e_i) has the bits of -2 times the scaled P, as in combine
+        minus_2P = P * -2.0
+        rows, log_sum, scratch = np.empty((m, n)), np.empty(n), np.empty(n)
+        laminar = np.empty(n, dtype=bool)
         for scale in scales:
-            for i in range(m):
-                shifted = list(terms)
-                for j in _MOVING[i]:
-                    shifted[j] = terms[j] * scale[j, i]
-                yield combine(shifted, self.re_critical)[0]
+            for group in log_groups.values():
+                g = group[0]  # every input of the group scales t1 and t2 as this one does
+                t1_g = np.multiply(t1, scale[1, g], out=log_sum) if exponents[1, g] else t1
+                t2_g = np.multiply(t2, scale[2, g], out=scratch) if exponents[2, g] else t2
+                np.log10(np.add(t1_g, t2_g, out=log_sum), out=log_sum)
+                for i in group:
+                    row = rows[i]
+                    P_i = np.multiply(minus_2P, scale[0, i], out=scratch) if exponents[0, i] else minus_2P
+                    np.multiply(log_sum, P_i, out=row)
+                    re_i = np.multiply(re_per_v, scale[4, i], out=scratch) if exponents[4, i] else re_per_v
+                    np.greater(np.multiply(re_i, row, out=scratch), self.re_critical, out=laminar)
+                    np.logical_not(laminar, out=laminar)
+                    np.multiply(v_lam, scale[3, i], out=row, where=laminar)
+            yield rows
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,7 @@ from typing import Iterator, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .defaults import DEFAULT_CHUNK
+from .defaults import BLOCK_CHUNKS, DEFAULT_CHUNK
 
 # the most points a tensor grid may have: five dimensions up to order 63
 MAX_GRID_POINTS = 10**9
@@ -80,21 +80,23 @@ class TensorGrid:
 
         Dimension d's digit advances every stride = order ** (ndim - 1 - d)
         indices and repeats with period order * stride. Where that period is
-        at most DEFAULT_CHUNK, the tiles hold the dimension's column over the
-        fewest whole periods that span period + DEFAULT_CHUNK - 1 indices or
-        the whole grid, so any range of up to DEFAULT_CHUNK indices is one
-        slice of them; elsewhere the tiles are None. They are built on the
-        first chunk and live as long as the grid.
+        at most the span of an evaluation block (BLOCK_CHUNKS * DEFAULT_CHUNK
+        points), the tiles hold the dimension's column over the fewest whole
+        periods that span period + span - 1 indices or the whole grid, so any
+        range of up to span indices is one slice of them; elsewhere the tiles
+        are None. They are built on the first chunk and live as long as the
+        grid.
         """
         total = len(self)
+        span = BLOCK_CHUNKS * DEFAULT_CHUNK
         tiles = []
         for d in range(self.ndim):
             stride = self.order ** (self.ndim - 1 - d)
             period = self.order * stride
-            if period > DEFAULT_CHUNK:
+            if period > span:
                 tiles.append((stride, None, None))
                 continue
-            shape = (-(-min(total, period + DEFAULT_CHUNK - 1) // period), self.order, stride)
+            shape = (-(-min(total, period + span - 1) // period), self.order, stride)
             node_tile, weight_tile = np.empty(shape), np.empty(shape)
             node_tile[...] = self.mapped_nodes[d, :, None]
             weight_tile[...] = self.unit_weights[:, None]

@@ -20,7 +20,7 @@ from typing import Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .activesubspace import SubspaceEstimate, active_subspace, estimate_subspaces
+from .activesubspace import SubspaceEstimate, _columns, active_subspace, estimate_subspaces
 from .errors import ModelError, NumericalError
 from .pipeflow import BuiltinModel
 
@@ -54,10 +54,11 @@ def _orthonormalize(B: np.ndarray, name: str, mode: str = "reduced") -> np.ndarr
 def constancy_directions(A: np.ndarray) -> np.ndarray:
     """Orthonormal basis of the null space of A^T: the invariant directions.
 
-    The trailing columns of the complete QR factor of A. Every returned
-    column u satisfies max|A^T u| < 1e-12.
+    The trailing columns of the complete QR factor of A, whose columns span
+    the directions (a 1-D A is one column). Every returned column u satisfies
+    max|A^T u| < 1e-12.
     """
-    A = np.atleast_2d(np.asarray(A, dtype=float))
+    A = _columns(A)
     m, ncols = A.shape
     if ncols > m:
         raise ModelError(f"A has more columns ({ncols}) than rows ({m})")
@@ -70,13 +71,13 @@ def constancy_directions(A: np.ndarray) -> np.ndarray:
 def inclusion_residual(B1: np.ndarray, B2: np.ndarray) -> InclusionReport:
     """Least-squares inclusion residual of span(B1) within span(B2).
 
+    A basis holds its vectors in its columns; a 1-D basis is one column.
     Both bases are orthonormalized (QR) before the residuals are computed,
     so the result depends only on the two column spaces. The least-squares
     solves use the Householder QR of the enclosing basis rather than normal
     equations.
     """
-    B1 = np.atleast_2d(np.asarray(B1, dtype=float))
-    B2 = np.atleast_2d(np.asarray(B2, dtype=float))
+    B1, B2 = _columns(B1), _columns(B2)
     if B1.ndim != 2 or B2.ndim != 2:
         raise ModelError("bases must be 2-d arrays with basis vectors as columns")
     if B1.shape[0] != B2.shape[0]:

@@ -1,6 +1,7 @@
 """Finite-difference gradients, C estimation, and the eigendecomposition."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -231,8 +232,8 @@ class TestMultiStepPass:
         for h, T in zip([1e-3, 1e-6], sums):
             assert np.array_equal(T, pullback_T(g, A, grid, h))
 
-    def test_one_chunk_call_and_one_plus_m_s_evaluations_per_chunk(self, monkeypatch):
-        grid = tensor_grid(3, [(-1.0, 1.0)] * 3)  # 27 points: chunks of 8, 8, 8, 3
+    def test_one_chunk_call_and_one_plus_m_s_evaluations_per_block(self, monkeypatch):
+        grid = tensor_grid(3, [(-1.0, 1.0)] * 3)  # 27 points: blocks of 16 and 11
         chunk_calls = []
         original_chunk = TensorGrid.chunk
 
@@ -247,11 +248,11 @@ class TestMultiStepPass:
             rows.append(x.shape[0])
             return self.f(x)
 
-        monkeypatch.setattr(activesubspace, "DEFAULT_CHUNK", 8)
+        monkeypatch.setattr(activesubspace, "DEFAULT_CHUNK", 8)  # blocks of two chunks: 16 points
         estimate_subspaces(counting_f, grid, self.STEPS)
-        assert chunk_calls == [(0, 8), (8, 16), (16, 24), (24, 27)]
-        per_chunk = 1 + grid.ndim * 3  # three distinct steps
-        assert rows == [8] * (3 * per_chunk) + [3] * per_chunk
+        assert chunk_calls == [(0, 16), (16, 27)]
+        per_block = 1 + grid.ndim * 3  # three distinct steps
+        assert rows == [16] * per_block + [11] * per_block
 
     def test_nonpositive_step_rejected(self):
         grid = tensor_grid(3, [(-1.0, 1.0)] * 2)
@@ -271,14 +272,15 @@ class TestFdValuesHook:
 
         def fd_values(self, Y, steps):
             yield self(Y)
+            rows = np.empty((Y.shape[1], len(Y)))  # one array, reused by every step
             for h in steps:
                 for i in range(Y.shape[1]):
                     shifted = Y.copy()
                     shifted[:, i] += h
-                    values = self(shifted)
+                    rows[i] = self(shifted)
                     if (h, i) == self.bad_shift:
-                        values[2] = np.inf
-                    yield values
+                        rows[i, 2] = np.inf
+                yield rows
 
     def test_gives_the_plain_path_result(self):
         grid = tensor_grid(4, [(-1.0, 1.0)] * 3)
@@ -288,11 +290,11 @@ class TestFdValuesHook:
             assert np.array_equal(C, C_plain)
 
     def test_nonfinite_shifted_value_carries_the_shifted_point(self, monkeypatch):
-        monkeypatch.setattr(activesubspace, "DEFAULT_CHUNK", 8)
+        monkeypatch.setattr(activesubspace, "DEFAULT_CHUNK", 8)  # blocks of 16 points
         grid = tensor_grid(3, [(-1.0, 1.0)] * 3)
         with pytest.raises(EvaluationError) as err:
             estimate_subspaces(self.Linear(bad_shift=(1e-3, 1)), grid, [1e-2, 1e-3])
-        expected = grid.chunk(0, 8)[0][2]
+        expected = grid.chunk(0, 16)[0][2]
         expected[1] += 1e-3
         assert np.array_equal(err.value.point, expected)
 
@@ -305,15 +307,37 @@ class TestFdValuesHook:
         with pytest.raises(ModelError, match="returned shape"):
             estimate_C(Short(), tensor_grid(2, [(-1.0, 1.0)] * 3), H)
 
+    def test_step_array_of_wrong_shape_is_a_model_error(self):
+        class OneValuePerStep(self.Linear):
+            def fd_values(self, Y, steps):
+                values = super().fd_values(Y, steps)
+                yield next(values)
+                for rows in values:
+                    yield rows[0]  # the first dimension's values only
+
+        message = r"returned shape \(8,\) for step 0\.001; it must yield one \(m, n\) = \(3, 8\) array"
+        with pytest.raises(ModelError, match=message):
+            estimate_C(OneValuePerStep(), tensor_grid(2, [(-1.0, 1.0)] * 3), 1e-3)
+
+    def test_read_only_step_array_is_a_model_error(self):
+        class ReadOnly(self.Linear):
+            def fd_values(self, Y, steps):
+                for values in super().fd_values(Y, steps):
+                    yield np.broadcast_to(values, values.shape)  # a read-only view
+
+        with pytest.raises(ModelError, match=r"^model fd_values returned a read-only array for step 0\.001;"):
+            estimate_C(ReadOnly(), tensor_grid(2, [(-1.0, 1.0)] * 3), 1e-3)
+
 
 class TestBatchedChecks:
-    """A step's values are shape-checked as they arrive and checked for finiteness together."""
+    """f(Y) is checked first; each step's array is checked for its shape, then for finiteness at once."""
 
     class Spoiled:
-        """A linear model whose k-th yielded value (0 is f(Y)) gets a spoiled row, or loses its last."""
+        """A linear model whose k-th yielded array (0 is f(Y)) gets spoiled entries, or loses its last point."""
 
-        def __init__(self, spoil):
-            self.spoil = spoil  # {k: (row, value)} or {k: "short"}
+        def __init__(self, spoil, short=()):
+            self.spoil = spoil  # {k: [(index, value), ...]}
+            self.short = short  # the k whose array loses its last point
 
         def __call__(self, x):
             return x @ np.array([1.0, 2.0, -3.0])
@@ -321,41 +345,70 @@ class TestBatchedChecks:
         def fd_values(self, Y, steps):
             values = [self(Y)]
             for h in steps:
+                rows = np.empty((Y.shape[1], len(Y)))
                 for i in range(Y.shape[1]):
                     shifted = Y.copy()
                     shifted[:, i] += h
-                    values.append(self(shifted))
+                    rows[i] = self(shifted)
+                values.append(rows)
             for k, v in enumerate(values):
-                if self.spoil.get(k) == "short":
-                    v = v[:-1]
-                elif k in self.spoil:
-                    row, bad = self.spoil[k]
-                    v[row] = bad
-                yield v
+                for index, bad in self.spoil.get(k, ()):
+                    v[index] = bad
+                yield v[..., :-1] if k in self.short else v
 
     GRID = tensor_grid(3, [(-1.0, 1.0)] * 3)
     STEPS = [1e-2, 1e-3]
 
-    def run(self, spoil, monkeypatch):
-        monkeypatch.setattr(activesubspace, "DEFAULT_CHUNK", 8)
-        return estimate_subspaces(self.Spoiled(spoil), self.GRID, self.STEPS)
+    def run(self, monkeypatch, spoil, short=()):
+        monkeypatch.setattr(activesubspace, "DEFAULT_CHUNK", 8)  # blocks of 16 points: two chunks each
+        return estimate_subspaces(self.Spoiled(spoil, short), self.GRID, self.STEPS)
 
     def test_two_dimensions_of_one_step_name_the_first(self, monkeypatch):
-        # step 1e-3 is values 4, 5, 6: dimension 2 spoils row 1, dimension 1 row 5
+        # step 1e-3 is array 2: dimension 2 spoils row 1, dimension 1 row 5
         with pytest.raises(EvaluationError, match=r"^model returned non-finite value inf at point") as err:
-            self.run({6: (1, np.nan), 5: (5, np.inf)}, monkeypatch)
-        expected = self.GRID.chunk(0, 8)[0][5]
+            self.run(monkeypatch, {2: [((2, 1), np.nan), ((1, 5), np.inf)]})
+        expected = self.GRID.chunk(0, 16)[0][5]
         expected[1] += 1e-3
         assert np.array_equal(err.value.point, expected)
 
     def test_nonfinite_f_at_Y_is_reported_first(self, monkeypatch):
         with pytest.raises(EvaluationError, match=r"^model returned non-finite value nan at point") as err:
-            self.run({0: (3, np.nan), 1: (0, np.inf)}, monkeypatch)
-        assert np.array_equal(err.value.point, self.GRID.chunk(0, 8)[0][3])
+            self.run(monkeypatch, {0: [(3, np.nan)], 1: [((0, 0), np.inf)]})
+        assert np.array_equal(err.value.point, self.GRID.chunk(0, 16)[0][3])
 
     def test_wrong_shape_is_a_model_error_before_the_step_is_checked(self, monkeypatch):
-        with pytest.raises(ModelError, match=r"returned shape \(7,\) for 8 points"):
-            self.run({1: (0, np.inf), 2: "short"}, monkeypatch)
+        with pytest.raises(ModelError, match=r"returned shape \(3, 15\) for step 0\.01"):
+            self.run(monkeypatch, {1: [((0, 0), np.inf)]}, short={1})
+
+    def test_plain_row_of_wrong_shape_is_a_model_error_before_the_step_is_checked(self, monkeypatch):
+        # a plain callable's rows are shape-checked as they arrive: dimension 0's inf is never reported
+        def f(x):
+            values = x @ np.array([1.0, 2.0, -3.0])
+            if x[0, 0] != self.GRID.chunk(0, 1)[0][0, 0]:
+                values[0] = np.inf  # dimension 0 shifted
+            return values[:-1] if x[0, 1] != self.GRID.chunk(0, 1)[0][0, 1] else values  # dimension 1 shifted
+
+        monkeypatch.setattr(activesubspace, "DEFAULT_CHUNK", 8)
+        with pytest.raises(ModelError, match=r"returned shape \(15,\) for 16 points"):
+            estimate_subspaces(f, self.GRID, self.STEPS)
+
+    @pytest.mark.parametrize(
+        "spoil, row, step",
+        [
+            # step 1e-3 spoils chunk 0 and step 1e-2 spoils chunk 1: the block's first step comes first
+            ({2: [((0, 3), np.inf)], 1: [((0, 12), np.inf)]}, 12, 1e-2),
+            # f(Y) of chunk 1 comes before any step of chunk 0
+            ({1: [((0, 3), np.inf)], 0: [(12, np.inf)]}, 12, None),
+        ],
+    )
+    def test_two_faulty_chunks_of_one_block_name_the_first_in_block_order(self, spoil, row, step, monkeypatch):
+        # summed chunk by chunk, chunk 0's value would raise first; the block is checked as a whole
+        with pytest.raises(EvaluationError) as err:
+            self.run(monkeypatch, spoil)
+        expected = self.GRID.chunk(0, 16)[0][row]
+        if step is not None:
+            expected[0] += step
+        assert np.array_equal(err.value.point, expected)
 
     def test_C_agrees_with_the_column_major_gradient_layout(self, turbulent_model):
         # the same values summed as (G * w[:, None]).T @ G with G of shape (n, m): only BLAS's order differs
@@ -515,6 +568,12 @@ class TestPullbackT:
         with pytest.raises(ValueError, match="A has 2 rows but the grid has 3 dimensions"):
             pullback_T(lambda y: y[..., 0], np.eye(2)[:, :1], grid, H)
 
+    def test_one_dimensional_A_is_one_column(self):
+        grid = tensor_grid(3, [(-1.0, 1.0)] * 3)
+        a = np.array([0.6, 0.0, 0.8])
+        g = lambda y: np.sin(y[..., 0])
+        assert np.array_equal(pullback_T(g, a, grid, H), pullback_T(g, a[:, None], grid, H))
+
     def test_non_orthonormal_A_rejected(self):
         grid = tensor_grid(2, [(-1.0, 1.0)] * 2)
         with pytest.raises(ValueError, match="orthonormal"):
@@ -552,3 +611,18 @@ def test_trailing_eigenvalues_stay_under_fd_noise_envelope(laminar_model, turbul
             lam = eigendecompose(estimate_C(model.f, grid, h)).eigenvalues
             assert lam[rank] / lam[0] <= c * h, (model.name, h, lam)
 
+
+
+def test_pass_working_memory_stays_under_2_mb(turbulent_model):
+    # the order-11 turbulent pass (161 051 points, six steps) peaks near 1.7 MB with blocks of
+    # 8192 points; 16384-point blocks peak near 3 MB and the whole grid's points alone take 6.4 MB
+    grid = turbulent_model.grid(11)
+    grid.chunk(0, 1)  # the grid's tiles live as long as the grid; they are built before measuring
+    estimate_subspaces(turbulent_model.f, turbulent_model.grid(3), [1e-2])  # numpy's first-call allocations
+    tracemalloc.start()
+    try:
+        estimate_subspaces(turbulent_model.f, grid, [1e-2, 1e-3, 1e-4, 1e-5, 1e-6, 3e-3])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2_000_000, peak

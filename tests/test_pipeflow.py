@@ -4,13 +4,14 @@ import collections
 import itertools
 import json
 import math
+import tracemalloc
 from importlib import resources
 
 import numpy as np
 import pytest
 
 from ridgelaw import activesubspace, pipeflow
-from ridgelaw.activesubspace import estimate_subspaces
+from ridgelaw.activesubspace import estimate_C, estimate_subspaces, pullback_T
 from ridgelaw.errors import ModelError
 from ridgelaw.models import SHIPPED_MODELS, load_model
 from ridgelaw.pipeflow import (
@@ -185,6 +186,8 @@ class TestFdValues:
             values = model.f.fd_values(Y, self.STEPS)
             assert np.array_equal(next(values), model.f(Y))
             for h in self.STEPS:
+                rows = next(values)
+                assert rows.shape == (Y.shape[1], len(Y))
                 for i in range(Y.shape[1]):
                     shifted = Y.copy()
                     shifted[:, i] += h
@@ -194,9 +197,8 @@ class TestFdValues:
                     # the branches differ everywhere, so agreeing with the direct
                     # value also means taking its regime routing
                     assert np.all(np.abs(v_tur - v_lam) > 1e-10 * np.abs(v_lam))
-                    got = next(values)
-                    assert np.all(np.abs(got - direct) <= 1e-13 * np.abs(direct))
-            assert next(values, None) is None  # exactly 1 + m * len(steps) arrays
+                    assert np.all(np.abs(rows[i] - direct) <= 1e-13 * np.abs(direct))
+            assert next(values, None) is None  # exactly 1 + len(steps) arrays
 
     @staticmethod
     def per_shift_values(f, Y, steps):
@@ -215,8 +217,9 @@ class TestFdValues:
         for model in (laminar_model, turbulent_model):
             grid = model.grid(5)
             Y, _ = grid.chunk(0, len(grid))
-            # every value is kept before any is compared, so a reused buffer would show
-            got = list(model.f.fd_values(Y, self.STEPS))
+            values = model.f.fd_values(Y, self.STEPS)
+            # each step's array may be reused by the next, so its rows are copied as it arrives
+            got = [next(values)] + [row.copy() for rows in values for row in rows]
             want = list(self.per_shift_values(model.f, Y, self.STEPS))
             assert len(got) == len(want) == 1 + Y.shape[1] * len(self.STEPS)
             for count, (value, expected) in enumerate(zip(got, want)):
@@ -229,20 +232,21 @@ class TestFdValues:
         values = turbulent_model.f.fd_values(Y, self.STEPS)
         f0 = next(values)
         kept = f0.copy()
-        for _ in values:
-            pass
+        for rows in values:
+            rows[...] = np.nan  # the caller differences each step's array in place
         assert f0.tobytes() == kept.tobytes()
 
-    def test_no_two_values_share_memory(self, turbulent_model):
+    def test_f_at_Y_and_the_step_arrays_share_no_memory_with_Y_or_each_other(self, turbulent_model):
+        # the step arrays may be one reused array, which the caller writes: it must not be Y or f(Y)
         grid = turbulent_model.grid(3)
         Y, _ = grid.chunk(0, len(grid))
-        values = list(turbulent_model.f.fd_values(Y, self.STEPS))
-        for a in range(len(values)):
-            assert not np.shares_memory(values[a], Y), a
-            for b in range(a + 1, len(values)):
-                assert not np.shares_memory(values[a], values[b]), (a, b)
+        f0, *steps = turbulent_model.f.fd_values(Y, self.STEPS)
+        assert not np.shares_memory(f0, Y)
+        for k, rows in enumerate(steps):
+            assert not np.shares_memory(rows, Y), k
+            assert not np.shares_memory(rows, f0), k
 
-    def test_terms_are_computed_once_per_chunk(self, turbulent_model, monkeypatch):
+    def test_terms_are_computed_once_per_block(self, turbulent_model, monkeypatch):
         rows = []
         original_terms = pipeflow._terms
 
@@ -252,9 +256,119 @@ class TestFdValues:
 
         monkeypatch.setattr(pipeflow, "_terms", counting_terms)
         monkeypatch.setattr(activesubspace, "DEFAULT_CHUNK", 8)
-        grid = turbulent_model.grid(3)  # 243 points: 30 chunks of 8 and one of 3
+        grid = turbulent_model.grid(3)  # 243 points: 15 blocks of 16 and one of 3
         estimate_subspaces(turbulent_model.f, grid, [1e-2, 1e-4, 1e-6])
-        assert rows == [8] * 30 + [3]
+        assert rows == [16] * 15 + [3]
+
+    def test_rho_and_dpdl_share_one_log_per_step(self, turbulent_model, monkeypatch):
+        # both scale t2 by (.)^-1/2 and leave t1 alone, so t1 + t2 is the same sum for both
+        calls = []
+        original = np.log10
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        grid = turbulent_model.grid(3)
+        Y, _ = grid.chunk(0, len(grid))
+        monkeypatch.setattr(np, "log10", counting)
+        for _ in turbulent_model.f.fd_values(Y, self.STEPS):
+            pass
+        assert len(calls) == 1 + 4 * len(self.STEPS)  # f(Y), then one per step for each of 4 groups
+
+    def test_later_steps_allocate_no_array(self, turbulent_model):
+        # every shifted value is written into one reused array through buffers made once per call
+        grid = turbulent_model.grid(5)
+        Y, _ = grid.chunk(0, len(grid))
+        values = turbulent_model.f.fd_values(Y, self.STEPS)
+        tracemalloc.start()
+        try:
+            next(values), next(values)  # f(Y) and the first step: every buffer is made
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            for _ in values:
+                pass
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - base < 8 * len(Y), (base, peak)  # less than one fresh row of values
+
+
+def plain_values(f, Y, steps):
+    """f(Y), then f at each shifted copy of Y, for each step and dimension in turn."""
+    yield f(Y)
+    for h in steps:
+        for i in range(Y.shape[1]):
+            shifted = Y.copy()
+            shifted[:, i] += h
+            yield f(shifted)
+
+
+def reference_pass(f, blocks, steps):
+    """The finite-difference pass written out plainly, one block per summation chunk.
+
+    A model with fd_values gets its shifted values by per-shift scaling; any
+    other f is called on each shifted copy of the block. Each step's
+    gradient array is (values - f(Y)) / h and each block adds one
+    (G * w) @ G.T, summed in block order, then the lower triangle is mirrored.
+    """
+    sums = [0.0] * len(steps)
+    for Y, w in blocks:
+        n, m = Y.shape
+        values = (TestFdValues.per_shift_values if hasattr(f, "fd_values") else plain_values)(f, Y, steps)
+        f0 = next(values)
+        for k, h in enumerate(steps):
+            G = np.array([next(values) for _ in range(m)])
+            G = (G - f0) / h
+            sums[k] += (G * w) @ G.T
+    return [np.tril(S) + np.tril(S, -1).T for S in sums]
+
+
+class TestPassOracle:
+    """The estimators, evaluating blocks of two chunks, give the bits of reference_pass over 4096-point chunks."""
+
+    STEPS = (1e-2, 1e-4, 1e-6)
+
+    @staticmethod
+    def assert_same_bits(got, want):
+        assert len(got) == len(want)
+        for k, (a, b) in enumerate(zip(got, want)):
+            assert a.tobytes() == b.tobytes(), k
+
+    @pytest.mark.parametrize("order", [3, 9, 13])  # 243, 59 049 and 371 293 points: no multiple of a block
+    @pytest.mark.parametrize("regime", ["laminar", "turbulent"])
+    def test_estimates_equal_the_reference(self, regime, order):
+        model = builtin_model(regime)
+        grid = model.grid(order)
+        want = reference_pass(model.f, grid.chunks(4096), self.STEPS)
+        got = activesubspace._gradient_outer_sums(model.f, activesubspace._blocks(grid), self.STEPS)
+        self.assert_same_bits(got, want)
+        for est, C in zip(estimate_subspaces(model.f, grid, self.STEPS), want):
+            one = activesubspace.eigendecompose(C)
+            assert est.eigenvalues.tobytes() == one.eigenvalues.tobytes()
+            assert est.eigenvectors.tobytes() == one.eigenvectors.tobytes()
+
+    def test_a_step_whose_stencils_straddle_the_switch_equals_the_reference(self, turbulent_model):
+        grid = turbulent_model.grid(9)
+        (C,) = reference_pass(turbulent_model.f, grid.chunks(4096), [1e-4])
+        # ~6.3e5 with the two straddling stencils, ~312 without them
+        assert activesubspace.eigendecompose(C).eigenvalues[0] > 1e5
+        assert estimate_C(turbulent_model.f, grid, 1e-4).tobytes() == C.tobytes()
+
+    def test_a_plain_callable_equals_the_reference(self, turbulent_model):
+        f = lambda x: turbulent_model.f(x)  # no fd_values: f is called on each shifted block
+        grid = turbulent_model.grid(9)
+        want = reference_pass(f, grid.chunks(4096), self.STEPS)
+        self.assert_same_bits(activesubspace._gradient_outer_sums(f, activesubspace._blocks(grid), self.STEPS), want)
+
+    @pytest.mark.parametrize("profile", ["plain", "model"])
+    def test_pullback_equals_the_reference(self, turbulent_model, profile):
+        A = np.linalg.qr(turbulent_model.decomposition.A_float())[0]
+        plain = lambda y: np.sin(y[..., 0]) * y[..., 1] + np.exp(0.1 * y[..., 2])
+        g = {"plain": plain, "model": turbulent_model.f}[profile]
+        grid = turbulent_model.grid(9)
+        (T,) = reference_pass(g, ((X @ A, w) for X, w in grid.chunks(4096)), [1e-3])
+        assert pullback_T(g, A, grid, 1e-3).tobytes() == T.tobytes()
 
 
 def law_dimension_error(law, spec):

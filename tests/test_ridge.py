@@ -59,6 +59,11 @@ class TestConstancyDirections:
         assert abs(abs(U[1, 0]) - 1.0) < 1e-14
         assert abs(U[0, 0]) < 1e-14
 
+    def test_one_dimensional_A_is_one_column(self):
+        U = constancy_directions(np.array([1.0, 0.0, 0.0]))
+        assert np.array_equal(U, constancy_directions(np.array([[1.0], [0.0], [0.0]])))
+        assert U.shape == (3, 2)
+
     def test_pipe_flow_A_gives_two_directions(self, laminar_model):
         A = laminar_model.decomposition.A_float()
         U = constancy_directions(A)

@@ -30,6 +30,13 @@ class TestInclusionResidual:
         report = inclusion_residual(B1, B2)
         assert report.total == pytest.approx(1.0, abs=1e-15)
 
+    def test_one_dimensional_basis_is_one_column(self):
+        a = np.array([1.0, 0.0, 0.0])
+        for B1, B2 in ((a, np.eye(3)[:, :2]), (a[:, None], a), (a, a)):
+            report = inclusion_residual(B1, B2)
+            assert report == inclusion_residual(np.reshape(B1, (3, -1)), np.reshape(B2, (3, -1)))
+        assert inclusion_residual(np.array([0.0, 0.0, 1.0]), np.eye(3)[:, :2]).total == 1.0
+
     def test_total_is_sum_of_columns(self):
         rng = np.random.default_rng(2)
         B1 = rng.normal(size=(6, 2))
