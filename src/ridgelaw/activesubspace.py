@@ -6,16 +6,15 @@ span the active subspace. For a ridge function the same matrix factors
 through the low-dimensional profile, so the pullback path estimates the small
 matrix T with gradients taken in the profile's own coordinates.
 
-Two sizes bound the pass. The grid is evaluated in blocks of
-BLOCK_CHUNKS * DEFAULT_CHUNK points, which keeps numpy's per-call cost low
-and working memory small. Each block's outer products are summed per
-DEFAULT_CHUNK slice in index order, and blocks start at multiples of the
-chunk, so every sum runs in one fixed order and every result repeats bit for
-bit. One pass over the grid serves any number of FD steps: each block and
-its base values f(x) are computed once and shared by every step. A model can
-supply the shifted values itself through an ``fd_values(Y, steps)`` method,
-one (m, n) array per step; the differencing, done in place, and the checks
-on every value stay here.
+The grid is evaluated in chunks of DEFAULT_CHUNK points, which keeps
+numpy's per-call cost low and working memory small. Each chunk adds one
+weighted outer product per step, in index order, so every sum runs in one
+fixed order and every result repeats bit for bit. One pass over the grid
+serves any number of FD steps: each chunk and its base values f(x) are
+computed once and shared by every step. A model can supply the shifted
+values itself through an ``fd_values(Y, steps)`` method, one (m, n) array
+per step; the differencing, done in place, and the checks on every value
+stay here.
 """
 
 from __future__ import annotations
@@ -26,7 +25,7 @@ from typing import Callable, Iterable, Iterator, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import EvaluationError, ModelError, NumericalError
-from .quadrature import BLOCK_CHUNKS, DEFAULT_CHUNK, TensorGrid
+from .quadrature import DEFAULT_CHUNK, TensorGrid
 
 _SYMMETRY_TOL = 1e-12
 _EIG_CLAMP_REL = 1e-12
@@ -103,7 +102,7 @@ def _fd_gradients(f: Callable, Y: np.ndarray, steps: Sequence[float]) -> Iterato
     first non-finite value in (dimension, row) order raises with its shifted
     point. The step's array is differenced in place and yielded, so the
     model may reuse it for the next step. Every step must be positive and
-    finite, and must move the block's largest |x|: a step below its spacing
+    finite, and must move the chunk's largest |x|: a step below its spacing
     gives x + h == x.
     """
     bad = [h for h in steps if not 0.0 < h < np.inf]
@@ -149,35 +148,25 @@ def fd_gradient(f: Callable, x: np.ndarray, h: float) -> np.ndarray:
 
 
 def _gradient_outer_sums(
-    f: Callable, blocks: Iterable[Tuple[np.ndarray, np.ndarray]], steps: Sequence[float]
+    f: Callable, chunks: Iterable[Tuple[np.ndarray, np.ndarray]], steps: Sequence[float]
 ) -> List[np.ndarray]:
-    """Weighted sums of FD-gradient outer products over (points, weights) blocks, one matrix per step.
+    """Weighted sums of FD-gradient outer products over (points, weights) chunks, one matrix per step.
 
-    Each block's product is summed per DEFAULT_CHUNK slice, read at call
-    time, in index order; a block that starts at a multiple of the chunk
-    then adds what the same points would add as chunk-sized blocks.
+    Each chunk adds one (G * w) @ G.T per step, in chunk order.
     """
-    chunk = DEFAULT_CHUNK
     sums = [0.0] * len(steps)
     # C and every value are checked for finiteness; a with in the generator would leak its state
     with np.errstate(all="ignore"):
-        for Y, w in blocks:
+        for Y, w in chunks:
             for k, G in enumerate(_fd_gradients(f, Y, steps)):
-                for start in range(0, len(w), chunk):
-                    c = slice(start, start + chunk)
-                    sums[k] += (G[:, c] * w[c]) @ G[:, c].T
+                sums[k] += (G * w) @ G.T
     # symmetrize once per step: mirror the lower triangle, summed chunk by chunk, onto the upper
     return [np.tril(S) + np.tril(S, -1).T for S in sums]
 
 
-def _blocks(grid: TensorGrid) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
-    """The grid's evaluation blocks: BLOCK_CHUNKS summation chunks each, DEFAULT_CHUNK read at call time."""
-    return grid.chunks(BLOCK_CHUNKS * DEFAULT_CHUNK)
-
-
 def estimate_C(f: Callable, grid: TensorGrid, h: float) -> np.ndarray:
     """Quadrature estimate of the m x m matrix C = avg of grad f grad f^T."""
-    return _gradient_outer_sums(f, _blocks(grid), [h])[0]
+    return _gradient_outer_sums(f, grid.chunks(DEFAULT_CHUNK), [h])[0]
 
 
 def pullback_T(g_profile: Callable, A: np.ndarray, grid: TensorGrid, h: float) -> np.ndarray:
@@ -191,12 +180,12 @@ def pullback_T(g_profile: Callable, A: np.ndarray, grid: TensorGrid, h: float) -
     if A.shape[0] != grid.ndim:
         raise ValueError(f"A has {A.shape[0]} rows but the grid has {grid.ndim} dimensions")
     gram_err = np.max(np.abs(A.T @ A - np.eye(A.shape[1])))
-    if gram_err > _ORTHO_TOL:
+    if not gram_err <= _ORTHO_TOL:  # a nan deviation fails too
         raise ValueError(
             f"pullback requires orthonormal columns; Gram deviation {gram_err:.3e}"
         )
-    blocks = ((X @ A, w) for X, w in _blocks(grid))
-    return _gradient_outer_sums(g_profile, blocks, [h])[0]
+    chunks = ((X @ A, w) for X, w in grid.chunks(DEFAULT_CHUNK))
+    return _gradient_outer_sums(g_profile, chunks, [h])[0]
 
 
 def eigendecompose(C: np.ndarray) -> SubspaceEstimate:
@@ -258,12 +247,12 @@ def active_subspace(est: SubspaceEstimate, k: int) -> np.ndarray:
 def estimate_subspaces(f: Callable, grid: TensorGrid, steps: Sequence[float]) -> List[SubspaceEstimate]:
     """One estimate per FD step, all from a single pass over the grid.
 
-    Each block is generated once and f is evaluated once at its points, then
+    Each chunk is generated once and f is evaluated once at its points, then
     once per distinct step and dimension; a repeated step is computed once.
     Each estimate equals ``eigendecompose(estimate_C(f, grid, h))`` for its step h.
     """
     hs = [float(h) for h in steps]
     distinct = list(dict.fromkeys(hs))
-    sums = _gradient_outer_sums(f, _blocks(grid), distinct)
+    sums = _gradient_outer_sums(f, grid.chunks(DEFAULT_CHUNK), distinct)
     by_step = {h: eigendecompose(C) for h, C in zip(distinct, sums)}
     return [by_step[h] for h in hs]

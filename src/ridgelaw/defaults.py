@@ -3,11 +3,7 @@
 # critical Reynolds number of the pipe-flow regime switch
 RE_CRITICAL = 3.0e3
 
-# points per summation chunk of an estimate: being fixed, it pins the
-# summation order bit for bit
-DEFAULT_CHUNK = 4096
-
-# summation chunks per evaluation block: the finite-difference pass evaluates
-# the model on blocks of BLOCK_CHUNKS * DEFAULT_CHUNK points, which bounds its
-# working memory
-BLOCK_CHUNKS = 2
+# points per chunk of the finite-difference pass: the model is evaluated and
+# the outer products summed once per chunk, which bounds the pass's working
+# memory; being fixed, it pins the summation order bit for bit
+DEFAULT_CHUNK = 8192

@@ -52,15 +52,24 @@ PIPE_LAW = (
 # the exponent table, one row per term and one column per input
 _EXPONENTS = np.array([law[2] for law in PIPE_LAW])
 
+# the inputs grouped by how a shift scales t1 and t2: a group shares one log10(t1 + t2) per step
+_LOG_GROUPS = tuple(
+    [i for i, e in enumerate(zip(_EXPONENTS[1], _EXPONENTS[2])) if e == key]
+    for key in dict.fromkeys(zip(_EXPONENTS[1], _EXPONENTS[2]))
+)
+
 
 def _terms(x) -> List[np.ndarray]:
-    """The law's terms at log inputs x: an (n, 5) array of rows, or one point.
+    """The law's terms at log inputs x: an (n, 5) array of rows, or one point; else a ModelError.
 
     The exponent sum runs elementwise in a fixed order, so a row gives the
-    same bits alone as in a block. An exponent of +-1 adds or subtracts its
+    same bits alone as in a chunk. An exponent of +-1 adds or subtracts its
     column without the multiply, which gives the same bits.
     """
-    cols = np.ascontiguousarray(np.asarray(x, dtype=float).T)
+    x = np.asarray(x, dtype=float)
+    if x.shape[-1:] != _EXPONENTS.shape[1:]:
+        raise ModelError(f"the pipe law takes 5 log inputs (rho, mu, D, eps, dPdL) per point, got shape {x.shape}")
+    cols = np.ascontiguousarray(x.T)
     terms = []
     for _, log_coef, exponents, _ in PIPE_LAW:
         s = None
@@ -147,27 +156,23 @@ class LogSpaceVelocity:
         yield combine(terms, self.re_critical)[0]
         P, t1, t2, v_lam, re_per_v = terms
         n, m = Y.shape
-        exponents = _EXPONENTS[:, :m]
         # every exp(h e_i) of every step, with the bits of the scalar np.exp(h * e_i)
-        scales = np.exp(np.multiply.outer(np.asarray(steps, dtype=float), exponents))
-        log_groups = {}
-        for i in range(m):
-            log_groups.setdefault((exponents[1, i], exponents[2, i]), []).append(i)
+        scales = np.exp(np.multiply.outer(np.asarray(steps, dtype=float), _EXPONENTS))
         # exact, so -2 P times exp(h e_i) has the bits of -2 times the scaled P, as in combine
         minus_2P = P * -2.0
         rows, log_sum, scratch = np.empty((m, n)), np.empty(n), np.empty(n)
         laminar = np.empty(n, dtype=bool)
         for scale in scales:
-            for group in log_groups.values():
+            for group in _LOG_GROUPS:
                 g = group[0]  # every input of the group scales t1 and t2 as this one does
-                t1_g = np.multiply(t1, scale[1, g], out=log_sum) if exponents[1, g] else t1
-                t2_g = np.multiply(t2, scale[2, g], out=scratch) if exponents[2, g] else t2
+                t1_g = np.multiply(t1, scale[1, g], out=log_sum) if _EXPONENTS[1, g] else t1
+                t2_g = np.multiply(t2, scale[2, g], out=scratch) if _EXPONENTS[2, g] else t2
                 np.log10(np.add(t1_g, t2_g, out=log_sum), out=log_sum)
                 for i in group:
                     row = rows[i]
-                    P_i = np.multiply(minus_2P, scale[0, i], out=scratch) if exponents[0, i] else minus_2P
+                    P_i = np.multiply(minus_2P, scale[0, i], out=scratch) if _EXPONENTS[0, i] else minus_2P
                     np.multiply(log_sum, P_i, out=row)
-                    re_i = np.multiply(re_per_v, scale[4, i], out=scratch) if exponents[4, i] else re_per_v
+                    re_i = np.multiply(re_per_v, scale[4, i], out=scratch) if _EXPONENTS[4, i] else re_per_v
                     np.greater(np.multiply(re_i, row, out=scratch), self.re_critical, out=laminar)
                     np.logical_not(laminar, out=laminar)
                     np.multiply(v_lam, scale[3, i], out=row, where=laminar)

@@ -4,7 +4,10 @@ Grid weights are normalized so they sum to one: a weighted sum of function
 values is the average of the function under a uniform probability density on
 the box. Grids are never materialized whole; points are produced lazily from
 their lexicographic index, so large orders cannot exhaust memory while small
-ones stay cheap to iterate. A grid holds at most MAX_GRID_POINTS points.
+ones stay cheap to iterate. A chunk of up to DEFAULT_CHUNK points, the
+finite-difference pass's size, is sliced from per-axis tiles wherever a
+dimension's digits repeat within it. A grid holds at most MAX_GRID_POINTS
+points.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from typing import Iterator, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .defaults import BLOCK_CHUNKS, DEFAULT_CHUNK
+from .defaults import DEFAULT_CHUNK
 
 # the most points a tensor grid may have: five dimensions up to order 63
 MAX_GRID_POINTS = 10**9
@@ -80,7 +83,7 @@ class TensorGrid:
 
         Dimension d's digit advances every stride = order ** (ndim - 1 - d)
         indices and repeats with period order * stride. Where that period is
-        at most the span of an evaluation block (BLOCK_CHUNKS * DEFAULT_CHUNK
+        at most the span of a chunk of the finite-difference pass (DEFAULT_CHUNK
         points), the tiles hold the dimension's column over the fewest whole
         periods that span period + span - 1 indices or the whole grid, so any
         range of up to span indices is one slice of them; elsewhere the tiles
@@ -88,7 +91,7 @@ class TensorGrid:
         grid.
         """
         total = len(self)
-        span = BLOCK_CHUNKS * DEFAULT_CHUNK
+        span = DEFAULT_CHUNK
         tiles = []
         for d in range(self.ndim):
             stride = self.order ** (self.ndim - 1 - d)

@@ -23,6 +23,7 @@ from ridgelaw.pipeflow import (
     combine,
     evaluate_state,
 )
+from ridgelaw.quadrature import DEFAULT_CHUNK
 from tests.conftest import exact_matvec
 
 
@@ -255,8 +256,8 @@ class TestFdValues:
             return original_terms(x)
 
         monkeypatch.setattr(pipeflow, "_terms", counting_terms)
-        monkeypatch.setattr(activesubspace, "DEFAULT_CHUNK", 8)
-        grid = turbulent_model.grid(3)  # 243 points: 15 blocks of 16 and one of 3
+        monkeypatch.setattr(activesubspace, "DEFAULT_CHUNK", 16)
+        grid = turbulent_model.grid(3)  # 243 points: 15 chunks of 16 and one of 3
         estimate_subspaces(turbulent_model.f, grid, [1e-2, 1e-4, 1e-6])
         assert rows == [16] * 15 + [3]
 
@@ -304,16 +305,16 @@ def plain_values(f, Y, steps):
             yield f(shifted)
 
 
-def reference_pass(f, blocks, steps):
-    """The finite-difference pass written out plainly, one block per summation chunk.
+def reference_pass(f, chunks, steps):
+    """The finite-difference pass written out plainly.
 
     A model with fd_values gets its shifted values by per-shift scaling; any
-    other f is called on each shifted copy of the block. Each step's
-    gradient array is (values - f(Y)) / h and each block adds one
-    (G * w) @ G.T, summed in block order, then the lower triangle is mirrored.
+    other f is called on each shifted copy of the chunk. Each step's
+    gradient array is (values - f(Y)) / h and each chunk adds one
+    (G * w) @ G.T, summed in chunk order, then the lower triangle is mirrored.
     """
     sums = [0.0] * len(steps)
-    for Y, w in blocks:
+    for Y, w in chunks:
         n, m = Y.shape
         values = (TestFdValues.per_shift_values if hasattr(f, "fd_values") else plain_values)(f, Y, steps)
         f0 = next(values)
@@ -325,7 +326,7 @@ def reference_pass(f, blocks, steps):
 
 
 class TestPassOracle:
-    """The estimators, evaluating blocks of two chunks, give the bits of reference_pass over 4096-point chunks."""
+    """The estimators give the bits of reference_pass over the grid's DEFAULT_CHUNK-point chunks."""
 
     STEPS = (1e-2, 1e-4, 1e-6)
 
@@ -335,13 +336,13 @@ class TestPassOracle:
         for k, (a, b) in enumerate(zip(got, want)):
             assert a.tobytes() == b.tobytes(), k
 
-    @pytest.mark.parametrize("order", [3, 9, 13])  # 243, 59 049 and 371 293 points: no multiple of a block
+    @pytest.mark.parametrize("order", [3, 9, 13])  # 243, 59 049 and 371 293 points: no multiple of a chunk
     @pytest.mark.parametrize("regime", ["laminar", "turbulent"])
     def test_estimates_equal_the_reference(self, regime, order):
         model = builtin_model(regime)
         grid = model.grid(order)
-        want = reference_pass(model.f, grid.chunks(4096), self.STEPS)
-        got = activesubspace._gradient_outer_sums(model.f, activesubspace._blocks(grid), self.STEPS)
+        want = reference_pass(model.f, grid.chunks(DEFAULT_CHUNK), self.STEPS)
+        got = activesubspace._gradient_outer_sums(model.f, grid.chunks(DEFAULT_CHUNK), self.STEPS)
         self.assert_same_bits(got, want)
         for est, C in zip(estimate_subspaces(model.f, grid, self.STEPS), want):
             one = activesubspace.eigendecompose(C)
@@ -350,24 +351,28 @@ class TestPassOracle:
 
     def test_a_step_whose_stencils_straddle_the_switch_equals_the_reference(self, turbulent_model):
         grid = turbulent_model.grid(9)
-        (C,) = reference_pass(turbulent_model.f, grid.chunks(4096), [1e-4])
+        (C,) = reference_pass(turbulent_model.f, grid.chunks(DEFAULT_CHUNK), [1e-4])
         # ~6.3e5 with the two straddling stencils, ~312 without them
         assert activesubspace.eigendecompose(C).eigenvalues[0] > 1e5
         assert estimate_C(turbulent_model.f, grid, 1e-4).tobytes() == C.tobytes()
 
     def test_a_plain_callable_equals_the_reference(self, turbulent_model):
-        f = lambda x: turbulent_model.f(x)  # no fd_values: f is called on each shifted block
+        f = lambda x: turbulent_model.f(x)  # no fd_values: f is called on each shifted chunk
         grid = turbulent_model.grid(9)
-        want = reference_pass(f, grid.chunks(4096), self.STEPS)
-        self.assert_same_bits(activesubspace._gradient_outer_sums(f, activesubspace._blocks(grid), self.STEPS), want)
+        want = reference_pass(f, grid.chunks(DEFAULT_CHUNK), self.STEPS)
+        self.assert_same_bits(activesubspace._gradient_outer_sums(f, grid.chunks(DEFAULT_CHUNK), self.STEPS), want)
 
     @pytest.mark.parametrize("profile", ["plain", "model"])
     def test_pullback_equals_the_reference(self, turbulent_model, profile):
         A = np.linalg.qr(turbulent_model.decomposition.A_float())[0]
+        if profile == "model":
+            # the model takes all 5 inputs: a rotation near the identity, which routes points to both regimes
+            A = np.linalg.qr(np.eye(5) + 0.05 * np.ones((5, 5)))[0]
+            A *= np.sign(np.diag(A))
         plain = lambda y: np.sin(y[..., 0]) * y[..., 1] + np.exp(0.1 * y[..., 2])
         g = {"plain": plain, "model": turbulent_model.f}[profile]
         grid = turbulent_model.grid(9)
-        (T,) = reference_pass(g, ((X @ A, w) for X, w in grid.chunks(4096)), [1e-3])
+        (T,) = reference_pass(g, ((X @ A, w) for X, w in grid.chunks(DEFAULT_CHUNK)), [1e-3])
         assert pullback_T(g, A, grid, 1e-3).tobytes() == T.tobytes()
 
 
@@ -511,6 +516,26 @@ class TestBulkVelocity:
                 continue  # negative turbulent velocity: definitely laminar
             worst = max(worst, numbers["Re"])
         assert worst < RE_CRITICAL
+
+
+class TestInputColumns:
+    """The law takes five log inputs per point; any other count is a model error on every path."""
+
+    @pytest.mark.parametrize("m", [4, 6])
+    def test_rows_of_another_width_are_a_model_error(self, turbulent_model, m):
+        Y, _ = turbulent_model.grid(3).chunk(0, 3)
+        Y = np.hstack([Y, Y])[:, :m]
+        message = rf"^the pipe law takes 5 log inputs .* per point, got shape \(3, {m}\)$"
+        with pytest.raises(ModelError, match=message):
+            turbulent_model.f(Y)
+        with pytest.raises(ModelError, match=message):
+            next(turbulent_model.f.fd_values(Y, [1e-3]))
+
+    def test_a_point_of_another_width_is_a_model_error(self, turbulent_model):
+        x = turbulent_model.grid(3).chunk(0, 1)[0][0]
+        assert turbulent_model.f(x) == turbulent_model.f(x[None, :])[0]
+        with pytest.raises(ModelError, match=r"got shape \(4,\)$"):
+            turbulent_model.f(x[:4])
 
 
 def test_log_laminar_velocity_has_constant_gradient(laminar_model):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from ridgelaw import quadrature
-from ridgelaw.quadrature import BLOCK_CHUNKS, DEFAULT_CHUNK, gauss_legendre, tensor_grid
+from ridgelaw.quadrature import DEFAULT_CHUNK, gauss_legendre, tensor_grid
 
 
 def _no_rule(order):
@@ -215,7 +215,7 @@ def _ranges(grid, size):
 class TestChunkTiles:
     """Chunks sliced from per-axis tiles keep every bit of the index arithmetic."""
 
-    @pytest.mark.parametrize("size", [1, 7, DEFAULT_CHUNK, BLOCK_CHUNKS * DEFAULT_CHUNK, "past the end"])
+    @pytest.mark.parametrize("size", [1, 7, DEFAULT_CHUNK // 2, DEFAULT_CHUNK, "past the end"])
     @pytest.mark.parametrize("ndim", [1, 2, 5])
     @pytest.mark.parametrize("order", [1, 2, 3, 5, 15, 16])
     def test_chunk_equals_the_unravel_index_reference(self, order, ndim, size):
@@ -241,9 +241,9 @@ class TestChunkTiles:
             assert weights.tobytes() == ref_weights.tobytes()
 
     def test_an_evaluation_block_is_sliced_from_the_tiles(self, monkeypatch):
-        # order 15 in 5 dimensions: periods 15, 225 and 3375 fit in a block of 8192 points, the other two do not
+        # order 15 in 5 dimensions: periods 15, 225 and 3375 fit in a chunk of 8192 points, the other two do not
         grid = tensor_grid(15, [(0.0, 1.0)] * 5)
-        block = BLOCK_CHUNKS * DEFAULT_CHUNK
+        size = DEFAULT_CHUNK
         calls = []
         original = np.repeat
 
@@ -252,12 +252,12 @@ class TestChunkTiles:
             return original(*args, **kwargs)
 
         monkeypatch.setattr(np, "repeat", counting)
-        for start in (0, 3 * block, len(grid) - block):
+        for start in (0, 3 * size, len(grid) - size):
             calls.clear()
-            points, weights = grid.chunk(start, start + block)
+            points, weights = grid.chunk(start, start + size)
             assert len(calls) == 2 * 2  # points and weights of dimensions 0 and 1 only
-            assert points.tobytes() == _unravel_chunk(grid, start, start + block)[0].tobytes()
-            assert weights.tobytes() == _unravel_chunk(grid, start, start + block)[1].tobytes()
+            assert points.tobytes() == _unravel_chunk(grid, start, start + size)[0].tobytes()
+            assert weights.tobytes() == _unravel_chunk(grid, start, start + size)[1].tobytes()
 
     @pytest.mark.parametrize("ndim", [1, 3])
     def test_chunks_leave_the_tiles_as_they_were(self, ndim):
