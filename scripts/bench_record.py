@@ -1,6 +1,6 @@
 """Record one BENCH_<pr>.json: every benchmark workload, untraced and traced.
 
-    python3 scripts/bench_record.py --pr 22 [--seed 1] [--seconds 30]
+    python3 scripts/bench_record.py --pr N [--seed 1] [--seconds 30]
 
 Runs the command that ``BENCHMARK.json`` declares (``bench/run.py``) from
 the root of this checkout, once per workload with ``--trace 0`` and once with
