@@ -1,10 +1,11 @@
 """Record one BENCH_<pr>.json: every benchmark workload, untraced and traced.
 
-    python3 scripts/bench_record.py --pr N [--seed 1] [--seconds 30]
+    python3 scripts/bench_record.py --pr N
 
 Runs the command that ``BENCHMARK.json`` declares (``bench/run.py``) from
 the root of this checkout, once per workload with ``--trace 0`` and once with
-``--trace 1``, one run after another, all at one seed and duration. Each
+``--trace 1``, one run after another, all at the fixed ``SEED`` and
+``SECONDS``, so that two records compare like with like. Each
 run's detail line and result line, its last two lines of stdout, are kept as
 printed; a run that exits non-zero keeps its exit code and its stderr
 instead. The record also holds the length of the checkout's path, which
@@ -21,6 +22,8 @@ import subprocess
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+SEED = 1
+SECONDS = 30.0
 
 
 def record_run(command, workload, seed, seconds, trace):
@@ -39,20 +42,18 @@ def record_run(command, workload, seed, seconds, trace):
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--pr", type=int, required=True, help="number in the output file name BENCH_<pr>.json")
-    parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--seconds", type=float, default=30.0)
     args = parser.parse_args(argv)
 
     benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
     runs = [
-        record_run(benchmark["command"], workload["name"], args.seed, args.seconds, trace)
+        record_run(benchmark["command"], workload["name"], SEED, SECONDS, trace)
         for workload in benchmark["workloads"]
         for trace in (0, 1)
     ]
     record = {
         "checkout_path_length": len(str(ROOT)),
-        "seed": args.seed,
-        "seconds": args.seconds,
+        "seed": SEED,
+        "seconds": SECONDS,
         "runs": runs,
     }
     out = ROOT / f"BENCH_{args.pr}.json"

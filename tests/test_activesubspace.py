@@ -168,8 +168,8 @@ class TestEstimateC:
             (lambda f, grid: estimate_subspaces(f, grid, [1e-2, 1e-3, 1e-2]), 2),
         ],
     )
-    def test_symmetrized_once_per_step_however_many_blocks(self, estimate, distinct_steps, monkeypatch):
-        grid = tensor_grid(4, [(-1.0, 1.0)] * 3)  # 64 points: 64 blocks of 1, or one block
+    def test_symmetrized_once_per_step_however_many_chunks(self, estimate, distinct_steps, monkeypatch):
+        grid = tensor_grid(4, [(-1.0, 1.0)] * 3)  # 64 points: 64 chunks of 1, or one chunk
         f = lambda x: np.sin(x[..., 0] * x[..., 1]) + x[..., 2]
         calls = []
         original = np.tril
@@ -188,11 +188,11 @@ class TestEstimateC:
         # one mirror of the summed lower triangle per step: two np.tril calls
         assert counts == [2 * distinct_steps] * 2
 
-    def test_equals_the_sum_of_blockwise_symmetrized_outer_products(self, monkeypatch):
-        # mirroring the summed lower triangle once gives the same bits as mirroring every block
+    def test_equals_the_sum_of_chunkwise_symmetrized_outer_products(self, monkeypatch):
+        # mirroring the summed lower triangle once gives the same bits as mirroring every chunk
         f = lambda x: np.exp(0.3 * x[..., 0]) * np.cos(x[..., 1]) + x[..., 2] ** 3
         monkeypatch.setattr(activesubspace, "DEFAULT_CHUNK", 4)
-        grid = tensor_grid(5, [(-1.0, 1.0)] * 3)  # 125 points: 32 blocks
+        grid = tensor_grid(5, [(-1.0, 1.0)] * 3)  # 125 points: 32 chunks
         expected = 0.0
         for X, w in grid.chunks(4):
             G = next(activesubspace._fd_gradients(f, X, [H]))  # (m, n): one row per dimension
@@ -232,7 +232,7 @@ class TestMultiStepPass:
         for h, T in zip([1e-3, 1e-6], sums):
             assert np.array_equal(T, pullback_T(g, A, grid, h))
 
-    def test_one_chunk_call_and_one_plus_m_s_evaluations_per_block(self, monkeypatch):
+    def test_one_chunk_call_and_one_plus_m_s_evaluations_per_chunk(self, monkeypatch):
         grid = tensor_grid(3, [(-1.0, 1.0)] * 3)  # 27 points: chunks of 16 and 11
         chunk_calls = []
         original_chunk = TensorGrid.chunk

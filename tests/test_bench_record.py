@@ -17,16 +17,16 @@ def write_benchmark(root, script):
 def test_record_keeps_each_runs_last_two_lines_as_printed(tmp_path, monkeypatch, capsys):
     write_benchmark(tmp_path, FAKE_RUN)
     monkeypatch.setattr(bench_record, "ROOT", tmp_path)
-    assert bench_record.main(["--pr", "7", "--seed", "3", "--seconds", "0.5"]) == 0
+    assert bench_record.main(["--pr", "7"]) == 0
     record = json.loads((tmp_path / "BENCH_7.json").read_text())
     assert record["checkout_path_length"] == len(str(tmp_path))
-    assert (record["seed"], record["seconds"]) == (3, 0.5)
+    assert (record["seed"], record["seconds"]) == (1, 30.0)
     assert [(run["workload"], run["trace"]) for run in record["runs"]] == [("a", 0), ("a", 1), ("b", 0), ("b", 1)]
     assert record["runs"][1] == {
         "workload": "a",
         "trace": 1,
         "returncode": 0,
-        "detail": "detail --workload a --seed 3 --seconds 0.5 --trace 1",
+        "detail": "detail --workload a --seed 1 --seconds 30.0 --trace 1",
         "result": "result",
     }
 

@@ -247,7 +247,7 @@ class TestFdValues:
             assert not np.shares_memory(rows, Y), k
             assert not np.shares_memory(rows, f0), k
 
-    def test_terms_are_computed_once_per_block(self, turbulent_model, monkeypatch):
+    def test_terms_are_computed_once_per_chunk(self, turbulent_model, monkeypatch):
         rows = []
         original_terms = pipeflow._terms
 

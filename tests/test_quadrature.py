@@ -240,7 +240,7 @@ class TestChunkTiles:
             assert points.tobytes() == ref_points.tobytes()
             assert weights.tobytes() == ref_weights.tobytes()
 
-    def test_an_evaluation_block_is_sliced_from_the_tiles(self, monkeypatch):
+    def test_a_chunk_is_sliced_from_the_tiles(self, monkeypatch):
         # order 15 in 5 dimensions: periods 15, 225 and 3375 fit in a chunk of 8192 points, the other two do not
         grid = tensor_grid(15, [(0.0, 1.0)] * 5)
         size = DEFAULT_CHUNK
