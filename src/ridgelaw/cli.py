@@ -7,8 +7,9 @@ a quantity of interest, and optionally the id of a built-in model function.
 Each subcommand returns its JSON file name, its payload and a dict of CSV
 texts. Each number is rendered once, into the payload, and the CSVs are joined
 from the payload's strings. With --out, ``run_command`` writes the JSON text,
-the CSVs and a run.json whose config is every parsed option except --out (plus
-``chunk_size`` for the estimating subcommands), then prints the JSON text.
+the CSVs and a run.json whose config is every parsed option except --out (the
+estimating subcommands add ``chunk_size``, ``re_crit``, the model file read and
+its sha256), then prints the JSON text.
 Identical invocations produce byte-identical artifacts.
 
 Only the exact layer is imported at module level: the estimating
@@ -139,12 +140,20 @@ def _cmd_pi(args):
     }
 
 
+def _recorded(args, model):
+    """The bound model, once its file (shipped id or path) and the sha256 of its text are in the run's config."""
+    import hashlib  # here, not at module level: importing cli and running pi do without it
+
+    args.model_file, args.model_sha256 = model.spec.source, hashlib.sha256(model.spec.text.encode()).hexdigest()
+    return model
+
+
 def _cmd_active(args):
     from . import pipeflow
     from .activesubspace import eigendecompose, estimate_C
 
     # cli's own load_model, not builtin_model: the benchmark tracer wraps ridgelaw.cli.load_model
-    model = pipeflow.bind_builtin(load_model(args.model))
+    model = _recorded(args, pipeflow.bind_builtin(load_model(args.model), args.re_crit))
     grid = model.grid(args.quad_order)
     est = eigendecompose(estimate_C(model.f, grid, args.fd_step))
     payload = {
@@ -241,7 +250,8 @@ def _cmd_sweep(args):
     from . import pipeflow
     from .subspace import convergence_sweep
 
-    result = convergence_sweep(pipeflow.builtin_model(args.model), args.steps, args.quad_order)
+    model = _recorded(args, pipeflow.builtin_model(args.model, args.re_crit))
+    result = convergence_sweep(model, args.steps, args.quad_order)
     payload = {
         "model": result.model,
         "quad_order": result.quad_order,
@@ -270,7 +280,7 @@ def _cmd_reproduce(args):
     from . import pipeflow
     from .subspace import convergence_sweep
 
-    builtin = pipeflow.builtin_model(args.regime, re_critical=args.re_crit)
+    builtin = _recorded(args, pipeflow.builtin_model(args.regime, args.re_crit))
     # the --fd-step estimate shares the sweep's single pass over one grid
     sweep = convergence_sweep(builtin, args.steps, args.quad_order, fd_step=args.fd_step)
     est = sweep.estimate
@@ -318,7 +328,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_active.add_argument("--quad-order", type=int, default=DEFAULT_QUAD_ORDER)
     p_active.add_argument("--fd-step", type=_finite_float, default=DEFAULT_FD_STEP)
     p_active.add_argument("--out", help="directory for CSV/JSON artifacts")
-    p_active.set_defaults(func=_cmd_active, chunk_size=DEFAULT_CHUNK)
+    p_active.set_defaults(func=_cmd_active, chunk_size=DEFAULT_CHUNK, re_crit=RE_CRITICAL)
 
     p_incl = sub.add_parser("inclusion", help="subspace-inclusion residual of two bases")
     p_incl.add_argument("--candidate", required=True, help="CSV matrix, columns are basis vectors")
@@ -336,7 +346,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_sweep.add_argument("--quad-order", type=int, default=DEFAULT_QUAD_ORDER)
     p_sweep.add_argument("--out", help="directory for CSV/JSON artifacts")
-    p_sweep.set_defaults(func=_cmd_sweep, chunk_size=DEFAULT_CHUNK)
+    p_sweep.set_defaults(func=_cmd_sweep, chunk_size=DEFAULT_CHUNK, re_crit=RE_CRITICAL)
 
     p_pipe = sub.add_parser("pipeflow", help="pipe-flow virtual laboratory")
     pipe_sub = p_pipe.add_subparsers(dest="pipeflow_command", required=True)

@@ -12,7 +12,7 @@ from __future__ import annotations
 import functools
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
 from typing import Optional, Tuple
@@ -33,6 +33,8 @@ class ModelSpec:
     quantities: Tuple[QuantityDecl, ...]
     qoi: DimensionVector
     builtin: Optional[str] = None
+    source: str = ""  # the shipped id, or the path that was read
+    text: str = field(default="", repr=False)  # the file's text
 
     def decomposition(self) -> PiDecomposition:
         return pi_decomposition(build_dimension_matrix(self.quantities), self.qoi)
@@ -121,7 +123,7 @@ def _check_builtin(spec: ModelSpec) -> None:
         )
 
 
-def _parse(text: str, name: str) -> ModelSpec:
+def _parse(text: str, name: str, source: str) -> ModelSpec:
     try:
         doc = json.loads(text)
     except ValueError as exc:  # JSONDecodeError, or an integer past the digit limit
@@ -171,13 +173,15 @@ def _parse(text: str, name: str) -> ModelSpec:
         quantities=tuple(quantities),
         qoi=qoi,
         builtin=builtin,
+        source=source,
+        text=text,
     )
 
 
 @functools.lru_cache(maxsize=None)
 def _load_shipped(model_id: str) -> ModelSpec:
-    text = resources.files(__name__).joinpath(f"{model_id}.json").read_text()
-    return _parse(text, model_id)
+    text = resources.files(__name__).joinpath(f"{model_id}.json").read_bytes().decode()
+    return _parse(text, model_id, model_id)
 
 
 def load_model(path_or_id: str) -> ModelSpec:
@@ -192,10 +196,10 @@ def load_model(path_or_id: str) -> ModelSpec:
             f"or their short forms {[m.removeprefix('pipeflow_') for m in SHIPPED_MODELS]}"
         )
     try:
-        text = path.read_text()
+        text = path.read_bytes().decode()  # the file's bytes, so that its sha256 is theirs
     except (OSError, UnicodeDecodeError) as exc:
         raise ModelError(f"cannot read model file {path_or_id!r}: {exc}") from exc
-    spec = _parse(text, path.stem)
+    spec = _parse(text, path.stem, str(path))
     if spec.builtin is not None:
         _check_builtin(spec)
     return spec

@@ -5,8 +5,8 @@ Poiseuille's law below the critical Reynolds number, the explicit
 Colebrook-derived formula above it. The regime selector evaluates the
 turbulent velocity, computes its Reynolds number, and branches on the
 critical value; the branch is a hard switch, not a blend. The law is
-written once, in Pi form (PIPE_LAW): five monomial terms and one combine
-step, so a finite-difference shift of a log input only rescales terms.
+written once, in Pi form (PIPE_LAW): five monomials from one matrix product
+in log space and one combine step, so a shift of a log input rescales terms.
 
 The quantities (rho, mu, D, eps, dPdL), their units and their ranges are
 declared once, in the shipped model files pipeflow_laminar.json and
@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Iterator, List, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -49,8 +49,9 @@ PIPE_LAW = (
     ("Re/v", 0.0, (1.0, -1.0, 1.0, 0.0, 0.0), -1),  # rho D / mu
 )
 
-# the exponent table, one row per term and one column per input
+# the exponent table, one row per term and one column per input, and the log coefficients
 _EXPONENTS = np.array([law[2] for law in PIPE_LAW])
+_LOG_COEFS = np.array([law[1] for law in PIPE_LAW])
 
 # the inputs grouped by how a shift scales t1 and t2: a group shares one log10(t1 + t2) per step
 _LOG_GROUPS = tuple(
@@ -59,33 +60,19 @@ _LOG_GROUPS = tuple(
 )
 
 
-def _terms(x) -> List[np.ndarray]:
-    """The law's terms at log inputs x: an (n, 5) array of rows, or one point; else a ModelError.
+def _terms(x) -> np.ndarray:
+    """The law's terms exp(E log q + c) at log inputs x: (n, 5) rows give (5, n), one point (5,).
 
-    The exponent sum runs elementwise in a fixed order, so a row gives the
-    same bits alone as in a chunk. An exponent of +-1 adds or subtracts its
-    column without the multiply, which gives the same bits.
+    Any other shape is a ModelError. The exponent sums are one BLAS product, so
+    their last digits depend on the build, and may differ between a point alone
+    and in a chunk. A log input of -inf makes NaN of each term it does not enter.
     """
     x = np.asarray(x, dtype=float)
-    if x.shape[-1:] != _EXPONENTS.shape[1:]:
+    if x.shape[-1:] != _EXPONENTS.shape[1:] or x.ndim > 2:
         raise ModelError(f"the pipe law takes 5 log inputs (rho, mu, D, eps, dPdL) per point, got shape {x.shape}")
-    cols = np.ascontiguousarray(x.T)
-    terms = []
-    for _, log_coef, exponents, _ in PIPE_LAW:
-        s = None
-        for e, col in zip(exponents, cols):
-            if not e:
-                continue
-            if s is None:  # a 0-d array for one point, so that exp can run in place
-                s = np.asarray(log_coef + col if e == 1.0 else log_coef - col if e == -1.0 else log_coef + e * col)
-            elif e == 1.0:
-                s += col
-            elif e == -1.0:
-                s -= col
-            else:
-                s += e * col
-        terms.append(np.exp(s, out=s))
-    return terms
+    s = _EXPONENTS @ x.T
+    np.add(s.T, _LOG_COEFS, out=s.T)
+    return np.exp(s, out=s)
 
 
 def combine(terms: Sequence[np.ndarray], re_critical: float):
@@ -96,13 +83,9 @@ def combine(terms: Sequence[np.ndarray], re_critical: float):
     V is a fresh array; one point gives a 0-d V.
     """
     P, t1, t2, v_lam, re_per_v = terms
-    v = np.add(t1, t2, out=np.empty(np.shape(t1)))
-    np.log10(v, out=v)
-    v *= P
-    v *= -2.0  # exact, so the same bits as -2 P log10(t1 + t2)
-    turbulent = re_per_v * v > re_critical
-    np.copyto(v, v_lam, where=~turbulent)
-    return v, turbulent
+    v_tur = -2.0 * P * np.log10(t1 + t2)
+    turbulent = re_per_v * v_tur > re_critical
+    return np.where(turbulent, v_tur, v_lam), turbulent
 
 
 def evaluate_state(rho, mu, diam, eps, dpdl, re_critical: float = RE_CRITICAL):

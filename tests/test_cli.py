@@ -1,12 +1,14 @@
 """Model-file loading, subcommands, artifacts, and exit codes."""
 
 import argparse
+import hashlib
 import json
 import os
 import shlex
 import subprocess
 import sys
 import time
+from importlib import resources
 from pathlib import Path
 
 import numpy as np
@@ -534,6 +536,59 @@ def test_run_json_records_the_chunk_size(tmp_path, capsys, argv):
     assert json.loads((tmp_path / "run.json").read_text())["config"]["chunk_size"] == DEFAULT_CHUNK
 
 
+@pytest.mark.parametrize(
+    "argv, typed, model_file",
+    [
+        (["active", "--model", "turbulent", "--quad-order", "2"], ("model", "turbulent"), "pipeflow_turbulent"),
+        (["sweep", "--model", "pipeflow_laminar", "--steps", "1e-3", "--quad-order", "2"],
+         ("model", "pipeflow_laminar"), "pipeflow_laminar"),
+        (["pipeflow", "reproduce", "--regime", "laminar", "--quad-order", "2", "--steps", "1e-3"],
+         ("regime", "laminar"), "pipeflow_laminar"),
+    ],
+)
+def test_run_json_records_the_model_read_and_the_critical_reynolds_number(tmp_path, capsys, argv, typed, model_file):
+    assert run_command(argv + ["--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    config = json.loads((tmp_path / "run.json").read_text())["config"]
+    shipped = resources.files("ridgelaw.models").joinpath(f"{model_file}.json").read_bytes()
+    assert config["model_file"] == model_file
+    assert config["model_sha256"] == hashlib.sha256(shipped).hexdigest()
+    assert config["re_crit"] == "3000"
+    assert config[typed[0]] == typed[1]  # the option stays as typed
+
+
+def test_model_files_of_one_stem_record_their_own_digests(tmp_path, capsys):
+    docs = [_shipped_laminar_doc(), _shipped_laminar_doc()]
+    docs[1]["quantities"][0]["range"][1] *= 1.5
+    configs = []
+    for tag, doc in zip("ab", docs):
+        (tmp_path / tag).mkdir()
+        path = write_model(tmp_path / tag, doc, name="pipe.json")
+        assert run_command(["active", "--model", path, "--quad-order", "2", "--out", str(tmp_path / tag / "out")]) == 0
+        config = json.loads((tmp_path / tag / "out" / "run.json").read_text())["config"]
+        assert config["model"] == config["model_file"] == path
+        assert config["model_sha256"] == hashlib.sha256(Path(path).read_bytes()).hexdigest()
+        configs.append(config)
+    capsys.readouterr()
+    assert configs[0]["model_sha256"] != configs[1]["model_sha256"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["active", "--model", "turbulent", "--quad-order", "5"],
+        ["sweep", "--model", "turbulent", "--steps", "1e-2,1e-4", "--quad-order", "5"],
+    ],
+)
+def test_active_and_sweep_bind_the_recorded_critical_reynolds_number(argv):
+    args = build_parser().parse_args(argv)
+    assert args.re_crit == pipeflow.RE_CRITICAL
+    _, default, _ = args.func(args)
+    args.re_crit = 2000.0
+    _, lowered, _ = args.func(args)
+    assert lowered != default
+
+
 def _leaf_commands(parser, words=()):
     """(command, subparser) for every subcommand that runs something."""
     subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
@@ -575,7 +630,9 @@ def test_out_writes_stdout_and_every_option_but_out(tmp_path, capsys, command):
     assert run_doc["command"] == command
     sub = dict(_leaf_commands(build_parser()))[command]
     dests = {a.dest for a in sub._actions} - {"help", "out"}
-    assert set(run_doc["config"]) == dests | ({"chunk_size"} if command in ESTIMATING else set())
+    # the estimating commands add the chunk size, the critical Reynolds number and the model file that was read
+    added = {"chunk_size", "re_crit", "model_file", "model_sha256"} if command in ESTIMATING else set()
+    assert set(run_doc["config"]) == dests | added
 
 
 def _mirrored_cells(command, doc):
@@ -1000,7 +1057,7 @@ class TestEntryPoint:
         proc, stderr, imported = self._python(*args)
         assert proc.returncode == code, stderr
         assert "ridgelaw" in imported  # the probe sees the package's own imports
-        assert "numpy" not in imported
+        assert "numpy" not in imported and "hashlib" not in imported
         if code == 2:
             assert len(stderr.splitlines()) == 1 and stderr.startswith("usage error: argument --steps")
 

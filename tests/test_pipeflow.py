@@ -142,19 +142,29 @@ class TestPipeLaw:
                 got = [float(t) for t in _terms(np.log(q))]
                 assert got == pytest.approx(physical_terms(*q), rel=1e-13)
 
-    def test_terms_equal_the_multiplied_exponent_sums_bit_for_bit(self):
-        # the reference multiplies every nonzero exponent, +-1 included, and exponentiates a fresh sum
+    def test_terms_equal_the_multiplied_exponent_sums_within_rounding(self):
+        # the terms' exponent sums are one matrix product, which BLAS may reassociate or fuse;
+        # the bound is 4 ulps of the sum's magnitude |c| + sum |e_i x_i| (measured: 1.6)
         X = np.random.default_rng(6).uniform(-30.0, 30.0, size=(257, 5))
         X[0] = [0.0, -0.0, 1.0, -1.0, 1e-300]
         for x in (X, X[0], X[7]):
             got = _terms(x)
+            assert got.shape == (5,) + np.shape(x)[:-1]
             for t, (_, log_coef, exponents, _) in zip(got, pipeflow.PIPE_LAW):
-                s = log_coef
+                s, magnitude = log_coef, abs(log_coef)
                 for e, col in zip(exponents, np.asarray(x).T):
                     if e:
-                        s = s + e * col
-                assert np.shape(t) == np.shape(s)
-                assert np.asarray(t).tobytes() == np.asarray(np.exp(s)).tobytes()
+                        s, magnitude = s + e * col, magnitude + abs(e * col)
+                assert np.all(np.abs(t / np.exp(s) - 1.0) <= 4 * np.finfo(float).eps * magnitude)
+
+    def test_a_zero_quantity_gives_nan_in_the_terms_it_does_not_enter(self):
+        # log(eps) = -inf enters only t1; the matrix product multiplies it by the other terms' zero exponents
+        x = np.log([1.0, 1e-3, 0.1, 1e-4, 10.0])
+        x[3] = -np.inf
+        with np.errstate(invalid="ignore"):
+            P, t1, t2, v_lam, re_per_v = _terms(x)
+        assert t1 == 0.0
+        assert np.isnan([P, t2, v_lam, re_per_v]).all()
 
     def test_combine_gives_the_bits_of_np_where(self):
         X = np.random.default_rng(7).uniform(-3.0, 3.0, size=(300, 5))
@@ -536,6 +546,12 @@ class TestInputColumns:
         assert turbulent_model.f(x) == turbulent_model.f(x[None, :])[0]
         with pytest.raises(ModelError, match=r"got shape \(4,\)$"):
             turbulent_model.f(x[:4])
+
+    def test_inputs_that_are_neither_a_point_nor_rows_are_a_model_error(self, turbulent_model):
+        Y, _ = turbulent_model.grid(3).chunk(0, 3)
+        for x, shape in ((Y[None], r"\(1, 3, 5\)"), (Y[0, 0], r"\(\)")):
+            with pytest.raises(ModelError, match=rf"^the pipe law takes 5 log inputs .* got shape {shape}$"):
+                turbulent_model.f(x)
 
 
 def test_log_laminar_velocity_has_constant_gradient(laminar_model):
