@@ -78,9 +78,9 @@ def _terms(x) -> np.ndarray:
 def combine(terms: Sequence[np.ndarray], re_critical: float):
     """Velocity and turbulent mask from the terms (P, t1, t2, v_lam, Re/v).
 
-    V = -2 P log10(t1 + t2), the Colebrook-derived velocity, where its
-    Reynolds number (Re/v) V exceeds re_critical, else Poiseuille's v_lam.
-    V is a fresh array; one point gives a 0-d V.
+    V = (-2 P) log10(t1 + t2), grouped as fd_values groups it, where its
+    Reynolds number (Re/v) V exceeds re_critical, else Poiseuille's v_lam:
+    one np.where, so V is a fresh array; one point gives a 0-d V.
     """
     P, t1, t2, v_lam, re_per_v = terms
     v_tur = -2.0 * P * np.log10(t1 + t2)
