@@ -6,7 +6,7 @@ span the active subspace. For a ridge function the same matrix factors
 through the low-dimensional profile, so the pullback path estimates the small
 matrix T with gradients taken in the profile's own coordinates.
 
-The grid is evaluated in chunks of DEFAULT_CHUNK points, which keeps
+The grid is evaluated in the chunks of ``TensorGrid.chunks()``, which keep
 numpy's per-call cost low and working memory small. Each chunk adds one
 weighted outer product per step, in index order, so every sum runs in one
 fixed order and every result repeats bit for bit. One pass over the grid
@@ -25,7 +25,7 @@ from typing import Callable, Iterable, Iterator, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import EvaluationError, ModelError, NumericalError
-from .quadrature import DEFAULT_CHUNK, TensorGrid
+from .quadrature import TensorGrid
 
 _SYMMETRY_TOL = 1e-12
 _EIG_CLAMP_REL = 1e-12
@@ -166,7 +166,7 @@ def _gradient_outer_sums(
 
 def estimate_C(f: Callable, grid: TensorGrid, h: float) -> np.ndarray:
     """Quadrature estimate of the m x m matrix C = avg of grad f grad f^T."""
-    return _gradient_outer_sums(f, grid.chunks(DEFAULT_CHUNK), [h])[0]
+    return _gradient_outer_sums(f, grid.chunks(), [h])[0]
 
 
 def pullback_T(g_profile: Callable, A: np.ndarray, grid: TensorGrid, h: float) -> np.ndarray:
@@ -184,7 +184,7 @@ def pullback_T(g_profile: Callable, A: np.ndarray, grid: TensorGrid, h: float) -
         raise ValueError(
             f"pullback requires orthonormal columns; Gram deviation {gram_err:.3e}"
         )
-    chunks = ((X @ A, w) for X, w in grid.chunks(DEFAULT_CHUNK))
+    chunks = ((X @ A, w) for X, w in grid.chunks())
     return _gradient_outer_sums(g_profile, chunks, [h])[0]
 
 
@@ -253,6 +253,6 @@ def estimate_subspaces(f: Callable, grid: TensorGrid, steps: Sequence[float]) ->
     """
     hs = [float(h) for h in steps]
     distinct = list(dict.fromkeys(hs))
-    sums = _gradient_outer_sums(f, grid.chunks(DEFAULT_CHUNK), distinct)
+    sums = _gradient_outer_sums(f, grid.chunks(), distinct)
     by_step = {h: eigendecompose(C) for h, C in zip(distinct, sums)}
     return [by_step[h] for h in hs]

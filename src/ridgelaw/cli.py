@@ -8,8 +8,8 @@ Each subcommand returns its JSON file name, its payload and a dict of CSV
 texts. Each number is rendered once, into the payload, and the CSVs are joined
 from the payload's strings. With --out, ``run_command`` writes the JSON text,
 the CSVs and a run.json whose config is every parsed option except --out (the
-estimating subcommands add ``chunk_size``, ``re_crit``, the model file read and
-its sha256), then prints the JSON text.
+estimating subcommands add ``re_crit`` and, as they run, ``chunk_size``, the
+model file read and its sha256), then prints the JSON text.
 Identical invocations produce byte-identical artifacts.
 
 Only the exact layer is imported at module level: the estimating
@@ -35,9 +35,8 @@ from pathlib import Path
 from typing import Iterable, List, Sequence
 
 from . import __version__
-from .defaults import DEFAULT_CHUNK, RE_CRITICAL
 from .errors import ModelError, NumericalError
-from .models import load_model
+from .models import RE_CRITICAL, load_model
 from .pigroups import build_dimension_matrix, pi_decomposition
 
 DEFAULT_QUAD_ORDER = 11
@@ -141,10 +140,13 @@ def _cmd_pi(args):
 
 
 def _recorded(args, model):
-    """The bound model, once its file (shipped id or path) and the sha256 of its text are in the run's config."""
+    """The bound model, once the chunk size, the model file (shipped id or path) and its sha256 are in the config."""
     import hashlib  # here, not at module level: importing cli and running pi do without it
 
-    args.model_file, args.model_sha256 = model.spec.source, hashlib.sha256(model.spec.text.encode()).hexdigest()
+    from .quadrature import DEFAULT_CHUNK  # read now: the value the pass will use
+
+    args.chunk_size, args.model_file = DEFAULT_CHUNK, model.spec.source
+    args.model_sha256 = hashlib.sha256(model.spec.text.encode()).hexdigest()
     return model
 
 
@@ -328,7 +330,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_active.add_argument("--quad-order", type=int, default=DEFAULT_QUAD_ORDER)
     p_active.add_argument("--fd-step", type=_finite_float, default=DEFAULT_FD_STEP)
     p_active.add_argument("--out", help="directory for CSV/JSON artifacts")
-    p_active.set_defaults(func=_cmd_active, chunk_size=DEFAULT_CHUNK, re_crit=RE_CRITICAL)
+    p_active.set_defaults(func=_cmd_active, re_crit=RE_CRITICAL)
 
     p_incl = sub.add_parser("inclusion", help="subspace-inclusion residual of two bases")
     p_incl.add_argument("--candidate", required=True, help="CSV matrix, columns are basis vectors")
@@ -346,7 +348,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_sweep.add_argument("--quad-order", type=int, default=DEFAULT_QUAD_ORDER)
     p_sweep.add_argument("--out", help="directory for CSV/JSON artifacts")
-    p_sweep.set_defaults(func=_cmd_sweep, chunk_size=DEFAULT_CHUNK, re_crit=RE_CRITICAL)
+    p_sweep.set_defaults(func=_cmd_sweep, re_crit=RE_CRITICAL)
 
     p_pipe = sub.add_parser("pipeflow", help="pipe-flow virtual laboratory")
     pipe_sub = p_pipe.add_subparsers(dest="pipeflow_command", required=True)
@@ -374,7 +376,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_repro.add_argument("--re-crit", type=_positive_float, default=RE_CRITICAL)
     p_repro.add_argument("--out", help="directory for CSV/JSON artifacts")
-    p_repro.set_defaults(func=_cmd_reproduce, chunk_size=DEFAULT_CHUNK)
+    p_repro.set_defaults(func=_cmd_reproduce)
 
     return parser
 

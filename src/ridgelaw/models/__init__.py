@@ -5,6 +5,7 @@ of that name, through importlib.resources. It is also the signature of the
 built-in function of the same id: a file that declares ``"builtin": X`` (a
 full id) must declare the quantities of the shipped file ``X.json`` (names
 and dimensions, in order) and its QoI dimension; only the ranges may differ.
+RE_CRITICAL, the shipped pipe models' regime switch, lives here, free of numpy.
 """
 
 from __future__ import annotations
@@ -22,6 +23,8 @@ from ..errors import ModelError
 from ..pigroups import PiDecomposition, build_dimension_matrix, pi_decomposition
 
 SHIPPED_MODELS = ("pipeflow_laminar", "pipeflow_turbulent")
+# critical Reynolds number of the shipped pipe models' regime switch
+RE_CRITICAL = 3.0e3
 
 
 @dataclass(frozen=True)

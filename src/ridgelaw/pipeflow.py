@@ -24,9 +24,8 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from .defaults import RE_CRITICAL
 from .errors import ModelError
-from .models import ModelSpec, load_model
+from .models import RE_CRITICAL, ModelSpec, load_model
 from .pigroups import PiDecomposition
 from .quadrature import TensorGrid, tensor_grid
 

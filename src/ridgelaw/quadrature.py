@@ -4,10 +4,10 @@ Grid weights are normalized so they sum to one: a weighted sum of function
 values is the average of the function under a uniform probability density on
 the box. Grids are never materialized whole; points are produced lazily from
 their lexicographic index, so large orders cannot exhaust memory while small
-ones stay cheap to iterate. A chunk of up to DEFAULT_CHUNK points, the
-finite-difference pass's size, is sliced from per-axis tiles wherever a
-dimension's digits repeat within it. A grid holds at most MAX_GRID_POINTS
-points.
+ones stay cheap to iterate. ``chunks()`` walks a grid in DEFAULT_CHUNK-point
+chunks, the finite-difference pass's only size, read at call time; each chunk
+is sliced from per-axis tiles wherever a dimension's digits repeat within it.
+A grid holds at most MAX_GRID_POINTS points.
 """
 
 from __future__ import annotations
@@ -18,7 +18,10 @@ from typing import Iterator, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .defaults import DEFAULT_CHUNK
+# points per chunk of the finite-difference pass: the model is evaluated and
+# the outer products summed once per chunk, which bounds the pass's working
+# memory; being fixed, it pins the summation order bit for bit
+DEFAULT_CHUNK = 8192
 
 # the most points a tensor grid may have: five dimensions up to order 63
 MAX_GRID_POINTS = 10**9
@@ -107,12 +110,14 @@ class TensorGrid:
         return tuple(tiles)
 
     def chunk(self, start: int, stop: int) -> Tuple[np.ndarray, np.ndarray]:
-        """Points and weights for lexicographic indices [start, stop).
+        """Points and weights for lexicographic indices [start, stop), 0 <= start <= stop <= len(self).
 
         A dimension whose tiles cover the range is sliced from them; any other
         is np.repeat over its runs of one digit. Either way the values are
         those of the multi-index, and the weights multiply in dimension order.
         """
+        if not 0 <= start <= stop <= len(self):
+            raise ValueError(f"chunk [{start}, {stop}) is not a range of the grid's {len(self)} points")
         n = stop - start
         points = np.empty((n, self.ndim), dtype=float)
         weights = np.ones(n, dtype=float)
@@ -129,8 +134,8 @@ class TensorGrid:
             weights *= np.repeat(self.unit_weights[runs], counts)
         return points, weights
 
-    def chunks(self, size: int = DEFAULT_CHUNK) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
-        total = len(self)
+    def chunks(self) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
+        total, size = len(self), DEFAULT_CHUNK
         for start in range(0, total, size):
             yield self.chunk(start, min(start + size, total))
 

@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from ridgelaw import activesubspace
+from ridgelaw import activesubspace, quadrature
 from ridgelaw.activesubspace import (
     active_subspace,
     eigendecompose,
@@ -150,7 +150,7 @@ class TestEstimateC:
         def f(x):
             return np.exp(0.3 * x[..., 0]) * np.cos(x[..., 1]) + x[..., 2] ** 3
 
-        monkeypatch.setattr(activesubspace, "DEFAULT_CHUNK", 64)
+        monkeypatch.setattr(quadrature, "DEFAULT_CHUNK", 64)
         grid = tensor_grid(7, [(-1.0, 1.0)] * 3)
         c1 = estimate_C(f, grid, H)
         c2 = estimate_C(f, grid, H)
@@ -169,7 +169,6 @@ class TestEstimateC:
         ],
     )
     def test_symmetrized_once_per_step_however_many_chunks(self, estimate, distinct_steps, monkeypatch):
-        grid = tensor_grid(4, [(-1.0, 1.0)] * 3)  # 64 points: 64 chunks of 1, or one chunk
         f = lambda x: np.sin(x[..., 0] * x[..., 1]) + x[..., 2]
         calls = []
         original = np.tril
@@ -181,7 +180,8 @@ class TestEstimateC:
         monkeypatch.setattr(np, "tril", counting)
         counts = []
         for chunk_size in (1, 4096):
-            monkeypatch.setattr(activesubspace, "DEFAULT_CHUNK", chunk_size)
+            monkeypatch.setattr(quadrature, "DEFAULT_CHUNK", chunk_size)
+            grid = tensor_grid(4, [(-1.0, 1.0)] * 3)  # 64 points: 64 chunks of 1, or one chunk
             calls.clear()
             estimate(f, grid)
             counts.append(len(calls))
@@ -191,10 +191,10 @@ class TestEstimateC:
     def test_equals_the_sum_of_chunkwise_symmetrized_outer_products(self, monkeypatch):
         # mirroring the summed lower triangle once gives the same bits as mirroring every chunk
         f = lambda x: np.exp(0.3 * x[..., 0]) * np.cos(x[..., 1]) + x[..., 2] ** 3
-        monkeypatch.setattr(activesubspace, "DEFAULT_CHUNK", 4)
+        monkeypatch.setattr(quadrature, "DEFAULT_CHUNK", 4)
         grid = tensor_grid(5, [(-1.0, 1.0)] * 3)  # 125 points: 32 chunks
         expected = 0.0
-        for X, w in grid.chunks(4):
+        for X, w in grid.chunks():
             G = next(activesubspace._fd_gradients(f, X, [H]))  # (m, n): one row per dimension
             M = (G * w) @ G.T
             expected += np.tril(M) + np.tril(M, -1).T
@@ -210,9 +210,9 @@ class TestMultiStepPass:
 
     @pytest.mark.parametrize("chunk_size", [1, 4])  # 343 points: 343 chunks, or 86 with a short last one
     def test_each_step_equals_its_one_step_estimate(self, chunk_size, monkeypatch):
-        monkeypatch.setattr(activesubspace, "DEFAULT_CHUNK", chunk_size)
+        monkeypatch.setattr(quadrature, "DEFAULT_CHUNK", chunk_size)
         grid = tensor_grid(7, [(-1.0, 1.0)] * 3)
-        sums = _gradient_outer_sums(self.f, grid.chunks(chunk_size), self.STEPS)
+        sums = _gradient_outer_sums(self.f, grid.chunks(), self.STEPS)
         ests = estimate_subspaces(self.f, grid, self.STEPS)
         assert len(ests) == len(self.STEPS)
         for h, C, est in zip(self.STEPS, sums, ests):
@@ -223,16 +223,17 @@ class TestMultiStepPass:
         assert ests[0] is ests[2]
 
     def test_lifted_steps_equal_pullback(self, monkeypatch):
-        monkeypatch.setattr(activesubspace, "DEFAULT_CHUNK", 64)
+        monkeypatch.setattr(quadrature, "DEFAULT_CHUNK", 64)
         grid = tensor_grid(5, [(-1.0, 1.0)] * 3)
         A = np.linalg.qr(np.array([[1.0, 0.0], [1.0, 1.0], [0.0, 2.0]]))[0]
         g = lambda y: np.sin(y[..., 0]) * y[..., 1] ** 2
-        lifted = ((X @ A, w) for X, w in grid.chunks(64))
+        lifted = ((X @ A, w) for X, w in grid.chunks())
         sums = _gradient_outer_sums(g, lifted, [1e-3, 1e-6])
         for h, T in zip([1e-3, 1e-6], sums):
             assert np.array_equal(T, pullback_T(g, A, grid, h))
 
     def test_one_chunk_call_and_one_plus_m_s_evaluations_per_chunk(self, monkeypatch):
+        monkeypatch.setattr(quadrature, "DEFAULT_CHUNK", 16)
         grid = tensor_grid(3, [(-1.0, 1.0)] * 3)  # 27 points: chunks of 16 and 11
         chunk_calls = []
         original_chunk = TensorGrid.chunk
@@ -248,7 +249,6 @@ class TestMultiStepPass:
             rows.append(x.shape[0])
             return self.f(x)
 
-        monkeypatch.setattr(activesubspace, "DEFAULT_CHUNK", 16)
         estimate_subspaces(counting_f, grid, self.STEPS)
         assert chunk_calls == [(0, 16), (16, 27)]
         per_chunk = 1 + grid.ndim * 3  # three distinct steps
@@ -282,15 +282,16 @@ class TestFdValuesHook:
                         rows[i, 2] = np.inf
                 yield rows
 
-    def test_gives_the_plain_path_result(self):
+    def test_gives_the_plain_path_result(self, monkeypatch):
+        monkeypatch.setattr(quadrature, "DEFAULT_CHUNK", 16)
         grid = tensor_grid(4, [(-1.0, 1.0)] * 3)
-        hook = _gradient_outer_sums(self.Linear(), grid.chunks(16), [1e-2, 1e-4])
-        plain = _gradient_outer_sums(lambda x: self.Linear()(x), grid.chunks(16), [1e-2, 1e-4])
+        hook = _gradient_outer_sums(self.Linear(), grid.chunks(), [1e-2, 1e-4])
+        plain = _gradient_outer_sums(lambda x: self.Linear()(x), grid.chunks(), [1e-2, 1e-4])
         for C, C_plain in zip(hook, plain):
             assert np.array_equal(C, C_plain)
 
     def test_nonfinite_shifted_value_carries_the_shifted_point(self, monkeypatch):
-        monkeypatch.setattr(activesubspace, "DEFAULT_CHUNK", 16)
+        monkeypatch.setattr(quadrature, "DEFAULT_CHUNK", 16)
         grid = tensor_grid(3, [(-1.0, 1.0)] * 3)
         with pytest.raises(EvaluationError) as err:
             estimate_subspaces(self.Linear(bad_shift=(1e-3, 1)), grid, [1e-2, 1e-3])
@@ -356,11 +357,13 @@ class TestBatchedChecks:
                     v[index] = bad
                 yield v[..., :-1] if k in self.short else v
 
-    GRID = tensor_grid(3, [(-1.0, 1.0)] * 3)
     STEPS = [1e-2, 1e-3]
 
+    def setup_method(self):
+        self.GRID = tensor_grid(3, [(-1.0, 1.0)] * 3)  # fresh: its tiles are sized on the first chunk
+
     def run(self, monkeypatch, spoil, short=()):
-        monkeypatch.setattr(activesubspace, "DEFAULT_CHUNK", 16)
+        monkeypatch.setattr(quadrature, "DEFAULT_CHUNK", 16)
         return estimate_subspaces(self.Spoiled(spoil, short), self.GRID, self.STEPS)
 
     def test_two_dimensions_of_one_step_name_the_first(self, monkeypatch):
@@ -388,7 +391,7 @@ class TestBatchedChecks:
                 values[0] = np.inf  # dimension 0 shifted
             return values[:-1] if x[0, 1] != self.GRID.chunk(0, 1)[0][0, 1] else values  # dimension 1 shifted
 
-        monkeypatch.setattr(activesubspace, "DEFAULT_CHUNK", 16)
+        monkeypatch.setattr(quadrature, "DEFAULT_CHUNK", 16)
         with pytest.raises(ModelError, match=r"returned shape \(15,\) for 16 points"):
             estimate_subspaces(f, self.GRID, self.STEPS)
 

@@ -3,6 +3,7 @@
 import argparse
 import hashlib
 import json
+import math
 import os
 import shlex
 import subprocess
@@ -15,10 +16,10 @@ import numpy as np
 import pytest
 
 import ridgelaw
-from ridgelaw import pipeflow
+from ridgelaw import pipeflow, quadrature
 from ridgelaw.cli import build_parser, fmt_float, load_model, run_command
 from ridgelaw.errors import ModelError
-from ridgelaw.quadrature import DEFAULT_CHUNK, MAX_GRID_POINTS
+from ridgelaw.quadrature import DEFAULT_CHUNK, MAX_GRID_POINTS, TensorGrid
 
 
 def write_model(tmp_path, doc, name="model.json"):
@@ -525,15 +526,30 @@ class TestPipeflowCommand:
 @pytest.mark.parametrize(
     "argv",
     [
-        ["active", "--model", "laminar", "--quad-order", "2"],
-        ["sweep", "--model", "laminar", "--steps", "1e-3,1e-4", "--quad-order", "2"],
-        ["pipeflow", "reproduce", "--regime", "turbulent", "--quad-order", "2", "--steps", "1e-3"],
+        ["active", "--model", "laminar", "--quad-order", "3"],
+        ["sweep", "--model", "laminar", "--steps", "1e-3,1e-4", "--quad-order", "3"],
+        ["pipeflow", "reproduce", "--regime", "turbulent", "--quad-order", "3", "--steps", "1e-3"],
     ],
 )
-def test_run_json_records_the_chunk_size(tmp_path, capsys, argv):
-    assert run_command(argv + ["--out", str(tmp_path)]) == 0
-    capsys.readouterr()
-    assert json.loads((tmp_path / "run.json").read_text())["config"]["chunk_size"] == DEFAULT_CHUNK
+def test_run_json_records_the_chunk_size(tmp_path, capsys, monkeypatch, argv):
+    def recorded_chunk_size(out):
+        assert run_command(argv + ["--out", str(out)]) == 0
+        capsys.readouterr()
+        return json.loads((out / "run.json").read_text())["config"]["chunk_size"]
+
+    assert recorded_chunk_size(tmp_path / "default") == DEFAULT_CHUNK
+    # the record is the size the pass walks: with 16, the 243 points of order 3 take 16 chunks
+    calls = []
+    original = TensorGrid.chunk
+
+    def counting(grid, start, stop):
+        calls.append((start, stop))
+        return original(grid, start, stop)
+
+    monkeypatch.setattr(TensorGrid, "chunk", counting)
+    monkeypatch.setattr(quadrature, "DEFAULT_CHUNK", 16)
+    assert recorded_chunk_size(tmp_path / "16") == 16
+    assert len(calls) == math.ceil(243 / 16) == 16
 
 
 @pytest.mark.parametrize(

@@ -10,7 +10,7 @@ from importlib import resources
 import numpy as np
 import pytest
 
-from ridgelaw import activesubspace, pipeflow
+from ridgelaw import activesubspace, pipeflow, quadrature
 from ridgelaw.activesubspace import estimate_C, estimate_subspaces, pullback_T
 from ridgelaw.errors import ModelError
 from ridgelaw.models import SHIPPED_MODELS, load_model
@@ -23,7 +23,6 @@ from ridgelaw.pipeflow import (
     combine,
     evaluate_state,
 )
-from ridgelaw.quadrature import DEFAULT_CHUNK
 from tests.conftest import exact_matvec
 
 
@@ -266,7 +265,7 @@ class TestFdValues:
             return original_terms(x)
 
         monkeypatch.setattr(pipeflow, "_terms", counting_terms)
-        monkeypatch.setattr(activesubspace, "DEFAULT_CHUNK", 16)
+        monkeypatch.setattr(quadrature, "DEFAULT_CHUNK", 16)
         grid = turbulent_model.grid(3)  # 243 points: 15 chunks of 16 and one of 3
         estimate_subspaces(turbulent_model.f, grid, [1e-2, 1e-4, 1e-6])
         assert rows == [16] * 15 + [3]
@@ -336,7 +335,7 @@ def reference_pass(f, chunks, steps):
 
 
 class TestPassOracle:
-    """The estimators give the bits of reference_pass over the grid's DEFAULT_CHUNK-point chunks."""
+    """The estimators give the bits of reference_pass over the grid's chunks()."""
 
     STEPS = (1e-2, 1e-4, 1e-6)
 
@@ -351,8 +350,8 @@ class TestPassOracle:
     def test_estimates_equal_the_reference(self, regime, order):
         model = builtin_model(regime)
         grid = model.grid(order)
-        want = reference_pass(model.f, grid.chunks(DEFAULT_CHUNK), self.STEPS)
-        got = activesubspace._gradient_outer_sums(model.f, grid.chunks(DEFAULT_CHUNK), self.STEPS)
+        want = reference_pass(model.f, grid.chunks(), self.STEPS)
+        got = activesubspace._gradient_outer_sums(model.f, grid.chunks(), self.STEPS)
         self.assert_same_bits(got, want)
         for est, C in zip(estimate_subspaces(model.f, grid, self.STEPS), want):
             one = activesubspace.eigendecompose(C)
@@ -361,7 +360,7 @@ class TestPassOracle:
 
     def test_a_step_whose_stencils_straddle_the_switch_equals_the_reference(self, turbulent_model):
         grid = turbulent_model.grid(9)
-        (C,) = reference_pass(turbulent_model.f, grid.chunks(DEFAULT_CHUNK), [1e-4])
+        (C,) = reference_pass(turbulent_model.f, grid.chunks(), [1e-4])
         # ~6.3e5 with the two straddling stencils, ~312 without them
         assert activesubspace.eigendecompose(C).eigenvalues[0] > 1e5
         assert estimate_C(turbulent_model.f, grid, 1e-4).tobytes() == C.tobytes()
@@ -369,8 +368,8 @@ class TestPassOracle:
     def test_a_plain_callable_equals_the_reference(self, turbulent_model):
         f = lambda x: turbulent_model.f(x)  # no fd_values: f is called on each shifted chunk
         grid = turbulent_model.grid(9)
-        want = reference_pass(f, grid.chunks(DEFAULT_CHUNK), self.STEPS)
-        self.assert_same_bits(activesubspace._gradient_outer_sums(f, grid.chunks(DEFAULT_CHUNK), self.STEPS), want)
+        want = reference_pass(f, grid.chunks(), self.STEPS)
+        self.assert_same_bits(activesubspace._gradient_outer_sums(f, grid.chunks(), self.STEPS), want)
 
     @pytest.mark.parametrize("profile", ["plain", "model"])
     def test_pullback_equals_the_reference(self, turbulent_model, profile):
@@ -382,7 +381,7 @@ class TestPassOracle:
         plain = lambda y: np.sin(y[..., 0]) * y[..., 1] + np.exp(0.1 * y[..., 2])
         g = {"plain": plain, "model": turbulent_model.f}[profile]
         grid = turbulent_model.grid(9)
-        (T,) = reference_pass(g, ((X @ A, w) for X, w in grid.chunks(DEFAULT_CHUNK)), [1e-3])
+        (T,) = reference_pass(g, ((X @ A, w) for X, w in grid.chunks()), [1e-3])
         assert pullback_T(g, A, grid, 1e-3).tobytes() == T.tobytes()
 
 

@@ -139,21 +139,34 @@ class TestTensorGrid:
         expected = np.array([[a, c], [a, d], [b, c], [b, d]])
         assert np.array_equal(X, expected)
 
-    def test_iterator_matches_chunks(self):
+    def test_iterator_matches_chunks(self, monkeypatch):
+        monkeypatch.setattr(quadrature, "DEFAULT_CHUNK", 4)
         grid = tensor_grid(3, [(0.0, 1.0), (0.0, 2.0)])
         dense_X, dense_w = grid.chunk(0, len(grid))
-        chunks = list(grid.chunks(size=4))  # 9 points: 4, 4, 1
+        chunks = list(grid.chunks())  # 9 points: 4, 4, 1
         assert [len(w) for _, w in chunks] == [4, 4, 1]
         assert np.array_equal(np.concatenate([X for X, _ in chunks]), dense_X)
         assert np.array_equal(np.concatenate([w for _, w in chunks]), dense_w)
 
-    def test_chunked_consumption_covers_all_points(self):
+    def test_chunked_consumption_covers_all_points(self, monkeypatch):
+        monkeypatch.setattr(quadrature, "DEFAULT_CHUNK", 7)
         grid = tensor_grid(4, [(0.0, 1.0)] * 3)
         seen = 0
-        for X, w in grid.chunks(size=7):
+        for X, w in grid.chunks():
             assert X.shape[0] == w.shape[0]
             seen += X.shape[0]
         assert seen == len(grid)
+
+    @pytest.mark.parametrize("start, stop", [(8, 12), (-2, 1), (5, 2), (0, 10), (10, 10), (-1, -1)])
+    def test_chunk_outside_the_grid_is_rejected(self, start, stop):
+        grid = tensor_grid(3, [(0.0, 1.0), (0.0, 2.0)])  # 9 points
+        with pytest.raises(ValueError, match=rf"^chunk \[{start}, {stop}\) is not a range of the grid's 9 points$"):
+            grid.chunk(start, stop)
+
+    @pytest.mark.parametrize("start", [0, 4, 9])
+    def test_empty_chunk_is_allowed(self, start):
+        points, weights = tensor_grid(3, [(0.0, 1.0), (0.0, 2.0)]).chunk(start, start)
+        assert points.shape == (0, 2) and weights.shape == (0,)
 
 
 def test_polynomial_exactness_up_to_degree_2n_minus_1():
@@ -230,10 +243,11 @@ class TestChunkTiles:
             assert points.tobytes() == ref_points.tobytes(), (start, stop)
             assert weights.tobytes() == ref_weights.tobytes(), (start, stop)
 
-    def test_chunks_cover_the_grid_as_the_reference_does(self):
-        grid = tensor_grid(15, [(-1.0, 2.0), (0.5, 1.5), (-3.0, -1.0)])  # 3375 points; periods 15, 225, 3375
+    def test_chunks_cover_the_grid_as_the_reference_does(self, monkeypatch):
         for size in (7, 100, DEFAULT_CHUNK):
-            got = list(grid.chunks(size))
+            monkeypatch.setattr(quadrature, "DEFAULT_CHUNK", size)
+            grid = tensor_grid(15, [(-1.0, 2.0), (0.5, 1.5), (-3.0, -1.0)])  # 3375 points; periods 15, 225, 3375
+            got = list(grid.chunks())
             points = np.concatenate([X for X, _ in got])
             weights = np.concatenate([w for _, w in got])
             ref_points, ref_weights = _unravel_chunk(grid, 0, len(grid))
