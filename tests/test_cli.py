@@ -765,8 +765,8 @@ class TestSharedParser:
         assert len(first_tree) == 17  # active 4, sweep 3, pi 6, reproduce 4
         assert rounds[1] == rounds[0]
         assert rounds[2] == rounds[0]
-        # pi runs after active and sweep: none of their options or defaults (chunk_size,
-        # quad_order, fd_step, ...) reach its run.json
+        # pi runs after active and sweep: none of their options or recorded values (quad_order,
+        # fd_step, chunk_size, ...) reach its run.json
         assert set(json.loads(first_tree["pi/run.json"])["config"]) == {"model"}
 
     def test_commands_after_the_first_build_no_parser(self, capsys, monkeypatch):
