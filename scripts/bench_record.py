@@ -4,11 +4,11 @@
 
 Runs the command that ``BENCHMARK.json`` declares (``bench/run.py``) from
 the root of this checkout, once per workload with ``--trace 0`` and once with
-``--trace 1``, one run after another, all at the fixed ``SEED`` and
-``SECONDS``, so that two records compare like with like. Each
-run's detail line and result line, its last two lines of stdout, are kept as
-printed; a run that exits non-zero keeps its exit code and its stderr
-instead. The record also holds the length of the checkout's path, which
+``--trace 1``, one run after another, all at the fixed ``SEED`` and for the
+``run_seconds`` that ``BENCHMARK.json`` declares, so that two records compare
+like with like. Each run's detail line and result line, its last two lines of
+stdout, are kept as printed; a run that exits non-zero keeps its exit code and
+its stderr instead. The record also holds the length of the checkout's path, which
 moves the timings of some workloads, and the seed and duration of the runs.
 The detail lines carry the stamp (commit, cpu, nproc, numpy, python) and
 the sample counts (batches, commands, set-up samples).
@@ -23,7 +23,6 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SEED = 1
-SECONDS = 30.0
 
 
 def record_run(command, workload, seed, seconds, trace):
@@ -45,15 +44,16 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
+    seconds = float(benchmark["run_seconds"])  # a float: detail lines read --seconds 30.0, as in earlier records
     runs = [
-        record_run(benchmark["command"], workload["name"], SEED, SECONDS, trace)
+        record_run(benchmark["command"], workload["name"], SEED, seconds, trace)
         for workload in benchmark["workloads"]
         for trace in (0, 1)
     ]
     record = {
         "checkout_path_length": len(str(ROOT)),
         "seed": SEED,
-        "seconds": SECONDS,
+        "seconds": seconds,
         "runs": runs,
     }
     out = ROOT / f"BENCH_{args.pr}.json"

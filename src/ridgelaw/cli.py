@@ -6,11 +6,12 @@ a quantity of interest, and optionally the id of a built-in model function.
 
 Each subcommand returns its JSON file name, its payload and a dict of CSV
 texts. Each number is rendered once, into the payload, and the CSVs are joined
-from the payload's strings. With --out, ``run_command`` writes the JSON text,
-the CSVs and a run.json whose config is every parsed option except --out (the
-estimating subcommands add ``re_crit`` and, as they run, ``chunk_size``, the
-model file read and its sha256), then prints the JSON text.
-Identical invocations produce byte-identical artifacts.
+from the payload's strings. With --out (a directory; '' is a usage error),
+``run_command`` writes the JSON text, the CSVs and a run.json whose config is
+every parsed option but --out, then prints the JSON text. An estimating
+subcommand makes one call, ``_recorded``, which loads its model by ``load_model``,
+binds it at ``re_crit`` and adds ``chunk_size``, the model file and its sha256
+to the config. Identical invocations produce byte-identical artifacts.
 
 Only the exact layer is imported at module level: the estimating
 subcommands import numpy and the estimation modules inside their functions,
@@ -36,7 +37,7 @@ from typing import Iterable, List, Sequence
 
 from . import __version__
 from .errors import ModelError, NumericalError
-from .models import RE_CRITICAL, load_model
+from .models import RE_CRITICAL, SHIPPED_MODELS, load_model
 from .pigroups import build_dimension_matrix, pi_decomposition
 
 DEFAULT_QUAD_ORDER = 11
@@ -139,23 +140,23 @@ def _cmd_pi(args):
     }
 
 
-def _recorded(args, model):
-    """The bound model, once the chunk size, the model file (shipped id or path) and its sha256 are in the config."""
+def _recorded(args, model: str):
+    """The named model loaded by load_model and bound at --re-crit; the config gets chunk size, file and sha256."""
     import hashlib  # here, not at module level: importing cli and running pi do without it
 
+    from .pipeflow import bind_builtin
     from .quadrature import DEFAULT_CHUNK  # read now: the value the pass will use
 
-    args.chunk_size, args.model_file = DEFAULT_CHUNK, model.spec.source
-    args.model_sha256 = hashlib.sha256(model.spec.text.encode()).hexdigest()
-    return model
+    bound = bind_builtin(load_model(model), args.re_crit)
+    args.chunk_size, args.model_file = DEFAULT_CHUNK, bound.spec.source
+    args.model_sha256 = hashlib.sha256(bound.spec.text.encode()).hexdigest()
+    return bound
 
 
 def _cmd_active(args):
-    from . import pipeflow
     from .activesubspace import eigendecompose, estimate_C
 
-    # cli's own load_model, not builtin_model: the benchmark tracer wraps ridgelaw.cli.load_model
-    model = _recorded(args, pipeflow.bind_builtin(load_model(args.model), args.re_crit))
+    model = _recorded(args, args.model)
     grid = model.grid(args.quad_order)
     est = eigendecompose(estimate_C(model.f, grid, args.fd_step))
     payload = {
@@ -249,10 +250,9 @@ def _parse_steps(raw: str) -> List[float]:
 
 
 def _cmd_sweep(args):
-    from . import pipeflow
     from .subspace import convergence_sweep
 
-    model = _recorded(args, pipeflow.builtin_model(args.model, args.re_crit))
+    model = _recorded(args, args.model)
     result = convergence_sweep(model, args.steps, args.quad_order)
     payload = {
         "model": result.model,
@@ -279,10 +279,9 @@ def _cmd_eval(args):
 
 
 def _cmd_reproduce(args):
-    from . import pipeflow
     from .subspace import convergence_sweep
 
-    builtin = _recorded(args, pipeflow.builtin_model(args.regime, args.re_crit))
+    builtin = _recorded(args, args.regime)
     # the --fd-step estimate shares the sweep's single pass over one grid
     sweep = convergence_sweep(builtin, args.steps, args.quad_order, fd_step=args.fd_step)
     est = sweep.estimate
@@ -365,7 +364,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_repro = pipe_sub.add_parser(
         "reproduce", help="run the full eigenvalue + inclusion-sweep experiment"
     )
-    p_repro.add_argument("--regime", required=True, choices=["laminar", "turbulent"])
+    p_repro.add_argument("--regime", required=True, choices=[m.removeprefix("pipeflow_") for m in SHIPPED_MODELS])
     p_repro.add_argument("--quad-order", type=int, default=DEFAULT_QUAD_ORDER)
     p_repro.add_argument("--fd-step", type=_finite_float, default=DEFAULT_FD_STEP)
     p_repro.add_argument(
@@ -385,6 +384,9 @@ def run_command(argv: Sequence[str]) -> int:
     """Parse argv and execute; returns the process exit status."""
     try:
         args = build_parser().parse_args(list(argv))
+        out = getattr(args, "out", None)  # pipeflow eval has no --out
+        if out == "":  # Path("") is the working directory
+            raise ValueError("argument --out: expected a directory name, got ''")
         with warnings.catch_warnings():
             # a library note, such as an incomplete unit system, is one line on every run;
             # only UserWarning, so a filter that turns numpy's RuntimeWarning into an error still holds
@@ -392,7 +394,6 @@ def run_command(argv: Sequence[str]) -> int:
             warnings.showwarning = lambda message, *_: print(f"warning: {message}", file=sys.stderr)
             name, payload, files = args.func(args)
         text = _json_text(payload)
-        out = getattr(args, "out", None)  # pipeflow eval has no --out
         if out is not None:
             _write_files(Path(out), [(name, text), *files.items(), ("run.json", _run_json(args))])
         print(text, end="")  # after the artifacts: an unusable --out prints nothing to stdout

@@ -1,9 +1,10 @@
 """Model files (JSON): the schema, its loader, and the shipped models.
 
-A shipped model is resolved by id or short form ('laminar'), before any file
-of that name, through importlib.resources. It is also the signature of the
-built-in function of the same id: a file that declares ``"builtin": X`` (a
-full id) must declare the quantities of the shipped file ``X.json`` (names
+SHIPPED_MODELS, the one list of shipped models, maps each id to the active
+dimension of its built-in function. A shipped model is resolved by id or short
+form ('laminar'), before any file of that name, through importlib.resources;
+it is the signature of the built-in function of the same id: a file declaring
+``"builtin": X`` (a full id) must declare the quantities of ``X.json`` (names
 and dimensions, in order) and its QoI dimension; only the ranges may differ.
 RE_CRITICAL, the shipped pipe models' regime switch, lives here, free of numpy.
 """
@@ -22,7 +23,7 @@ from ..dimensions import DimensionVector, QuantityDecl, UnitSystem, as_fraction,
 from ..errors import ModelError
 from ..pigroups import PiDecomposition, build_dimension_matrix, pi_decomposition
 
-SHIPPED_MODELS = ("pipeflow_laminar", "pipeflow_turbulent")
+SHIPPED_MODELS = {"pipeflow_laminar": 1, "pipeflow_turbulent": 3}  # id: expected active-subspace dimension
 # critical Reynolds number of the shipped pipe models' regime switch
 RE_CRITICAL = 3.0e3
 
@@ -129,7 +130,7 @@ def _check_builtin(spec: ModelSpec) -> None:
 def _parse(text: str, name: str, source: str) -> ModelSpec:
     try:
         doc = json.loads(text)
-    except ValueError as exc:  # JSONDecodeError, or an integer past the digit limit
+    except (ValueError, RecursionError) as exc:  # JSONDecodeError, an integer past the digit limit, deep nesting
         raise ModelError(f"model {name!r}: invalid JSON ({exc})") from exc
     doc = _require_object(doc, f"model {name!r}, top level")
 

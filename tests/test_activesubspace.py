@@ -452,9 +452,16 @@ class TestEigendecompose:
         with pytest.raises(NumericalError, match="eigenvalues of a finite matrix are not finite"):
             eigendecompose(C)
 
-    def test_asymmetric_input_rejected(self):
-        with pytest.raises(ValueError, match="asymmetric"):
-            eigendecompose(np.array([[1.0, 2.0], [0.0, 1.0]]))
+    @pytest.mark.parametrize(
+        "C, message",
+        [
+            (np.array([[1.0, 2.0], [0.0, 1.0]]), "asymmetric"),
+            (np.ones((2, 3)), r"^expected a square matrix, got shape \(2, 3\)$"),
+        ],
+    )
+    def test_asymmetric_input_rejected(self, C, message):
+        with pytest.raises(ValueError, match=message):
+            eigendecompose(C)
 
     def test_tiny_negative_eigenvalues_are_clamped(self):
         rng = np.random.default_rng(2)

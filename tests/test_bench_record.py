@@ -9,8 +9,12 @@ from scripts import bench_record
 FAKE_RUN = "import sys; print('warm-up'); print('detail', *sys.argv[1:]); print('result')"
 
 
-def write_benchmark(root, script):
-    benchmark = {"command": [sys.executable, "-c", script], "workloads": [{"name": "a"}, {"name": "b"}]}
+def write_benchmark(root, script, run_seconds=30):
+    benchmark = {
+        "command": [sys.executable, "-c", script],
+        "run_seconds": run_seconds,
+        "workloads": [{"name": "a"}, {"name": "b"}],
+    }
     (root / "BENCHMARK.json").write_text(json.dumps(benchmark))
 
 
@@ -29,6 +33,17 @@ def test_record_keeps_each_runs_last_two_lines_as_printed(tmp_path, monkeypatch,
         "detail": "detail --workload a --seed 1 --seconds 30.0 --trace 1",
         "result": "result",
     }
+
+
+def test_runs_last_the_seconds_that_the_benchmark_declares(tmp_path, monkeypatch, capsys):
+    write_benchmark(tmp_path, FAKE_RUN, run_seconds=7)
+    monkeypatch.setattr(bench_record, "ROOT", tmp_path)
+    assert bench_record.main(["--pr", "7"]) == 0
+    record = json.loads((tmp_path / "BENCH_7.json").read_text())
+    assert record["seconds"] == 7.0
+    assert [run["detail"] for run in record["runs"]] == [
+        f"detail --workload {w} --seed 1 --seconds 7.0 --trace {t}" for w in "ab" for t in (0, 1)
+    ]
 
 
 def test_a_failed_run_keeps_its_exit_code_and_stderr(tmp_path, monkeypatch, capsys):

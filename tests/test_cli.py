@@ -380,6 +380,14 @@ def _reachable_model_error(tmp_path, case):
         return ["pi", str(tmp_path)]
     if case == "unit labels":
         return ["pi", write_model(tmp_path, dict(BASE_DOC, unit_system=["kg", 1, "s"]))]
+    if case.startswith("deep JSON"):  # valid JSON, nested past the parser's recursion limit
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100_000 + "]" * 100_000)
+        return {
+            "pi": ["pi", str(path)],
+            "active": ["active", "--model", str(path)],
+            "sweep": ["sweep", "--model", str(path), "--steps", "1e-3"],
+        }[case.removeprefix("deep JSON ")]
     if case == "log width":  # 0 < lo < hi holds, but np.log maps both ends to one double
         flat = _pipe_doc(lambda qs, d: qs[0].update(range=[1e300, 1.0000000000000002e300]))
         return ["active", "--model", write_model(tmp_path, flat), "--quad-order", "2"]
@@ -392,6 +400,10 @@ REACHABLE_MODEL_ERRORS = {
     "directory": "cannot read model file",
     "unit labels": "'unit_system' must be a list of unit labels",
     "log width": "quantity 'rho': range (1e+300, 1.0000000000000002e+300) has no width in log space",
+    **dict.fromkeys(
+        ("deep JSON pi", "deep JSON active", "deep JSON sweep"),
+        "model 'deep': invalid JSON (maximum recursion depth exceeded",
+    ),
 }
 
 
@@ -672,6 +684,38 @@ def _mirrored_cells(command, doc):
         rows = [["h", "r2"]] + [list(e) for e in entries]
         cells["sweep.csv"] = rows + [["" if doc["slope"] is None else doc["slope"]]]
     return cells
+
+
+@pytest.mark.parametrize("command", sorted(ARTIFACT_RUNS))
+def test_empty_out_is_a_usage_error_that_writes_nothing(tmp_path, capsys, monkeypatch, command):
+    # Path("") is the working directory, where the artifacts would otherwise land
+    argv, _ = ARTIFACT_RUNS[command]
+    np.savetxt(tmp_path / "c.csv", np.eye(3)[:, :1], delimiter=",")
+    np.savetxt(tmp_path / "e.csv", np.eye(3)[:, :2], delimiter=",")
+    monkeypatch.chdir(tmp_path)
+    assert run_command([a.format(tmp=tmp_path) for a in argv] + ["--out", ""]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "usage error: argument --out: expected a directory name, got ''\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["c.csv", "e.csv"]
+
+
+@pytest.mark.parametrize("command", sorted(ESTIMATING))
+def test_each_estimating_command_loads_its_model_once_through_cli_load_model(capsys, monkeypatch, command):
+    import ridgelaw.cli
+
+    calls = []
+    original = ridgelaw.cli.load_model
+
+    def counting(path_or_id):
+        calls.append(path_or_id)
+        return original(path_or_id)
+
+    monkeypatch.setattr(ridgelaw.cli, "load_model", counting)
+    argv, _ = ARTIFACT_RUNS[command]
+    assert run_command(argv) == 0
+    capsys.readouterr()
+    assert len(calls) == 1 and calls[0] in argv  # the model or regime as typed
 
 
 @pytest.mark.parametrize("command", sorted(ARTIFACT_RUNS))

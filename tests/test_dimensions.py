@@ -63,6 +63,17 @@ class TestAsFraction:
         with pytest.raises(ModelError):
             as_fraction("1/0")
 
+    @pytest.mark.parametrize("value, kind", [(1.5, "float"), (None, "NoneType")])
+    def test_other_types_rejected(self, value, kind):
+        with pytest.raises(ModelError, match=f"^exponent must be an int, Fraction, or 'p/q' string, got {kind}$"):
+            as_fraction(value)
+
+
+class TestDimensionVector:
+    def test_wrong_exponent_count_rejected(self):
+        with pytest.raises(ModelError, match="^dimension vector has 2 exponents but the system has 3 units$"):
+            DimensionVector(frac_vec([1, -1]), MSK)
+
 
 class TestIsDimensionless:
     def test_zero_vector(self):
@@ -131,6 +142,10 @@ class TestQuantityDecl:
 
     def test_range_is_optional(self):
         assert not QuantityDecl("rho", make_dimension(KMS, [])).has_range
+
+    def test_empty_name_rejected(self):
+        with pytest.raises(ModelError, match="^quantity name must be non-empty$"):
+            QuantityDecl("", make_dimension(KMS, []))
 
     def test_half_range_rejected(self):
         with pytest.raises(ModelError):

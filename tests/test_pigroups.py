@@ -62,6 +62,17 @@ class TestBuildDimensionMatrix:
         with pytest.raises(ModelError):
             build_dimension_matrix([])
 
+    @pytest.mark.parametrize(
+        "rows, message",
+        [
+            ((fr([1]), fr([0])), "^dimension matrix must have one row per fundamental unit$"),
+            ((fr([1]), fr([0, 1]), fr([0])), "^dimension matrix rows must match the number of quantities$"),
+        ],
+    )
+    def test_matrix_of_the_wrong_shape_rejected(self, rows, message):
+        with pytest.raises(ModelError, match=message):
+            DimensionMatrix(rows, ("q",), KMS)
+
     def test_mixed_systems_rejected(self):
         other = UnitSystem(("m", "s"))
         with pytest.raises(ModelError):
@@ -303,6 +314,12 @@ def test_pi_decomposition_flags_dimensionless_qoi(pipe_D):
     assert decomp.qoi_dimensionless
     assert all(x == 0 for x in decomp.w)
     assert decomp.A == decomp.W
+
+
+def test_pi_decomposition_rejects_a_qoi_of_another_unit_system(pipe_D):
+    velocity = make_dimension(UnitSystem(("m", "s", "kg")), [("m", 1), ("s", -1)])
+    with pytest.raises(ModelError, match="^the quantity of interest uses a different unit system$"):
+        pi_decomposition(pipe_D, velocity)
 
 
 def test_pi_decomposition_warns_on_incomplete_system():

@@ -634,3 +634,8 @@ class TestBuiltinModel:
     def test_expected_active_dimensions(self, laminar_model, turbulent_model):
         assert laminar_model.active_dim == 1
         assert turbulent_model.active_dim == 3
+
+    def test_active_dimensions_are_read_from_the_shipped_models_map(self, monkeypatch):
+        assert SHIPPED_MODELS == {"pipeflow_laminar": 1, "pipeflow_turbulent": 3}
+        monkeypatch.setitem(SHIPPED_MODELS, "pipeflow_turbulent", 2)
+        assert builtin_model("turbulent").active_dim == 2

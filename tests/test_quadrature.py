@@ -107,9 +107,16 @@ class TestTensorGrid:
         total = sum(wc.sum() for _, wc in grid.chunks())
         assert abs(total - 1.0) < 1e-12
 
-    def test_degenerate_bounds_rejected(self):
-        with pytest.raises(ValueError):
-            tensor_grid(3, [(1.0, 1.0)])
+    @pytest.mark.parametrize(
+        "bounds, message",
+        [
+            ([(1.0, 1.0)], r"^degenerate bounds in dimension 0: \(1.0, 1.0\)$"),
+            ([], "^tensor grid needs at least one dimension$"),
+        ],
+    )
+    def test_degenerate_bounds_rejected(self, bounds, message):
+        with pytest.raises(ValueError, match=message):
+            tensor_grid(3, bounds)
 
     @pytest.mark.parametrize("order", [6209, 100000])
     def test_grid_past_an_index_rejected_before_any_rule(self, monkeypatch, order):

@@ -79,6 +79,13 @@ class TestInclusionResidual:
         with pytest.raises(NumericalError, match="enclosing basis has a non-finite QR factor"):
             inclusion_residual(np.eye(2)[:, :1], B)
 
+    @pytest.mark.parametrize("side", ["candidate", "enclosing"])
+    def test_three_dimensional_basis_rejected(self, side):
+        bases = {"candidate": np.eye(2)[:, :1], "enclosing": np.eye(2)}
+        bases[side] = np.ones((2, 2, 1))
+        with pytest.raises(ModelError, match="^bases must be 2-d arrays with basis vectors as columns$"):
+            inclusion_residual(bases["candidate"], bases["enclosing"])
+
     def test_candidate_larger_than_enclosing_rejected(self):
         with pytest.raises(ModelError):
             inclusion_residual(np.eye(3), np.eye(3)[:, :2])
