@@ -32,12 +32,13 @@ import math
 import sys
 import warnings
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
 from typing import Iterable, List, Sequence
 
 from . import __version__
 from .errors import ModelError, NumericalError
-from .models import RE_CRITICAL, SHIPPED_MODELS, load_model
+from .models import RE_CRITICAL, SHIPPED_MODELS, load_model, short_form
 from .pigroups import build_dimension_matrix, pi_decomposition
 
 DEFAULT_QUAD_ORDER = 11
@@ -50,8 +51,8 @@ def fmt_float(x: float) -> str:
     return f"{float(x):.17g}"
 
 
-def fmt_rational(x: Fraction) -> str:
-    return str(x)  # Fraction renders as "p" or "p/q"
+def fmt_rational(x: Fraction | int) -> str:
+    return str(x)  # Fraction renders as "p" or "p/q", int as "p"
 
 
 # ---------------------------------------------------------------------------
@@ -71,8 +72,29 @@ def _write_files(out_dir: Path, files) -> None:
         raise ValueError(f"cannot write {str(target)!r}: {exc.strerror or exc}") from None
 
 
+def _indented(x, indent: str) -> str:
+    """x as json.dumps(x, indent=2, sort_keys=True) renders it at this indent.
+
+    json's indenting encoder is pure Python, one generator step per item; here
+    a list of strings (a row of D, w or W) is quoted and joined in C.
+    """
+    if not (isinstance(x, (dict, list, tuple)) and x):
+        return json.dumps(x)
+    inner = indent + "  "
+    if isinstance(x, dict):
+        items, brackets = [f"{_quote(k)}: {_indented(v, inner)}" for k, v in sorted(x.items())], "{}"
+    else:
+        try:
+            items = list(map(_quote, x))
+        except TypeError:  # not all strings
+            items = [_indented(v, inner) for v in x]
+        brackets = "[]"
+    return f"{brackets[0]}\n{inner}" + f",\n{inner}".join(items) + f"\n{indent}{brackets[1]}"
+
+
 def _json_text(payload) -> str:
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    """json.dumps(payload, indent=2, sort_keys=True) and a newline, byte for byte."""
+    return _indented(payload, "") + "\n"
 
 
 # namespace entries that are not options of the run
@@ -116,6 +138,8 @@ def _cmd_pi(args):
     spec = load_model(args.model)
     D = build_dimension_matrix(spec.quantities)
     decomp = pi_decomposition(D, spec.qoi)
+    w = [fmt_rational(x) for x in decomp.w]
+    W = [[fmt_rational(x) for x in row] for row in decomp.W]
     payload = {
         "model": spec.name,
         "unit_system": list(spec.system.unit_names),
@@ -123,9 +147,9 @@ def _cmd_pi(args):
         "rank": decomp.rank,
         "n_pi_groups": decomp.n,
         "qoi_dimensionless": decomp.qoi_dimensionless,
-        "w": [fmt_rational(x) for x in decomp.w],
-        "W": [[fmt_rational(x) for x in row] for row in decomp.W],
-        "A": [[fmt_rational(x) for x in row] for row in decomp.A],
+        "w": w,
+        "W": W,
+        "A": W if decomp.qoi_dimensionless else [[x, *row] for x, row in zip(w, W)],  # A = [w | W]
         "D": [[fmt_rational(x) for x in row] for row in D.entries],
     }
 
@@ -364,7 +388,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_repro = pipe_sub.add_parser(
         "reproduce", help="run the full eigenvalue + inclusion-sweep experiment"
     )
-    p_repro.add_argument("--regime", required=True, choices=[m.removeprefix("pipeflow_") for m in SHIPPED_MODELS])
+    p_repro.add_argument("--regime", required=True, choices=[short_form(m) for m in SHIPPED_MODELS])
     p_repro.add_argument("--quad-order", type=int, default=DEFAULT_QUAD_ORDER)
     p_repro.add_argument("--fd-step", type=_finite_float, default=DEFAULT_FD_STEP)
     p_repro.add_argument(

@@ -33,8 +33,9 @@ def as_fraction(value: RationalLike) -> Fraction:
     if isinstance(value, str):
         if not _RATIONAL_STRING.fullmatch(value):
             raise ModelError(f"rational exponent must be an integer or 'p/q' string, got {value!r}")
-        try:
-            return Fraction(value)
+        numerator, _, denominator = value.partition("/")
+        try:  # int() raises ValueError past the digit limit, Fraction ZeroDivisionError on q = 0
+            return Fraction(int(numerator), int(denominator)) if denominator else Fraction(int(numerator))
         except (ValueError, ZeroDivisionError) as exc:
             raise ModelError(f"cannot parse rational exponent {value!r}") from exc
     raise ModelError(f"exponent must be an int, Fraction, or 'p/q' string, got {type(value).__name__}")
@@ -133,7 +134,8 @@ def make_dimension(
     """
     exps = [Fraction(0)] * system.k
     for label, exponent in exponent_pairs:
-        exps[system.index(label)] += as_fraction(exponent)
+        i, x = system.index(label), as_fraction(exponent)
+        exps[i] = exps[i] + x if exps[i] else x  # adding to zero would only copy x
     return DimensionVector(tuple(exps), system)
 
 

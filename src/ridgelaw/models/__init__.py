@@ -1,11 +1,12 @@
 """Model files (JSON): the schema, its loader, and the shipped models.
 
 SHIPPED_MODELS, the one list of shipped models, maps each id to the active
-dimension of its built-in function. A shipped model is resolved by id or short
-form ('laminar'), before any file of that name, through importlib.resources;
-it is the signature of the built-in function of the same id: a file declaring
-``"builtin": X`` (a full id) must declare the quantities of ``X.json`` (names
-and dimensions, in order) and its QoI dimension; only the ranges may differ.
+dimension of its built-in function (``active_dim``). A shipped model is
+resolved by id or short form (``short_form``: 'laminar'), before any file of
+that name, through importlib.resources; it is the signature of the built-in
+function of the same id: a file declaring ``"builtin": X`` (a full id) must
+declare the quantities of ``X.json`` (names and dimensions, in order) and its
+QoI dimension; only the ranges may differ.
 RE_CRITICAL, the shipped pipe models' regime switch, lives here, free of numpy.
 """
 
@@ -26,6 +27,11 @@ from ..pigroups import PiDecomposition, build_dimension_matrix, pi_decomposition
 SHIPPED_MODELS = {"pipeflow_laminar": 1, "pipeflow_turbulent": 3}  # id: expected active-subspace dimension
 # critical Reynolds number of the shipped pipe models' regime switch
 RE_CRITICAL = 3.0e3
+
+
+def short_form(model_id: str) -> str:
+    """A shipped id's short form, which names it wherever the id does: the id without 'pipeflow_'."""
+    return model_id.removeprefix("pipeflow_")
 
 
 @dataclass(frozen=True)
@@ -105,13 +111,20 @@ def _units(dim: DimensionVector) -> dict:
     return {u: str(e) for u, e in zip(dim.system.unit_names, dim.exponents) if e}
 
 
-def _check_builtin(spec: ModelSpec) -> None:
-    """Raise unless spec has the quantities and QoI dimension of its builtin's shipped file."""
-    if spec.builtin not in SHIPPED_MODELS:
+def active_dim(spec: ModelSpec) -> int:
+    """The active dimension of spec's builtin; a ModelError that names the shipped ids if none has its id."""
+    try:
+        return SHIPPED_MODELS[spec.builtin]
+    except KeyError:
         raise ModelError(
             f"model {spec.name!r}: unknown builtin id {spec.builtin!r}; "
             f"expected one of {list(SHIPPED_MODELS)}"
-        )
+        ) from None
+
+
+def _check_builtin(spec: ModelSpec) -> None:
+    """Raise unless spec has the quantities and QoI dimension of its builtin's shipped file."""
+    active_dim(spec)
     ref = _load_shipped(spec.builtin)
     context = f"model {spec.name!r} does not match builtin {spec.builtin!r}"
     got = [(q.name, _units(q.dimension)) for q in spec.quantities]
@@ -190,14 +203,14 @@ def _load_shipped(model_id: str) -> ModelSpec:
 
 def load_model(path_or_id: str) -> ModelSpec:
     """Load and validate a model file: a shipped id, its short form or a path."""
-    model_id = path_or_id if path_or_id in SHIPPED_MODELS else f"pipeflow_{path_or_id}"
-    if model_id in SHIPPED_MODELS:
-        return _load_shipped(model_id)
+    for model_id in SHIPPED_MODELS:
+        if path_or_id in (model_id, short_form(model_id)):
+            return _load_shipped(model_id)
     path = Path(path_or_id)
     if not path.exists():
         raise ModelError(
             f"model {path_or_id!r} is neither a file nor one of the shipped models {list(SHIPPED_MODELS)} "
-            f"or their short forms {[m.removeprefix('pipeflow_') for m in SHIPPED_MODELS]}"
+            f"or their short forms {[short_form(m) for m in SHIPPED_MODELS]}"
         )
     try:
         text = path.read_bytes().decode()  # the file's bytes, so that its sha256 is theirs

@@ -3,10 +3,11 @@
 Everything here runs in exact arithmetic. The rows of the augmented matrix
 [D | v(qoi)] are scaled to integers once, and one fraction-free Gauss-Jordan
 pass over them, with a canonical pivot rule, gives the rank; W and w are read
-off the reduced rows, so every rank decision is exact and reproducible. The
-results are checked exactly, in integers: D·w = v, D·W = 0, and on the free
-rows W is diagonal and nonzero while w is zero, which proves that
-A = [w | W] has full column rank.
+off the reduced rows, so every rank decision is exact and reproducible. W is
+an integer matrix (Python ints, one primitive exponent vector per pi group);
+w is rational (Fractions), and so is A's first column. The results are checked
+exactly, in integers: D·w = v, D·W = 0, and on the free rows W is diagonal and
+nonzero while w is zero, which proves that A = [w | W] has full column rank.
 Floating point only appears at the very end, when a rational matrix is
 rendered to doubles for the numerics (A_float, which imports numpy on call).
 """
@@ -14,6 +15,7 @@ rendered to doubles for the numerics (A_float, which imports numpy on call).
 from __future__ import annotations
 
 import math
+import operator
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
@@ -24,6 +26,7 @@ from .errors import ModelError
 
 RationalVector = Tuple[Fraction, ...]
 RationalMatrix = Tuple[RationalVector, ...]  # tuple of rows
+IntegerMatrix = Tuple[Tuple[int, ...], ...]  # tuple of rows of Python ints
 
 
 @dataclass(frozen=True)
@@ -56,6 +59,7 @@ class DimensionMatrix:
 class PiDecomposition:
     """Particular solution w, null basis W, and the assembled matrix A = [w | W].
 
+    W's entries are ints and w's are Fractions; A's rows reuse both objects.
     ``rank`` is the exact rank of the dimension matrix; ``n`` (the number of
     pi groups) equals m - rank. When the quantity of interest is already
     dimensionless, w is zero and A is just W (``qoi_dimensionless`` records
@@ -63,7 +67,7 @@ class PiDecomposition:
     """
 
     w: RationalVector
-    W: RationalMatrix  # m rows, n columns
+    W: IntegerMatrix  # m rows, n columns
     A: RationalMatrix  # m rows, n+1 columns (n columns when qoi_dimensionless)
     rank: int
     qoi_dimensionless: bool = False
@@ -142,7 +146,9 @@ class NumericalVerificationFailure(AssertionError):
 
 
 def _dot(row: Sequence[int], x: Sequence[int]) -> int:
-    return sum(a * b for a, b in zip(row, x, strict=True))
+    if len(row) != len(x):
+        raise ValueError(f"cannot take the dot product of lengths {len(row)} and {len(x)}")
+    return sum(map(operator.mul, row, x))
 
 
 def _null_column(reduced: List[List[int]], d: int, pivots: List[int], f: int, m: int) -> List[int]:
@@ -195,11 +201,10 @@ def pi_decomposition(D: DimensionMatrix, qoi: DimensionVector) -> PiDecompositio
     for i, c in enumerate(pivots):
         dw[c] = reduced[i][m]
     columns = [_null_column(reduced, d, pivots, f, m) for f in free]
-    if any(
-        _dot(row[:m], dw) != d * row[m] or any(_dot(row[:m], col) for col in columns)
-        for row in scaled
-    ):
-        raise NumericalVerificationFailure("w or W failed the exact checks D·w = v, D·W = 0")
+    for row in scaled:
+        lhs = row[:m]
+        if _dot(lhs, dw) != d * row[m] or any(_dot(lhs, col) for col in columns):
+            raise NumericalVerificationFailure("w or W failed the exact checks D·w = v, D·W = 0")
     # On the free rows W is diagonal with a nonzero diagonal and w is zero, so
     # W has full column rank and a nonzero w lies outside its span.
     dimensionless = is_dimensionless(qoi)
@@ -211,6 +216,6 @@ def pi_decomposition(D: DimensionMatrix, qoi: DimensionVector) -> PiDecompositio
     if not full_rank:
         raise NumericalVerificationFailure("A failed the exact full-column-rank check")
     w = tuple(Fraction(x, d) for x in dw)
-    W = tuple(tuple(Fraction(col[i]) for col in columns) for i in range(m))
-    A = W if dimensionless else tuple((w[i],) + W[i] for i in range(m))
+    W = tuple(zip(*columns)) if columns else ((),) * m
+    A = W if dimensionless else tuple((x,) + row for x, row in zip(w, W))
     return PiDecomposition(w=w, W=W, A=A, rank=rank, qoi_dimensionless=dimensionless)

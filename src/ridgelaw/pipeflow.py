@@ -13,7 +13,7 @@ declared once, in the shipped model files pipeflow_laminar.json and
 pipeflow_turbulent.json; the model function reads its input columns in
 that order, which the loader enforces for every file naming a builtin.
 The tests, not binding, check each PIPE_LAW term's dimension against them.
-``bind_builtin`` takes a builtin's active dimension from ``models.SHIPPED_MODELS``.
+``bind_builtin`` takes a builtin's active dimension from ``models.active_dim``.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from typing import Callable, Iterator, Sequence
 import numpy as np
 
 from .errors import ModelError
-from .models import RE_CRITICAL, SHIPPED_MODELS, ModelSpec, load_model
+from .models import RE_CRITICAL, ModelSpec, active_dim, load_model
 from .pigroups import PiDecomposition
 from .quadrature import TensorGrid, tensor_grid
 
@@ -189,7 +189,7 @@ def bind_builtin(spec: ModelSpec, re_critical: float = RE_CRITICAL) -> BuiltinMo
     return BuiltinModel(
         spec=spec,
         f=LogSpaceVelocity(re_critical=re_critical),
-        active_dim=SHIPPED_MODELS[spec.builtin],
+        active_dim=active_dim(spec),
     )
 
 

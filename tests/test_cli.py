@@ -14,11 +14,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 
 import ridgelaw
 from ridgelaw import pipeflow, quadrature
 from ridgelaw.cli import build_parser, fmt_float, load_model, run_command
 from ridgelaw.errors import ModelError
+from ridgelaw.models import SHIPPED_MODELS
 from ridgelaw.quadrature import DEFAULT_CHUNK, MAX_GRID_POINTS, TensorGrid
 
 
@@ -749,8 +751,40 @@ def test_pi_renders_each_rational_once(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(ridgelaw.cli, "fmt_rational", counting)
     assert run_command(["pi", "pipeflow_laminar", "--out", str(tmp_path)]) == 0
     doc = json.loads(capsys.readouterr().out)
-    cells = len(doc["w"]) + sum(len(row) for key in ("D", "W", "A") for row in doc[key])
-    assert len(calls) == cells == 45  # D 3x5, w 5, W 5x2, A 5x3: the CSVs format none again
+    cells = len(doc["w"]) + sum(len(row) for key in ("D", "W") for row in doc[key])
+    assert len(calls) == cells == 30  # D 3x5, w 5, W 5x2: A and the CSVs format none again
+    assert doc["A"] == [[x, *row] for x, row in zip(doc["w"], doc["W"])]  # A = [w | W], as w's and W's strings
+
+
+DATA = Path(__file__).parent / "data"
+
+
+# the shipped models, a pi-wide benchmark model (30 quantities, 7 units) and the same
+# model with a dimensionless QoI (A = W); the bytes are those that the decomposition
+# wrote when W held Fractions, and run.json, which names the model's path, is left out
+@pytest.mark.parametrize("case", ["pipeflow_laminar", "pipeflow_turbulent", "pi_wide", "pi_wide_dimensionless"])
+def test_pi_artifacts_keep_their_committed_bytes(case, tmp_path, capsys):
+    model = case if case in SHIPPED_MODELS else str(DATA / f"{case}.json")
+    assert run_command(["pi", model, "--out", str(tmp_path)]) == 0
+    expected = DATA / "pi_artifacts" / case
+    assert capsys.readouterr().out == (expected / "pi.json").read_text()
+    names = sorted(p.name for p in expected.iterdir())
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(names + ["run.json"])
+    for name in names:
+        assert (tmp_path / name).read_bytes() == (expected / name).read_bytes(), name
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda inner: st.lists(inner) | st.lists(inner).map(tuple) | st.dictionaries(st.text(), inner),
+    max_leaves=40,
+)
+
+
+@given(payload=json_values)
+@example(payload={"W": [["1", "-2"], []], "n": 0, "ok": True, "s": None, "x": {}, "é, ☃": ["a, b", 1.5]})
+def test_json_text_is_json_dumps_indented_with_sorted_keys(payload):
+    assert ridgelaw.cli._json_text(payload) == json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
 def test_readme_command_line_examples_parse():
@@ -857,7 +891,7 @@ class TestUsageErrors:
             ([], "the following arguments are required: command"),
             (["pipeflow"], "the following arguments are required: pipeflow_command"),
             (["pi", "pipeflow_laminar", "--bogus"], "unrecognized arguments: --bogus"),
-            (["pipeflow", "reproduce", "--regime", "x"], "argument --regime: invalid choice: 'x'"),
+            (["pipeflow", "reproduce", "--regime", "x"], "argument --regime: invalid choice: 'x' (choose from 'laminar', 'turbulent')"),
             (["active", "--model", "laminar", "--quad-order", "2", "--fd-step", "0"], "finite-difference step"),
         ],
     )

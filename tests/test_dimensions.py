@@ -3,12 +3,13 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from ridgelaw.dimensions import (
     DimensionVector,
     QuantityDecl,
     UnitSystem,
+    _RATIONAL_STRING,
     as_fraction,
     is_dimensionless,
     make_dimension,
@@ -44,6 +45,12 @@ class TestMakeDimension:
         v = make_dimension(MSK, [("m", 1), ("m", 2)])
         assert v.exponents[0] == 3
 
+    def test_repeated_labels_add_up_including_a_sum_that_cancels(self):
+        v = make_dimension(MSK, [("m", "1/2"), ("kg", 0), ("s", -1), ("m", "-1/2"), ("kg", "2/3"), ("kg", "1/3")])
+        assert v.exponents == frac_vec([0, -1, 1])
+        assert all(type(e) is Fraction for e in v.exponents)
+        assert is_dimensionless(make_dimension(MSK, [("s", 2), ("s", "-4/2")]))
+
     def test_rational_string_exponents(self):
         v = make_dimension(MSK, [("m", "3/2")])
         assert v.exponents[0] == Fraction(3, 2)
@@ -67,6 +74,40 @@ class TestAsFraction:
     def test_other_types_rejected(self, value, kind):
         with pytest.raises(ModelError, match=f"^exponent must be an int, Fraction, or 'p/q' string, got {kind}$"):
             as_fraction(value)
+
+
+# any string that the exponent pattern accepts: signs, leading zeros, zero numerators and denominators
+rational_strings = st.builds(
+    lambda sign, p, q: sign + p + (f"/{q}" if q is not None else ""),
+    st.sampled_from(["", "+", "-"]),
+    st.text("0123456789", min_size=1, max_size=25),
+    st.none() | st.text("0123456789", min_size=1, max_size=25),
+)
+
+
+@given(text=rational_strings)
+@example(text="0/5")
+@example(text="-007/0014")
+@example(text="+0")
+@example(text="3/0")
+@example(text="9" * 5000)
+@example(text="1/" + "9" * 5000)
+def test_as_fraction_of_a_pattern_string_is_fraction_of_it(text):
+    assert _RATIONAL_STRING.fullmatch(text)
+    try:
+        expected = Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        with pytest.raises(ModelError, match="^cannot parse rational exponent"):
+            as_fraction(text)
+    else:
+        got = as_fraction(text)
+        assert type(got) is Fraction and (got.numerator, got.denominator) == (expected.numerator, expected.denominator)
+
+
+@pytest.mark.parametrize("text", ["3/0", "-0/00", "9" * 5000, "1/" + "9" * 5000])
+def test_a_zero_denominator_or_an_integer_past_the_digit_limit_is_a_model_error(text):
+    with pytest.raises(ModelError, match="^cannot parse rational exponent"):
+        as_fraction(text)
 
 
 class TestDimensionVector:

@@ -255,6 +255,7 @@ def test_solve_and_null_space_are_exact(case):
         decomp = pi_decomposition(D, target)
     assert len(caught) == (rank < D.k)
     w, W, n = decomp.w, decomp.W, decomp.n
+    assert len(W) == D.m and all(type(x) is int for row in W for x in row)
     assert exact_matvec(D.entries, w) == list(target.exponents)
     assert decomp.rank == rank and rank + n == D.m
     for j in range(n):
@@ -279,6 +280,16 @@ def test_solve_and_null_space_are_exact(case):
     else:
         assert decomp.A == tuple((w[i],) + W[i] for i in range(D.m))
         assert exact_rank(decomp.A) == n + 1
+
+
+def test_W_holds_ints_and_A_float_is_unchanged(pipe_D):
+    decomp = decompose(pipe_D, PIPE.qoi)
+    assert all(type(x) is int for row in decomp.W for x in row)
+    assert all(type(x) is Fraction for x in decomp.w)
+    assert all(row[0] is x and row[1:] == W_row for row, x, W_row in zip(decomp.A, decomp.w, decomp.W))
+    # the doubles of the all-Fraction A, bit for bit
+    expected = np.array([[float(Fraction(x)) for x in row] for row in decomp.A])
+    assert decomp.A_float().tobytes() == expected.tobytes()
 
 
 def test_pi_values_invariant_under_null_orthogonal_rescale(pipe_D):

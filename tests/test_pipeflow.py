@@ -1,6 +1,7 @@
 """The pipe-flow virtual laboratory: velocity laws, regime switch, built-in models."""
 
 import collections
+import dataclasses
 import itertools
 import json
 import math
@@ -634,6 +635,15 @@ class TestBuiltinModel:
     def test_expected_active_dimensions(self, laminar_model, turbulent_model):
         assert laminar_model.active_dim == 1
         assert turbulent_model.active_dim == 3
+
+    def test_an_unshipped_builtin_id_is_a_model_error_that_names_the_shipped_ids(self):
+        spec = dataclasses.replace(load_model("laminar"), builtin="pipeflow_plasma")
+        with pytest.raises(
+            ModelError,
+            match=r"^model 'pipeflow_laminar': unknown builtin id 'pipeflow_plasma'; "
+            r"expected one of \['pipeflow_laminar', 'pipeflow_turbulent'\]$",
+        ):
+            bind_builtin(spec)
 
     def test_active_dimensions_are_read_from_the_shipped_models_map(self, monkeypatch):
         assert SHIPPED_MODELS == {"pipeflow_laminar": 1, "pipeflow_turbulent": 3}
