@@ -40,6 +40,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 AGAINST = "ridgelaw_against"
+SEED = 1  # the batches' inputs, as in scripts/bench_record.py
 # an import statement that names the package absolutely
 _ABSOLUTE_IMPORT = re.compile(r"^\s*(?:from|import)\s+ridgelaw\b", re.MULTILINE)
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
@@ -145,7 +146,6 @@ def main(argv=None) -> int:
     parser.add_argument("--workload", required=True, help="a workload of bench/workloads.py, e.g. pi-wide")
     parser.add_argument("--pairs", type=int, default=40, help="measured pairs, at least 2")
     parser.add_argument("--batch-size", type=int, help="commands per batch (default: the workload's)")
-    parser.add_argument("--seed", type=int, default=1)
     args = parser.parse_args(argv)
     if args.pairs < 2:
         parser.error("--pairs must be at least 2")
@@ -160,7 +160,7 @@ def main(argv=None) -> int:
         with tempfile.TemporaryDirectory(prefix="bench_pair-") as tmp:
             tmp = Path(tmp)
             this, against = import_sides(export_against(args.against, tmp).parent)
-            report = pair(workload, args.seed, args.pairs, this, against, tmp / "work")
+            report = pair(workload, SEED, args.pairs, this, against, tmp / "work")
     except PairError as exc:
         print(f"bench_pair: {exc}", file=sys.stderr)
         return 2
