@@ -145,7 +145,6 @@ def main(argv=None) -> int:
     parser.add_argument("--against", required=True, help="git revision to compare with, e.g. HEAD or HEAD~1")
     parser.add_argument("--workload", required=True, help="a workload of bench/workloads.py, e.g. pi-wide")
     parser.add_argument("--pairs", type=int, default=40, help="measured pairs, at least 2")
-    parser.add_argument("--batch-size", type=int, help="commands per batch (default: the workload's)")
     args = parser.parse_args(argv)
     if args.pairs < 2:
         parser.error("--pairs must be at least 2")
@@ -155,7 +154,7 @@ def main(argv=None) -> int:
 
     if args.workload not in WORKLOADS:
         parser.error(f"--workload must be one of {sorted(WORKLOADS)}")
-    workload = WORKLOADS[args.workload](*([args.batch_size] if args.batch_size else []))
+    workload = WORKLOADS[args.workload]()
     try:
         with tempfile.TemporaryDirectory(prefix="bench_pair-") as tmp:
             tmp = Path(tmp)

@@ -32,7 +32,6 @@ import math
 import sys
 import warnings
 from fractions import Fraction
-from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
 from typing import Iterable, List, Sequence
 
@@ -72,29 +71,8 @@ def _write_files(out_dir: Path, files) -> None:
         raise ValueError(f"cannot write {str(target)!r}: {exc.strerror or exc}") from None
 
 
-def _indented(x, indent: str) -> str:
-    """x as json.dumps(x, indent=2, sort_keys=True) renders it at this indent.
-
-    json's indenting encoder is pure Python, one generator step per item; here
-    a list of strings (a row of D, w or W) is quoted and joined in C.
-    """
-    if not (isinstance(x, (dict, list, tuple)) and x):
-        return json.dumps(x)
-    inner = indent + "  "
-    if isinstance(x, dict):
-        items, brackets = [f"{_quote(k)}: {_indented(v, inner)}" for k, v in sorted(x.items())], "{}"
-    else:
-        try:
-            items = list(map(_quote, x))
-        except TypeError:  # not all strings
-            items = [_indented(v, inner) for v in x]
-        brackets = "[]"
-    return f"{brackets[0]}\n{inner}" + f",\n{inner}".join(items) + f"\n{indent}{brackets[1]}"
-
-
 def _json_text(payload) -> str:
-    """json.dumps(payload, indent=2, sort_keys=True) and a newline, byte for byte."""
-    return _indented(payload, "") + "\n"
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
 # namespace entries that are not options of the run

@@ -23,7 +23,7 @@ def in_git_checkout() -> bool:
 
 @pytest.mark.skipif(not in_git_checkout(), reason="needs a git checkout of this repository")
 def test_pairs_against_head_report_finite_ratios_and_identical_artifacts():
-    argv = ["--against", "HEAD", "--workload", "pi-wide", "--pairs", "2", "--batch-size", "2"]
+    argv = ["--against", "HEAD", "--workload", "pi-wide", "--pairs", "2"]
     proc = subprocess.run(
         [sys.executable, str(ROOT / "scripts" / "bench_pair.py"), *argv],
         cwd=ROOT, capture_output=True, text=True, timeout=300,
@@ -35,7 +35,7 @@ def test_pairs_against_head_report_finite_ratios_and_identical_artifacts():
         "workload", "against", "pairs", "batch_size", "median_ratio", "ratio_q1", "ratio_q3", "iqr",
         "min_s", "failed", "differing_files", "nproc", "python", "numpy", "blas_threads",
     }
-    assert (report["workload"], report["pairs"], report["batch_size"]) == ("pi-wide", 2, 2)
+    assert (report["workload"], report["pairs"], report["batch_size"]) == ("pi-wide", 2, 10)
     ratios = [report[k] for k in ("median_ratio", "ratio_q1", "ratio_q3", "iqr")]
     assert all(math.isfinite(r) for r in ratios) and report["median_ratio"] > 0
     assert all(math.isfinite(t) and t > 0 for t in report["min_s"].values())

@@ -14,7 +14,6 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, strategies as st
 
 import ridgelaw
 from ridgelaw import pipeflow, quadrature
@@ -772,19 +771,6 @@ def test_pi_artifacts_keep_their_committed_bytes(case, tmp_path, capsys):
     assert sorted(p.name for p in tmp_path.iterdir()) == sorted(names + ["run.json"])
     for name in names:
         assert (tmp_path / name).read_bytes() == (expected / name).read_bytes(), name
-
-
-json_values = st.recursive(
-    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
-    lambda inner: st.lists(inner) | st.lists(inner).map(tuple) | st.dictionaries(st.text(), inner),
-    max_leaves=40,
-)
-
-
-@given(payload=json_values)
-@example(payload={"W": [["1", "-2"], []], "n": 0, "ok": True, "s": None, "x": {}, "é, ☃": ["a, b", 1.5]})
-def test_json_text_is_json_dumps_indented_with_sorted_keys(payload):
-    assert ridgelaw.cli._json_text(payload) == json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
 def test_readme_command_line_examples_parse():
