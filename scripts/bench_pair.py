@@ -14,9 +14,11 @@ each the sum of its commands' times. Every artifact file of the two sides is
 compared byte for byte.
 
 Prints one JSON line: the median ratio and its interquartile range, the pair
-count, each side's fastest batch, the failed commands and differing files, and
-the nproc, Python, numpy and BLAS-thread stamps. Exit 0 when no command failed
-and no file differed, 1 otherwise, 2 when the pairing cannot run.
+count, each side's fastest batch and median minor page faults per batch
+(``resource.getrusage``; they show where a change places the pass's large
+arrays), the failed commands and differing files, and the nproc, Python, numpy
+and BLAS-thread stamps. Exit 0 when no command failed and no file differed, 1
+otherwise, 2 when the pairing cannot run.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ import json
 import os
 import platform
 import re
+import resource
 import shutil
 import statistics
 import subprocess
@@ -84,15 +87,16 @@ def import_sides(export_dir: Path):
 
 
 def run_side(cli, argvs) -> tuple:
-    """(seconds summed over the commands, failed commands) of one side's batch."""
+    """(seconds summed over the commands, failed commands, minor page faults) of one side's batch."""
     total, failed = 0.0, 0
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
     with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink), contextlib.redirect_stderr(io.StringIO()):
         for argv in argvs:
             start = time.perf_counter()
             code = cli.run_command(argv)
             total += time.perf_counter() - start
             failed += code != 0
-    return total, failed
+    return total, failed, resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
 
 
 def differing_files(this_out: Path, against_out: Path) -> int:
@@ -107,7 +111,8 @@ def differing_files(this_out: Path, against_out: Path) -> int:
 
 def pair(workload, seed: int, pairs: int, this, against, workdir: Path) -> dict:
     """Run the warm-up batch and the pairs; returns the report's measured fields."""
-    ratios, mins, failed, differing = [], {"this": [], "against": []}, {"this": 0, "against": 0}, 0
+    ratios, failed, differing = [], {"this": 0, "against": 0}, 0
+    mins, faults = {"this": [], "against": []}, {"this": [], "against": []}
     for index in range(pairs + 1):  # batch 0 is the warm-up
         batch_dir = workdir / f"batch{index:04d}"
         batch_dir.mkdir(parents=True)
@@ -118,9 +123,9 @@ def pair(workload, seed: int, pairs: int, this, against, workdir: Path) -> dict:
             "against": [[str(o) if a == str(cmd.out) else a for a in cmd.argv] for cmd, (_, o) in zip(commands, outs)],
         }
         order = ("this", "against") if index % 2 else ("against", "this")
-        times = {}
+        times, side_faults = {}, {}
         for side in order:
-            times[side], side_failed = run_side(this if side == "this" else against, argvs[side])
+            times[side], side_failed, side_faults[side] = run_side(this if side == "this" else against, argvs[side])
             failed[side] += side_failed
         differing += sum(differing_files(a, b) for a, b in outs)
         shutil.rmtree(batch_dir)
@@ -128,6 +133,7 @@ def pair(workload, seed: int, pairs: int, this, against, workdir: Path) -> dict:
             ratios.append(times["this"] / times["against"])
             for side in mins:
                 mins[side].append(times[side])
+                faults[side].append(side_faults[side])
     q1, _, q3 = statistics.quantiles(ratios, n=4)
     return {
         "median_ratio": statistics.median(ratios),
@@ -135,6 +141,7 @@ def pair(workload, seed: int, pairs: int, this, against, workdir: Path) -> dict:
         "ratio_q3": q3,
         "iqr": q3 - q1,
         "min_s": {side: min(values) for side, values in mins.items()},
+        "minor_faults": {side: statistics.median_low(values) for side, values in faults.items()},
         "failed": failed,
         "differing_files": differing,
     }

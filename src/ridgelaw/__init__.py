@@ -25,7 +25,7 @@ _DEFINED = {
     "activesubspace": "SubspaceEstimate active_subspace eigendecompose estimate_C estimate_subspaces "
     "fd_gradient pullback_T",
     "subspace": "InclusionReport SweepResult constancy_directions convergence_sweep inclusion_residual",
-    "pipeflow": "RE_CRITICAL builtin_model",
+    "pipeflow": "RE_CRITICAL",
 }
 _EXPORTS = {name: module for module, names in _DEFINED.items() for name in names.split()}
 

@@ -13,12 +13,14 @@ fixed order and every result repeats bit for bit. One pass over the grid
 serves any number of FD steps: each chunk and its base values f(x) are
 computed once and shared by every step. A model can supply the shifted
 values itself through an ``fd_values(Y, steps)`` method, one (m, n) array
-per step; the differencing, done in place, and the checks on every value
-stay here.
+per step; the differencing, done in place, and the checks stay here. The
+shifted values are checked through each step's m x m product, and a chunk
+whose product is not finite is drawn again to name the value.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, List, Optional, Sequence, Tuple
 
@@ -91,50 +93,63 @@ def _shifted_values(f: Callable, Y: np.ndarray, steps: Sequence[float]) -> Itera
         yield rows
 
 
-def _fd_gradients(f: Callable, Y: np.ndarray, steps: Sequence[float]) -> Iterator[np.ndarray]:
-    """Forward-difference gradients at the rows of Y, one (m, n) array per step.
+def _values(f: Callable, Y: np.ndarray, steps: Sequence[float]) -> Iterator[np.ndarray]:
+    """f(Y), then one (m, n) array of shifted values per step: the model's ``fd_values``, else f per shift."""
+    fd_values = getattr(f, "fd_values", None)
+    return fd_values(Y, steps) if fd_values is not None else _shifted_values(f, Y, steps)
 
-    Row i of a gradient array is the derivative along dimension i at every
-    point. The values come from the model's ``fd_values(Y, steps)`` when it
-    has one (it yields what ``_shifted_values`` would, usually more cheaply),
-    else from calling f on each shifted copy of Y. f(Y) is checked first;
-    then each step's array is checked for its shape and finiteness, and the
-    first non-finite value in (dimension, row) order raises with its shifted
-    point. The step's array is differenced in place and yielded, so the
-    model may reuse it for the next step. Every step must be positive and
-    finite, and must move the chunk's largest |x|: a step below its spacing
-    gives x + h == x.
+
+def _fd_differences(f: Callable, Y: np.ndarray, steps: Sequence[float]) -> Iterator[np.ndarray]:
+    """Forward differences f(Y + h e_i) - f(Y) at the rows of Y, one (m, n) array per step.
+
+    Row i of a step's array is the difference along dimension i at every
+    point. The values come from ``_values``. f(Y) is checked first for its
+    shape and finiteness; each step's array is checked for its shape only,
+    then differenced in place and yielded, so the model may reuse it for
+    the next step. The caller checks the differences' finiteness, through
+    ``_check_step`` where they are not finite. Every step must be positive
+    and finite, and must move the chunk's largest |x|: a step below its
+    spacing gives x + h == x.
     """
     bad = [h for h in steps if not 0.0 < h < np.inf]
     if bad:
         raise ValueError(f"finite-difference step must be positive and finite, got {bad[0]}")
-    x_max = np.max(np.abs(Y), initial=0.0)
+    x_max = max(Y.max(initial=0.0), -Y.min(initial=0.0))
     lost = [h for h in steps if x_max + h == x_max]
     if lost:
         raise ValueError(
             f"finite-difference step {lost[0]} is below the spacing of the inputs: x + h == x at |x| = {x_max:.6g}"
         )
-    fd_values = getattr(f, "fd_values", None)
-    values = fd_values(Y, steps) if fd_values is not None else _shifted_values(f, Y, steps)
+    values = _values(f, Y, steps)
     n, m = Y.shape
     f0 = _shaped(next(values), n)
     if not np.isfinite(f0).all():
         raise _nonfinite(f0, Y)
     for h in steps:
-        G = np.asarray(next(values), dtype=float)
-        if G.shape != (m, n):
+        D = np.asarray(next(values), dtype=float)
+        if D.shape != (m, n):
             raise ModelError(
-                f"model fd_values returned shape {G.shape} for step {h}; "
+                f"model fd_values returned shape {D.shape} for step {h}; "
                 f"it must yield one (m, n) = {(m, n)} array per step"
             )
-        if not G.flags.writeable:
+        if not D.flags.writeable:
             raise ModelError(f"model fd_values returned a read-only array for step {h}; it is differenced in place")
-        if not np.isfinite(G).all():
-            i = int(np.argmin(np.isfinite(G).all(axis=1)))
-            raise _nonfinite(G[i], Y, i, h)
-        G -= f0
-        G /= h
-        yield G
+        D -= f0
+        yield D
+
+
+def _check_step(f: Callable, Y: np.ndarray, steps: Sequence[float], k: int) -> None:
+    """Raise for the first non-finite model value of step k, in (dimension, row) order, if there is one.
+
+    The chunk's values are drawn again up to step k, as the pass drew them,
+    because the differences were taken in place. Finite values whose
+    difference overflowed raise nothing.
+    """
+    V = np.asarray(next(itertools.islice(_values(f, Y, steps), k + 1, None)), dtype=float)
+    finite = np.isfinite(V)
+    if not finite.all():
+        i = int(np.argmin(finite.all(axis=1)))
+        raise _nonfinite(V[i], Y, i, steps[k])
 
 
 def fd_gradient(f: Callable, x: np.ndarray, h: float) -> np.ndarray:
@@ -144,7 +159,11 @@ def fd_gradient(f: Callable, x: np.ndarray, h: float) -> np.ndarray:
     """
     x = np.asarray(x, dtype=float)
     rows = lambda Z: np.array([float(f(z)) for z in Z])
-    return next(_fd_gradients(rows, x[None, :], [h]))[:, 0]
+    X = x[None, :]
+    D = next(_fd_differences(rows, X, [h]))[:, 0]
+    if not np.isfinite(D).all():
+        _check_step(rows, X, [h], 0)
+    return D / h
 
 
 def _gradient_outer_sums(
@@ -152,14 +171,23 @@ def _gradient_outer_sums(
 ) -> List[np.ndarray]:
     """Weighted sums of FD-gradient outer products over (points, weights) chunks, one matrix per step.
 
-    Each chunk adds one (G * w) @ G.T per step, in chunk order.
+    Each chunk adds one (D * (w / h^2)) @ D.T per step h, in chunk order, with
+    D its differences: 1/h^2 rides on the n weights, not on the m n
+    differences. With positive weights a non-finite difference makes its
+    product non-finite, so only such a product sends its chunk to
+    ``_check_step``; a product of finite values is added as it is.
     """
     sums = [0.0] * len(steps)
     # C and every value are checked for finiteness; a with in the generator would leak its state
     with np.errstate(all="ignore"):
         for Y, w in chunks:
-            for k, G in enumerate(_fd_gradients(f, Y, steps)):
-                sums[k] += (G * w) @ G.T
+            # D * (w / h^2), written into one array per chunk: a fresh one per step faults its pages in anew
+            weighted = np.empty((Y.shape[1], len(Y)))
+            for k, (h, D) in enumerate(zip(steps, _fd_differences(f, Y, steps))):
+                M = np.multiply(D, w / (h * h), out=weighted) @ D.T
+                if not np.isfinite(M).all():
+                    _check_step(f, Y, steps, k)
+                sums[k] += M
     # symmetrize once per step: mirror the lower triangle, summed chunk by chunk, onto the upper
     return [np.tril(S) + np.tril(S, -1).T for S in sums]
 

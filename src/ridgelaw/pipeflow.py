@@ -26,7 +26,7 @@ from typing import Callable, Iterator, Sequence
 import numpy as np
 
 from .errors import ModelError
-from .models import RE_CRITICAL, ModelSpec, active_dim, load_model
+from .models import RE_CRITICAL, ModelSpec, active_dim
 from .pigroups import PiDecomposition
 from .quadrature import TensorGrid, tensor_grid
 
@@ -77,11 +77,16 @@ def combine(terms: Sequence[np.ndarray], re_critical: float):
 
     V = (-2 P) log10(t1 + t2), grouped as fd_values groups it, where its
     Reynolds number (Re/v) V exceeds re_critical, else Poiseuille's v_lam:
-    one np.where, so V is a fresh array; one point gives a 0-d V.
+    one np.where, so V is a fresh array; one point gives a 0-d V. The
+    turbulent velocity and the log term are written in place into two
+    arrays, 0-d for one point.
     """
     P, t1, t2, v_lam, re_per_v = terms
-    v_tur = -2.0 * P * np.log10(t1 + t2)
-    turbulent = re_per_v * v_tur > re_critical
+    v_tur, scratch = np.empty_like(P, dtype=float), np.empty_like(P, dtype=float)
+    np.multiply(P, -2.0, out=v_tur)
+    np.log10(np.add(t1, t2, out=scratch), out=scratch)
+    np.multiply(v_tur, scratch, out=v_tur)
+    turbulent = np.multiply(re_per_v, v_tur, out=scratch) > re_critical
     return np.where(turbulent, v_tur, v_lam), turbulent
 
 
@@ -192,7 +197,3 @@ def bind_builtin(spec: ModelSpec, re_critical: float = RE_CRITICAL) -> BuiltinMo
         active_dim=active_dim(spec),
     )
 
-
-def builtin_model(model: str, re_critical: float = RE_CRITICAL) -> BuiltinModel:
-    """A shipped model name or a model file naming a builtin, bound to its function."""
-    return bind_builtin(load_model(model), re_critical)

@@ -22,7 +22,8 @@ import numpy as np
 
 from .activesubspace import SubspaceEstimate, _columns, active_subspace, estimate_subspaces
 from .errors import ModelError, NumericalError
-from .pipeflow import BuiltinModel
+from .pipeflow import BuiltinModel, _terms, combine
+from .quadrature import TensorGrid
 
 _RANK_TOL = 1e-12
 _ANNIHILATION_TOL = 1e-12
@@ -131,6 +132,14 @@ class SweepResult:
     estimate: Optional[SubspaceEstimate] = None  # full estimate at the sweep's fd_step
 
 
+def _routing(model: BuiltinModel, grid: TensorGrid) -> str:
+    """How many of the grid's points the model routes turbulent, at its critical Reynolds number."""
+    re_critical = model.f.re_critical
+    with np.errstate(all="ignore"):
+        turbulent = sum(int(combine(_terms(Y), re_critical)[1].sum()) for Y, _ in grid.chunks())
+    return f"{turbulent} of {len(grid)} grid points route turbulent at re_crit = {re_critical:g}"
+
+
 def convergence_sweep(
     model: BuiltinModel,
     steps: Iterable[float],
@@ -161,7 +170,8 @@ def convergence_sweep(
             lam = est.eigenvalues
             raise NumericalError(
                 f"no spectral gap at step h = {h:g} between eigenvalues {k} and {k + 1} "
-                f"({lam[k - 1]:.6e} vs {lam[k]:.6e}); k = {k} is the model's active dimension"
+                f"({lam[k - 1]:.6e} vs {lam[k]:.6e}; {_routing(model, grid)}); "
+                f"k = {k} is the model's active dimension"
             ) from None
         report = inclusion_residual(basis, enclosing)
         entries.append((h, report.total))

@@ -3,7 +3,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from ridgelaw.pipeflow import builtin_model
+from ridgelaw.models import load_model
+from ridgelaw.pipeflow import bind_builtin
 
 # the textbook null basis for the pipe system (columns: relative roughness
 # and the rho D^3 dPdL / mu^2 group), used as a reference column space
@@ -28,9 +29,9 @@ def exact_matvec(rows, x):
 
 @pytest.fixture(scope="session")
 def laminar_model():
-    return builtin_model("laminar")
+    return bind_builtin(load_model("laminar"))
 
 
 @pytest.fixture(scope="session")
 def turbulent_model():
-    return builtin_model("turbulent")
+    return bind_builtin(load_model("turbulent"))

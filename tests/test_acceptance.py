@@ -27,8 +27,9 @@ from ridgelaw.activesubspace import (
     fd_gradient,
     pullback_T,
 )
+from ridgelaw.models import load_model
 from ridgelaw.pigroups import build_dimension_matrix, pi_decomposition
-from ridgelaw.pipeflow import RE_CRITICAL, builtin_model
+from ridgelaw.pipeflow import RE_CRITICAL, bind_builtin
 from ridgelaw.quadrature import tensor_grid
 from ridgelaw.subspace import constancy_directions, convergence_sweep, inclusion_residual
 from tests.conftest import CLASSICAL_PIPE_W, exact_matvec
@@ -177,7 +178,7 @@ def test_criterion_4_inclusion_convergence():
     # holds.
     results = {}
     for regime in ("laminar", "turbulent"):
-        results[regime] = convergence_sweep(builtin_model(regime), SWEEP_STEPS, quad_order=11)
+        results[regime] = convergence_sweep(bind_builtin(load_model(regime)), SWEEP_STEPS, quad_order=11)
     slopes = {regime: res.slope for regime, res in results.items()}
     monotone = {
         regime: all(r_a > r_b for (_, r_a), (_, r_b) in zip(res.entries, res.entries[1:]))

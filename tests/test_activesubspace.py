@@ -195,10 +195,49 @@ class TestEstimateC:
         grid = tensor_grid(5, [(-1.0, 1.0)] * 3)  # 125 points: 32 chunks
         expected = 0.0
         for X, w in grid.chunks():
-            G = next(activesubspace._fd_gradients(f, X, [H]))  # (m, n): one row per dimension
-            M = (G * w) @ G.T
+            D = next(activesubspace._fd_differences(f, X, [H]))  # (m, n): one row per dimension
+            M = (D * (w / (H * H))) @ D.T
             expected += np.tril(M) + np.tril(M, -1).T
         assert np.array_equal(estimate_C(f, grid, H), expected)
+
+    @pytest.mark.parametrize("model", ["laminar", "turbulent", "plain"])
+    def test_within_rounding_of_dividing_each_difference_by_h(self, model, laminar_model, turbulent_model):
+        # 1/h^2 on the weights, against ((D / h) * w) @ (D / h).T on the same values: rounding only
+        plain = lambda x: np.exp(0.3 * x[..., 0]) * np.cos(x[..., 1]) + x[..., 2] ** 3
+        f, grid = {
+            "laminar": (laminar_model.f, laminar_model.grid(7)),
+            "turbulent": (turbulent_model.f, turbulent_model.grid(7)),
+            "plain": (plain, tensor_grid(7, [(-1.0, 1.0)] * 3)),
+        }[model]
+        steps = [1e-2, 1e-4, 1e-6]
+        divided = [0.0] * len(steps)
+        for Y, w in grid.chunks():
+            values = activesubspace._values(f, Y, steps)
+            f0 = next(values)
+            for k, (h, V) in enumerate(zip(steps, values)):
+                G = (V - f0) / h
+                divided[k] += (G * w) @ G.T
+        for C, S in zip(_gradient_outer_sums(f, grid.chunks(), steps), divided):
+            S = np.tril(S) + np.tril(S, -1).T
+            assert np.max(np.abs(C - S)) <= 1e-14 * np.linalg.norm(S)
+
+    @pytest.mark.parametrize(
+        "f",
+        [
+            lambda x: np.where(x[..., 0] >= 0.005, 1e308, -1e308),  # the difference overflows at the middle node
+            lambda x: 1e200 * x[..., 0],  # finite differences whose product overflows
+        ],
+        ids=["difference", "product"],
+    )
+    def test_finite_values_whose_differences_or_product_overflow_end_in_a_numerical_error(self, f):
+        # no model value is non-finite, so no EvaluationError: the non-finite C fails the eigensolve
+        grid = tensor_grid(3, [(-1.0, 1.0)] * 2)  # nodes 0 and +-0.775 in each dimension
+        C = estimate_C(f, grid, 1e-2)
+        assert not np.isfinite(C).all()
+        with pytest.raises(NumericalError, match="non-finite entries"):
+            eigendecompose(C)
+        with pytest.raises(NumericalError, match="non-finite entries"):
+            estimate_subspaces(f, grid, [1e-2, 1e-3])
 
 
 class TestMultiStepPass:
@@ -396,17 +435,18 @@ class TestBatchedChecks:
             estimate_subspaces(f, self.GRID, self.STEPS)
 
     def test_C_agrees_with_the_column_major_gradient_layout(self, turbulent_model):
-        # the same values summed as (G * w[:, None]).T @ G with G of shape (n, m), and summed per
+        # the same values summed as (D * v[:, None]).T @ D with D of shape (n, m), and summed per
         # 4096-point slice as an earlier pass did: only the order of the additions differs
         steps = [1e-2, 1e-4, 1e-6]
         grid = turbulent_model.grid(7)
         column_major, per_slice = [0.0] * len(steps), [0.0] * len(steps)
         for Y, w in grid.chunks():
-            for k, G in enumerate(activesubspace._fd_gradients(turbulent_model.f, Y, steps)):
-                columns = np.ascontiguousarray(G.T)
-                column_major[k] += (columns * w[:, None]).T @ columns
+            for k, (h, D) in enumerate(zip(steps, activesubspace._fd_differences(turbulent_model.f, Y, steps))):
+                v = w / (h * h)
+                columns = np.ascontiguousarray(D.T)
+                column_major[k] += (columns * v[:, None]).T @ columns
                 for c in (slice(0, 4096), slice(4096, None)):
-                    per_slice[k] += (G[:, c] * w[c]) @ G[:, c].T
+                    per_slice[k] += (D[:, c] * v[c]) @ D[:, c].T
         for expected in (column_major, per_slice):
             for C, S in zip(_gradient_outer_sums(turbulent_model.f, grid.chunks(), steps), expected):
                 S = np.tril(S) + np.tril(S, -1).T

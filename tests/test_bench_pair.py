@@ -33,12 +33,14 @@ def test_pairs_against_head_report_finite_ratios_and_identical_artifacts():
     report = json.loads(line)
     assert set(report) == {
         "workload", "against", "pairs", "batch_size", "median_ratio", "ratio_q1", "ratio_q3", "iqr",
-        "min_s", "failed", "differing_files", "nproc", "python", "numpy", "blas_threads",
+        "min_s", "minor_faults", "failed", "differing_files", "nproc", "python", "numpy", "blas_threads",
     }
     assert (report["workload"], report["pairs"], report["batch_size"]) == ("pi-wide", 2, 10)
     ratios = [report[k] for k in ("median_ratio", "ratio_q1", "ratio_q3", "iqr")]
     assert all(math.isfinite(r) for r in ratios) and report["median_ratio"] > 0
     assert all(math.isfinite(t) and t > 0 for t in report["min_s"].values())
+    assert set(report["minor_faults"]) == {"this", "against"}
+    assert all(type(n) is int and n >= 0 for n in report["minor_faults"].values())
     assert report["failed"] == {"this": 0, "against": 0}
     assert report["differing_files"] == 0
 

@@ -465,6 +465,13 @@ def test_no_spectral_gap_names_the_step_and_the_models_active_dimension(capsys, 
     assert captured.err.endswith("); k = 3 is the model's active dimension\n")
 
 
+def test_no_spectral_gap_counts_the_points_routed_turbulent(capsys):
+    # --re-crit 1e300 routes every point laminar, while k stays the turbulent model's 3
+    argv = ["pipeflow", "reproduce", "--regime", "turbulent", "--quad-order", "3", "--re-crit", "1e300"]
+    assert run_command(argv) == 4
+    err = capsys.readouterr().err
+    assert "; 0 of 243 grid points route turbulent at re_crit = 1e+300); k = 3 is the model's active dimension\n" in err
+
 class TestPipeflowCommand:
     def test_eval_emits_state_summary(self, capsys):
         code = run_command(

@@ -20,7 +20,6 @@ from ridgelaw.pipeflow import (
     LogSpaceVelocity,
     _terms,
     bind_builtin,
-    builtin_model,
     combine,
     evaluate_state,
 )
@@ -320,8 +319,9 @@ def reference_pass(f, chunks, steps):
 
     A model with fd_values gets its shifted values by per-shift scaling; any
     other f is called on each shifted copy of the chunk. Each step's
-    gradient array is (values - f(Y)) / h and each chunk adds one
-    (G * w) @ G.T, summed in chunk order, then the lower triangle is mirrored.
+    difference array is values - f(Y) and each chunk adds one
+    (D * (w / (h * h))) @ D.T, summed in chunk order, then the lower triangle
+    is mirrored.
     """
     sums = [0.0] * len(steps)
     for Y, w in chunks:
@@ -329,9 +329,8 @@ def reference_pass(f, chunks, steps):
         values = (TestFdValues.per_shift_values if hasattr(f, "fd_values") else plain_values)(f, Y, steps)
         f0 = next(values)
         for k, h in enumerate(steps):
-            G = np.array([next(values) for _ in range(m)])
-            G = (G - f0) / h
-            sums[k] += (G * w) @ G.T
+            D = np.array([next(values) for _ in range(m)]) - f0
+            sums[k] += (D * (w / (h * h))) @ D.T
     return [np.tril(S) + np.tril(S, -1).T for S in sums]
 
 
@@ -349,7 +348,7 @@ class TestPassOracle:
     @pytest.mark.parametrize("order", [3, 9, 13])  # 243, 59 049 and 371 293 points: no multiple of a chunk
     @pytest.mark.parametrize("regime", ["laminar", "turbulent"])
     def test_estimates_equal_the_reference(self, regime, order):
-        model = builtin_model(regime)
+        model = bind_builtin(load_model(regime))
         grid = model.grid(order)
         want = reference_pass(model.f, grid.chunks(), self.STEPS)
         got = activesubspace._gradient_outer_sums(model.f, grid.chunks(), self.STEPS)
@@ -414,7 +413,7 @@ class TestLawCheck:
 
     def test_shipped_law_passes_for_both_ids_and_a_range_only_variant(self, tmp_path):
         for model_id in ("laminar", "turbulent"):
-            assert builtin_model(model_id).f == LogSpaceVelocity()
+            assert bind_builtin(load_model(model_id)).f == LogSpaceVelocity()
         doc = json.loads(resources.files("ridgelaw.models").joinpath("pipeflow_laminar.json").read_text())
         doc["unit_system"] = ["s", "kg", "m"]
         doc["quantities"][0]["range"] = [0.11, 0.13]
@@ -630,7 +629,7 @@ class TestBuiltinModel:
 
     def test_unknown_regime_rejected(self):
         with pytest.raises(ModelError, match="neither a file nor one of the shipped models"):
-            builtin_model("transitional")
+            bind_builtin(load_model("transitional"))
 
     def test_expected_active_dimensions(self, laminar_model, turbulent_model):
         assert laminar_model.active_dim == 1
@@ -648,4 +647,4 @@ class TestBuiltinModel:
     def test_active_dimensions_are_read_from_the_shipped_models_map(self, monkeypatch):
         assert SHIPPED_MODELS == {"pipeflow_laminar": 1, "pipeflow_turbulent": 3}
         monkeypatch.setitem(SHIPPED_MODELS, "pipeflow_turbulent", 2)
-        assert builtin_model("turbulent").active_dim == 2
+        assert bind_builtin(load_model("turbulent")).active_dim == 2

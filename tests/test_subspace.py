@@ -7,7 +7,8 @@ import pytest
 
 from ridgelaw.activesubspace import eigendecompose, estimate_C
 from ridgelaw.errors import ModelError, NumericalError
-from ridgelaw.pipeflow import builtin_model
+from ridgelaw.models import load_model
+from ridgelaw.pipeflow import bind_builtin
 from ridgelaw.subspace import (
     SweepResult,
     convergence_sweep,
@@ -137,7 +138,7 @@ class TestFitLoglogSlope:
 
 class TestConvergenceSweep:
     def test_laminar_residuals_shrink_with_h(self):
-        result = convergence_sweep(builtin_model("laminar"), [1e-3, 1e-5], quad_order=5)
+        result = convergence_sweep(bind_builtin(load_model("laminar")), [1e-3, 1e-5], quad_order=5)
         assert isinstance(result, SweepResult)
         assert result.subspace_dim == 1
         (h1, r1), (h2, r2) = result.entries
@@ -145,7 +146,7 @@ class TestConvergenceSweep:
         assert result.slope is not None and result.slope > 0.0
 
     def test_turbulent_uses_three_directions(self):
-        result = convergence_sweep(builtin_model("turbulent"), [1e-4, 1e-5], quad_order=5)
+        result = convergence_sweep(bind_builtin(load_model("turbulent")), [1e-4, 1e-5], quad_order=5)
         assert result.subspace_dim == 3
         assert result.entries[0][1] > result.entries[1][1]
 
@@ -154,15 +155,15 @@ class TestConvergenceSweep:
         cases = [([1e-5, 1e-3], "strictly descending"), ([1e-3, -1e-5], "must be positive"), ([], r"got \[\]")]
         for steps, message in cases:
             with pytest.raises(ValueError, match=message) as excinfo:
-                convergence_sweep(builtin_model("laminar"), steps, quad_order=3)
+                convergence_sweep(bind_builtin(load_model("laminar")), steps, quad_order=3)
             assert excinfo.type is ValueError
 
     def test_unknown_model_rejected(self):
         with pytest.raises(ModelError, match="neither a file nor one of the shipped models"):
-            convergence_sweep(builtin_model("plasma"), [1e-3], quad_order=3)
+            convergence_sweep(bind_builtin(load_model("plasma")), [1e-3], quad_order=3)
 
     def test_fd_step_estimate_comes_from_the_same_pass(self):
-        model = builtin_model("turbulent")
+        model = bind_builtin(load_model("turbulent"))
         result = convergence_sweep(model, [1e-3, 1e-5], quad_order=3, fd_step=1e-4)
         alone = eigendecompose(estimate_C(model.f, model.grid(3), 1e-4))
         assert np.array_equal(result.estimate.eigenvalues, alone.eigenvalues)
@@ -173,8 +174,8 @@ class TestConvergenceSweep:
     def test_sweep_uses_the_models_critical_reynolds_number(self):
         # at Re_c = 2000 no order-5 stencil straddles the switch at h = 1e-2,
         # so r2 there drops from O(1) to the O(h^2) forward-difference level
-        default = convergence_sweep(builtin_model("turbulent"), [1e-2], quad_order=5)
-        lowered = convergence_sweep(builtin_model("turbulent", re_critical=2000.0), [1e-2], quad_order=5)
+        default = convergence_sweep(bind_builtin(load_model("turbulent")), [1e-2], quad_order=5)
+        lowered = convergence_sweep(bind_builtin(load_model("turbulent"), 2000.0), [1e-2], quad_order=5)
         assert default.entries[0][1] == pytest.approx(0.719, rel=1e-3)
         assert lowered.entries[0][1] == pytest.approx(3.80e-5, rel=1e-3)
 
@@ -183,7 +184,7 @@ class TestConvergenceSweep:
         # negative control: f * rho^0.3 is not dimensionally homogeneous, so its
         # active subspace leaves span(A) and r2 stays put as h shrinks, while
         # the homogeneous model's r2 falls to rounding level
-        base = builtin_model(regime)
+        base = bind_builtin(load_model(regime))
         lurking = dataclasses.replace(base, f=lambda x: base.f(x) * np.exp(0.3 * x[..., 0]))
         steps = [1e-4, 1e-5, 1e-6]
         r2 = [r for _, r in convergence_sweep(lurking, steps, quad_order=5).entries]
