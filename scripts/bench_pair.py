@@ -10,21 +10,25 @@ instead), imports both ``cli`` modules, and runs the batches that
 ``run_command``: one unmeasured warm-up batch, then one batch per pair, the
 side that runs first alternating every pair, so both sides of a pair see the
 same machine speed. A pair's ratio is this checkout's batch time over REV's,
-each the sum of its commands' times. Every artifact file of the two sides is
-compared byte for byte.
+each the sum of its commands' times. Each side's artifacts are checked, untimed,
+by the benchmark's own ``check_batch`` (``bench/run.py``), and every artifact
+file of the two sides is compared byte for byte.
 
 Prints one JSON line: the median ratio and its interquartile range, the pair
 count, each side's fastest batch and median minor page faults per batch
 (``resource.getrusage``; they show where a change places the pass's large
-arrays), the failed commands and differing files, and the nproc, Python, numpy
-and BLAS-thread stamps. Exit 0 when no command failed and no file differed, 1
-otherwise, 2 when the pairing cannot run.
+arrays), the failed commands and failed checks per side, the differing files,
+and the nproc, Python, numpy and BLAS-thread stamps. Exit 0 when no command
+and no check failed, 1 otherwise, 2 when the pairing cannot run. Differing
+files do not change the exit status: a change may move last digits by design,
+and the checks hold each side to the benchmark's tolerances.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
 import importlib
 import io
 import json
@@ -86,17 +90,18 @@ def import_sides(export_dir: Path):
     return sides
 
 
-def run_side(cli, argvs) -> tuple:
-    """(seconds summed over the commands, failed commands, minor page faults) of one side's batch."""
-    total, failed = 0.0, 0
+def run_side(cli, commands) -> tuple:
+    """(seconds summed over the commands, (exit code, stderr) per command, minor page faults) of one side's batch."""
+    total, outcomes = 0.0, []
     faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-    with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink), contextlib.redirect_stderr(io.StringIO()):
-        for argv in argvs:
-            start = time.perf_counter()
-            code = cli.run_command(argv)
-            total += time.perf_counter() - start
-            failed += code != 0
-    return total, failed, resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
+    with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
+        for cmd in commands:
+            with contextlib.redirect_stderr(io.StringIO()) as err:
+                start = time.perf_counter()
+                code = cli.run_command(cmd.argv)
+                total += time.perf_counter() - start
+            outcomes.append((code, err.getvalue()))
+    return total, outcomes, resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
 
 
 def differing_files(this_out: Path, against_out: Path) -> int:
@@ -109,25 +114,30 @@ def differing_files(this_out: Path, against_out: Path) -> int:
     )
 
 
-def pair(workload, seed: int, pairs: int, this, against, workdir: Path) -> dict:
+def against_command(cmd):
+    """cmd with its artifact directory moved to a sibling, for REV's side."""
+    out = cmd.out.with_name(cmd.out.name + "-against")
+    return dataclasses.replace(cmd, argv=[str(out) if a == str(cmd.out) else a for a in cmd.argv], out=out)
+
+
+def pair(workload, check_batch, seed: int, pairs: int, this, against, workdir: Path) -> dict:
     """Run the warm-up batch and the pairs; returns the report's measured fields."""
-    ratios, failed, differing = [], {"this": 0, "against": 0}, 0
+    ratios, differing = [], 0
+    failed, failed_checks = {"this": 0, "against": 0}, {"this": 0, "against": 0}
     mins, faults = {"this": [], "against": []}, {"this": [], "against": []}
     for index in range(pairs + 1):  # batch 0 is the warm-up
         batch_dir = workdir / f"batch{index:04d}"
         batch_dir.mkdir(parents=True)
-        commands = workload.commands(seed, index, batch_dir)
-        outs = [(cmd.out, cmd.out.with_name(cmd.out.name + "-against")) for cmd in commands]
-        argvs = {
-            "this": [cmd.argv for cmd in commands],
-            "against": [[str(o) if a == str(cmd.out) else a for a in cmd.argv] for cmd, (_, o) in zip(commands, outs)],
-        }
+        commands = {"this": workload.commands(seed, index, batch_dir)}
+        commands["against"] = [against_command(cmd) for cmd in commands["this"]]
         order = ("this", "against") if index % 2 else ("against", "this")
         times, side_faults = {}, {}
         for side in order:
-            times[side], side_failed, side_faults[side] = run_side(this if side == "this" else against, argvs[side])
-            failed[side] += side_failed
-        differing += sum(differing_files(a, b) for a, b in outs)
+            times[side], outcomes, side_faults[side] = run_side(this if side == "this" else against, commands[side])
+            failed[side] += sum(code != 0 for code, _ in outcomes)
+            # a failed command is also a failed check, as bench/run.py counts it
+            failed_checks[side] += len(check_batch(workload, commands[side], outcomes)[0])
+        differing += sum(differing_files(a.out, b.out) for a, b in zip(commands["this"], commands["against"]))
         shutil.rmtree(batch_dir)
         if index:
             ratios.append(times["this"] / times["against"])
@@ -143,6 +153,7 @@ def pair(workload, seed: int, pairs: int, this, against, workdir: Path) -> dict:
         "min_s": {side: min(values) for side, values in mins.items()},
         "minor_faults": {side: statistics.median_low(values) for side, values in faults.items()},
         "failed": failed,
+        "failed_checks": failed_checks,
         "differing_files": differing,
     }
 
@@ -157,7 +168,9 @@ def main(argv=None) -> int:
         parser.error("--pairs must be at least 2")
 
     sys.path.insert(0, str(ROOT / "bench"))
-    from workloads import WORKLOADS  # the benchmark's generators, used as they are
+    # the benchmark's generators and checks, used as they are
+    from run import check_batch
+    from workloads import WORKLOADS
 
     if args.workload not in WORKLOADS:
         parser.error(f"--workload must be one of {sorted(WORKLOADS)}")
@@ -166,7 +179,7 @@ def main(argv=None) -> int:
         with tempfile.TemporaryDirectory(prefix="bench_pair-") as tmp:
             tmp = Path(tmp)
             this, against = import_sides(export_against(args.against, tmp).parent)
-            report = pair(workload, SEED, args.pairs, this, against, tmp / "work")
+            report = pair(workload, check_batch, SEED, args.pairs, this, against, tmp / "work")
     except PairError as exc:
         print(f"bench_pair: {exc}", file=sys.stderr)
         return 2
@@ -184,7 +197,7 @@ def main(argv=None) -> int:
         "blas_threads": {name: os.environ.get(name) for name in BLAS_THREAD_VARS},
     }
     print(json.dumps(line, sort_keys=True))
-    return 0 if report["differing_files"] == 0 and not any(report["failed"].values()) else 1
+    return 1 if any(report["failed"].values()) or any(report["failed_checks"].values()) else 0
 
 
 if __name__ == "__main__":

@@ -7,9 +7,8 @@ subspace lies inside the dimensional-analysis subspace. A pipe-flow virtual
 laboratory (Poiseuille / Colebrook with a critical-Reynolds switch) serves as
 the built-in test bed.
 
-The public names are resolved lazily: ``import ridgelaw`` loads no submodule,
-and a name imports the module that defines it on first access, so the exact
-layer (dimensions, pigroups) never pays for numpy.
+A public name loads only its defining module, on first access: the exact layer
+(dimensions, pigroups, models) loads no numpy, the numerics layer no model code.
 """
 
 import importlib
@@ -25,7 +24,7 @@ _DEFINED = {
     "activesubspace": "SubspaceEstimate active_subspace eigendecompose estimate_C estimate_subspaces "
     "fd_gradient pullback_T",
     "subspace": "InclusionReport SweepResult constancy_directions convergence_sweep inclusion_residual",
-    "pipeflow": "RE_CRITICAL",
+    "models": "RE_CRITICAL",
 }
 _EXPORTS = {name: module for module, names in _DEFINED.items() for name in names.split()}
 

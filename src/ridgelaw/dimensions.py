@@ -26,11 +26,7 @@ _RATIONAL_STRING = re.compile(r"[+-]?\d+(/\d+)?", re.ASCII)
 
 def as_fraction(value: RationalLike) -> Fraction:
     """Coerce an exponent to an exact rational. Accepts int, Fraction, "p" or "p/q"."""
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, str):
+    if isinstance(value, str):  # str and int first: an isinstance of Fraction goes through the slow ABC check
         if not _RATIONAL_STRING.fullmatch(value):
             raise ModelError(f"rational exponent must be an integer or 'p/q' string, got {value!r}")
         numerator, _, denominator = value.partition("/")
@@ -38,6 +34,10 @@ def as_fraction(value: RationalLike) -> Fraction:
             return Fraction(int(numerator), int(denominator)) if denominator else Fraction(int(numerator))
         except (ValueError, ZeroDivisionError) as exc:
             raise ModelError(f"cannot parse rational exponent {value!r}") from exc
+    if isinstance(value, int):
+        return Fraction(value)
+    if isinstance(value, Fraction):
+        return value
     raise ModelError(f"exponent must be an int, Fraction, or 'p/q' string, got {type(value).__name__}")
 
 

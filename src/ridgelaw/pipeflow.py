@@ -13,7 +13,8 @@ declared once, in the shipped model files pipeflow_laminar.json and
 pipeflow_turbulent.json; the model function reads its input columns in
 that order, which the loader enforces for every file naming a builtin.
 The tests, not binding, check each PIPE_LAW term's dimension against them.
-``bind_builtin`` takes a builtin's active dimension from ``models.active_dim``.
+``bind_builtin`` reads the active dimension from ``models.active_dim``, and
+``BuiltinModel.routing`` counts the grid points that the law routes turbulent.
 """
 
 from __future__ import annotations
@@ -182,6 +183,12 @@ class BuiltinModel:
 
     def grid(self, quad_order: int) -> TensorGrid:
         return tensor_grid(quad_order, self.spec.log_bounds())
+
+    def routing(self, grid: TensorGrid) -> str:
+        """How many of the grid's points the model routes turbulent, at its critical Reynolds number."""
+        with np.errstate(all="ignore"):
+            turbulent = sum(int(combine(_terms(Y), self.f.re_critical)[1].sum()) for Y, _ in grid.chunks())
+        return f"{turbulent} of {len(grid)} grid points route turbulent at re_crit = {self.f.re_critical:g}"
 
 
 def bind_builtin(spec: ModelSpec, re_critical: float = RE_CRITICAL) -> BuiltinModel:

@@ -10,20 +10,22 @@ The inclusion test asks whether every basis vector of a candidate subspace
 can be written as a linear combination of an enclosing basis: each column is
 fit by least squares and the squared residual norms are summed. A total of
 zero means the candidate space is contained in the enclosing one; the sweep
-tracks how that total decays as the finite-difference step shrinks.
+tracks how that total decays as the finite-difference step shrinks. No model
+code loads here: the sweep is handed its model, which also counts the routing.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .activesubspace import SubspaceEstimate, _columns, active_subspace, estimate_subspaces
 from .errors import ModelError, NumericalError
-from .pipeflow import BuiltinModel, _terms, combine
-from .quadrature import TensorGrid
+
+if TYPE_CHECKING:  # the numerics layer loads no model code
+    from .pipeflow import BuiltinModel
 
 _RANK_TOL = 1e-12
 _ANNIHILATION_TOL = 1e-12
@@ -132,14 +134,6 @@ class SweepResult:
     estimate: Optional[SubspaceEstimate] = None  # full estimate at the sweep's fd_step
 
 
-def _routing(model: BuiltinModel, grid: TensorGrid) -> str:
-    """How many of the grid's points the model routes turbulent, at its critical Reynolds number."""
-    re_critical = model.f.re_critical
-    with np.errstate(all="ignore"):
-        turbulent = sum(int(combine(_terms(Y), re_critical)[1].sum()) for Y, _ in grid.chunks())
-    return f"{turbulent} of {len(grid)} grid points route turbulent at re_crit = {re_critical:g}"
-
-
 def convergence_sweep(
     model: BuiltinModel,
     steps: Iterable[float],
@@ -170,7 +164,7 @@ def convergence_sweep(
             lam = est.eigenvalues
             raise NumericalError(
                 f"no spectral gap at step h = {h:g} between eigenvalues {k} and {k + 1} "
-                f"({lam[k - 1]:.6e} vs {lam[k]:.6e}; {_routing(model, grid)}); "
+                f"({lam[k - 1]:.6e} vs {lam[k]:.6e}; {model.routing(grid)}); "
                 f"k = {k} is the model's active dimension"
             ) from None
         report = inclusion_residual(basis, enclosing)

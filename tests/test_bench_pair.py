@@ -1,5 +1,6 @@
 """scripts/bench_pair.py: this tree against a git revision, in alternating pairs in one process."""
 
+import importlib
 import json
 import math
 import shutil
@@ -32,8 +33,8 @@ def test_pairs_against_head_report_finite_ratios_and_identical_artifacts():
     (line,) = proc.stdout.splitlines()
     report = json.loads(line)
     assert set(report) == {
-        "workload", "against", "pairs", "batch_size", "median_ratio", "ratio_q1", "ratio_q3", "iqr",
-        "min_s", "minor_faults", "failed", "differing_files", "nproc", "python", "numpy", "blas_threads",
+        "workload", "against", "pairs", "batch_size", "median_ratio", "ratio_q1", "ratio_q3", "iqr", "min_s",
+        "minor_faults", "failed", "failed_checks", "differing_files", "nproc", "python", "numpy", "blas_threads",
     }
     assert (report["workload"], report["pairs"], report["batch_size"]) == ("pi-wide", 2, 10)
     ratios = [report[k] for k in ("median_ratio", "ratio_q1", "ratio_q3", "iqr")]
@@ -42,6 +43,7 @@ def test_pairs_against_head_report_finite_ratios_and_identical_artifacts():
     assert set(report["minor_faults"]) == {"this", "against"}
     assert all(type(n) is int and n >= 0 for n in report["minor_faults"].values())
     assert report["failed"] == {"this": 0, "against": 0}
+    assert report["failed_checks"] == {"this": 0, "against": 0}
     assert report["differing_files"] == 0
 
 
@@ -52,3 +54,49 @@ def test_a_package_that_imports_itself_by_absolute_name_is_found(tmp_path):
     (tmp_path / "sub" / "b.py").write_text("x = 1\n    from ridgelaw.models import load_model\n")
     (tmp_path / "c.py").write_text("import ridgelaw.cli as cli\n")
     assert bench_pair.absolute_imports(tmp_path) == ["c.py", "sub/b.py"]
+
+
+@pytest.fixture
+def bench_modules(monkeypatch):
+    """bench/run.py and bench/workloads.py, imported as bench_pair imports them, unloaded afterwards."""
+    monkeypatch.syspath_prepend(str(ROOT / "bench"))
+    yield importlib.import_module("run"), importlib.import_module("workloads")
+    for name in ("run", "tracer", "workloads"):
+        sys.modules.pop(name, None)
+
+
+class WritingCli:
+    """A stand-in cli module: run_command writes text to <--out>/a.txt and returns code."""
+
+    def __init__(self, text, code=0):
+        self.text, self.code = text, code
+
+    def run_command(self, argv):
+        out = Path(argv[argv.index("--out") + 1])
+        out.mkdir()
+        (out / "a.txt").write_text(self.text)
+        return self.code
+
+
+def test_failed_commands_and_checks_are_counted_per_side(tmp_path, bench_modules):
+    run, workloads = bench_modules
+
+    class Workload:
+        def commands(self, seed, index, workdir):
+            return [workloads.Command(["cmd", "--out", str(workdir / "out")], workdir / "out")]
+
+        def check(self, cmd):
+            if (cmd.out / "a.txt").read_text() != "ok":
+                raise workloads.CheckError("a.txt is not ok")
+            return {}
+
+    def report(this, against, workdir):
+        return bench_pair.pair(Workload(), run.check_batch, 1, 2, this, against, tmp_path / workdir)
+
+    # the warm-up batch and both pairs are checked: three batches per side
+    wrong = report(WritingCli("ok"), WritingCli("not ok"), "wrong")
+    assert (wrong["failed"], wrong["failed_checks"]) == ({"this": 0, "against": 0}, {"this": 0, "against": 3})
+    assert wrong["differing_files"] == 3
+    crashed = report(WritingCli("ok", code=4), WritingCli("ok"), "crashed")
+    assert (crashed["failed"], crashed["failed_checks"]) == ({"this": 3, "against": 0}, {"this": 3, "against": 0})
+    assert crashed["differing_files"] == 0

@@ -1,5 +1,6 @@
 """Unit-system and dimension-vector algebra."""
 
+import abc
 from fractions import Fraction
 
 import pytest
@@ -69,6 +70,22 @@ class TestAsFraction:
     def test_zero_denominator_rejected(self):
         with pytest.raises(ModelError):
             as_fraction("1/0")
+
+    @pytest.mark.parametrize("value, expected", [(True, 1), (False, 0), (-7, -7), (2**80, 2**80)])
+    def test_ints_and_bools_coerce_as_ints(self, value, expected):
+        got = as_fraction(value)
+        assert type(got) is Fraction and got == expected
+
+    def test_a_fraction_is_returned_as_it_is(self):
+        value = Fraction(-3, 4)
+        assert as_fraction(value) is value
+
+    def test_strings_and_ints_skip_the_abc_instance_check(self, monkeypatch):
+        calls = []
+        check = abc.ABCMeta.__instancecheck__
+        monkeypatch.setattr(abc.ABCMeta, "__instancecheck__", lambda cls, obj: calls.append(cls) or check(cls, obj))
+        assert [as_fraction(v) for v in ("3/2", -1, True)] == [Fraction(3, 2), -1, 1]
+        assert Fraction not in calls  # Fraction itself checks bools against numbers.Rational
 
     @pytest.mark.parametrize("value, kind", [(1.5, "float"), (None, "NoneType")])
     def test_other_types_rejected(self, value, kind):

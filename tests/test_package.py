@@ -22,9 +22,12 @@ EXPORTED_FROM = {
         "fd_gradient pullback_T"
     ),
     "subspace": "InclusionReport SweepResult constancy_directions convergence_sweep inclusion_residual",
-    "pipeflow": "RE_CRITICAL",
+    "models": "RE_CRITICAL",
 }
 DEFINED_IN = {name: module for module, names in EXPORTED_FROM.items() for name in names.split()}
+# the exact layer never pays for numpy; the numerics layer loads no model code
+EXACT_LAYER = ("dimensions", "errors", "pigroups", "models")
+MODEL_CODE = {"ridgelaw.dimensions", "ridgelaw.pigroups", "ridgelaw.models", "ridgelaw.pipeflow"}
 
 
 def test_all_lists_version_and_the_30_names():
@@ -85,6 +88,20 @@ def test_names_import_their_module_on_first_access():
     assert bare == ["ridgelaw"]
     assert "ridgelaw.pigroups" in exact and "numpy" not in exact
     assert "ridgelaw.activesubspace" in estimating and "numpy" in estimating
+
+
+@pytest.mark.parametrize("name", sorted(DEFINED_IN))
+def test_a_name_loads_only_its_own_layer(name):
+    loaded = set(
+        _fresh(
+            f"import json, sys, ridgelaw; ridgelaw.{name}; "
+            "print(json.dumps([m for m in sys.modules if m.split('.')[0] in ('ridgelaw', 'numpy')]))"
+        )
+    )
+    if DEFINED_IN[name] in EXACT_LAYER:
+        assert "numpy" not in loaded, sorted(loaded)
+    else:
+        assert "numpy" in loaded and not loaded & MODEL_CODE, sorted(loaded)
 
 
 def test_constancy_directions_lives_with_the_inclusion_test():

@@ -644,6 +644,18 @@ class TestBuiltinModel:
         ):
             bind_builtin(spec)
 
+    @pytest.mark.parametrize(
+        "name, re_critical, routed",
+        [
+            ("turbulent", RE_CRITICAL, "240 of 243 grid points route turbulent at re_crit = 3000"),
+            ("laminar", RE_CRITICAL, "0 of 243 grid points route turbulent at re_crit = 3000"),
+            ("turbulent", 1e300, "0 of 243 grid points route turbulent at re_crit = 1e+300"),
+        ],
+    )
+    def test_routing_counts_the_order_3_points_routed_turbulent(self, name, re_critical, routed):
+        model = bind_builtin(load_model(name), re_critical)
+        assert model.routing(model.grid(3)) == routed
+
     def test_active_dimensions_are_read_from_the_shipped_models_map(self, monkeypatch):
         assert SHIPPED_MODELS == {"pipeflow_laminar": 1, "pipeflow_turbulent": 3}
         monkeypatch.setitem(SHIPPED_MODELS, "pipeflow_turbulent", 2)
