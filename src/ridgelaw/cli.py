@@ -12,6 +12,10 @@ every parsed option but --out, then prints the JSON text. An estimating
 subcommand makes one call, ``_recorded``, which loads its model by ``load_model``,
 binds it at ``re_crit`` and adds ``chunk_size``, the model file and its sha256
 to the config. Identical invocations produce byte-identical artifacts.
+JSON texts have the bytes of ``json.dumps(x, indent=2, sort_keys=True)``
+but are built by joins (``_json_text``); every artifact is written as UTF-8
+bytes; a CSV field is quoted (RFC 4180) only when it holds a comma, a
+double quote, CR or LF, which only a label can.
 
 Only the exact layer is imported at module level: the estimating
 subcommands import numpy and the estimation modules inside their functions,
@@ -29,9 +33,12 @@ import argparse
 import functools
 import json
 import math
+import os
+import re
 import sys
 import warnings
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Iterable, List, Sequence
 
@@ -59,20 +66,75 @@ def fmt_rational(x: Fraction | int) -> str:
 
 
 def _write_files(out_dir: Path, files) -> None:
-    """Create out_dir once, then write each (filename, text) into it."""
-    targets = [(out_dir / filename, text) for filename, text in files]
-    target = targets[0][0]  # a directory that cannot be made is reported with the first file
+    """Create out_dir once, then write each (filename, text) into it as UTF-8 bytes."""
+    target = out_dir / files[0][0]  # a directory that cannot be made is reported with the first file
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
-        for target, text in targets:
-            target.write_text(text)
+        for filename, text in files:
+            target = out_dir / filename
+            data = memoryview(text.encode())
+            fd = os.open(target, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666)
+            try:
+                while data:
+                    data = data[os.write(fd, data):]
+            finally:
+                os.close(fd)
     except OSError as exc:
         # an unusable --out is a usage error
         raise ValueError(f"cannot write {str(target)!r}: {exc.strerror or exc}") from None
 
 
+# printable ASCII but '"' and '\\': the strings that JSON writes between quotes as they are
+_JSON_PLAIN = re.compile(r'[ !#-\[\]-~]*')
+
+
+def _plain_strings(items) -> bool:
+    """True when items are all strings that JSON writes as they are."""
+    try:
+        return _JSON_PLAIN.fullmatch("".join(items)) is not None
+    except TypeError:  # an item that is not a string
+        return False
+
+
+def _json_parts(x, indent: str, parts: list) -> None:
+    """Append the JSON text of x, nested at indent (a newline and its spaces), to parts."""
+    if isinstance(x, str):
+        parts.append(encode_basestring_ascii(x))
+    elif isinstance(x, (list, tuple)) and x:
+        inner = indent + "  "
+        if isinstance(x[0], str) and _plain_strings(x):  # one join for the whole list
+            parts.append(f'[{inner}"' + f'",{inner}"'.join(x) + f'"{indent}]')
+        else:
+            sep = "[" + inner
+            for item in x:
+                parts.append(sep)
+                _json_parts(item, inner, parts)
+                sep = "," + inner
+            parts.append(indent + "]")
+    elif isinstance(x, dict) and x:  # string keys, as in every payload
+        inner = indent + "  "
+        sep = "{" + inner
+        for key, value in sorted(x.items()):
+            parts.append(f"{sep}{encode_basestring_ascii(key)}: ")
+            _json_parts(value, inner, parts)
+            sep = "," + inner
+        parts.append(indent + "}")
+    else:  # scalars, [] and {}
+        parts.append(json.dumps(x))
+
+
 def _json_text(payload) -> str:
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    """The bytes of json.dumps(payload, indent=2, sort_keys=True) + newline, built by joins.
+
+    json.dumps with an indent never runs the C encoder; here each list of
+    strings that JSON writes unchanged is one join, every other string goes
+    through the C string encoder, and scalars through json.dumps. Dict keys
+    are strings.
+    """
+    parts: list = []
+    _json_parts(payload, "\n", parts)
+    parts.append("\n")
+    return "".join(parts)
 
 
 # namespace entries that are not options of the run
@@ -94,10 +156,20 @@ def _run_json(args) -> str:
     return _json_text({"command": command, "package": "ridgelaw", "version": __version__, "config": config})
 
 
+# a field that holds one of these is quoted, as RFC 4180 specifies
+_CSV_SPECIAL = re.compile(r'[,"\r\n]')
+
+
+def _csv_field(x: str) -> str:
+    return '"' + x.replace('"', '""') + '"' if _CSV_SPECIAL.search(x) else x
+
+
 def _csv_lines(header: Sequence[str], rows: Iterable[Sequence[str]]) -> str:
-    lines = [",".join(header)]
-    lines.extend(",".join(row) for row in rows)
-    return "\n".join(lines) + "\n"
+    """One line per row, fields joined by commas; only a field that needs it is quoted."""
+    lines = [header, *rows]
+    if _CSV_SPECIAL.search("".join(map("".join, lines))):
+        lines = [[_csv_field(x) for x in line] for line in lines]
+    return "\n".join(map(",".join, lines)) + "\n"
 
 
 def _eigenvalues_csv(values: Sequence[str]) -> str:

@@ -26,6 +26,8 @@ _RATIONAL_STRING = re.compile(r"[+-]?\d+(/\d+)?", re.ASCII)
 
 def as_fraction(value: RationalLike) -> Fraction:
     """Coerce an exponent to an exact rational. Accepts int, Fraction, "p" or "p/q"."""
+    if type(value) is Fraction:
+        return value
     if isinstance(value, str):  # str and int first: an isinstance of Fraction goes through the slow ABC check
         if not _RATIONAL_STRING.fullmatch(value):
             raise ModelError(f"rational exponent must be an integer or 'p/q' string, got {value!r}")
@@ -81,7 +83,7 @@ class DimensionVector:
     system: UnitSystem
 
     def __post_init__(self):
-        exps = tuple(as_fraction(e) for e in self.exponents)
+        exps = tuple(e if type(e) is Fraction else as_fraction(e) for e in self.exponents)
         object.__setattr__(self, "exponents", exps)
         if len(exps) != self.system.k:
             raise ModelError(
@@ -134,7 +136,7 @@ def make_dimension(
     """
     exps = [Fraction(0)] * system.k
     for label, exponent in exponent_pairs:
-        i, x = system.index(label), as_fraction(exponent)
+        i, x = system.index(label), exponent if type(exponent) is Fraction else as_fraction(exponent)
         exps[i] = exps[i] + x if exps[i] else x  # adding to zero would only copy x
     return DimensionVector(tuple(exps), system)
 

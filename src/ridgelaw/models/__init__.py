@@ -93,6 +93,10 @@ def _is_finite_number(x) -> bool:
     return isinstance(x, (int, float)) and not isinstance(x, bool) and abs(x) <= sys.float_info.max
 
 
+# model files repeat a few exponents: each distinct one is parsed once (typed: 1 and "1" are two entries)
+_exponent = functools.lru_cache(maxsize=1024, typed=True)(as_fraction)
+
+
 def _parse_dimension(system: UnitSystem, raw: dict, context: str) -> DimensionVector:
     if not isinstance(raw, dict):
         raise ModelError(f"{context}: 'dimension' must be an object of unit: exponent pairs")
@@ -102,7 +106,7 @@ def _parse_dimension(system: UnitSystem, raw: dict, context: str) -> DimensionVe
             raise ModelError(
                 f"{context}: exponent for unit {label!r} must be an integer or 'p/q' string"
             )
-        pairs.append((label, as_fraction(exponent)))
+        pairs.append((label, _exponent(exponent)))
     return make_dimension(system, pairs)
 
 

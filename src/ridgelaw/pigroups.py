@@ -145,15 +145,12 @@ class NumericalVerificationFailure(AssertionError):
     """Internal exact-arithmetic postcondition violated (indicates a bug)."""
 
 
-def _dot(row: Sequence[int], x: Sequence[int]) -> int:
-    if len(row) != len(x):
-        raise ValueError(f"cannot take the dot product of lengths {len(row)} and {len(x)}")
-    return sum(map(operator.mul, row, x))
+def _null_column(reduced: List[List[int]], d: int, pivots: List[int], f: int) -> List[int]:
+    """Primitive integer null vector with x_f = d, x_p = -R[i][f], first nonzero positive.
 
-
-def _null_column(reduced: List[List[int]], d: int, pivots: List[int], f: int, m: int) -> List[int]:
-    """Primitive integer null vector with x_f = d, x_p = -R[i][f], first nonzero positive."""
-    col = [0] * m
+    Its support is the pivot columns and f: every other entry is zero.
+    """
+    col = [0] * len(reduced[0])
     col[f] = d
     for i, c in enumerate(pivots):
         col[c] = -reduced[i][f]
@@ -196,26 +193,28 @@ def pi_decomposition(D: DimensionMatrix, qoi: DimensionVector) -> PiDecompositio
             "the quantity of interest's units cannot be formed from the given "
             "quantities (inconsistent linear system)"
         )
-    free = [c for c in range(m) if c not in pivots]
-    dw = [0] * m  # d·w: the pivot rows read w_p = R[i][m] / d, the free entries are zero
-    for i, c in enumerate(pivots):
-        dw[c] = reduced[i][m]
-    columns = [_null_column(reduced, d, pivots, f, m) for f in free]
+    # one null column of [D | v] per free column, v's own included: W's columns have
+    # x_v = 0 and v's is (-w, 1) up to a factor, so D·W = 0 and D·w = v are one check
+    free = [c for c in range(m + 1) if c not in pivots]
+    columns = [_null_column(reduced, d, pivots, f) for f in free]
+    # each product is summed over its column's support, the pivots and f: the
+    # full-rank check below proves that every other free entry is zero
+    at_pivots = [[col[c] for c in pivots] for col in columns]
     for row in scaled:
-        lhs = row[:m]
-        if _dot(lhs, dw) != d * row[m] or any(_dot(lhs, col) for col in columns):
+        row_at_pivots = [row[c] for c in pivots]
+        if any(sum(map(operator.mul, row_at_pivots, x), row[f] * col[f]) for f, col, x in zip(free, columns, at_pivots)):
             raise NumericalVerificationFailure("w or W failed the exact checks D·w = v, D·W = 0")
     # On the free rows W is diagonal with a nonzero diagonal and w is zero, so
     # W has full column rank and a nonzero w lies outside its span.
     dimensionless = is_dimensionless(qoi)
+    v_column = columns.pop()
     full_rank = (
-        all((col[g] != 0) == (g == f) for f, col in zip(free, columns) for g in free)
-        and not any(dw[g] for g in free)
-        and (dimensionless or any(dw))
+        all((col[g] != 0) == (g == f) for f, col in zip(free, columns + [v_column]) for g in free)
+        and (dimensionless or any(v_column[:m]))
     )
     if not full_rank:
         raise NumericalVerificationFailure("A failed the exact full-column-rank check")
-    w = tuple(Fraction(x, d) for x in dw)
-    W = tuple(zip(*columns)) if columns else ((),) * m
+    w = tuple(Fraction(-x, v_column[m]) for x in v_column[:m])
+    W = tuple(zip(*columns))[:m] if columns else ((),) * m
     A = W if dimensionless else tuple((x,) + row for x, row in zip(w, W))
     return PiDecomposition(w=w, W=W, A=A, rank=rank, qoi_dimensionless=dimensionless)

@@ -3,17 +3,20 @@
 import json
 import sys
 
+import pytest
+
 from scripts import bench_record
+from tests.test_bench_pair import in_git_checkout
 
 # a stand-in for bench/run.py: a warm-up line, then a detail line naming its arguments and a result line
 FAKE_RUN = "import sys; print('warm-up'); print('detail', *sys.argv[1:]); print('result')"
 
 
-def write_benchmark(root, script, run_seconds=30):
+def write_benchmark(root, script, run_seconds=30, workloads=("a", "b")):
     benchmark = {
         "command": [sys.executable, "-c", script],
         "run_seconds": run_seconds,
-        "workloads": [{"name": "a"}, {"name": "b"}],
+        "workloads": [{"name": name} for name in workloads],
     }
     (root / "BENCHMARK.json").write_text(json.dumps(benchmark))
 
@@ -58,3 +61,33 @@ def test_a_failed_run_keeps_its_exit_code_and_stderr(tmp_path, monkeypatch, caps
         "returncode": 1,
         "stderr": "benchmark cannot run: no source tree\n",
     }
+
+
+def test_without_against_the_record_holds_no_pairs(tmp_path, monkeypatch, capsys):
+    write_benchmark(tmp_path, FAKE_RUN)
+    monkeypatch.setattr(bench_record, "ROOT", tmp_path)
+    assert bench_record.main(["--pr", "7"]) == 0
+    assert "pairs" not in json.loads((tmp_path / "BENCH_7.json").read_text())
+
+
+@pytest.mark.skipif(not in_git_checkout(), reason="needs a git checkout of this repository")
+def test_against_stores_each_workloads_pair_line(tmp_path, monkeypatch, capsys):
+    write_benchmark(tmp_path, FAKE_RUN, workloads=("pi-wide",))
+    monkeypatch.setattr(bench_record, "ROOT", tmp_path)
+    monkeypatch.setattr(bench_record, "PAIRS", 2)
+    assert bench_record.main(["--pr", "7", "--against", "HEAD"]) == 0
+    (pairs,) = json.loads((tmp_path / "BENCH_7.json").read_text())["pairs"]
+    assert (pairs["workload"], pairs["returncode"]) == ("pi-wide", 0)
+    line = pairs["line"]
+    assert (line["workload"], line["against"], line["pairs"]) == ("pi-wide", "HEAD", 2)
+    assert line["failed_checks"] == {"this": 0, "against": 0} and line["median_ratio"] > 0
+
+
+@pytest.mark.skipif(not in_git_checkout(), reason="needs a git checkout of this repository")
+def test_a_pairing_that_cannot_run_keeps_its_exit_code_and_stderr(tmp_path, monkeypatch, capsys):
+    write_benchmark(tmp_path, FAKE_RUN, workloads=("pi-wide",))
+    monkeypatch.setattr(bench_record, "ROOT", tmp_path)
+    assert bench_record.main(["--pr", "7", "--against", "no-such-revision"]) == 1
+    (pairs,) = json.loads((tmp_path / "BENCH_7.json").read_text())["pairs"]
+    assert (pairs["workload"], pairs["returncode"]) == ("pi-wide", 2)
+    assert pairs["stderr"].startswith("bench_pair: git archive no-such-revision src/ridgelaw failed")

@@ -1,6 +1,7 @@
 """Model-file loading, subcommands, artifacts, and exit codes."""
 
 import argparse
+import csv
 import hashlib
 import json
 import math
@@ -14,10 +15,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import ridgelaw
 from ridgelaw import pipeflow, quadrature
-from ridgelaw.cli import build_parser, fmt_float, load_model, run_command
+from ridgelaw.cli import _json_text, build_parser, fmt_float, load_model, run_command
 from ridgelaw.errors import ModelError
 from ridgelaw.models import SHIPPED_MODELS
 from ridgelaw.quadrature import DEFAULT_CHUNK, MAX_GRID_POINTS, TensorGrid
@@ -778,6 +780,75 @@ def test_pi_artifacts_keep_their_committed_bytes(case, tmp_path, capsys):
     assert sorted(p.name for p in tmp_path.iterdir()) == sorted(names + ["run.json"])
     for name in names:
         assert (tmp_path / name).read_bytes() == (expected / name).read_bytes(), name
+
+
+def test_csv_labels_that_need_quoting_read_back_as_written(tmp_path, capsys):
+    # a comma, a quote, CR and LF in quantity and unit labels; plain and non-ASCII ones stay bare
+    names = ["len,gth", "ti\nme", 'sp"eed', "ca\rt", "ünï"]
+    units = ["m", "s,ec"]
+    doc = {
+        "unit_system": units,
+        "quantities": [
+            {"name": names[0], "dimension": {"m": 1}},
+            {"name": names[1], "dimension": {"s,ec": 1}},
+            {"name": names[2], "dimension": {"m": 1, "s,ec": -1}},
+            {"name": names[3], "dimension": {"m": "1/2"}},
+            {"name": names[4], "dimension": {"s,ec": 2}},
+        ],
+        "qoi": {"name": "y", "dimension": {"m": 2}},
+    }
+    out = tmp_path / "out"
+    assert run_command(["pi", write_model(tmp_path, doc), "--out", str(out)]) == 0
+    capsys.readouterr()
+
+    def read(name):
+        with open(out / name, newline="", encoding="utf-8") as f:
+            rows = list(csv.reader(f))
+        assert len({len(row) for row in rows}) == 1, rows  # every row as wide as the header
+        return rows
+
+    assert read("D.csv")[0][1:] == names and [row[0] for row in read("D.csv")[1:]] == units
+    assert read("w.csv")[0] == ["quantity", "exponent"]
+    for name in ("w.csv", "W.csv", "A.csv"):
+        assert [row[0] for row in read(name)[1:]] == names, name
+    w_csv = (out / "w.csv").read_bytes().decode("utf-8")
+    assert w_csv.startswith('quantity,exponent\n"len,gth",') and "\nünï," in w_csv  # only what needs it is quoted
+
+
+# any text JSON must escape or may keep: non-ASCII, quotes, backslashes, control characters, DEL, surrogates
+json_strings = st.text() | st.text(st.sampled_from('a1 ~"\\\x00\x1f\x7f\u00e9\u2028\ud800\U0001f600'))
+plain_strings = st.text(st.characters(min_codepoint=0x20, max_codepoint=0x7E), max_size=8)
+json_leaves = json_strings | st.integers() | st.booleans() | st.none() | st.floats()
+json_trees = st.recursive(
+    json_leaves | st.lists(st.lists(plain_strings)),
+    lambda children: st.lists(children) | st.lists(children).map(tuple) | st.dictionaries(json_strings, children),
+    max_leaves=25,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(x=json_trees)
+@example(x={"W": [["1", "0"], ["-1/2", "a\\b"]], "e": [], "d": {}, "t": (), "f": [float("nan"), -math.inf]})
+def test_json_text_has_the_bytes_of_json_dumps(x):
+    assert _json_text(x) == json.dumps(x, indent=2, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("command", sorted(ARTIFACT_RUNS) + ["pipeflow eval"])
+def test_every_json_text_of_a_run_has_the_bytes_of_json_dumps(tmp_path, capsys, monkeypatch, command):
+    rendered = []
+    original = ridgelaw.cli._json_text
+    monkeypatch.setattr(ridgelaw.cli, "_json_text", lambda x: rendered.append((x, original(x))) or rendered[-1][1])
+    if command == "pipeflow eval":
+        argv = TestUsageErrors.EVAL
+    else:
+        np.savetxt(tmp_path / "c.csv", np.eye(3)[:, :1], delimiter=",")
+        np.savetxt(tmp_path / "e.csv", np.eye(3)[:, :2], delimiter=",")
+        argv = [a.format(tmp=tmp_path) for a in ARTIFACT_RUNS[command][0]] + ["--out", str(tmp_path / "out")]
+    assert run_command(argv) == 0
+    capsys.readouterr()
+    assert len(rendered) == (1 if command == "pipeflow eval" else 2)  # the payload, then run.json
+    for x, text in rendered:
+        assert text == json.dumps(x, indent=2, sort_keys=True) + "\n"
 
 
 def test_readme_command_line_examples_parse():

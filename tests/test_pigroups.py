@@ -3,6 +3,7 @@
 import math
 import warnings
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from ridgelaw.dimensions import DimensionVector, QuantityDecl, UnitSystem, make_dimension
 from ridgelaw.errors import ModelError
-from ridgelaw.pigroups import DimensionMatrix, build_dimension_matrix, pi_decomposition
+from ridgelaw.pigroups import DimensionMatrix, NumericalVerificationFailure, build_dimension_matrix, pi_decomposition
 from ridgelaw.models import load_model
 from ridgelaw.subspace import inclusion_residual
 from tests.conftest import CLASSICAL_PIPE_W, exact_matvec
@@ -338,3 +339,47 @@ def test_pi_decomposition_warns_on_incomplete_system():
     quantities = [QuantityDecl("a", length_only), QuantityDecl("b", length_only)]
     with pytest.warns(UserWarning, match="rank"):
         pi_decomposition(build_dimension_matrix(quantities), length_only)
+
+
+# each wrong column that _null_column could return: (which column to alter, how)
+def _on_another_free_column(col, f, pivots, free):
+    col[next(g for g in free if g != f)] = 1
+
+
+def _pivot_entry_off_by_one(col, f, pivots, free):
+    col[pivots[0]] += 1
+
+
+WRONG_COLUMNS = {
+    "W column nonzero on another free column": ("W", _on_another_free_column),
+    "W column with a pivot entry off by one": ("W", _pivot_entry_off_by_one),
+    "w column with a pivot entry off by one": ("v", _pivot_entry_off_by_one),
+    "w column nonzero on a free column": ("v", _on_another_free_column),
+}
+
+
+@pytest.mark.parametrize("model", ["pipeflow_laminar", "tests/data/pi_wide.json"])
+@pytest.mark.parametrize("case", sorted(WRONG_COLUMNS))
+def test_a_wrong_null_column_fails_the_exact_checks(monkeypatch, model, case):
+    # D·w = v and D·W = 0 are summed over each column's support only; an entry off it is caught all the same
+    import ridgelaw.pigroups
+
+    which, alter = WRONG_COLUMNS[case]
+    spec = load_model(str(Path(__file__).parents[1] / model) if model.endswith(".json") else model)
+    D = build_dimension_matrix(spec.quantities)
+    original = ridgelaw.pigroups._null_column
+    altered = []
+
+    def wrong(reduced, d, pivots, f):
+        col = original(reduced, d, pivots, f)
+        m = len(reduced[0]) - 1
+        if not altered and (f == m) == (which == "v"):
+            alter(col, f, pivots, [c for c in range(m) if c not in pivots])
+            altered.append(f)
+        return col
+
+    pi_decomposition(D, spec.qoi)  # the true columns pass
+    monkeypatch.setattr(ridgelaw.pigroups, "_null_column", wrong)
+    with pytest.raises(NumericalVerificationFailure):
+        pi_decomposition(D, spec.qoi)
+    assert len(altered) == 1
