@@ -20,6 +20,8 @@ RationalLike = Union[int, str, Fraction]
 # SI defines seven base units; no consistent system needs more.
 MAX_FUNDAMENTAL_UNITS = 7
 
+_ZERO = Fraction(0)  # the exponent of a unit that a dimension leaves out
+
 # "p" or "p/q" in decimal digits: no decimal point, exponent, underscore or space
 _RATIONAL_STRING = re.compile(r"[+-]?\d+(/\d+)?", re.ASCII)
 
@@ -134,10 +136,10 @@ def make_dimension(
     Omitted units default to exponent 0; repeated labels accumulate, matching
     multiplication of the underlying unit powers.
     """
-    exps = [Fraction(0)] * system.k
+    exps = [_ZERO] * system.k
     for label, exponent in exponent_pairs:
         i, x = system.index(label), exponent if type(exponent) is Fraction else as_fraction(exponent)
-        exps[i] = exps[i] + x if exps[i] else x  # adding to zero would only copy x
+        exps[i] = x if exps[i] is _ZERO else exps[i] + x  # adding to zero would only copy x
     return DimensionVector(tuple(exps), system)
 
 

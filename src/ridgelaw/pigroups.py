@@ -6,8 +6,10 @@ pass over them, with a canonical pivot rule, gives the rank; W and w are read
 off the reduced rows, so every rank decision is exact and reproducible. W is
 an integer matrix (Python ints, one primitive exponent vector per pi group);
 w is rational (Fractions), and so is A's first column. The results are checked
-exactly, in integers: D·w = v, D·W = 0, and on the free rows W is diagonal and
-nonzero while w is zero, which proves that A = [w | W] has full column rank.
+exactly, in integers: D·w = v, D·W = 0 (each column's products summed over its
+support), and on the free rows W is diagonal and nonzero while w is zero, which
+proves that A = [w | W] has full column rank and that the entries off each
+support are zero.
 Floating point only appears at the very end, when a rational matrix is
 rendered to doubles for the numerics (A_float, which imports numpy on call).
 """
@@ -106,8 +108,9 @@ def build_dimension_matrix(quantities: Sequence[QuantityDecl]) -> DimensionMatri
 
 def _integer_row(row: Sequence[Fraction]) -> List[int]:
     """The row scaled by the positive LCM of its denominators, as Python ints."""
-    scale = math.lcm(*(x.denominator for x in row))
-    return [x.numerator * (scale // x.denominator) for x in row]
+    ratios = [x.as_integer_ratio() for x in row]
+    scale = math.lcm(*[q for _, q in ratios])
+    return [p * (scale // q) for p, q in ratios]
 
 
 def _gauss_jordan(rows: Sequence[Sequence[int]]) -> Tuple[List[List[int]], int, List[int]]:
@@ -135,7 +138,10 @@ def _gauss_jordan(rows: Sequence[Sequence[int]]) -> Tuple[List[List[int]], int, 
         for i, row in enumerate(work):
             if i != r:
                 a = row[c]
-                work[i] = [(p * x - a * y) // prev for x, y in zip(row, pivot)]
+                if a:
+                    work[i] = [(p * x - a * y) // prev for x, y in zip(row, pivot)]
+                elif p != prev:  # the same update with a = 0
+                    work[i] = [p * x // prev for x in row]
         prev = p
         pivot_cols.append(c)
     return work, prev, pivot_cols
@@ -207,14 +213,12 @@ def pi_decomposition(D: DimensionMatrix, qoi: DimensionVector) -> PiDecompositio
     # On the free rows W is diagonal with a nonzero diagonal and w is zero, so
     # W has full column rank and a nonzero w lies outside its span.
     dimensionless = is_dimensionless(qoi)
+    full_rank = all(col[f] and [col[g] for g in free].count(0) == len(free) - 1 for f, col in zip(free, columns))
     v_column = columns.pop()
-    full_rank = (
-        all((col[g] != 0) == (g == f) for f, col in zip(free, columns + [v_column]) for g in free)
-        and (dimensionless or any(v_column[:m]))
-    )
-    if not full_rank:
+    if not (full_rank and (dimensionless or any(v_column[:m]))):
         raise NumericalVerificationFailure("A failed the exact full-column-rank check")
-    w = tuple(Fraction(-x, v_column[m]) for x in v_column[:m])
+    zero = Fraction(0)
+    w = tuple(Fraction(-x, v_column[m]) if x else zero for x in v_column[:m])
     W = tuple(zip(*columns))[:m] if columns else ((),) * m
     A = W if dimensionless else tuple((x,) + row for x, row in zip(w, W))
     return PiDecomposition(w=w, W=W, A=A, rank=rank, qoi_dimensionless=dimensionless)
