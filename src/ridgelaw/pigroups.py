@@ -208,7 +208,10 @@ def pi_decomposition(D: DimensionMatrix, qoi: DimensionVector) -> PiDecompositio
     at_pivots = [[col[c] for c in pivots] for col in columns]
     for row in scaled:
         row_at_pivots = [row[c] for c in pivots]
-        if any(sum(map(operator.mul, row_at_pivots, x), row[f] * col[f]) for f, col, x in zip(free, columns, at_pivots)):
+        if any(
+            sum(map(operator.mul, row_at_pivots, x), row[f] * col[f])
+            for f, col, x in zip(free, columns, at_pivots)
+        ):
             raise NumericalVerificationFailure("w or W failed the exact checks D·w = v, D·W = 0")
     # On the free rows W is diagonal with a nonzero diagonal and w is zero, so
     # W has full column rank and a nonzero w lies outside its span.
