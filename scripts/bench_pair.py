@@ -6,19 +6,21 @@ Exports ``src/ridgelaw`` at REV with ``git archive`` into a temporary
 directory as the package ``ridgelaw_against`` (refused if any of its modules
 imports ``ridgelaw`` by absolute name, which would load this checkout's code
 instead), imports both ``cli`` modules, and runs the batches that
-``bench/workloads.py`` generates for the workload on each side through
-``run_command``: one unmeasured warm-up batch, then one batch per pair, the
-side that runs first alternating every pair, so both sides of a pair see the
-same machine speed. A pair's ratio is this checkout's batch time over REV's,
-each the sum of its commands' times. Each side's artifacts are checked, untimed,
-by the benchmark's own ``check_batch`` (``bench/run.py``), and every artifact
-file of the two sides is compared byte for byte.
+``bench/workloads.py`` generates for the workload on each side through the
+benchmark's own ``run_batch`` (``bench/run.py``, with no reference copy): one
+unmeasured warm-up batch, then one batch per pair, the side that runs first
+alternating every pair, so both sides of a pair see the same machine speed.
+A pair's ratio is this checkout's batch time over REV's, each the sum of the
+command times that ``run_batch`` returns. Each side's artifacts are checked,
+untimed, by the benchmark's ``check_batch``, and every artifact file of the
+two sides is compared byte for byte.
 
 Prints one JSON line: the median ratio and its interquartile range, the pair
 count, each side's fastest batch and median minor page faults per batch
 (``resource.getrusage``; they show where a change places the pass's large
 arrays), the failed commands and failed checks per side, the differing files,
-and the nproc, Python, numpy and BLAS-thread stamps. Exit 0 when no command
+the benchmark's ``stamp`` (seed, nproc, cpu, Python, numpy, commit) and the
+BLAS-thread settings. Exit 0 when no command
 and no check failed, 1 otherwise, 2 when the pairing cannot run. Differing
 files do not change the exit status: a change may move last digits by design,
 and the checks hold each side to the benchmark's tolerances.
@@ -27,13 +29,11 @@ and the checks hold each side to the benchmark's tolerances.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import dataclasses
 import importlib
 import io
 import json
 import os
-import platform
 import re
 import resource
 import shutil
@@ -42,7 +42,6 @@ import subprocess
 import sys
 import tarfile
 import tempfile
-import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -90,20 +89,6 @@ def import_sides(export_dir: Path):
     return sides
 
 
-def run_side(cli, commands) -> tuple:
-    """(seconds summed over the commands, (exit code, stderr) per command, minor page faults) of one side's batch."""
-    total, outcomes = 0.0, []
-    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-    with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
-        for cmd in commands:
-            with contextlib.redirect_stderr(io.StringIO()) as err:
-                start = time.perf_counter()
-                code = cli.run_command(cmd.argv)
-                total += time.perf_counter() - start
-            outcomes.append((code, err.getvalue()))
-    return total, outcomes, resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
-
-
 def differing_files(this_out: Path, against_out: Path) -> int:
     """Files present on one side only, or with different bytes."""
     names = {p.name for out in (this_out, against_out) if out.is_dir() for p in out.iterdir()}
@@ -120,30 +105,34 @@ def against_command(cmd):
     return dataclasses.replace(cmd, argv=[str(out) if a == str(cmd.out) else a for a in cmd.argv], out=out)
 
 
-def pair(workload, check_batch, seed: int, pairs: int, this, against, workdir: Path) -> dict:
+def pair(workload, check_batch, run_batch, seed: int, pairs: int, this, against, workdir: Path) -> dict:
     """Run the warm-up batch and the pairs; returns the report's measured fields."""
     ratios, differing = [], 0
     failed, failed_checks = {"this": 0, "against": 0}, {"this": 0, "against": 0}
     mins, faults = {"this": [], "against": []}, {"this": [], "against": []}
-    for index in range(pairs + 1):  # batch 0 is the warm-up
-        batch_dir = workdir / f"batch{index:04d}"
-        batch_dir.mkdir(parents=True)
-        commands = {"this": workload.commands(seed, index, batch_dir)}
-        commands["against"] = [against_command(cmd) for cmd in commands["this"]]
-        order = ("this", "against") if index % 2 else ("against", "this")
-        times, side_faults = {}, {}
-        for side in order:
-            times[side], outcomes, side_faults[side] = run_side(this if side == "this" else against, commands[side])
-            failed[side] += sum(code != 0 for code, _ in outcomes)
-            # a failed command is also a failed check, as bench/run.py counts it
-            failed_checks[side] += len(check_batch(workload, commands[side], outcomes)[0])
-        differing += sum(differing_files(a.out, b.out) for a, b in zip(commands["this"], commands["against"]))
-        shutil.rmtree(batch_dir)
-        if index:
-            ratios.append(times["this"] / times["against"])
-            for side in mins:
-                mins[side].append(times[side])
-                faults[side].append(side_faults[side])
+    with open(os.devnull, "w") as sink:
+        for index in range(pairs + 1):  # batch 0 is the warm-up
+            batch_dir = workdir / f"batch{index:04d}"
+            batch_dir.mkdir(parents=True)
+            commands = {"this": workload.commands(seed, index, batch_dir)}
+            commands["against"] = [against_command(cmd) for cmd in commands["this"]]
+            order = ("this", "against") if index % 2 else ("against", "this")
+            times, side_faults = {}, {}
+            for side in order:
+                start_faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+                latencies, outcomes, _ = run_batch(this if side == "this" else against, commands[side], sink)
+                side_faults[side] = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - start_faults
+                times[side] = sum(latencies)
+                failed[side] += sum(code != 0 for code, _ in outcomes)
+                # a failed command is also a failed check, as bench/run.py counts it
+                failed_checks[side] += len(check_batch(workload, commands[side], outcomes)[0])
+            differing += sum(differing_files(a.out, b.out) for a, b in zip(commands["this"], commands["against"]))
+            shutil.rmtree(batch_dir)
+            if index:
+                ratios.append(times["this"] / times["against"])
+                for side in mins:
+                    mins[side].append(times[side])
+                    faults[side].append(side_faults[side])
     q1, _, q3 = statistics.quantiles(ratios, n=4)
     return {
         "median_ratio": statistics.median(ratios),
@@ -169,7 +158,7 @@ def main(argv=None) -> int:
 
     sys.path.insert(0, str(ROOT / "bench"))
     # the benchmark's generators and checks, used as they are
-    from run import check_batch
+    from run import check_batch, run_batch, stamp
     from workloads import WORKLOADS
 
     if args.workload not in WORKLOADS:
@@ -179,21 +168,17 @@ def main(argv=None) -> int:
         with tempfile.TemporaryDirectory(prefix="bench_pair-") as tmp:
             tmp = Path(tmp)
             this, against = import_sides(export_against(args.against, tmp).parent)
-            report = pair(workload, check_batch, SEED, args.pairs, this, against, tmp / "work")
+            report = pair(workload, check_batch, run_batch, SEED, args.pairs, this, against, tmp / "work")
     except PairError as exc:
         print(f"bench_pair: {exc}", file=sys.stderr)
         return 2
-    import numpy
-
     line = {
         "workload": args.workload,
         "against": args.against,
         "pairs": args.pairs,
         "batch_size": workload.batch_size,
         **report,
-        "nproc": len(os.sched_getaffinity(0)),
-        "python": platform.python_version(),
-        "numpy": numpy.__version__,
+        **stamp(SEED),
         "blas_threads": {name: os.environ.get(name) for name in BLAS_THREAD_VARS},
     }
     print(json.dumps(line, sort_keys=True))

@@ -34,7 +34,8 @@ def test_pairs_against_head_report_finite_ratios_and_identical_artifacts():
     report = json.loads(line)
     assert set(report) == {
         "workload", "against", "pairs", "batch_size", "median_ratio", "ratio_q1", "ratio_q3", "iqr", "min_s",
-        "minor_faults", "failed", "failed_checks", "differing_files", "nproc", "python", "numpy", "blas_threads",
+        "minor_faults", "failed", "failed_checks", "differing_files", "seed", "nproc", "cpu", "python", "numpy",
+        "commit", "blas_threads",
     }
     assert (report["workload"], report["pairs"], report["batch_size"]) == ("pi-wide", 2, 10)
     ratios = [report[k] for k in ("median_ratio", "ratio_q1", "ratio_q3", "iqr")]
@@ -91,7 +92,7 @@ def test_failed_commands_and_checks_are_counted_per_side(tmp_path, bench_modules
             return {}
 
     def report(this, against, workdir):
-        return bench_pair.pair(Workload(), run.check_batch, 1, 2, this, against, tmp_path / workdir)
+        return bench_pair.pair(Workload(), run.check_batch, run.run_batch, 1, 2, this, against, tmp_path / workdir)
 
     # the warm-up batch and both pairs are checked: three batches per side
     wrong = report(WritingCli("ok"), WritingCli("not ok"), "wrong")
