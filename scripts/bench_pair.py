@@ -15,11 +15,19 @@ command times that ``run_batch`` returns. Each side's artifacts are checked,
 untimed, by the benchmark's ``check_batch``, and every artifact file of the
 two sides is compared byte for byte.
 
+Then it pairs the start-up: fresh interpreters run the benchmark's set-up
+probe (``_SETUP_PROBE``, ``import ridgelaw.cli``; ``ridgelaw_against.cli`` for
+REV), the two sides spawned in alternation, one unmeasured spawn each and
+then ``SETUP_PAIRS`` measured ones. Each side gets its own ``PYTHONPATH``;
+both run with ``-B`` and one fresh, empty ``PYTHONPYCACHEPREFIX``, so both
+compile from source.
+
 Prints one JSON line: the median ratio and its interquartile range, the pair
 count, each side's fastest batch and median minor page faults per batch
 (``resource.getrusage``; they show where a change places the pass's large
 arrays), the failed commands and failed checks per side, the differing files,
-the benchmark's ``stamp`` (seed, nproc, cpu, Python, numpy, commit) and the
+the start-up pairs (``setup``: median ratio, quartiles, each side's fastest
+spawn, sample count), the benchmark's ``stamp`` (seed, nproc, cpu, Python, numpy, commit) and the
 BLAS-thread settings. Exit 0 when no command
 and no check failed, 1 otherwise, 2 when the pairing cannot run. Differing
 files do not change the exit status: a change may move last digits by design,
@@ -42,6 +50,7 @@ import subprocess
 import sys
 import tarfile
 import tempfile
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -50,6 +59,8 @@ SEED = 1  # the batches' inputs, as in scripts/bench_record.py
 # an import statement that names the package absolutely
 _ABSOLUTE_IMPORT = re.compile(r"^\s*(?:from|import)\s+ridgelaw\b", re.MULTILINE)
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+SETUP_PAIRS = 10  # measured spawns per side
+SETUP_TIMEOUT_S = 60
 
 
 class PairError(Exception):
@@ -133,17 +144,54 @@ def pair(workload, check_batch, run_batch, seed: int, pairs: int, this, against,
                 for side in mins:
                     mins[side].append(times[side])
                     faults[side].append(side_faults[side])
-    q1, _, q3 = statistics.quantiles(ratios, n=4)
     return {
-        "median_ratio": statistics.median(ratios),
-        "ratio_q1": q1,
-        "ratio_q3": q3,
-        "iqr": q3 - q1,
+        **ratio_stats(ratios),
         "min_s": {side: min(values) for side, values in mins.items()},
         "minor_faults": {side: statistics.median_low(values) for side, values in faults.items()},
         "failed": failed,
         "failed_checks": failed_checks,
         "differing_files": differing,
+    }
+
+
+def ratio_stats(ratios) -> dict:
+    """The median of the pair ratios and its quartiles."""
+    q1, _, q3 = statistics.quantiles(ratios, n=4)
+    return {"median_ratio": statistics.median(ratios), "ratio_q1": q1, "ratio_q3": q3, "iqr": q3 - q1}
+
+
+def setup_seconds(probe: str, home: Path, pycache: Path) -> float:
+    """Seconds from spawning a fresh interpreter to the end of the probe's import, which must load from home."""
+    env = dict(os.environ, PYTHONPATH=str(home), PYTHONPYCACHEPREFIX=str(pycache))
+    start = time.monotonic()  # CLOCK_MONOTONIC is shared with the child
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-B", "-c", probe], env=env, cwd=ROOT,
+            capture_output=True, text=True, timeout=SETUP_TIMEOUT_S,
+        )
+    except subprocess.TimeoutExpired:
+        raise PairError(f"the start-up probe took over {SETUP_TIMEOUT_S} s with PYTHONPATH={home}") from None
+    if proc.returncode != 0:
+        raise PairError(f"the start-up probe failed with PYTHONPATH={home}:\n{proc.stderr.strip()}")
+    stamp, module_file = proc.stdout.split("\n", 1)
+    if not Path(module_file).resolve().is_relative_to(home.resolve()):
+        raise PairError(f"the start-up probe imported {module_file}, not a module under {home}")
+    return float(stamp) - start
+
+
+def pair_setup(probe: str, export_dir: Path, pycache: Path, pairs: int = SETUP_PAIRS) -> dict:
+    """Start-up of both sides in fresh interpreters, spawned in alternation after one unmeasured spawn each."""
+    sides = {"this": (probe, ROOT / "src"), "against": (probe.replace("ridgelaw", AGAINST), export_dir)}
+    times = {"this": [], "against": []}
+    for index in range(pairs + 1):  # spawn 0 of each side is the warm-up
+        for side in ("this", "against") if index % 2 else ("against", "this"):
+            seconds = setup_seconds(*sides[side], pycache)
+            if index:
+                times[side].append(seconds)
+    return {
+        **ratio_stats([t / a for t, a in zip(times["this"], times["against"])]),
+        "min_s": {side: min(values) for side, values in times.items()},
+        "samples": pairs,
     }
 
 
@@ -158,7 +206,7 @@ def main(argv=None) -> int:
 
     sys.path.insert(0, str(ROOT / "bench"))
     # the benchmark's generators and checks, used as they are
-    from run import check_batch, run_batch, stamp
+    from run import _SETUP_PROBE, check_batch, run_batch, stamp
     from workloads import WORKLOADS
 
     if args.workload not in WORKLOADS:
@@ -167,8 +215,11 @@ def main(argv=None) -> int:
     try:
         with tempfile.TemporaryDirectory(prefix="bench_pair-") as tmp:
             tmp = Path(tmp)
-            this, against = import_sides(export_against(args.against, tmp).parent)
+            export_dir = export_against(args.against, tmp).parent
+            this, against = import_sides(export_dir)
             report = pair(workload, check_batch, run_batch, SEED, args.pairs, this, against, tmp / "work")
+            (tmp / "pycache").mkdir()
+            report["setup"] = pair_setup(_SETUP_PROBE, export_dir, tmp / "pycache")
     except PairError as exc:
         print(f"bench_pair: {exc}", file=sys.stderr)
         return 2

@@ -81,10 +81,19 @@ def _require_object(raw, context: str) -> dict:
     return raw
 
 
+def _require_utf8(label: str, context: str, field: str) -> None:
+    """Raise unless label can be written as UTF-8: artifacts are UTF-8 bytes, and a lone surrogate has none."""
+    try:
+        label.encode()
+    except UnicodeEncodeError as exc:
+        raise ModelError(f"{context}: {field} {label!r} cannot be written as UTF-8 ({exc.reason})") from None
+
+
 def _require_name(mapping: dict, context: str) -> str:
     name = _require(mapping, "name", context)
     if not isinstance(name, str) or not name:
         raise ModelError(f"{context}: 'name' must be a non-empty string, got {name!r}")
+    _require_utf8(name, context, "'name'")
     return name
 
 
@@ -93,8 +102,8 @@ def _is_finite_number(x) -> bool:
     return isinstance(x, (int, float)) and not isinstance(x, bool) and abs(x) <= sys.float_info.max
 
 
-# model files repeat a few exponents: each distinct one is parsed once (typed: 1 and "1" are two entries)
-_exponent = functools.lru_cache(maxsize=1024, typed=True)(as_fraction)
+# model files repeat a few exponents: each distinct one is parsed once
+_exponent = functools.lru_cache(maxsize=1024)(as_fraction)
 
 
 def _parse_dimension(system: UnitSystem, raw: dict, context: str) -> DimensionVector:
@@ -154,6 +163,8 @@ def _parse(text: str, name: str, source: str) -> ModelSpec:
     units = _require(doc, "unit_system", f"model {name!r}")
     if not isinstance(units, list) or not all(isinstance(u, str) for u in units):
         raise ModelError(f"model {name!r}: 'unit_system' must be a list of unit labels")
+    for label in units:
+        _require_utf8(label, f"model {name!r}", "'unit_system' label")
     system = UnitSystem(tuple(units))
 
     raw_quantities = _require(doc, "quantities", f"model {name!r}")

@@ -35,7 +35,7 @@ def test_pairs_against_head_report_finite_ratios_and_identical_artifacts():
     assert set(report) == {
         "workload", "against", "pairs", "batch_size", "median_ratio", "ratio_q1", "ratio_q3", "iqr", "min_s",
         "minor_faults", "failed", "failed_checks", "differing_files", "seed", "nproc", "cpu", "python", "numpy",
-        "commit", "blas_threads",
+        "commit", "blas_threads", "setup",
     }
     assert (report["workload"], report["pairs"], report["batch_size"]) == ("pi-wide", 2, 10)
     ratios = [report[k] for k in ("median_ratio", "ratio_q1", "ratio_q3", "iqr")]
@@ -46,6 +46,11 @@ def test_pairs_against_head_report_finite_ratios_and_identical_artifacts():
     assert report["failed"] == {"this": 0, "against": 0}
     assert report["failed_checks"] == {"this": 0, "against": 0}
     assert report["differing_files"] == 0
+    setup = report["setup"]
+    assert set(setup) == {"median_ratio", "ratio_q1", "ratio_q3", "iqr", "min_s", "samples"}
+    assert setup["samples"] == bench_pair.SETUP_PAIRS and set(setup["min_s"]) == {"this", "against"}
+    values = [setup[k] for k in ("median_ratio", "ratio_q1", "ratio_q3")] + list(setup["min_s"].values())
+    assert all(math.isfinite(x) and x > 0 for x in values) and math.isfinite(setup["iqr"])
 
 
 def test_a_package_that_imports_itself_by_absolute_name_is_found(tmp_path):
@@ -64,6 +69,16 @@ def bench_modules(monkeypatch):
     yield importlib.import_module("run"), importlib.import_module("workloads")
     for name in ("run", "tracer", "workloads"):
         sys.modules.pop(name, None)
+
+
+def test_a_start_up_probe_that_cannot_load_from_its_home_stops_the_pairing(tmp_path, bench_modules):
+    run, _ = bench_modules
+    (tmp_path / "pycache").mkdir()
+    # an empty PYTHONPATH entry: the import fails, or finds a copy from elsewhere
+    with pytest.raises(bench_pair.PairError, match="start-up probe"):
+        bench_pair.setup_seconds(run._SETUP_PROBE, tmp_path / "empty", tmp_path / "pycache")
+    assert bench_pair.setup_seconds(run._SETUP_PROBE, ROOT / "src", tmp_path / "pycache") > 0
+    assert list((tmp_path / "pycache").iterdir()) == []  # -B: nothing is compiled into the prefix
 
 
 class WritingCli:

@@ -815,6 +815,34 @@ def test_csv_labels_that_need_quoting_read_back_as_written(tmp_path, capsys):
     assert w_csv.startswith('quantity,exponent\n"len,gth",') and "\nünï," in w_csv  # only what needs it is quoted
 
 
+# a lone surrogate (a JSON "\ud800" escape) has no UTF-8 bytes, so no artifact can hold such a label
+UNENCODABLE_LABELS = {
+    "quantity name": (
+        dict(BASE_DOC, quantities=[dict(BASE_DOC["quantities"][0], name="a\ud800"), *BASE_DOC["quantities"][1:]]),
+        "model 'model', quantity #0: 'name' 'a\\ud800' cannot be written as UTF-8",
+    ),
+    "unit label": (
+        json.loads(json.dumps(BASE_DOC).replace('"kg"', '"k\\ud800"')),
+        "model 'model': 'unit_system' label 'k\\ud800' cannot be written as UTF-8",
+    ),
+    "QoI name": (
+        dict(BASE_DOC, qoi=dict(BASE_DOC["qoi"], name="V\udfff")),
+        "model 'model' qoi: 'name' 'V\\udfff' cannot be written as UTF-8",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(UNENCODABLE_LABELS))
+def test_a_label_without_utf8_bytes_is_a_model_error_before_any_artifact(tmp_path, capsys, case):
+    doc, message = UNENCODABLE_LABELS[case]
+    out = tmp_path / "out"
+    assert run_command(["pi", write_model(tmp_path, doc), "--out", str(out)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [f"model error: {message} (surrogates not allowed)"]
+    assert not out.exists()
+
+
 # any text JSON must escape or may keep: non-ASCII, quotes, backslashes, control characters, DEL, surrogates
 json_strings = st.text() | st.text(st.sampled_from('a1 ~"\\\x00\x1f\x7f\u00e9\u2028\ud800\U0001f600'))
 plain_strings = st.text(st.characters(min_codepoint=0x20, max_codepoint=0x7E), max_size=8)
