@@ -20,16 +20,16 @@ probe (``_SETUP_PROBE``, ``import ridgelaw.cli``; ``ridgelaw_against.cli`` for
 REV), the two sides spawned in alternation, one unmeasured spawn each and
 then ``SETUP_PAIRS`` measured ones. Each side gets its own ``PYTHONPATH``;
 both run with ``-B`` and one fresh, empty ``PYTHONPYCACHEPREFIX``, so both
-compile from source.
+compile from source, the standard library included.
 
 Prints one JSON line: the median ratio and its interquartile range, the pair
 count, each side's fastest batch and median minor page faults per batch
 (``resource.getrusage``; they show where a change places the pass's large
 arrays), the failed commands and failed checks per side, the differing files,
 the start-up pairs (``setup``: median ratio, quartiles, each side's fastest
-spawn, sample count), the benchmark's ``stamp`` (seed, nproc, cpu, Python, numpy, commit) and the
-BLAS-thread settings. Exit 0 when no command
-and no check failed, 1 otherwise, 2 when the pairing cannot run. Differing
+spawn, sample count), the benchmark's ``stamp`` (seed, nproc, cpu, Python,
+numpy, commit) and the BLAS-thread settings. Exit 0 when no command and no
+check failed, 1 otherwise, 2 when the pairing cannot run. Differing
 files do not change the exit status: a change may move last digits by design,
 and the checks hold each side to the benchmark's tolerances.
 """
@@ -173,10 +173,10 @@ def setup_seconds(probe: str, home: Path, pycache: Path) -> float:
         raise PairError(f"the start-up probe took over {SETUP_TIMEOUT_S} s with PYTHONPATH={home}") from None
     if proc.returncode != 0:
         raise PairError(f"the start-up probe failed with PYTHONPATH={home}:\n{proc.stderr.strip()}")
-    stamp, module_file = proc.stdout.split("\n", 1)
+    end, module_file = proc.stdout.split("\n", 1)
     if not Path(module_file).resolve().is_relative_to(home.resolve()):
         raise PairError(f"the start-up probe imported {module_file}, not a module under {home}")
-    return float(stamp) - start
+    return float(end) - start
 
 
 def pair_setup(probe: str, export_dir: Path, pycache: Path, pairs: int = SETUP_PAIRS) -> dict:

@@ -74,7 +74,7 @@ def bench_modules(monkeypatch):
 def test_a_start_up_probe_that_cannot_load_from_its_home_stops_the_pairing(tmp_path, bench_modules):
     run, _ = bench_modules
     (tmp_path / "pycache").mkdir()
-    # an empty PYTHONPATH entry: the import fails, or finds a copy from elsewhere
+    # a home without the package: the import fails, or finds a copy from elsewhere
     with pytest.raises(bench_pair.PairError, match="start-up probe"):
         bench_pair.setup_seconds(run._SETUP_PROBE, tmp_path / "empty", tmp_path / "pycache")
     assert bench_pair.setup_seconds(run._SETUP_PROBE, ROOT / "src", tmp_path / "pycache") > 0
