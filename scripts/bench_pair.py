@@ -18,9 +18,12 @@ two sides is compared byte for byte.
 Then it pairs the start-up: fresh interpreters run the benchmark's set-up
 probe (``_SETUP_PROBE``, ``import ridgelaw.cli``; ``ridgelaw_against.cli`` for
 REV), the two sides spawned in alternation, one unmeasured spawn each and
-then ``SETUP_PAIRS`` measured ones. Each side gets its own ``PYTHONPATH``;
-both run with ``-B`` and one fresh, empty ``PYTHONPYCACHEPREFIX``, so both
-compile from source, the standard library included.
+then ``SETUP_PAIRS`` measured ones. Both load from the temporary directory,
+where a copy of this checkout's ``src/ridgelaw`` without ``__pycache__`` sits
+beside REV's export, and run with ``-B``: each compiles its package from
+source and reads the standard library's cached bytecode, which is what
+``bench/run.py``'s ``setup_s`` measures in a tree without cached bytecode
+under ``PYTHONDONTWRITEBYTECODE=1``.
 
 Prints one JSON line: the median ratio and its interquartile range, the pair
 count, each side's fastest batch and median minor page faults per batch
@@ -160,9 +163,15 @@ def ratio_stats(ratios) -> dict:
     return {"median_ratio": statistics.median(ratios), "ratio_q1": q1, "ratio_q3": q3, "iqr": q3 - q1}
 
 
-def setup_seconds(probe: str, home: Path, pycache: Path) -> float:
+def copy_this(into: Path) -> Path:
+    """This checkout's src/ridgelaw, copied under into without its cached bytecode."""
+    copied = shutil.copytree(ROOT / "src" / "ridgelaw", into / "ridgelaw", ignore=shutil.ignore_patterns("__pycache__"))
+    return Path(copied)
+
+
+def setup_seconds(probe: str, home: Path) -> float:
     """Seconds from spawning a fresh interpreter to the end of the probe's import, which must load from home."""
-    env = dict(os.environ, PYTHONPATH=str(home), PYTHONPYCACHEPREFIX=str(pycache))
+    env = dict(os.environ, PYTHONPATH=str(home))
     start = time.monotonic()  # CLOCK_MONOTONIC is shared with the child
     try:
         proc = subprocess.run(
@@ -179,13 +188,13 @@ def setup_seconds(probe: str, home: Path, pycache: Path) -> float:
     return float(end) - start
 
 
-def pair_setup(probe: str, export_dir: Path, pycache: Path, pairs: int = SETUP_PAIRS) -> dict:
-    """Start-up of both sides in fresh interpreters, spawned in alternation after one unmeasured spawn each."""
-    sides = {"this": (probe, ROOT / "src"), "against": (probe.replace("ridgelaw", AGAINST), export_dir)}
+def pair_setup(probe: str, home: Path, pairs: int = SETUP_PAIRS) -> dict:
+    """Start-up of both sides' packages under home, spawned in alternation after one unmeasured spawn each."""
+    probes = {"this": probe, "against": probe.replace("ridgelaw", AGAINST)}
     times = {"this": [], "against": []}
     for index in range(pairs + 1):  # spawn 0 of each side is the warm-up
         for side in ("this", "against") if index % 2 else ("against", "this"):
-            seconds = setup_seconds(*sides[side], pycache)
+            seconds = setup_seconds(probes[side], home)
             if index:
                 times[side].append(seconds)
     return {
@@ -218,8 +227,8 @@ def main(argv=None) -> int:
             export_dir = export_against(args.against, tmp).parent
             this, against = import_sides(export_dir)
             report = pair(workload, check_batch, run_batch, SEED, args.pairs, this, against, tmp / "work")
-            (tmp / "pycache").mkdir()
-            report["setup"] = pair_setup(_SETUP_PROBE, export_dir, tmp / "pycache")
+            copy_this(export_dir)
+            report["setup"] = pair_setup(_SETUP_PROBE, export_dir)
     except PairError as exc:
         print(f"bench_pair: {exc}", file=sys.stderr)
         return 2

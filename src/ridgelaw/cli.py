@@ -329,8 +329,8 @@ def _cmd_sweep(args):
     model = _recorded(args, args.model)
     result = convergence_sweep(model, args.steps, args.quad_order)
     payload = {
-        "model": result.model,
-        "quad_order": result.quad_order,
+        "model": model.name,
+        "quad_order": args.quad_order,
         "subspace_dim": result.subspace_dim,
         "entries": [[fmt_float(h), fmt_float(r2)] for h, r2 in result.entries],
         "slope": None if result.slope is None else fmt_float(result.slope),

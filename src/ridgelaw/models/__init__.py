@@ -7,7 +7,9 @@ that name, through importlib.resources; it is the signature of the built-in
 function of the same id: a file declaring ``"builtin": X`` (a full id) must
 declare the quantities of ``X.json`` (names and dimensions, in order) and its
 QoI dimension; only the ranges may differ.
-RE_CRITICAL, the shipped pipe models' regime switch, lives here, free of numpy.
+RE_CRITICAL, the shipped pipe models' regime switch, lives here, free of numpy
+and of the Pi algorithm: a model bound to its builtin computes its own
+decomposition (``pipeflow.BuiltinModel.decomposition``).
 """
 
 from __future__ import annotations
@@ -22,7 +24,6 @@ from typing import Optional, Tuple
 
 from ..dimensions import DimensionVector, QuantityDecl, UnitSystem, as_fraction, make_dimension
 from ..errors import ModelError
-from ..pigroups import PiDecomposition, build_dimension_matrix, pi_decomposition
 
 SHIPPED_MODELS = {"pipeflow_laminar": 1, "pipeflow_turbulent": 3}  # id: expected active-subspace dimension
 # critical Reynolds number of the shipped pipe models' regime switch
@@ -45,9 +46,6 @@ class ModelSpec:
     builtin: Optional[str] = None
     source: str = ""  # the shipped id, or the path that was read
     text: str = field(default="", repr=False)  # the file's text
-
-    def decomposition(self) -> PiDecomposition:
-        return pi_decomposition(build_dimension_matrix(self.quantities), self.qoi)
 
     def ranges(self) -> Tuple[Tuple[float, float], ...]:
         missing = [q.name for q in self.quantities if not q.has_range]

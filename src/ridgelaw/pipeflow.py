@@ -15,6 +15,8 @@ that order, which the loader enforces for every file naming a builtin.
 The tests, not binding, check each PIPE_LAW term's dimension against them.
 ``bind_builtin`` reads the active dimension from ``models.active_dim``, and
 ``BuiltinModel.routing`` counts the grid points that the law routes turbulent.
+``BuiltinModel.decomposition`` computes the model file's exact Pi decomposition,
+once per bound model, through this module's ``pi_decomposition`` binding.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ import numpy as np
 
 from .errors import ModelError
 from .models import RE_CRITICAL, ModelSpec, active_dim
-from .pigroups import PiDecomposition
+from .pigroups import PiDecomposition, build_dimension_matrix, pi_decomposition
 from .quadrature import TensorGrid, tensor_grid
 
 
@@ -144,8 +146,9 @@ class LogSpaceVelocity:
         n, m = Y.shape
         # every exp(h e_i) of every step, with the bits of the scalar np.exp(h * e_i)
         scales = np.exp(np.multiply.outer(np.asarray(steps, dtype=float), _EXPONENTS))
-        # exact, so -2 P times exp(h e_i) has the bits of -2 times the scaled P, as in combine
-        minus_2P = P * -2.0
+        # exact, so -2 P times exp(h e_i) has the bits of -2 times the scaled P, as in combine;
+        # written over P, which is not read again
+        minus_2P = np.multiply(P, -2.0, out=P)
         rows, log_sum, scratch = np.empty((m, n)), np.empty(n), np.empty(n)
         laminar = np.empty(n, dtype=bool)
         for scale in scales:
@@ -179,7 +182,7 @@ class BuiltinModel:
 
     @cached_property
     def decomposition(self) -> PiDecomposition:
-        return self.spec.decomposition()
+        return pi_decomposition(build_dimension_matrix(self.spec.quantities), self.spec.qoi)
 
     def grid(self, quad_order: int) -> TensorGrid:
         return tensor_grid(quad_order, self.spec.log_bounds())

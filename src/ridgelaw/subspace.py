@@ -126,8 +126,6 @@ def fit_loglog_slope(pairs: Sequence[Tuple[float, float]]) -> Optional[float]:
 class SweepResult:
     """Inclusion residuals across finite-difference steps, plus the fitted slope."""
 
-    model: str
-    quad_order: int
     subspace_dim: int
     entries: Tuple[Tuple[float, float], ...]  # (h, r2), h descending
     slope: Optional[float]
@@ -170,8 +168,6 @@ def convergence_sweep(
         report = inclusion_residual(basis, enclosing)
         entries.append((h, report.total))
     return SweepResult(
-        model=model.name,
-        quad_order=quad_order,
         subspace_dim=k,
         entries=tuple(entries),
         slope=fit_loglog_slope(entries),

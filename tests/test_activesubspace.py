@@ -657,7 +657,7 @@ def test_trailing_eigenvalues_stay_under_fd_noise_envelope(laminar_model, turbul
 
 
 def test_pass_working_memory_stays_under_2_mb(turbulent_model):
-    # the order-11 turbulent pass (161 051 points, six steps) peaks near 1.98 MB with chunks of
+    # the order-11 turbulent pass (161 051 points, six steps) peaks near 1.92 MB with chunks of
     # 8192 points, since the per-chunk product array; 16384-point chunks peak near 4 MB and the
     # whole grid's points alone take 6.4 MB
     grid = turbulent_model.grid(11)

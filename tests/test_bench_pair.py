@@ -73,12 +73,12 @@ def bench_modules(monkeypatch):
 
 def test_a_start_up_probe_that_cannot_load_from_its_home_stops_the_pairing(tmp_path, bench_modules):
     run, _ = bench_modules
-    (tmp_path / "pycache").mkdir()
     # a home without the package: the import fails, or finds a copy from elsewhere
     with pytest.raises(bench_pair.PairError, match="start-up probe"):
-        bench_pair.setup_seconds(run._SETUP_PROBE, tmp_path / "empty", tmp_path / "pycache")
-    assert bench_pair.setup_seconds(run._SETUP_PROBE, ROOT / "src", tmp_path / "pycache") > 0
-    assert list((tmp_path / "pycache").iterdir()) == []  # -B: nothing is compiled into the prefix
+        bench_pair.setup_seconds(run._SETUP_PROBE, tmp_path / "empty")
+    package = bench_pair.copy_this(tmp_path / "home")
+    assert bench_pair.setup_seconds(run._SETUP_PROBE, tmp_path / "home") > 0
+    assert list(package.rglob("__pycache__")) == []  # copied without bytecode, and -B writes none
 
 
 class WritingCli:

@@ -14,7 +14,6 @@ TRACER = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
 # the bindings that have been gone since the package stopped binding them (ROADMAP, "What fails and why");
 # the tracer mend deletes them from PATCH_POINTS
 STALE = {
-    "ridgelaw.pipeflow.pi_decomposition",
     "ridgelaw.cli.tensor_grid",
     "ridgelaw.cli.estimate_subspace",
     "ridgelaw.subspace.estimate_subspace",

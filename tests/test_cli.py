@@ -22,6 +22,7 @@ from ridgelaw import pipeflow, quadrature
 from ridgelaw.cli import _json_text, build_parser, fmt_float, load_model, run_command
 from ridgelaw.errors import ModelError
 from ridgelaw.models import SHIPPED_MODELS
+from ridgelaw.pigroups import build_dimension_matrix, pi_decomposition
 from ridgelaw.quadrature import DEFAULT_CHUNK, MAX_GRID_POINTS, TensorGrid
 
 
@@ -53,7 +54,7 @@ class TestLoadModel:
             (1.0e-3, 1.0e-1),
             (1.0e-9, 1.0e-7),
         )
-        decomp = spec.decomposition()
+        decomp = pi_decomposition(build_dimension_matrix(spec.quantities), spec.qoi)
         assert decomp.rank == 3 and decomp.n == 2
         assert spec.builtin == "pipeflow_laminar"
 
@@ -70,7 +71,7 @@ class TestLoadModel:
         spec = load_model(write_model(tmp_path, doc))
         with pytest.warns(UserWarning, match="rank"):
             with pytest.raises(ModelError, match="cannot be formed"):
-                spec.decomposition()
+                pi_decomposition(build_dimension_matrix(spec.quantities), spec.qoi)
 
     def test_qoi_must_not_be_an_input(self, tmp_path):
         doc = json.loads(json.dumps(BASE_DOC))

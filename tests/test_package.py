@@ -104,6 +104,18 @@ def test_a_name_loads_only_its_own_layer(name):
         assert "numpy" in loaded and not loaded & MODEL_CODE, sorted(loaded)
 
 
+def test_re_critical_loads_the_model_files_module_without_the_pi_algorithm():
+    # a bound model computes its own decomposition, in pipeflow; the model-file schema needs none
+    loaded = set(
+        _fresh(
+            "import json, sys, ridgelaw; ridgelaw.RE_CRITICAL; "
+            "print(json.dumps([m for m in sys.modules if m.split('.')[0] == 'ridgelaw']))"
+        )
+    )
+    assert {"ridgelaw.models", "ridgelaw.dimensions", "ridgelaw.errors"} <= loaded, sorted(loaded)
+    assert "ridgelaw.pigroups" not in loaded, sorted(loaded)
+
+
 def test_constancy_directions_lives_with_the_inclusion_test():
     # one module, one QR routine, for both halves of the orthogonal split
     assert ridgelaw.constancy_directions is importlib.import_module("ridgelaw.subspace").constancy_directions
