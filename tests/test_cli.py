@@ -442,6 +442,14 @@ class TestSweepCommand:
         assert captured.out == ""
         assert captured.err == "usage error: sweep needs strictly descending step sizes, got [1e-05, 0.001]\n"
 
+    def test_reports_the_bound_models_builtin_id_and_the_requested_order(self, tmp_path, capsys):
+        # a file's stem is not the model's name: the sweep names the builtin it binds
+        path = write_model(tmp_path, _shipped_laminar_doc(), name="my_pipe.json")
+        assert run_command(["sweep", "--model", path, "--steps", "1e-3,1e-4", "--quad-order", "3"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["model"] == "pipeflow_laminar"
+        assert payload["quad_order"] == 3
+
     def test_model_file_prints_the_same_bytes_as_its_builtin_id(self, tmp_path, capsys):
         path = write_model(tmp_path, _shipped_laminar_doc(), name="copy.json")
         argv = ["--steps", "1e-3,1e-4", "--quad-order", "3"]

@@ -601,6 +601,24 @@ class TestBuiltinModel:
         )
         assert np.array_equal(Df, expected)
 
+    def test_decomposition_runs_once_per_bound_model_through_pipeflows_binding(self, monkeypatch):
+        from ridgelaw import pigroups
+
+        calls = []
+
+        def counted(D, qoi):
+            calls.append(qoi)
+            return pigroups.pi_decomposition(D, qoi)
+
+        monkeypatch.setattr(pipeflow, "pi_decomposition", counted)
+        spec = load_model("turbulent")
+        model = bind_builtin(spec)
+        first = model.decomposition
+        assert model.decomposition is first
+        assert calls == [spec.qoi]
+        expected = pigroups.pi_decomposition(pigroups.build_dimension_matrix(spec.quantities), spec.qoi)
+        assert (first.rank, first.n, first.A) == (expected.rank, expected.n, expected.A)
+
     def test_log_bounds_are_logs_of_table(self, turbulent_model):
         spec = turbulent_model.spec
         for (lo, hi), (llo, lhi) in zip(spec.ranges(), spec.log_bounds()):
