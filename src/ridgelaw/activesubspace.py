@@ -21,11 +21,11 @@ whose product is not finite is drawn again to name the value.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from ._value import Value
 from .errors import EvaluationError, ModelError, NumericalError
 from .quadrature import TensorGrid
 
@@ -35,13 +35,16 @@ _GAP_REL = 1e-12
 _ORTHO_TOL = 1e-10
 
 
-@dataclass(frozen=True)
-class SubspaceEstimate:
+class SubspaceEstimate(Value):
     """Descending eigenvalues and orthonormal eigenvectors of an estimated C."""
 
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-    clamped: bool = False  # an eigenvalue at the rounding floor was zeroed; zero ones have arbitrary eigenvectors
+    def __init__(
+        self,
+        eigenvalues: np.ndarray,
+        eigenvectors: np.ndarray,
+        clamped: bool = False,  # an eigenvalue at the rounding floor was zeroed; zero ones have arbitrary eigenvectors
+    ):
+        self._set(eigenvalues=eigenvalues, eigenvectors=eigenvectors, clamped=clamped)
 
 
 def _columns(B) -> np.ndarray:

@@ -9,10 +9,10 @@ exact zeros rather than rank decisions made through floating-point noise.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Tuple, Union
 
+from ._value import Value
 from .errors import ModelError
 
 RationalLike = Union[int, str, Fraction]
@@ -45,15 +45,11 @@ def as_fraction(value: RationalLike) -> Fraction:
     raise ModelError(f"exponent must be an int, Fraction, or 'p/q' string, got {type(value).__name__}")
 
 
-@dataclass(frozen=True)
-class UnitSystem:
+class UnitSystem(Value):
     """Ordered set of fundamental-unit labels, e.g. ("kg", "m", "s")."""
 
-    unit_names: Tuple[str, ...]
-
-    def __post_init__(self):
-        names = tuple(self.unit_names)
-        object.__setattr__(self, "unit_names", names)
+    def __init__(self, unit_names: Iterable[str]):
+        names = tuple(unit_names)
         if not 1 <= len(names) <= MAX_FUNDAMENTAL_UNITS:
             raise ModelError(
                 f"a unit system needs between 1 and {MAX_FUNDAMENTAL_UNITS} "
@@ -63,6 +59,7 @@ class UnitSystem:
             raise ModelError("unit labels must be non-empty strings")
         if len(set(names)) != len(names):
             raise ModelError(f"unit labels must be unique, got {names}")
+        self._set(unit_names=names)
 
     @property
     def k(self) -> int:
@@ -77,25 +74,20 @@ class UnitSystem:
             ) from None
 
 
-@dataclass(frozen=True)
-class DimensionVector:
+class DimensionVector(Value):
     """Exponents of a quantity's units over a system's fundamental units."""
 
-    exponents: Tuple[Fraction, ...]
-    system: UnitSystem
-
-    def __post_init__(self):
-        exps = tuple(e if type(e) is Fraction else as_fraction(e) for e in self.exponents)
-        object.__setattr__(self, "exponents", exps)
-        if len(exps) != self.system.k:
+    def __init__(self, exponents: Iterable[RationalLike], system: UnitSystem):
+        exps = tuple(e if type(e) is Fraction else as_fraction(e) for e in exponents)
+        if len(exps) != system.k:
             raise ModelError(
                 f"dimension vector has {len(exps)} exponents but the system "
-                f"has {self.system.k} units"
+                f"has {system.k} units"
             )
+        self._set(exponents=exps, system=system)
 
 
-@dataclass(frozen=True)
-class QuantityDecl:
+class QuantityDecl(Value):
     """A named physical quantity with units and (optional) positive range.
 
     Ranges bound the quantity in its own units and must be strictly positive
@@ -103,25 +95,26 @@ class QuantityDecl:
     that are only nondimensionalized, never sampled.
     """
 
-    name: str
-    dimension: DimensionVector
-    range_lo: Optional[float] = None
-    range_hi: Optional[float] = None
-
-    def __post_init__(self):
-        if not self.name:
+    def __init__(
+        self,
+        name: str,
+        dimension: DimensionVector,
+        range_lo: Optional[float] = None,
+        range_hi: Optional[float] = None,
+    ):
+        if not name:
             raise ModelError("quantity name must be non-empty")
-        if (self.range_lo is None) != (self.range_hi is None):
-            raise ModelError(f"quantity {self.name!r}: give both range bounds or neither")
-        if self.range_lo is not None:
-            lo, hi = float(self.range_lo), float(self.range_hi)
+        if (range_lo is None) != (range_hi is None):
+            raise ModelError(f"quantity {name!r}: give both range bounds or neither")
+        if range_lo is not None:
+            lo, hi = float(range_lo), float(range_hi)
             if not (0.0 < lo < hi):
                 raise ModelError(
-                    f"quantity {self.name!r}: range must satisfy 0 < lo < hi, "
-                    f"got ({self.range_lo}, {self.range_hi})"
+                    f"quantity {name!r}: range must satisfy 0 < lo < hi, "
+                    f"got ({range_lo}, {range_hi})"
                 )
-            object.__setattr__(self, "range_lo", lo)
-            object.__setattr__(self, "range_hi", hi)
+            range_lo, range_hi = lo, hi
+        self._set(name=name, dimension=dimension, range_lo=range_lo, range_hi=range_hi)
 
     @property
     def has_range(self) -> bool:

@@ -6,7 +6,9 @@ resolved by id or short form (``short_form``: 'laminar'), before any file of
 that name, through importlib.resources; it is the signature of the built-in
 function of the same id: a file declaring ``"builtin": X`` (a full id) must
 declare the quantities of ``X.json`` (names and dimensions, in order) and its
-QoI dimension; only the ranges may differ.
+QoI dimension; only the ranges may differ. importlib.resources is imported on
+the first read of a shipped file, so a run that reads none (a file naming no
+builtin, ``inclusion``, --help) skips it.
 RE_CRITICAL, the shipped pipe models' regime switch, lives here, free of numpy
 and of the Pi algorithm: a model bound to its builtin computes its own
 decomposition (``pipeflow.BuiltinModel.decomposition``).
@@ -17,11 +19,10 @@ from __future__ import annotations
 import functools
 import json
 import sys
-from dataclasses import dataclass, field
-from importlib import resources
 from pathlib import Path
 from typing import Optional, Tuple
 
+from .._value import Value
 from ..dimensions import DimensionVector, QuantityDecl, UnitSystem, as_fraction, make_dimension
 from ..errors import ModelError
 
@@ -35,17 +36,24 @@ def short_form(model_id: str) -> str:
     return model_id.removeprefix("pipeflow_")
 
 
-@dataclass(frozen=True)
-class ModelSpec:
+class ModelSpec(Value):
     """Validated model file: unit system, quantities, QoI dimension, optional builtin id."""
 
-    name: str
-    system: UnitSystem
-    quantities: Tuple[QuantityDecl, ...]
-    qoi: DimensionVector
-    builtin: Optional[str] = None
-    source: str = ""  # the shipped id, or the path that was read
-    text: str = field(default="", repr=False)  # the file's text
+    _unshown = ("text",)
+
+    def __init__(
+        self,
+        name: str,
+        system: UnitSystem,
+        quantities: Tuple[QuantityDecl, ...],
+        qoi: DimensionVector,
+        builtin: Optional[str] = None,
+        source: str = "",  # the shipped id, or the path that was read
+        text: str = "",  # the file's text
+    ):
+        self._set(
+            name=name, system=system, quantities=quantities, qoi=qoi, builtin=builtin, source=source, text=text
+        )
 
     def ranges(self) -> Tuple[Tuple[float, float], ...]:
         missing = [q.name for q in self.quantities if not q.has_range]
@@ -210,6 +218,8 @@ def _parse(text: str, name: str, source: str) -> ModelSpec:
 
 @functools.lru_cache(maxsize=None)
 def _load_shipped(model_id: str) -> ModelSpec:
+    from importlib import resources  # ~10 ms that a run reading no shipped file skips
+
     text = resources.files(__name__).joinpath(f"{model_id}.json").read_bytes().decode()
     return _parse(text, model_id, model_id)
 

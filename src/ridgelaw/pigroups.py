@@ -19,10 +19,10 @@ from __future__ import annotations
 import math
 import operator
 import warnings
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Sequence, Tuple
 
+from ._value import Value
 from .dimensions import DimensionVector, QuantityDecl, UnitSystem, is_dimensionless
 from .errors import ModelError
 
@@ -31,22 +31,17 @@ RationalMatrix = Tuple[RationalVector, ...]  # tuple of rows
 IntegerMatrix = Tuple[Tuple[int, ...], ...]  # tuple of rows of Python ints
 
 
-@dataclass(frozen=True)
-class DimensionMatrix:
+class DimensionMatrix(Value):
     """k x m matrix whose columns are the dimension vectors of m quantities."""
 
-    entries: RationalMatrix
-    column_names: Tuple[str, ...]
-    system: UnitSystem
-
-    def __post_init__(self):
-        rows = tuple(tuple(e for e in row) for row in self.entries)
-        object.__setattr__(self, "entries", rows)
-        object.__setattr__(self, "column_names", tuple(self.column_names))
-        if len(rows) != self.system.k:
+    def __init__(self, entries: Sequence[Sequence[Fraction]], column_names: Sequence[str], system: UnitSystem):
+        rows = tuple(map(tuple, entries))
+        column_names = tuple(column_names)
+        if len(rows) != system.k:
             raise ModelError("dimension matrix must have one row per fundamental unit")
-        if any(len(row) != len(self.column_names) for row in rows):
+        if any(len(row) != len(column_names) for row in rows):
             raise ModelError("dimension matrix rows must match the number of quantities")
+        self._set(entries=rows, column_names=column_names, system=system)
 
     @property
     def k(self) -> int:
@@ -57,8 +52,7 @@ class DimensionMatrix:
         return len(self.column_names)
 
 
-@dataclass(frozen=True)
-class PiDecomposition:
+class PiDecomposition(Value):
     """Particular solution w, null basis W, and the assembled matrix A = [w | W].
 
     W's entries are ints and w's are Fractions; A's rows reuse both objects.
@@ -68,11 +62,15 @@ class PiDecomposition:
     that no scaling prefactor is needed).
     """
 
-    w: RationalVector
-    W: IntegerMatrix  # m rows, n columns
-    A: RationalMatrix  # m rows, n+1 columns (n columns when qoi_dimensionless)
-    rank: int
-    qoi_dimensionless: bool = False
+    def __init__(
+        self,
+        w: RationalVector,
+        W: IntegerMatrix,  # m rows, n columns
+        A: RationalMatrix,  # m rows, n+1 columns (n columns when qoi_dimensionless)
+        rank: int,
+        qoi_dimensionless: bool = False,
+    ):
+        self._set(w=w, W=W, A=A, rank=rank, qoi_dimensionless=qoi_dimensionless)
 
     @property
     def m(self) -> int:

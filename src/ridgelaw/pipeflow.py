@@ -22,12 +22,12 @@ once per bound model, through this module's ``pi_decomposition`` binding.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
+from ._value import Value
 from .errors import ModelError
 from .models import RE_CRITICAL, ModelSpec, active_dim
 from .pigroups import PiDecomposition, build_dimension_matrix, pi_decomposition
@@ -119,11 +119,11 @@ def evaluate_state(rho, mu, diam, eps, dpdl, re_critical: float = RE_CRITICAL):
     return numbers, "turbulent" if turbulent else "laminar"
 
 
-@dataclass(frozen=True)
-class LogSpaceVelocity:
+class LogSpaceVelocity(Value):
     """Bulk velocity as a function of log quantities: one value per row of x, or for one point."""
 
-    re_critical: float = RE_CRITICAL
+    def __init__(self, re_critical: float = RE_CRITICAL):
+        self._set(re_critical=re_critical)
 
     def __call__(self, x):
         return combine(_terms(x), self.re_critical)[0]
@@ -168,13 +168,16 @@ class LogSpaceVelocity:
             yield rows
 
 
-@dataclass(frozen=True)
-class BuiltinModel:
+class BuiltinModel(Value):
     """A model file bound to the built-in velocity function it names."""
 
-    spec: ModelSpec
-    f: Callable
-    active_dim: int  # expected active-subspace dimension for this regime
+    def __init__(
+        self,
+        spec: ModelSpec,
+        f: Callable,
+        active_dim: int,  # expected active-subspace dimension for this regime
+    ):
+        self._set(spec=spec, f=f, active_dim=active_dim)
 
     @property
     def name(self) -> str:

@@ -13,10 +13,11 @@ A grid holds at most MAX_GRID_POINTS points.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence, Tuple
 
 import numpy as np
+
+from ._value import Value
 
 # points per chunk of the finite-difference pass: the model is evaluated and
 # the outer products summed once per chunk, which bounds the pass's working
@@ -27,12 +28,11 @@ DEFAULT_CHUNK = 8192
 MAX_GRID_POINTS = 10**9
 
 
-@dataclass(frozen=True)
-class QuadratureRule1D:
+class QuadratureRule1D(Value):
     """Nodes and weights on [-1, 1]; exact for polynomials up to degree 2n - 1 for n nodes."""
 
-    nodes: np.ndarray
-    weights: np.ndarray
+    def __init__(self, nodes: np.ndarray, weights: np.ndarray):
+        self._set(nodes=nodes, weights=weights)
 
 
 @functools.cache
@@ -57,8 +57,7 @@ def gauss_legendre(order: int) -> QuadratureRule1D:
     return QuadratureRule1D(nodes=nodes, weights=weights)
 
 
-@dataclass(frozen=True)
-class TensorGrid:
+class TensorGrid(Value):
     """Tensor-product Gauss-Legendre grid over a box, uniform-density weights.
 
     ``mapped_nodes[d]`` holds the order nodes affinely mapped into dimension
@@ -68,10 +67,14 @@ class TensorGrid:
     pins the accumulation order for bit-reproducible sums.
     """
 
-    order: int
-    bounds: Tuple[Tuple[float, float], ...]
-    mapped_nodes: np.ndarray  # shape (ndim, order)
-    unit_weights: np.ndarray  # shape (order,), sums to 1 per dimension
+    def __init__(
+        self,
+        order: int,
+        bounds: Tuple[Tuple[float, float], ...],
+        mapped_nodes: np.ndarray,  # shape (ndim, order)
+        unit_weights: np.ndarray,  # shape (order,), sums to 1 per dimension
+    ):
+        self._set(order=order, bounds=bounds, mapped_nodes=mapped_nodes, unit_weights=unit_weights)
 
     @property
     def ndim(self) -> int:

@@ -16,11 +16,11 @@ code loads here: the sweep is handed its model, which also counts the routing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from ._value import Value
 from .activesubspace import SubspaceEstimate, _columns, active_subspace, estimate_subspaces
 from .errors import ModelError, NumericalError
 
@@ -32,15 +32,24 @@ _ANNIHILATION_TOL = 1e-12
 _SLOPE_FLOOR = 1e-24  # residuals below this are rounding noise; excluded from fits
 
 
-@dataclass(frozen=True)
-class InclusionReport:
+class InclusionReport(Value):
     """Per-column squared residuals of candidate-in-enclosing least squares."""
 
-    per_column_residuals: Tuple[float, ...]
-    total: float
-    dims: Tuple[int, int]  # (candidate columns, enclosing columns)
-    candidate_condition: float
-    enclosing_condition: float
+    def __init__(
+        self,
+        per_column_residuals: Tuple[float, ...],
+        total: float,
+        dims: Tuple[int, int],  # (candidate columns, enclosing columns)
+        candidate_condition: float,
+        enclosing_condition: float,
+    ):
+        self._set(
+            per_column_residuals=per_column_residuals,
+            total=total,
+            dims=dims,
+            candidate_condition=candidate_condition,
+            enclosing_condition=enclosing_condition,
+        )
 
 
 def _orthonormalize(B: np.ndarray, name: str, mode: str = "reduced") -> np.ndarray:
@@ -122,14 +131,17 @@ def fit_loglog_slope(pairs: Sequence[Tuple[float, float]]) -> Optional[float]:
     return float(slope)
 
 
-@dataclass(frozen=True)
-class SweepResult:
+class SweepResult(Value):
     """Inclusion residuals across finite-difference steps, plus the fitted slope."""
 
-    subspace_dim: int
-    entries: Tuple[Tuple[float, float], ...]  # (h, r2), h descending
-    slope: Optional[float]
-    estimate: Optional[SubspaceEstimate] = None  # full estimate at the sweep's fd_step
+    def __init__(
+        self,
+        subspace_dim: int,
+        entries: Tuple[Tuple[float, float], ...],  # (h, r2), h descending
+        slope: Optional[float],
+        estimate: Optional[SubspaceEstimate] = None,  # full estimate at the sweep's fd_step
+    ):
+        self._set(subspace_dim=subspace_dim, entries=entries, slope=slope, estimate=estimate)
 
 
 def convergence_sweep(

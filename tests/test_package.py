@@ -121,3 +121,35 @@ def test_constancy_directions_lives_with_the_inclusion_test():
     assert ridgelaw.constancy_directions is importlib.import_module("ridgelaw.subspace").constancy_directions
     with pytest.raises(ModuleNotFoundError):
         importlib.import_module("ridgelaw.ridge")
+
+
+# every module of the package but __main__, which runs the command line on import
+PACKAGE = Path(ridgelaw.__file__).parent
+MODULES = sorted(
+    ".".join(("ridgelaw", *path.relative_to(PACKAGE).with_suffix("").parts)).removesuffix(".__init__")
+    for path in PACKAGE.rglob("*.py")
+    if path.name != "__main__.py"
+)
+
+
+def test_the_command_line_loads_neither_dataclasses_nor_inspect():
+    # the value classes share one small base; dataclasses and the inspect it imports took a third of the import
+    loaded = _fresh(
+        "import contextlib, io, json, sys, ridgelaw.cli\n"
+        "probe = lambda: [m for m in ('dataclasses', 'inspect') if m in sys.modules]\n"
+        "steps = [probe()]\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = ridgelaw.cli.run_command(['pi', 'pipeflow_turbulent'])\n"
+        "print(json.dumps([code, steps[0], probe()]))\n"
+    )
+    assert loaded == [0, [], []]
+
+
+def test_numpy_and_every_module_load_no_dataclasses():
+    assert len(MODULES) == 11 and "ridgelaw.models" in MODULES, MODULES
+    loaded = _fresh(
+        "import importlib, json, sys, numpy\n"
+        f"for name in {MODULES!r}: importlib.import_module(name)\n"
+        "print(json.dumps([m for m in sys.modules if m == 'dataclasses' or m.startswith('ridgelaw')]))"
+    )
+    assert sorted(loaded) == MODULES

@@ -1,7 +1,6 @@
 """The pipe-flow virtual laboratory: velocity laws, regime switch, built-in models."""
 
 import collections
-import dataclasses
 import itertools
 import json
 import math
@@ -14,7 +13,7 @@ import pytest
 from ridgelaw import activesubspace, pipeflow, quadrature
 from ridgelaw.activesubspace import estimate_C, estimate_subspaces, pullback_T
 from ridgelaw.errors import ModelError
-from ridgelaw.models import SHIPPED_MODELS, load_model
+from ridgelaw.models import SHIPPED_MODELS, ModelSpec, load_model
 from ridgelaw.pipeflow import (
     RE_CRITICAL,
     LogSpaceVelocity,
@@ -654,7 +653,10 @@ class TestBuiltinModel:
         assert turbulent_model.active_dim == 3
 
     def test_an_unshipped_builtin_id_is_a_model_error_that_names_the_shipped_ids(self):
-        spec = dataclasses.replace(load_model("laminar"), builtin="pipeflow_plasma")
+        laminar = load_model("laminar")
+        spec = ModelSpec(
+            laminar.name, laminar.system, laminar.quantities, laminar.qoi, "pipeflow_plasma", laminar.source, laminar.text
+        )
         with pytest.raises(
             ModelError,
             match=r"^model 'pipeflow_laminar': unknown builtin id 'pipeflow_plasma'; "

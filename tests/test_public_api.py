@@ -1,7 +1,6 @@
-"""Every exported name, and every public method, property or dataclass field
-of an exported class, has a user besides the tests."""
+"""Every exported name, and every public method, property or field of an
+exported class, has a user besides the tests."""
 
-import dataclasses
 import functools
 import inspect
 import math
@@ -11,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import ridgelaw
+from ridgelaw._value import Value
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "ridgelaw"
@@ -32,7 +32,7 @@ def test_exported_name_is_used_outside_its_definition(name):
 
 
 def _public_members():
-    """(class, member) for each public method, property or dataclass field an exported class defines."""
+    """(class, member) for each public method, property or field an exported class defines."""
     kinds = (property, functools.cached_property, classmethod, staticmethod)
     for name in ridgelaw.__all__:
         cls = getattr(ridgelaw, name)
@@ -40,10 +40,10 @@ def _public_members():
             for attr, member in vars(cls).items():
                 if not attr.startswith("_") and (inspect.isfunction(member) or isinstance(member, kinds)):
                     yield name, attr
-            if dataclasses.is_dataclass(cls):
-                for field in dataclasses.fields(cls):
-                    if not field.name.startswith("_"):
-                        yield name, field.name
+            if issubclass(cls, Value):
+                for field in cls._fields:
+                    if not field.startswith("_"):
+                        yield name, field
 
 
 @pytest.mark.parametrize("cls, attr", sorted(_public_members()))

@@ -1,14 +1,12 @@
 """Inclusion residuals and the convergence sweep."""
 
-import dataclasses
-
 import numpy as np
 import pytest
 
 from ridgelaw.activesubspace import eigendecompose, estimate_C
 from ridgelaw.errors import ModelError, NumericalError
 from ridgelaw.models import load_model
-from ridgelaw.pipeflow import bind_builtin
+from ridgelaw.pipeflow import BuiltinModel, bind_builtin
 from ridgelaw.subspace import (
     SweepResult,
     convergence_sweep,
@@ -185,7 +183,7 @@ class TestConvergenceSweep:
         # active subspace leaves span(A) and r2 stays put as h shrinks, while
         # the homogeneous model's r2 falls to rounding level
         base = bind_builtin(load_model(regime))
-        lurking = dataclasses.replace(base, f=lambda x: base.f(x) * np.exp(0.3 * x[..., 0]))
+        lurking = BuiltinModel(base.spec, lambda x: base.f(x) * np.exp(0.3 * x[..., 0]), base.active_dim)
         steps = [1e-4, 1e-5, 1e-6]
         r2 = [r for _, r in convergence_sweep(lurking, steps, quad_order=5).entries]
         assert r2[-1] >= 1e-3
