@@ -19,10 +19,10 @@ double quote, CR or LF, which only a label can.
 
 Only the exact layer is imported at module level: the estimating
 subcommands import numpy and the estimation modules inside their functions,
-so ``pi``, --help, --version and usage errors run without numpy. Nor does the
-import load ``dataclasses`` or ``inspect``: the value classes share one small
-immutable base, ``ridgelaw._value.Value``. ``importlib.resources`` loads only
-when a shipped model file is read. The parser
+so ``pi``, --help, --version and usage errors run without numpy. The value
+classes share one small immutable base, ``ridgelaw._value.Value``, so the
+import loads no ``inspect`` either; ``importlib.resources`` loads only when a
+shipped model file is read. The parser
 does not depend on argv: ``build_parser`` builds it on the first call, not at
 import, and every later ``run_command`` in the process reuses it.
 
