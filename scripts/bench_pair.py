@@ -18,12 +18,13 @@ two sides is compared byte for byte.
 Then it pairs the start-up: fresh interpreters run the benchmark's set-up
 probe (``_SETUP_PROBE``, ``import ridgelaw.cli``; ``ridgelaw_against.cli`` for
 REV), the two sides spawned in alternation, one unmeasured spawn each and
-then ``SETUP_PAIRS`` measured ones. Both load from the temporary directory,
-where a copy of this checkout's ``src/ridgelaw`` without ``__pycache__`` sits
-beside REV's export, and run with ``-B``: each compiles its package from
-source and reads the standard library's cached bytecode, which is what
-``bench/run.py``'s ``setup_s`` measures in a tree without cached bytecode
-under ``PYTHONDONTWRITEBYTECODE=1``.
+then as many measured pairs as there are batch pairs (``--pairs``). Both load
+from the temporary directory, where a copy of this checkout's
+``src/ridgelaw`` without ``__pycache__`` sits beside REV's export, and run
+with ``-B``: each compiles its package from source and reads the standard
+library's cached bytecode, which is what ``bench/run.py``'s ``setup_s``
+measures in a tree without cached bytecode under
+``PYTHONDONTWRITEBYTECODE=1``.
 
 Prints one JSON line: the median ratio and its interquartile range, the pair
 count, each side's fastest batch and median minor page faults per batch
@@ -62,7 +63,6 @@ SEED = 1  # the batches' inputs, as in scripts/bench_record.py
 # an import statement that names the package absolutely
 _ABSOLUTE_IMPORT = re.compile(r"^\s*(?:from|import)\s+ridgelaw\b", re.MULTILINE)
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
-SETUP_PAIRS = 10  # measured spawns per side
 SETUP_TIMEOUT_S = 60
 
 
@@ -188,7 +188,7 @@ def setup_seconds(probe: str, home: Path) -> float:
     return float(end) - start
 
 
-def pair_setup(probe: str, home: Path, pairs: int = SETUP_PAIRS) -> dict:
+def pair_setup(probe: str, home: Path, pairs: int) -> dict:
     """Start-up of both sides' packages under home, spawned in alternation after one unmeasured spawn each."""
     probes = {"this": probe, "against": probe.replace("ridgelaw", AGAINST)}
     times = {"this": [], "against": []}
@@ -228,7 +228,7 @@ def main(argv=None) -> int:
             this, against = import_sides(export_dir)
             report = pair(workload, check_batch, run_batch, SEED, args.pairs, this, against, tmp / "work")
             copy_this(export_dir)
-            report["setup"] = pair_setup(_SETUP_PROBE, export_dir)
+            report["setup"] = pair_setup(_SETUP_PROBE, export_dir, args.pairs)
     except PairError as exc:
         print(f"bench_pair: {exc}", file=sys.stderr)
         return 2

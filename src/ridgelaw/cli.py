@@ -21,10 +21,10 @@ Only the exact layer is imported at module level: the estimating
 subcommands import numpy and the estimation modules inside their functions,
 so ``pi``, --help, --version and usage errors run without numpy. The value
 classes share one small immutable base, ``ridgelaw._value.Value``, so the
-import loads no ``inspect`` either; ``importlib.resources`` loads only when a
-shipped model file is read. The parser
-does not depend on argv: ``build_parser`` builds it on the first call, not at
-import, and every later ``run_command`` in the process reuses it.
+import loads no ``inspect`` either, and shipped model files are read as plain
+files, without ``importlib.resources``. The parser does not depend on argv:
+``build_parser`` builds it on the first call, not at import, and every later
+``run_command`` in the process reuses it.
 
 Exit codes: 0 success, 2 usage error (one ``usage error:`` line, argparse's
 errors included), 3 model/schema error, 4 numerical failure.
@@ -271,19 +271,21 @@ def _load_matrix_csv(path: str):
 
 
 def _cmd_inclusion(args):
+    import numpy as np
+
     from .subspace import inclusion_residual
 
     candidate = _load_matrix_csv(args.candidate)
     enclosing = _load_matrix_csv(args.enclosing)
-    report = inclusion_residual(candidate, enclosing)
+    report = inclusion_residual(candidate, enclosing)  # first: it rejects what cond should not see
     payload = {
         "candidate": args.candidate,
         "enclosing": args.enclosing,
-        "dims": list(report.dims),
+        "dims": [candidate.shape[1], enclosing.shape[1]],
         "per_column_residuals": [fmt_float(r) for r in report.per_column_residuals],
         "r2": fmt_float(report.total),
-        "candidate_condition": fmt_float(report.candidate_condition),
-        "enclosing_condition": fmt_float(report.enclosing_condition),
+        "candidate_condition": fmt_float(np.linalg.cond(candidate)),
+        "enclosing_condition": fmt_float(np.linalg.cond(enclosing)),
     }
     return "inclusion.json", payload, {}
 

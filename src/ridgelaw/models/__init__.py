@@ -3,12 +3,10 @@
 SHIPPED_MODELS, the one list of shipped models, maps each id to the active
 dimension of its built-in function (``active_dim``). A shipped model is
 resolved by id or short form (``short_form``: 'laminar'), before any file of
-that name, through importlib.resources; it is the signature of the built-in
-function of the same id: a file declaring ``"builtin": X`` (a full id) must
-declare the quantities of ``X.json`` (names and dimensions, in order) and its
-QoI dimension; only the ranges may differ. importlib.resources is imported on
-the first read of a shipped file, so a run that reads none (a file naming no
-builtin, ``inclusion``, --help) skips it.
+that name, and read from beside this module as any model file is read. It is
+the signature of the built-in function of the same id: a file declaring
+``"builtin": X`` (a full id) must declare the quantities of ``X.json`` (names
+and dimensions, in order) and its QoI dimension; only the ranges may differ.
 RE_CRITICAL, the shipped pipe models' regime switch, lives here, free of numpy
 and of the Pi algorithm: a model bound to its builtin computes its own
 decomposition (``pipeflow.BuiltinModel.decomposition``).
@@ -218,9 +216,7 @@ def _parse(text: str, name: str, source: str) -> ModelSpec:
 
 @functools.lru_cache(maxsize=None)
 def _load_shipped(model_id: str) -> ModelSpec:
-    from importlib import resources  # ~10 ms that a run reading no shipped file skips
-
-    text = resources.files(__name__).joinpath(f"{model_id}.json").read_bytes().decode()
+    text = Path(__file__).with_name(f"{model_id}.json").read_bytes().decode()
     return _parse(text, model_id, model_id)
 
 

@@ -35,21 +35,8 @@ _SLOPE_FLOOR = 1e-24  # residuals below this are rounding noise; excluded from f
 class InclusionReport(Value):
     """Per-column squared residuals of candidate-in-enclosing least squares."""
 
-    def __init__(
-        self,
-        per_column_residuals: Tuple[float, ...],
-        total: float,
-        dims: Tuple[int, int],  # (candidate columns, enclosing columns)
-        candidate_condition: float,
-        enclosing_condition: float,
-    ):
-        self._set(
-            per_column_residuals=per_column_residuals,
-            total=total,
-            dims=dims,
-            candidate_condition=candidate_condition,
-            enclosing_condition=enclosing_condition,
-        )
+    def __init__(self, per_column_residuals: Tuple[float, ...], total: float):
+        self._set(per_column_residuals=per_column_residuals, total=total)
 
 
 def _orthonormalize(B: np.ndarray, name: str, mode: str = "reduced") -> np.ndarray:
@@ -85,9 +72,11 @@ def inclusion_residual(B1: np.ndarray, B2: np.ndarray) -> InclusionReport:
 
     A basis holds its vectors in its columns; a 1-D basis is one column.
     Both bases are orthonormalized (QR) before the residuals are computed,
-    so the result depends only on the two column spaces. The least-squares
-    solves use the Householder QR of the enclosing basis rather than normal
-    equations.
+    so ``total`` depends only on the two column spaces. The per-column
+    residuals are those of the candidate's Q columns, the j-th spanned by its
+    first j columns, so they follow the candidate's column order: reordering
+    its columns changes the split, not the sum. The least-squares solves use
+    the Householder QR of the enclosing basis rather than normal equations.
     """
     B1, B2 = _columns(B1), _columns(B2)
     if B1.ndim != 2 or B2.ndim != 2:
@@ -105,19 +94,11 @@ def inclusion_residual(B1: np.ndarray, B2: np.ndarray) -> InclusionReport:
         )
     Q1 = _orthonormalize(B1, "candidate")
     Q2 = _orthonormalize(B2, "enclosing")
-    cond1 = float(np.linalg.cond(B1))
-    cond2 = float(np.linalg.cond(B2))
     residual = Q1 - Q2 @ (Q2.T @ Q1)
     per_column = np.sum(residual * residual, axis=0)
     if not np.isfinite(per_column).all():
         raise NumericalError("inclusion residual is not finite")
-    return InclusionReport(
-        per_column_residuals=tuple(float(r) for r in per_column),
-        total=float(per_column.sum()),
-        dims=(n_cand, n_encl),
-        candidate_condition=cond1,
-        enclosing_condition=cond2,
-    )
+    return InclusionReport(tuple(float(r) for r in per_column), float(per_column.sum()))
 
 
 def fit_loglog_slope(pairs: Sequence[Tuple[float, float]]) -> Optional[float]:

@@ -48,7 +48,7 @@ def test_pairs_against_head_report_finite_ratios_and_identical_artifacts():
     assert report["differing_files"] == 0
     setup = report["setup"]
     assert set(setup) == {"median_ratio", "ratio_q1", "ratio_q3", "iqr", "min_s", "samples"}
-    assert setup["samples"] == bench_pair.SETUP_PAIRS and set(setup["min_s"]) == {"this", "against"}
+    assert setup["samples"] == report["pairs"] and set(setup["min_s"]) == {"this", "against"}
     values = [setup[k] for k in ("median_ratio", "ratio_q1", "ratio_q3")] + list(setup["min_s"].values())
     assert all(math.isfinite(x) and x > 0 for x in values) and math.isfinite(setup["iqr"])
 

@@ -337,6 +337,26 @@ class TestInclusionCommand:
         payload = json.loads(capsys.readouterr().out)
         assert float(payload["r2"]) <= 1e-30
 
+    def _inclusion_json(self, tmp_path, capsys, candidate, enclosing):
+        """inclusion.json of the inclusion command on the two matrices, written as CSVs."""
+        np.savetxt(tmp_path / "cand.csv", candidate, delimiter=",")
+        np.savetxt(tmp_path / "encl.csv", enclosing, delimiter=",")
+        argv = ["--candidate", str(tmp_path / "cand.csv"), "--enclosing", str(tmp_path / "encl.csv")]
+        assert run_command(["inclusion", *argv, "--out", str(tmp_path / "out")]) == 0
+        capsys.readouterr()
+        return json.loads((tmp_path / "out" / "inclusion.json").read_text())
+
+    def test_dims_are_the_column_counts(self, tmp_path, capsys):
+        B2 = np.random.default_rng(1).normal(size=(5, 3))
+        payload = self._inclusion_json(tmp_path, capsys, B2[:, :1], B2)
+        assert payload["dims"] == [1, 3]
+        assert float(payload["r2"]) <= 1e-30
+
+    def test_condition_numbers_recorded(self, tmp_path, capsys):
+        B1 = np.array([[1.0, 1.0], [0.0, 1e-3], [0.0, 0.0]])
+        payload = self._inclusion_json(tmp_path, capsys, B1, np.eye(3))
+        assert float(payload["candidate_condition"]) > 100.0
+
     def test_bad_csv_exits_3(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
         bad.write_text("not,numbers\nat,all\n")

@@ -47,10 +47,12 @@ def test_star_import_binds_every_name():
     assert all(namespace[name] is getattr(ridgelaw, name) for name in ridgelaw.__all__)
 
 
-def _fresh(code):
-    """The JSON that code prints in a fresh interpreter."""
+def _fresh(code, *options):
+    """The JSON that code prints in a fresh interpreter, started with options."""
     env = dict(os.environ, PYTHONPATH=str(Path(ridgelaw.__file__).parents[1]))
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
+    proc = subprocess.run(
+        [sys.executable, *options, "-c", code], capture_output=True, text=True, env=env, timeout=120
+    )
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout)
 
@@ -153,3 +155,15 @@ def test_numpy_and_every_module_load_no_dataclasses():
         "print(json.dumps([m for m in sys.modules if m == 'dataclasses' or m.startswith('ridgelaw')]))"
     )
     assert sorted(loaded) == MODULES
+
+
+def test_a_shipped_model_is_read_without_importlib_resources():
+    # under -S no .pth file preloads it; a shipped model file is read as any model file is
+    loaded = _fresh(
+        "import json, sys\n"
+        "from ridgelaw.models import load_model\n"
+        "spec = load_model('laminar')\n"
+        "print(json.dumps([spec.source, 'importlib.resources' in sys.modules]))",
+        "-S",
+    )
+    assert loaded == ["pipeflow_laminar", False]

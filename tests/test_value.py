@@ -71,17 +71,7 @@ CASES = {
         (VALUES, VECTORS, False),
         ("clamped", True),
     ),
-    InclusionReport: (
-        [
-            ("per_column_residuals", REQUIRED),
-            ("total", REQUIRED),
-            ("dims", REQUIRED),
-            ("candidate_condition", REQUIRED),
-            ("enclosing_condition", REQUIRED),
-        ],
-        ((1e-20,), 1e-20, (1, 2), 1.0, 1.5),
-        ("total", 2e-20),
-    ),
+    InclusionReport: ([("per_column_residuals", REQUIRED), ("total", REQUIRED)], ((1e-20,), 1e-20), ("total", 2e-20)),
     SweepResult: (
         [("subspace_dim", REQUIRED), ("entries", REQUIRED), ("slope", REQUIRED), ("estimate", None)],
         (1, ((1e-2, 1e-4), (1e-3, 1e-6)), 2.0, SubspaceEstimate(VALUES, VECTORS)),
