@@ -24,14 +24,18 @@ from the temporary directory, where a copy of this checkout's
 with ``-B``: each compiles its package from source and reads the standard
 library's cached bytecode, which is what ``bench/run.py``'s ``setup_s``
 measures in a tree without cached bytecode under
-``PYTHONDONTWRITEBYTECODE=1``.
+``PYTHONDONTWRITEBYTECODE=1``. An A/A pair follows, with the same alternation
+and count: that copy of this checkout against a second copy of it in another
+directory. Its ratio (``setup.aa``) is the tool's own start-up spread in the
+same run, against which the A/B start-up ratio is read.
 
 Prints one JSON line: the median ratio and its interquartile range, the pair
 count, each side's fastest batch and median minor page faults per batch
 (``resource.getrusage``; they show where a change places the pass's large
 arrays), the failed commands and failed checks per side, the differing files,
 the start-up pairs (``setup``: median ratio, quartiles, each side's fastest
-spawn, sample count), the benchmark's ``stamp`` (seed, nproc, cpu, Python,
+spawn, sample count, and the A/A pair's median ratio and quartiles as
+``aa``), the benchmark's ``stamp`` (seed, nproc, cpu, Python,
 numpy, commit) and the BLAS-thread settings. Exit 0 when no command and no
 check failed, 1 otherwise, 2 when the pairing cannot run. Differing
 files do not change the exit status: a change may move last digits by design,
@@ -188,19 +192,26 @@ def setup_seconds(probe: str, home: Path) -> float:
     return float(end) - start
 
 
-def pair_setup(probe: str, home: Path, pairs: int) -> dict:
-    """Start-up of both sides' packages under home, spawned in alternation after one unmeasured spawn each."""
-    probes = {"this": probe, "against": probe.replace("ridgelaw", AGAINST)}
-    times = {"this": [], "against": []}
+def spawn_pairs(sides: dict, pairs: int) -> dict:
+    """Each side's start-up seconds: its (probe, home) spawned in alternation, after one unmeasured spawn each."""
+    times = {side: [] for side in sides}
     for index in range(pairs + 1):  # spawn 0 of each side is the warm-up
         for side in ("this", "against") if index % 2 else ("against", "this"):
-            seconds = setup_seconds(probes[side], home)
+            seconds = setup_seconds(*sides[side])
             if index:
                 times[side].append(seconds)
+    return times
+
+
+def pair_setup(probe: str, home: Path, again: Path, pairs: int) -> dict:
+    """Start-up of both sides' packages under home; then, as ``aa``, this checkout's against its copy under again."""
+    times = spawn_pairs({"this": (probe, home), "against": (probe.replace("ridgelaw", AGAINST), home)}, pairs)
+    aa = spawn_pairs({"this": (probe, home), "against": (probe, again)}, pairs)
     return {
         **ratio_stats([t / a for t, a in zip(times["this"], times["against"])]),
         "min_s": {side: min(values) for side, values in times.items()},
         "samples": pairs,
+        "aa": ratio_stats([t / a for t, a in zip(aa["this"], aa["against"])]),
     }
 
 
@@ -228,7 +239,7 @@ def main(argv=None) -> int:
             this, against = import_sides(export_dir)
             report = pair(workload, check_batch, run_batch, SEED, args.pairs, this, against, tmp / "work")
             copy_this(export_dir)
-            report["setup"] = pair_setup(_SETUP_PROBE, export_dir, args.pairs)
+            report["setup"] = pair_setup(_SETUP_PROBE, export_dir, copy_this(tmp / "aa").parent, args.pairs)
     except PairError as exc:
         print(f"bench_pair: {exc}", file=sys.stderr)
         return 2

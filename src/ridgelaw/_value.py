@@ -7,8 +7,15 @@ still cache there.
 """
 
 
+def _equal(a, b) -> bool:
+    """One field's a == b; an array, or anything with a shape, equals only one of its shape and entries."""
+    if not (hasattr(a, "shape") or hasattr(b, "shape")):
+        return a is b or a == b
+    return a is b or getattr(a, "shape", ()) == getattr(b, "shape", ()) and bool((a == b).all())
+
+
 class Value:
-    """Read-only fields, compared and hashed as one tuple, shown as ``Name(field=value, ...)``."""
+    """Read-only fields, compared field by field and hashed as one tuple, shown as ``Name(field=value, ...)``."""
 
     _fields = ()
     _unshown = ()  # fields that repr leaves out
@@ -34,7 +41,7 @@ class Value:
             return True
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return self._values() == other._values()
+        return all(map(_equal, self._values(), other._values()))
 
     def __hash__(self):
         return hash(self._values())

@@ -11,11 +11,12 @@ numpy's per-call cost low and working memory small. Each chunk adds one
 weighted outer product per step, in index order, so every sum runs in one
 fixed order and every result repeats bit for bit. One pass over the grid
 serves any number of FD steps: each chunk and its base values f(x) are
-computed once and shared by every step. A model can supply the shifted
-values itself through an ``fd_values(Y, steps)`` method, one (m, n) array
-per step; the differencing, done in place, and the checks stay here. The
-shifted values are checked through each step's m x m product, and a chunk
-whose product is not finite is drawn again to name the value.
+computed once and shared by every step. Each step's shifted values are
+written into one (m, n) array that the pass owns, which a model can fill
+itself through an ``fd_values(Y, steps, rows)`` method; the differencing,
+done in place, and the checks stay here. The shifted values are checked
+through each step's m x m product, and a chunk whose product is not finite
+is drawn again to name the value.
 """
 
 from __future__ import annotations
@@ -76,18 +77,16 @@ def _nonfinite(values: np.ndarray, X: np.ndarray, i: Optional[int] = None, h: fl
     )
 
 
-def _shifted_values(f: Callable, Y: np.ndarray, steps: Sequence[float]) -> Iterator[np.ndarray]:
-    """f(Y), then one (m, n) array per step h whose row i is f(Y + h e_i).
+def _shifted_values(f: Callable, Y: np.ndarray, steps: Sequence[float], rows: np.ndarray) -> Iterator[np.ndarray]:
+    """f(Y), then rows, filled per step h so that its row i is f(Y + h e_i).
 
     Each shift is applied in place to one work array and undone from Y after
     its evaluation, so a pass costs 1 + m * len(steps) calls of f. Each
-    value's shape is checked as it arrives and copied into its row of one
-    array, which every step reuses.
+    value's shape is checked as it arrives and copied into its row of rows.
     """
     n, m = Y.shape
     yield f(Y)
     work = Y.copy()
-    rows = np.empty((m, n))
     for h in steps:
         for i in range(m):
             work[:, i] += h
@@ -96,23 +95,22 @@ def _shifted_values(f: Callable, Y: np.ndarray, steps: Sequence[float]) -> Itera
         yield rows
 
 
-def _values(f: Callable, Y: np.ndarray, steps: Sequence[float]) -> Iterator[np.ndarray]:
-    """f(Y), then one (m, n) array of shifted values per step: the model's ``fd_values``, else f per shift."""
+def _values(f: Callable, Y: np.ndarray, steps: Sequence[float], rows: np.ndarray) -> Iterator[np.ndarray]:
+    """f(Y), then rows filled with each step's shifted values: the model's ``fd_values``, else f per shift."""
     fd_values = getattr(f, "fd_values", None)
-    return fd_values(Y, steps) if fd_values is not None else _shifted_values(f, Y, steps)
+    return fd_values(Y, steps, rows) if fd_values is not None else _shifted_values(f, Y, steps, rows)
 
 
-def _fd_differences(f: Callable, Y: np.ndarray, steps: Sequence[float]) -> Iterator[np.ndarray]:
-    """Forward differences f(Y + h e_i) - f(Y) at the rows of Y, one (m, n) array per step.
+def _fd_differences(f: Callable, Y: np.ndarray, steps: Sequence[float], rows: np.ndarray) -> Iterator[np.ndarray]:
+    """Forward differences f(Y + h e_i) - f(Y) at the rows of Y, written into rows, (m, n), per step.
 
-    Row i of a step's array is the difference along dimension i at every
-    point. The values come from ``_values``. f(Y) is checked first for its
-    shape and finiteness; each step's array is checked for its shape only,
-    then differenced in place and yielded, so the model may reuse it for
-    the next step. The caller checks the differences' finiteness, through
-    ``_check_step`` where they are not finite. Every step must be positive
-    and finite, and must move the chunk's largest |x|: a step below its
-    spacing gives x + h == x.
+    Row i is the difference along dimension i at every point. f(Y) from
+    ``_values`` is checked first for its shape and finiteness; then each
+    step must yield rows itself, else a model error, and rows is
+    differenced in place and yielded. The caller checks the differences'
+    finiteness, through ``_check_step`` where they are not finite. Every
+    step must be positive and finite, and must move the chunk's largest
+    |x|: a step below its spacing gives x + h == x.
     """
     bad = [h for h in steps if not 0.0 < h < np.inf]
     if bad:
@@ -123,32 +121,25 @@ def _fd_differences(f: Callable, Y: np.ndarray, steps: Sequence[float]) -> Itera
         raise ValueError(
             f"finite-difference step {lost[0]} is below the spacing of the inputs: x + h == x at |x| = {x_max:.6g}"
         )
-    values = _values(f, Y, steps)
-    n, m = Y.shape
-    f0 = _shaped(next(values), n)
+    values = _values(f, Y, steps, rows)
+    f0 = _shaped(next(values), Y.shape[0])
     if not np.isfinite(f0).all():
         raise _nonfinite(f0, Y)
     for h in steps:
-        D = np.asarray(next(values), dtype=float)
-        if D.shape != (m, n):
-            raise ModelError(
-                f"model fd_values returned shape {D.shape} for step {h}; "
-                f"it must yield one (m, n) = {(m, n)} array per step"
-            )
-        if not D.flags.writeable:
-            raise ModelError(f"model fd_values returned a read-only array for step {h}; it is differenced in place")
-        D -= f0
-        yield D
+        if next(values) is not rows:
+            raise ModelError(f"model fd_values yielded another array for step {h}; it must fill rows and yield it")
+        rows -= f0
+        yield rows
 
 
 def _check_step(f: Callable, Y: np.ndarray, steps: Sequence[float], k: int) -> None:
     """Raise for the first non-finite model value of step k, in (dimension, row) order, if there is one.
 
     The chunk's values are drawn again up to step k, as the pass drew them,
-    because the differences were taken in place. Finite values whose
-    difference overflowed raise nothing.
+    into a fresh array, because the pass differenced its own in place.
+    Finite values whose difference overflowed raise nothing.
     """
-    V = np.asarray(next(itertools.islice(_values(f, Y, steps), k + 1, None)), dtype=float)
+    V = next(itertools.islice(_values(f, Y, steps, np.empty(Y.shape[::-1])), k + 1, None))
     finite = np.isfinite(V)
     if not finite.all():
         i = int(np.argmin(finite.all(axis=1)))
@@ -160,12 +151,11 @@ def fd_gradient(f: Callable, x: np.ndarray, h: float) -> np.ndarray:
 
     The one-row case of the grid kernel: f is called once per shifted point.
     """
-    x = np.asarray(x, dtype=float)
-    rows = lambda Z: np.array([float(f(z)) for z in Z])
-    X = x[None, :]
-    D = next(_fd_differences(rows, X, [h]))[:, 0]
+    pointwise = lambda Z: np.array([float(f(z)) for z in Z])
+    X = np.asarray(x, dtype=float)[None, :]
+    D = next(_fd_differences(pointwise, X, [h], np.empty(X.shape[::-1])))[:, 0]
     if not np.isfinite(D).all():
-        _check_step(rows, X, [h], 0)
+        _check_step(pointwise, X, [h], 0)
     return D / h
 
 
@@ -176,17 +166,21 @@ def _gradient_outer_sums(
 
     Each chunk adds one (D * (w / h^2)) @ D.T per step h, in chunk order, with
     D its differences: 1/h^2 rides on the n weights, not on the m n
-    differences. With positive weights a non-finite difference makes its
-    product non-finite, so only such a product sends its chunk to
-    ``_check_step``; a product of finite values is added as it is.
+    differences. D is the pass's one step array, which ``_fd_differences``
+    fills for every step of every chunk of one shape. With positive weights
+    a non-finite difference makes its product non-finite, so only such a
+    product sends its chunk to ``_check_step``; a product of finite values
+    is added as it is.
     """
     sums = [0.0] * len(steps)
+    rows = weighted = np.empty((0, 0))
     # C and every value are checked for finiteness; a with in the generator would leak its state
     with np.errstate(all="ignore"):
         for Y, w in chunks:
-            # D * (w / h^2), written into one array per chunk: a fresh one per step faults its pages in anew
-            weighted = np.empty((Y.shape[1], len(Y)))
-            for k, (h, D) in enumerate(zip(steps, _fd_differences(f, Y, steps))):
+            # the step array and D * (w / h^2), made again only for another shape: fresh pages fault in anew
+            if rows.shape != Y.shape[::-1]:
+                rows, weighted = np.empty(Y.shape[::-1]), np.empty(Y.shape[::-1])
+            for k, (h, D) in enumerate(zip(steps, _fd_differences(f, Y, steps, rows))):
                 M = np.multiply(D, w / (h * h), out=weighted) @ D.T
                 if not np.isfinite(M).all():
                     _check_step(f, Y, steps, k)

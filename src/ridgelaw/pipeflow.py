@@ -128,8 +128,8 @@ class LogSpaceVelocity(Value):
     def __call__(self, x):
         return combine(_terms(x), self.re_critical)[0]
 
-    def fd_values(self, Y: np.ndarray, steps: Sequence[float]) -> Iterator[np.ndarray]:
-        """f(Y), then one (m, n) array per step h whose row i is f(Y + h e_i).
+    def fd_values(self, Y: np.ndarray, steps: Sequence[float], rows: np.ndarray) -> Iterator[np.ndarray]:
+        """f(Y), then rows, (m, n), filled per step h so that its row i is f(Y + h e_i).
 
         The terms at Y are computed once and give f(Y), a fresh array. A
         shift along dimension i multiplies each term that depends on it by
@@ -137,20 +137,18 @@ class LogSpaceVelocity(Value):
         the rows: each value is written straight into its row through
         scratch buffers made once per call, with the bits of ``combine`` on
         the scaled terms. Inputs whose shift scales t1 and t2 by the same
-        factors share one log10(t1 + t2) per step. The step array is reused
-        by the next step.
+        factors share one log10(t1 + t2) per step. No (m, n) array is made
+        here: the caller owns rows, which the next step fills again.
         """
         terms = _terms(Y)
         yield combine(terms, self.re_critical)[0]
         P, t1, t2, v_lam, re_per_v = terms
-        n, m = Y.shape
         # every exp(h e_i) of every step, with the bits of the scalar np.exp(h * e_i)
         scales = np.exp(np.multiply.outer(np.asarray(steps, dtype=float), _EXPONENTS))
         # exact, so -2 P times exp(h e_i) has the bits of -2 times the scaled P, as in combine;
         # written over P, which is not read again
         minus_2P = np.multiply(P, -2.0, out=P)
-        rows, log_sum, scratch = np.empty((m, n)), np.empty(n), np.empty(n)
-        laminar = np.empty(n, dtype=bool)
+        log_sum, scratch, laminar = np.empty(len(Y)), np.empty(len(Y)), np.empty(len(Y), dtype=bool)
         for scale in scales:
             for group in _LOG_GROUPS:
                 g = group[0]  # every input of the group scales t1 and t2 as this one does

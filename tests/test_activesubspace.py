@@ -195,7 +195,8 @@ class TestEstimateC:
         grid = tensor_grid(5, [(-1.0, 1.0)] * 3)  # 125 points: 32 chunks
         expected = 0.0
         for X, w in grid.chunks():
-            D = next(activesubspace._fd_differences(f, X, [H]))  # (m, n): one row per dimension
+            # (m, n): one row per dimension
+            D = next(activesubspace._fd_differences(f, X, [H], np.empty(X.shape[::-1])))
             M = (D * (w / (H * H))) @ D.T
             expected += np.tril(M) + np.tril(M, -1).T
         assert np.array_equal(estimate_C(f, grid, H), expected)
@@ -212,7 +213,7 @@ class TestEstimateC:
         steps = [1e-2, 1e-4, 1e-6]
         divided = [0.0] * len(steps)
         for Y, w in grid.chunks():
-            values = activesubspace._values(f, Y, steps)
+            values = activesubspace._values(f, Y, steps, np.empty(Y.shape[::-1]))
             f0 = next(values)
             for k, (h, V) in enumerate(zip(steps, values)):
                 G = (V - f0) / h
@@ -309,10 +310,9 @@ class TestFdValuesHook:
         def __call__(self, x):
             return x @ np.array([1.0, 2.0, -3.0])
 
-        def fd_values(self, Y, steps):
+        def fd_values(self, Y, steps, rows):
             yield self(Y)
-            rows = np.empty((Y.shape[1], len(Y)))  # one array, reused by every step
-            for h in steps:
+            for h in steps:  # rows is the caller's one step array
                 for i in range(Y.shape[1]):
                     shifted = Y.copy()
                     shifted[:, i] += h
@@ -340,8 +340,8 @@ class TestFdValuesHook:
 
     def test_wrong_shape_is_a_model_error(self):
         class Short(self.Linear):
-            def fd_values(self, Y, steps):
-                for values in super().fd_values(Y, steps):
+            def fd_values(self, Y, steps, rows):
+                for values in super().fd_values(Y, steps, rows):
                     yield values[:-1]
 
         with pytest.raises(ModelError, match="returned shape"):
@@ -349,28 +349,50 @@ class TestFdValuesHook:
 
     def test_step_array_of_wrong_shape_is_a_model_error(self):
         class OneValuePerStep(self.Linear):
-            def fd_values(self, Y, steps):
-                values = super().fd_values(Y, steps)
+            def fd_values(self, Y, steps, rows):
+                values = super().fd_values(Y, steps, rows)
                 yield next(values)
-                for rows in values:
-                    yield rows[0]  # the first dimension's values only
+                for filled in values:
+                    yield filled[0]  # the first dimension's values only
 
-        message = r"returned shape \(8,\) for step 0\.001; it must yield one \(m, n\) = \(3, 8\) array"
+        message = r"^model fd_values yielded another array for step 0\.001; it must fill rows and yield it$"
         with pytest.raises(ModelError, match=message):
             estimate_C(OneValuePerStep(), tensor_grid(2, [(-1.0, 1.0)] * 3), 1e-3)
 
     def test_read_only_step_array_is_a_model_error(self):
         class ReadOnly(self.Linear):
-            def fd_values(self, Y, steps):
-                for values in super().fd_values(Y, steps):
+            def fd_values(self, Y, steps, rows):
+                for values in super().fd_values(Y, steps, rows):
                     yield np.broadcast_to(values, values.shape)  # a read-only view
 
-        with pytest.raises(ModelError, match=r"^model fd_values returned a read-only array for step 0\.001;"):
+        with pytest.raises(ModelError, match=r"^model fd_values yielded another array for step 0\.001;"):
             estimate_C(ReadOnly(), tensor_grid(2, [(-1.0, 1.0)] * 3), 1e-3)
+
+    def test_the_pass_fills_one_step_array_per_chunk_shape(self, monkeypatch):
+        seen = []  # the arrays themselves, so no id is reused
+
+        class Recording(self.Linear):
+            def fd_values(self, Y, steps, rows):
+                seen.append(rows)
+                yield from super().fd_values(Y, steps, rows)
+
+        monkeypatch.setattr(quadrature, "DEFAULT_CHUNK", 16)
+        # 64 points: four equal chunks; 125 points: seven of 16 and a last one of 13
+        for order, shapes in ((4, [(3, 16)] * 4), (5, [(3, 16)] * 7 + [(3, 13)])):
+            seen.clear()
+            estimate_subspaces(Recording(), tensor_grid(order, [(-1.0, 1.0)] * 3), [1e-2, 1e-3])
+            assert [rows.shape for rows in seen] == shapes
+            assert len({id(rows) for rows in seen}) == len(set(shapes))
+
+    def test_the_plain_path_fills_the_rows_it_is_given(self):
+        Y, _ = tensor_grid(2, [(-1.0, 1.0)] * 3).chunk(0, 8)
+        rows = np.empty((3, 8))
+        f0, *steps = activesubspace._shifted_values(self.Linear(), Y, [1e-2, 1e-3], rows)
+        assert len(steps) == 2 and all(values is rows for values in steps)
 
 
 class TestBatchedChecks:
-    """f(Y) is checked first; each step's array is checked for its shape, then for finiteness at once."""
+    """f(Y) is checked first; each step's array is checked to be the pass's own, then for finiteness at once."""
 
     class Spoiled:
         """A linear model whose k-th yielded array (0 is f(Y)) gets spoiled entries, or loses its last point."""
@@ -382,19 +404,18 @@ class TestBatchedChecks:
         def __call__(self, x):
             return x @ np.array([1.0, 2.0, -3.0])
 
-        def fd_values(self, Y, steps):
-            values = [self(Y)]
-            for h in steps:
-                rows = np.empty((Y.shape[1], len(Y)))
-                for i in range(Y.shape[1]):
-                    shifted = Y.copy()
-                    shifted[:, i] += h
-                    rows[i] = self(shifted)
-                values.append(rows)
-            for k, v in enumerate(values):
+        def fd_values(self, Y, steps, rows):
+            values = self(Y)
+            for k in range(1 + len(steps)):  # f(Y), then rows filled for each step
+                if k:
+                    values = rows
+                    for i in range(Y.shape[1]):
+                        shifted = Y.copy()
+                        shifted[:, i] += steps[k - 1]
+                        rows[i] = self(shifted)
                 for index, bad in self.spoil.get(k, ()):
-                    v[index] = bad
-                yield v[..., :-1] if k in self.short else v
+                    values[index] = bad
+                yield values[..., :-1] if k in self.short else values
 
     STEPS = [1e-2, 1e-3]
 
@@ -419,7 +440,7 @@ class TestBatchedChecks:
         assert np.array_equal(err.value.point, self.GRID.chunk(0, 16)[0][3])
 
     def test_wrong_shape_is_a_model_error_before_the_step_is_checked(self, monkeypatch):
-        with pytest.raises(ModelError, match=r"returned shape \(3, 15\) for step 0\.01"):
+        with pytest.raises(ModelError, match=r"^model fd_values yielded another array for step 0\.01;"):
             self.run(monkeypatch, {1: [((0, 0), np.inf)]}, short={1})
 
     def test_plain_row_of_wrong_shape_is_a_model_error_before_the_step_is_checked(self, monkeypatch):
@@ -441,7 +462,8 @@ class TestBatchedChecks:
         grid = turbulent_model.grid(7)
         column_major, per_slice = [0.0] * len(steps), [0.0] * len(steps)
         for Y, w in grid.chunks():
-            for k, (h, D) in enumerate(zip(steps, activesubspace._fd_differences(turbulent_model.f, Y, steps))):
+            differences = activesubspace._fd_differences(turbulent_model.f, Y, steps, np.empty(Y.shape[::-1]))
+            for k, (h, D) in enumerate(zip(steps, differences)):
                 v = w / (h * h)
                 columns = np.ascontiguousarray(D.T)
                 column_major[k] += (columns * v[:, None]).T @ columns
@@ -657,9 +679,9 @@ def test_trailing_eigenvalues_stay_under_fd_noise_envelope(laminar_model, turbul
 
 
 def test_pass_working_memory_stays_under_2_mb(turbulent_model):
-    # the order-11 turbulent pass (161 051 points, six steps) peaks near 1.92 MB with chunks of
-    # 8192 points, since the per-chunk product array; 16384-point chunks peak near 4 MB and the
-    # whole grid's points alone take 6.4 MB
+    # the order-11 turbulent pass (161 051 points, six steps) peaks at 1 656 640 B with chunks of
+    # 8192 points, since the pass owns its one step array: the 343 360 B left hold one more (m, n)
+    # array (327 680 B); 16384-point chunks peak near 4 MB and the whole grid's points alone take 6.4 MB
     grid = turbulent_model.grid(11)
     grid.chunk(0, 1)  # the grid's tiles live as long as the grid; they are built before measuring
     estimate_subspaces(turbulent_model.f, turbulent_model.grid(3), [1e-2])  # numpy's first-call allocations

@@ -47,10 +47,15 @@ def test_pairs_against_head_report_finite_ratios_and_identical_artifacts():
     assert report["failed_checks"] == {"this": 0, "against": 0}
     assert report["differing_files"] == 0
     setup = report["setup"]
-    assert set(setup) == {"median_ratio", "ratio_q1", "ratio_q3", "iqr", "min_s", "samples"}
+    assert set(setup) == {"median_ratio", "ratio_q1", "ratio_q3", "iqr", "min_s", "samples", "aa"}
     assert setup["samples"] == report["pairs"] and set(setup["min_s"]) == {"this", "against"}
     values = [setup[k] for k in ("median_ratio", "ratio_q1", "ratio_q3")] + list(setup["min_s"].values())
     assert all(math.isfinite(x) and x > 0 for x in values) and math.isfinite(setup["iqr"])
+    # the A/A pair: this tree's start-up against a copy of itself, as a ratio with its quartiles
+    aa = setup["aa"]
+    assert set(aa) == {"median_ratio", "ratio_q1", "ratio_q3", "iqr"}
+    assert all(math.isfinite(aa[k]) and aa[k] > 0 for k in ("median_ratio", "ratio_q1", "ratio_q3"))
+    assert math.isfinite(aa["iqr"])
 
 
 def test_a_package_that_imports_itself_by_absolute_name_is_found(tmp_path):

@@ -192,11 +192,12 @@ class TestFdValues:
         for model in (laminar_model, turbulent_model):
             grid = model.grid(5)
             Y, _ = grid.chunk(0, len(grid))
-            values = model.f.fd_values(Y, self.STEPS)
+            given = np.empty(Y.shape[::-1])
+            values = model.f.fd_values(Y, self.STEPS, given)
             assert np.array_equal(next(values), model.f(Y))
             for h in self.STEPS:
                 rows = next(values)
-                assert rows.shape == (Y.shape[1], len(Y))
+                assert rows is given  # filled, not made
                 for i in range(Y.shape[1]):
                     shifted = Y.copy()
                     shifted[:, i] += h
@@ -226,7 +227,7 @@ class TestFdValues:
         for model in (laminar_model, turbulent_model):
             grid = model.grid(5)
             Y, _ = grid.chunk(0, len(grid))
-            values = model.f.fd_values(Y, self.STEPS)
+            values = model.f.fd_values(Y, self.STEPS, np.empty(Y.shape[::-1]))
             # each step's array may be reused by the next, so its rows are copied as it arrives
             got = [next(values)] + [row.copy() for rows in values for row in rows]
             want = list(self.per_shift_values(model.f, Y, self.STEPS))
@@ -238,7 +239,7 @@ class TestFdValues:
         # f(Y) is the caller's to keep while the shifted values are drawn
         grid = turbulent_model.grid(3)
         Y, _ = grid.chunk(0, len(grid))
-        values = turbulent_model.f.fd_values(Y, self.STEPS)
+        values = turbulent_model.f.fd_values(Y, self.STEPS, np.empty(Y.shape[::-1]))
         f0 = next(values)
         kept = f0.copy()
         for rows in values:
@@ -249,7 +250,7 @@ class TestFdValues:
         # the step arrays may be one reused array, which the caller writes: it must not be Y or f(Y)
         grid = turbulent_model.grid(3)
         Y, _ = grid.chunk(0, len(grid))
-        f0, *steps = turbulent_model.f.fd_values(Y, self.STEPS)
+        f0, *steps = turbulent_model.f.fd_values(Y, self.STEPS, np.empty(Y.shape[::-1]))
         assert not np.shares_memory(f0, Y)
         for k, rows in enumerate(steps):
             assert not np.shares_memory(rows, Y), k
@@ -281,7 +282,7 @@ class TestFdValues:
         grid = turbulent_model.grid(3)
         Y, _ = grid.chunk(0, len(grid))
         monkeypatch.setattr(np, "log10", counting)
-        for _ in turbulent_model.f.fd_values(Y, self.STEPS):
+        for _ in turbulent_model.f.fd_values(Y, self.STEPS, np.empty(Y.shape[::-1])):
             pass
         assert len(calls) == 1 + 4 * len(self.STEPS)  # f(Y), then one per step for each of 4 groups
 
@@ -289,7 +290,7 @@ class TestFdValues:
         # every shifted value is written into one reused array through buffers made once per call
         grid = turbulent_model.grid(5)
         Y, _ = grid.chunk(0, len(grid))
-        values = turbulent_model.f.fd_values(Y, self.STEPS)
+        values = turbulent_model.f.fd_values(Y, self.STEPS, np.empty(Y.shape[::-1]))
         tracemalloc.start()
         try:
             next(values), next(values)  # f(Y) and the first step: every buffer is made
@@ -301,6 +302,24 @@ class TestFdValues:
         finally:
             tracemalloc.stop()
         assert peak - base < 8 * len(Y), (base, peak)  # less than one fresh row of values
+
+    def test_the_steps_allocate_less_than_one_step_array(self, turbulent_model):
+        # the caller owns the (m, n) step array: the steps' scales and buffers take less than it
+        grid = turbulent_model.grid(5)
+        Y, _ = grid.chunk(0, len(grid))
+        rows = np.empty(Y.shape[::-1])
+        values = turbulent_model.f.fd_values(Y, self.STEPS, rows)
+        tracemalloc.start()
+        try:
+            next(values)  # f(Y), from the terms at Y
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            for _ in values:
+                pass
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - base < rows.nbytes, (base, peak)
 
 
 def plain_values(f, Y, steps):
@@ -537,7 +556,7 @@ class TestInputColumns:
         with pytest.raises(ModelError, match=message):
             turbulent_model.f(Y)
         with pytest.raises(ModelError, match=message):
-            next(turbulent_model.f.fd_values(Y, [1e-3]))
+            next(turbulent_model.f.fd_values(Y, [1e-3], np.empty(Y.shape[::-1])))
 
     def test_a_point_of_another_width_is_a_model_error(self, turbulent_model):
         x = turbulent_model.grid(3).chunk(0, 1)[0][0]

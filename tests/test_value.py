@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from ridgelaw import pipeflow
-from ridgelaw.activesubspace import SubspaceEstimate
+from ridgelaw.activesubspace import SubspaceEstimate, eigendecompose
 from ridgelaw.dimensions import DimensionVector, QuantityDecl, UnitSystem
 from ridgelaw.errors import ModelError
 from ridgelaw.models import ModelSpec, load_model
@@ -155,6 +155,28 @@ def test_values_of_different_classes_are_unequal(cls):
     assert value.__eq__(other) is NotImplemented
     assert value != other and other != value
     assert value != object()
+
+
+def _rule(nodes, weights):
+    return lambda: QuadratureRule1D(np.array(nodes), np.array(weights))
+
+
+# each side is built from its own arrays, so no field is shared and identity cannot decide
+@pytest.mark.parametrize(
+    "make_a, make_b, equal",
+    [
+        (lambda: tensor_grid(3, [(0, 1), (1, 2)]), lambda: tensor_grid(3, [(0, 1), (1, 2)]), True),
+        (lambda: eigendecompose(np.diag([2.0, 1.0])), lambda: eigendecompose(np.diag([2.0, 1.0])), True),
+        (_rule([-0.5, 0.5], [1.0, 1.0]), _rule([-0.5, 0.5], [1.0, 1.0]), True),
+        (_rule([-0.5, 0.5], [1.0, 1.0]), _rule([-0.5, 0.25], [1.0, 1.0]), False),
+        (_rule([-0.5, 0.5], [1.0, 1.0]), _rule([-0.5, 0.5], [1.0, 1.0, 1.0]), False),
+        (_rule([-0.5, 0.5], [1.0, 1.0]), _rule([[-0.5, 0.5]], [1.0, 1.0]), False),  # equal once broadcast
+    ],
+    ids=["grids", "estimates", "rules", "unequal-entries", "shape-mismatch", "broadcastable-shapes"],
+)
+def test_array_fields_compare_by_shape_and_entries(make_a, make_b, equal):
+    a, b = make_a(), make_b()
+    assert (a == b, b == a, a != b) == (equal, equal, not equal)
 
 
 @pytest.mark.parametrize("cls", CLASSES)
