@@ -15,8 +15,8 @@ the sample counts (batches, commands, set-up samples).
 
 With ``--against REV``, the record also holds, under ``pairs``, the JSON line
 that ``scripts/bench_pair.py --against REV --pairs PAIRS`` prints for each
-workload (this checkout's ridgelaw against REV's, in alternating pairs in one
-process), with its exit code; a pairing that prints no line keeps its stderr.
+workload (this checkout's ridgelaw against REV's, in fresh worker processes),
+with its exit code; a pairing that prints no line keeps its stderr.
 """
 
 from __future__ import annotations

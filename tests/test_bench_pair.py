@@ -1,4 +1,4 @@
-"""scripts/bench_pair.py: this tree against a git revision, in alternating pairs in one process."""
+"""scripts/bench_pair.py: this tree against a git revision, in alternating pairs of fresh worker processes."""
 
 import importlib
 import json
@@ -13,6 +13,8 @@ import pytest
 from scripts import bench_pair
 
 ROOT = Path(__file__).resolve().parents[1]
+RATIO_KEYS = {"median_ratio", "ratio_q1", "ratio_q3", "iqr"}
+PAIRING_KEYS = RATIO_KEYS | {"min_s", "minor_faults", "failed", "failed_checks", "differing_files"}
 
 
 def in_git_checkout() -> bool:
@@ -22,49 +24,52 @@ def in_git_checkout() -> bool:
     return proc.returncode == 0 and Path(proc.stdout.strip()).resolve() == ROOT
 
 
+def assert_pairing(block):
+    """One pairing's fields: finite ratios and batch times, integer faults, nothing failed or differing."""
+    assert set(block) == PAIRING_KEYS
+    assert all(math.isfinite(block[k]) for k in RATIO_KEYS) and block["median_ratio"] > 0
+    assert set(block["min_s"]) == set(block["minor_faults"]) == {"this", "against"}
+    assert all(math.isfinite(t) and t > 0 for t in block["min_s"].values())
+    assert all(type(n) is int and n >= 0 for n in block["minor_faults"].values())
+    assert block["failed"] == {"this": 0, "against": 0}
+    assert block["failed_checks"] == {"this": 0, "against": 0}
+    assert block["differing_files"] == 0
+
+
+# reproduce-turbulent runs the order-15 command that the benchmark checks against REPRO_TOP3
 @pytest.mark.skipif(not in_git_checkout(), reason="needs a git checkout of this repository")
-def test_pairs_against_head_report_finite_ratios_and_identical_artifacts():
-    argv = ["--against", "HEAD", "--workload", "pi-wide", "--pairs", "2"]
+@pytest.mark.parametrize("workload, batch_size", [("pi-wide", 10), ("reproduce-turbulent", 1)])
+def test_pairs_against_head_report_finite_ratios_and_identical_artifacts(workload, batch_size):
+    argv = ["--against", "HEAD", "--workload", workload, "--pairs", "2"]
     proc = subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / "bench_pair.py"), *argv],
-        cwd=ROOT, capture_output=True, text=True, timeout=300,
+        [sys.executable, "-X", "importtime", str(ROOT / "scripts" / "bench_pair.py"), *argv],
+        cwd=ROOT, capture_output=True, text=True, timeout=600,
     )
-    assert proc.returncode == 0, proc.stderr
+    timings = [line for line in proc.stderr.splitlines() if line.startswith("import time:")]
+    assert proc.returncode == 0, [proc.stdout, *(line for line in proc.stderr.splitlines() if line not in timings)]
+    # the workers import ridgelaw; the pairing process itself never does
+    imported = {line.rsplit("|", 1)[-1].strip() for line in timings}
+    assert "json" in imported and not {name for name in imported if name.split(".")[0] == "ridgelaw"}
     (line,) = proc.stdout.splitlines()
     report = json.loads(line)
-    assert set(report) == {
-        "workload", "against", "pairs", "batch_size", "median_ratio", "ratio_q1", "ratio_q3", "iqr", "min_s",
-        "minor_faults", "failed", "failed_checks", "differing_files", "seed", "nproc", "cpu", "python", "numpy",
-        "commit", "blas_threads", "setup",
+    assert set(report) == PAIRING_KEYS | {
+        "workload", "against", "pairs", "batch_size", "seed", "nproc", "cpu", "python", "numpy", "commit",
+        "blas_threads", "setup", "aa",
     }
-    assert (report["workload"], report["pairs"], report["batch_size"]) == ("pi-wide", 2, 10)
-    ratios = [report[k] for k in ("median_ratio", "ratio_q1", "ratio_q3", "iqr")]
-    assert all(math.isfinite(r) for r in ratios) and report["median_ratio"] > 0
-    assert all(math.isfinite(t) and t > 0 for t in report["min_s"].values())
-    assert set(report["minor_faults"]) == {"this", "against"}
-    assert all(type(n) is int and n >= 0 for n in report["minor_faults"].values())
-    assert report["failed"] == {"this": 0, "against": 0}
-    assert report["failed_checks"] == {"this": 0, "against": 0}
-    assert report["differing_files"] == 0
+    assert (report["workload"], report["pairs"], report["batch_size"]) == (workload, 2, batch_size)
+    assert_pairing({k: report[k] for k in PAIRING_KEYS})
+    # the A/A pairing: this tree's batches against a copy of itself, in the same run
+    assert_pairing(report["aa"])
     setup = report["setup"]
-    assert set(setup) == {"median_ratio", "ratio_q1", "ratio_q3", "iqr", "min_s", "samples", "aa"}
+    assert set(setup) == RATIO_KEYS | {"min_s", "samples", "aa"}
     assert setup["samples"] == report["pairs"] and set(setup["min_s"]) == {"this", "against"}
     values = [setup[k] for k in ("median_ratio", "ratio_q1", "ratio_q3")] + list(setup["min_s"].values())
     assert all(math.isfinite(x) and x > 0 for x in values) and math.isfinite(setup["iqr"])
-    # the A/A pair: this tree's start-up against a copy of itself, as a ratio with its quartiles
+    # the A/A start-up pair: this tree's start-up against a copy of itself, as a ratio with its quartiles
     aa = setup["aa"]
-    assert set(aa) == {"median_ratio", "ratio_q1", "ratio_q3", "iqr"}
+    assert set(aa) == RATIO_KEYS
     assert all(math.isfinite(aa[k]) and aa[k] > 0 for k in ("median_ratio", "ratio_q1", "ratio_q3"))
     assert math.isfinite(aa["iqr"])
-
-
-def test_a_package_that_imports_itself_by_absolute_name_is_found(tmp_path):
-    (tmp_path / "sub").mkdir()
-    (tmp_path / "__init__.py").write_text("from .cli import main\n")
-    (tmp_path / "sub" / "a.py").write_text('"""ridgelaw is named here"""\nimport ridgelaw_against\n')
-    (tmp_path / "sub" / "b.py").write_text("x = 1\n    from ridgelaw.models import load_model\n")
-    (tmp_path / "c.py").write_text("import ridgelaw.cli as cli\n")
-    assert bench_pair.absolute_imports(tmp_path) == ["c.py", "sub/b.py"]
 
 
 @pytest.fixture
@@ -86,17 +91,25 @@ def test_a_start_up_probe_that_cannot_load_from_its_home_stops_the_pairing(tmp_p
     assert list(package.rglob("__pycache__")) == []  # copied without bytecode, and -B writes none
 
 
-class WritingCli:
+def stand_in(tmp_path, name, cli):
+    """A tree tmp_path/name holding a package ridgelaw whose cli.py has the source cli."""
+    package = tmp_path / name / "ridgelaw"
+    package.mkdir(parents=True)
+    (package / "__init__.py").write_text("")
+    (package / "cli.py").write_text(cli)
+    return package.parent
+
+
+def writing_cli(text, code=0):
     """A stand-in cli module: run_command writes text to <--out>/a.txt and returns code."""
-
-    def __init__(self, text, code=0):
-        self.text, self.code = text, code
-
-    def run_command(self, argv):
-        out = Path(argv[argv.index("--out") + 1])
-        out.mkdir()
-        (out / "a.txt").write_text(self.text)
-        return self.code
+    return (
+        "from pathlib import Path\n\n\n"
+        "def run_command(argv):\n"
+        "    out = Path(argv[argv.index('--out') + 1])\n"
+        "    out.mkdir()\n"
+        f"    (out / 'a.txt').write_text({text!r})\n"
+        f"    return {code}\n"
+    )
 
 
 def test_failed_commands_and_checks_are_counted_per_side(tmp_path, bench_modules):
@@ -111,13 +124,48 @@ def test_failed_commands_and_checks_are_counted_per_side(tmp_path, bench_modules
                 raise workloads.CheckError("a.txt is not ok")
             return {}
 
-    def report(this, against, workdir):
-        return bench_pair.pair(Workload(), run.check_batch, run.run_batch, 1, 2, this, against, tmp_path / workdir)
+    ok, not_ok = stand_in(tmp_path, "ok", writing_cli("ok")), stand_in(tmp_path, "not-ok", writing_cli("not ok"))
+    crashing = stand_in(tmp_path, "crashing", writing_cli("ok", code=4))
 
-    # the warm-up batch and both pairs are checked: three batches per side
-    wrong = report(WritingCli("ok"), WritingCli("not ok"), "wrong")
-    assert (wrong["failed"], wrong["failed_checks"]) == ({"this": 0, "against": 0}, {"this": 0, "against": 3})
-    assert wrong["differing_files"] == 3
-    crashed = report(WritingCli("ok", code=4), WritingCli("ok"), "crashed")
-    assert (crashed["failed"], crashed["failed_checks"]) == ({"this": 3, "against": 0}, {"this": 3, "against": 0})
+    def report(this, against, workdir):
+        homes = {"this": this, "against": against}
+        return bench_pair.pair(Workload(), run.check_batch, 1, 2, homes, tmp_path / workdir)
+
+    # each pair's worker runs a warm-up batch and a timed one, and both are checked: four batches per side
+    wrong = report(ok, not_ok, "wrong")
+    assert (wrong["failed"], wrong["failed_checks"]) == ({"this": 0, "against": 0}, {"this": 0, "against": 4})
+    assert wrong["differing_files"] == 4
+    crashed = report(crashing, ok, "crashed")
+    assert (crashed["failed"], crashed["failed_checks"]) == ({"this": 4, "against": 0}, {"this": 4, "against": 0})
     assert crashed["differing_files"] == 0
+
+
+@pytest.mark.parametrize(
+    "cli, tail",
+    [
+        ("raise RuntimeError('no cli here')\n", "RuntimeError: no cli here"),
+        (None, "ModuleNotFoundError: No module named 'ridgelaw'"),  # a tree without the package
+    ],
+)
+def test_a_worker_that_cannot_start_ends_the_run_with_one_line(tmp_path, monkeypatch, capsys, bench_modules, cli, tail):
+    homes = []
+
+    def export_against(rev, home):
+        homes.append(home)
+        if cli is None:
+            home.mkdir()
+        else:
+            stand_in(home.parent, home.name, cli)
+
+    monkeypatch.setattr(bench_pair, "export_against", export_against)
+    assert bench_pair.main(["--against", "HEAD", "--workload", "pi-wide", "--pairs", "2"]) == 2
+    out, err = capsys.readouterr()
+    (home,) = homes
+    assert out == "" and err.count("\n") == 1
+    assert err.startswith(f"bench_pair: the worker for {home} exited 1: ") and err.endswith(f"{tail}\n")
+
+
+def test_a_worker_whose_cli_lies_outside_its_tree_is_refused(tmp_path):
+    home = stand_in(tmp_path, "moved", writing_cli("ok") + "__file__ = '/elsewhere/ridgelaw/cli.py'\n")
+    with pytest.raises(bench_pair.PairError, match=f"imported /elsewhere/ridgelaw/cli.py, not a module under {home}"):
+        bench_pair.run_worker(home, [[], []])
