@@ -27,8 +27,9 @@ from each side's tree, alternating, one unmeasured spawn each and then
 bytecode, each compiles its package from source.
 
 Prints one JSON line: the median ratio with its quartiles, each side's fastest
-batch and median minor faults per batch, failed commands and checks per side,
-differing files, the same for ``aa``, ``setup``, the benchmark's ``stamp`` and
+batch and median minor faults per batch, failed commands and checks per side
+with the first failed check's message (null if none), differing files, the
+same for ``aa``, ``setup``, the benchmark's ``stamp`` and
 the BLAS-thread settings. Exit 0 when no command and no check failed, 1
 otherwise, 2 when the pairing cannot run. Differing files do not change the
 exit status: a change may move last digits by design, and the checks hold each
@@ -131,7 +132,7 @@ def run_worker(home: Path, batches) -> dict:
 def pair(workload, check_batch, seed: int, pairs: int, homes: dict, workdir: Path) -> dict:
     """Run the pairs, each side in its own workers; returns the report's measured fields."""
     differing = 0
-    failed, failed_checks = {"this": 0, "against": 0}, {"this": 0, "against": 0}
+    failed, failures = {"this": 0, "against": 0}, {"this": [], "against": []}
     times, faults = {"this": [], "against": []}, {"this": [], "against": []}
     for index in range(1, pairs + 1):
         batch_dir = workdir / f"pair{index:04d}"
@@ -148,7 +149,7 @@ def pair(workload, check_batch, seed: int, pairs: int, homes: dict, workdir: Pat
             for commands, outcomes in zip(batches[side], report["outcomes"]):
                 failed[side] += sum(code != 0 for code, _ in outcomes)
                 # a failed command is also a failed check, as bench/run.py counts it
-                failed_checks[side] += len(check_batch(workload, commands, outcomes)[0])
+                failures[side] += check_batch(workload, commands, outcomes)[0]
         for this_batch, against_batch in zip(batches["this"], batches["against"]):
             differing += sum(differing_files(a.out, b.out) for a, b in zip(this_batch, against_batch))
         shutil.rmtree(batch_dir)
@@ -157,7 +158,8 @@ def pair(workload, check_batch, seed: int, pairs: int, homes: dict, workdir: Pat
         "min_s": {side: min(values) for side, values in times.items()},
         "minor_faults": {side: statistics.median_low(values) for side, values in faults.items()},
         "failed": failed,
-        "failed_checks": failed_checks,
+        "failed_checks": {side: len(messages) for side, messages in failures.items()},
+        "first_failed_check": {side: next(iter(messages), None) for side, messages in failures.items()},
         "differing_files": differing,
     }
 

@@ -13,9 +13,10 @@ fixed order and every result repeats bit for bit. One pass over the grid
 serves any number of FD steps: each chunk and its base values f(x) are
 computed once and shared by every step. Each step's shifted values are
 written into one (m, n) array that the pass owns, which a model can fill
-itself through an ``fd_values(Y, steps, rows)`` method; the differencing,
-done in place, and the checks stay here. The shifted values are checked
-through each step's m x m product, and a chunk whose product is not finite
+itself through an ``fd_values(Y, steps, rows)`` generator; the count of
+points routed turbulent that it returns is summed over the chunks. The
+differencing, done in place, and the checks stay here: each step's m x m
+product checks the shifted values, and a chunk whose product is not finite
 is drawn again to name the value.
 """
 
@@ -101,6 +102,14 @@ def _values(f: Callable, Y: np.ndarray, steps: Sequence[float], rows: np.ndarray
     return fd_values(Y, steps, rows) if fd_values is not None else _shifted_values(f, Y, steps, rows)
 
 
+def _returned(values: Iterator):
+    """What a generator returns when drawn past its last yield, which frees its frame; None if it yields more."""
+    try:
+        next(values)
+    except StopIteration as end:
+        return end.value
+
+
 def _fd_differences(f: Callable, Y: np.ndarray, steps: Sequence[float], rows: np.ndarray) -> Iterator[np.ndarray]:
     """Forward differences f(Y + h e_i) - f(Y) at the rows of Y, written into rows, (m, n), per step.
 
@@ -110,7 +119,8 @@ def _fd_differences(f: Callable, Y: np.ndarray, steps: Sequence[float], rows: np
     differenced in place and yielded. The caller checks the differences'
     finiteness, through ``_check_step`` where they are not finite. Every
     step must be positive and finite, and must move the chunk's largest
-    |x|: a step below its spacing gives x + h == x.
+    |x|: a step below its spacing gives x + h == x. The generator returns
+    what ``fd_values`` returns after the last step, None for a plain f.
     """
     bad = [h for h in steps if not 0.0 < h < np.inf]
     if bad:
@@ -130,6 +140,7 @@ def _fd_differences(f: Callable, Y: np.ndarray, steps: Sequence[float], rows: np
             raise ModelError(f"model fd_values yielded another array for step {h}; it must fill rows and yield it")
         rows -= f0
         yield rows
+    return _returned(values)
 
 
 def _check_step(f: Callable, Y: np.ndarray, steps: Sequence[float], k: int) -> None:
@@ -161,7 +172,7 @@ def fd_gradient(f: Callable, x: np.ndarray, h: float) -> np.ndarray:
 
 def _gradient_outer_sums(
     f: Callable, chunks: Iterable[Tuple[np.ndarray, np.ndarray]], steps: Sequence[float]
-) -> List[np.ndarray]:
+) -> Tuple[List[np.ndarray], Optional[int]]:
     """Weighted sums of FD-gradient outer products over (points, weights) chunks, one matrix per step.
 
     Each chunk adds one (D * (w / h^2)) @ D.T per step h, in chunk order, with
@@ -170,9 +181,10 @@ def _gradient_outer_sums(
     fills for every step of every chunk of one shape. With positive weights
     a non-finite difference makes its product non-finite, so only such a
     product sends its chunk to ``_check_step``; a product of finite values
-    is added as it is.
+    is added as it is. The chunks' counts of points routed turbulent are
+    summed too, None unless every chunk's ``fd_values`` returns one.
     """
-    sums = [0.0] * len(steps)
+    sums, counts = [0.0] * len(steps), []
     rows = weighted = np.empty((0, 0))
     # C and every value are checked for finiteness; a with in the generator would leak its state
     with np.errstate(all="ignore"):
@@ -180,18 +192,20 @@ def _gradient_outer_sums(
             # the step array and D * (w / h^2), made again only for another shape: fresh pages fault in anew
             if rows.shape != Y.shape[::-1]:
                 rows, weighted = np.empty(Y.shape[::-1]), np.empty(Y.shape[::-1])
-            for k, (h, D) in enumerate(zip(steps, _fd_differences(f, Y, steps, rows))):
+            differences = _fd_differences(f, Y, steps, rows)
+            for k, (h, D) in enumerate(zip(steps, differences)):
                 M = np.multiply(D, w / (h * h), out=weighted) @ D.T
                 if not np.isfinite(M).all():
                     _check_step(f, Y, steps, k)
                 sums[k] += M
+            counts.append(_returned(differences))  # the chunk's arrays go now, not after the next chunk is made
     # symmetrize once per step: mirror the lower triangle, summed chunk by chunk, onto the upper
-    return [np.tril(S) + np.tril(S, -1).T for S in sums]
+    return [np.tril(S) + np.tril(S, -1).T for S in sums], None if None in counts else sum(counts)
 
 
 def estimate_C(f: Callable, grid: TensorGrid, h: float) -> np.ndarray:
     """Quadrature estimate of the m x m matrix C = avg of grad f grad f^T."""
-    return _gradient_outer_sums(f, grid.chunks(), [h])[0]
+    return _gradient_outer_sums(f, grid.chunks(), [h])[0][0]
 
 
 def pullback_T(g_profile: Callable, A: np.ndarray, grid: TensorGrid, h: float) -> np.ndarray:
@@ -210,7 +224,7 @@ def pullback_T(g_profile: Callable, A: np.ndarray, grid: TensorGrid, h: float) -
             f"pullback requires orthonormal columns; Gram deviation {gram_err:.3e}"
         )
     chunks = ((X @ A, w) for X, w in grid.chunks())
-    return _gradient_outer_sums(g_profile, chunks, [h])[0]
+    return _gradient_outer_sums(g_profile, chunks, [h])[0][0]
 
 
 def eigendecompose(C: np.ndarray) -> SubspaceEstimate:
@@ -269,6 +283,17 @@ def active_subspace(est: SubspaceEstimate, k: int) -> np.ndarray:
     return est.eigenvectors[:, :k].copy()
 
 
+def _estimate_subspaces(
+    f: Callable, grid: TensorGrid, steps: Sequence[float]
+) -> Tuple[List[SubspaceEstimate], Optional[int]]:
+    """``estimate_subspaces``, and how many grid points f routes turbulent: None if f reports no count."""
+    hs = [float(h) for h in steps]
+    distinct = list(dict.fromkeys(hs))
+    sums, turbulent = _gradient_outer_sums(f, grid.chunks(), distinct)
+    by_step = {h: eigendecompose(C) for h, C in zip(distinct, sums)}
+    return [by_step[h] for h in hs], turbulent
+
+
 def estimate_subspaces(f: Callable, grid: TensorGrid, steps: Sequence[float]) -> List[SubspaceEstimate]:
     """One estimate per FD step, all from a single pass over the grid.
 
@@ -276,8 +301,4 @@ def estimate_subspaces(f: Callable, grid: TensorGrid, steps: Sequence[float]) ->
     once per distinct step and dimension; a repeated step is computed once.
     Each estimate equals ``eigendecompose(estimate_C(f, grid, h))`` for its step h.
     """
-    hs = [float(h) for h in steps]
-    distinct = list(dict.fromkeys(hs))
-    sums = _gradient_outer_sums(f, grid.chunks(), distinct)
-    by_step = {h: eigendecompose(C) for h, C in zip(distinct, sums)}
-    return [by_step[h] for h in hs]
+    return _estimate_subspaces(f, grid, steps)[0]

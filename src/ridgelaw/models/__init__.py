@@ -1,7 +1,7 @@
 """Model files (JSON): the schema, its loader, and the shipped models.
 
-SHIPPED_MODELS, the one list of shipped models, maps each id to the active
-dimension of its built-in function (``active_dim``). A shipped model is
+SHIPPED_MODELS is the one list of shipped model ids; a file naming any other
+builtin is refused (``check_builtin_id``). A shipped model is
 resolved by id or short form (``short_form``: 'laminar'), before any file of
 that name, and read from beside this module as any model file is read. It is
 the signature of the built-in function of the same id: a file declaring
@@ -24,7 +24,7 @@ from .._value import Value
 from ..dimensions import DimensionVector, QuantityDecl, UnitSystem, as_fraction, make_dimension
 from ..errors import ModelError
 
-SHIPPED_MODELS = {"pipeflow_laminar": 1, "pipeflow_turbulent": 3}  # id: expected active-subspace dimension
+SHIPPED_MODELS = ("pipeflow_laminar", "pipeflow_turbulent")
 # critical Reynolds number of the shipped pipe models' regime switch
 RE_CRITICAL = 3.0e3
 
@@ -128,20 +128,17 @@ def _units(dim: DimensionVector) -> dict:
     return {u: str(e) for u, e in zip(dim.system.unit_names, dim.exponents) if e}
 
 
-def active_dim(spec: ModelSpec) -> int:
-    """The active dimension of spec's builtin; a ModelError that names the shipped ids if none has its id."""
-    try:
-        return SHIPPED_MODELS[spec.builtin]
-    except KeyError:
+def check_builtin_id(spec: ModelSpec) -> None:
+    """Raise a ModelError that names the shipped ids unless one of them is spec's builtin."""
+    if spec.builtin not in SHIPPED_MODELS:
         raise ModelError(
-            f"model {spec.name!r}: unknown builtin id {spec.builtin!r}; "
-            f"expected one of {list(SHIPPED_MODELS)}"
-        ) from None
+            f"model {spec.name!r}: unknown builtin id {spec.builtin!r}; expected one of {list(SHIPPED_MODELS)}"
+        )
 
 
 def _check_builtin(spec: ModelSpec) -> None:
     """Raise unless spec has the quantities and QoI dimension of its builtin's shipped file."""
-    active_dim(spec)
+    check_builtin_id(spec)
     ref = _load_shipped(spec.builtin)
     context = f"model {spec.name!r} does not match builtin {spec.builtin!r}"
     got = [(q.name, _units(q.dimension)) for q in spec.quantities]

@@ -13,8 +13,8 @@ declared once, in the shipped model files pipeflow_laminar.json and
 pipeflow_turbulent.json; the model function reads its input columns in
 that order, which the loader enforces for every file naming a builtin.
 The tests, not binding, check each PIPE_LAW term's dimension against them.
-``bind_builtin`` reads the active dimension from ``models.active_dim``, and
-``BuiltinModel.routing`` counts the grid points that the law routes turbulent.
+``active_dim`` reads k off the law's exponent rows, given the count of points
+routed turbulent that ``LogSpaceVelocity.fd_values`` returns from the pass.
 ``BuiltinModel.decomposition`` computes the model file's exact Pi decomposition,
 once per bound model, through this module's ``pi_decomposition`` binding.
 """
@@ -23,13 +23,13 @@ from __future__ import annotations
 
 import math
 from functools import cached_property
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Generator, Sequence
 
 import numpy as np
 
 from ._value import Value
 from .errors import ModelError
-from .models import RE_CRITICAL, ModelSpec, active_dim
+from .models import RE_CRITICAL, ModelSpec, check_builtin_id
 from .pigroups import PiDecomposition, build_dimension_matrix, pi_decomposition
 from .quadrature import TensorGrid, tensor_grid
 
@@ -58,6 +58,13 @@ _LOG_GROUPS = tuple(
     [i for i, e in enumerate(zip(_EXPONENTS[1], _EXPONENTS[2])) if e == key]
     for key in dict.fromkeys(zip(_EXPONENTS[1], _EXPONENTS[2]))
 )
+
+
+def active_dim(turbulent: int, points: int) -> int:
+    """k where turbulent of a box's points route turbulent: the rank of the exponent rows the branches read."""
+    # the turbulent branch reads P, t1 and t2; the laminar one v_lam, whose row is P's minus t2's
+    read = ([0, 1, 2] if turbulent else []) + ([3] if turbulent < points else [])
+    return int(np.linalg.matrix_rank(_EXPONENTS[read]))
 
 
 def _terms(x) -> np.ndarray:
@@ -128,8 +135,8 @@ class LogSpaceVelocity(Value):
     def __call__(self, x):
         return combine(_terms(x), self.re_critical)[0]
 
-    def fd_values(self, Y: np.ndarray, steps: Sequence[float], rows: np.ndarray) -> Iterator[np.ndarray]:
-        """f(Y), then rows, (m, n), filled per step h so that its row i is f(Y + h e_i).
+    def fd_values(self, Y: np.ndarray, steps: Sequence[float], rows: np.ndarray) -> Generator[np.ndarray, None, int]:
+        """f(Y), then rows, (m, n), filled per step h so that its row i is f(Y + h e_i); returns Y's turbulent count.
 
         The terms at Y are computed once and give f(Y), a fresh array. A
         shift along dimension i multiplies each term that depends on it by
@@ -141,7 +148,9 @@ class LogSpaceVelocity(Value):
         here: the caller owns rows, which the next step fills again.
         """
         terms = _terms(Y)
-        yield combine(terms, self.re_critical)[0]
+        f0, turbulent = combine(terms, self.re_critical)
+        turbulent = int(np.count_nonzero(turbulent))  # the count, not the mask, lives through the steps
+        yield f0
         P, t1, t2, v_lam, re_per_v = terms
         # every exp(h e_i) of every step, with the bits of the scalar np.exp(h * e_i)
         scales = np.exp(np.multiply.outer(np.asarray(steps, dtype=float), _EXPONENTS))
@@ -164,18 +173,14 @@ class LogSpaceVelocity(Value):
                     np.logical_not(laminar, out=laminar)
                     np.multiply(v_lam, scale[3, i], out=row, where=laminar)
             yield rows
+        return turbulent
 
 
 class BuiltinModel(Value):
     """A model file bound to the built-in velocity function it names."""
 
-    def __init__(
-        self,
-        spec: ModelSpec,
-        f: Callable,
-        active_dim: int,  # expected active-subspace dimension for this regime
-    ):
-        self._set(spec=spec, f=f, active_dim=active_dim)
+    def __init__(self, spec: ModelSpec, f: Callable):
+        self._set(spec=spec, f=f)
 
     @property
     def name(self) -> str:
@@ -188,12 +193,6 @@ class BuiltinModel(Value):
     def grid(self, quad_order: int) -> TensorGrid:
         return tensor_grid(quad_order, self.spec.log_bounds())
 
-    def routing(self, grid: TensorGrid) -> str:
-        """How many of the grid's points the model routes turbulent, at its critical Reynolds number."""
-        with np.errstate(all="ignore"):
-            turbulent = sum(int(combine(_terms(Y), self.f.re_critical)[1].sum()) for Y, _ in grid.chunks())
-        return f"{turbulent} of {len(grid)} grid points route turbulent at re_crit = {self.f.re_critical:g}"
-
 
 def bind_builtin(spec: ModelSpec, re_critical: float = RE_CRITICAL) -> BuiltinModel:
     """Bind a loaded model file to the built-in function its 'builtin' field names."""
@@ -202,9 +201,6 @@ def bind_builtin(spec: ModelSpec, re_critical: float = RE_CRITICAL) -> BuiltinMo
             f"model {spec.name!r} declares no built-in function; "
             "only pi-group analysis is available for it"
         )
-    return BuiltinModel(
-        spec=spec,
-        f=LogSpaceVelocity(re_critical=re_critical),
-        active_dim=active_dim(spec),
-    )
+    check_builtin_id(spec)
+    return BuiltinModel(spec=spec, f=LogSpaceVelocity(re_critical=re_critical))
 

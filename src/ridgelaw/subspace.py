@@ -11,7 +11,7 @@ can be written as a linear combination of an enclosing basis: each column is
 fit by least squares and the squared residual norms are summed. A total of
 zero means the candidate space is contained in the enclosing one; the sweep
 tracks how that total decays as the finite-difference step shrinks. No model
-code loads here: the sweep is handed its model, which also counts the routing.
+code loads here: the sweep is handed its model, whose pass counts the routing.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from typing import TYPE_CHECKING, Iterable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ._value import Value
-from .activesubspace import SubspaceEstimate, _columns, active_subspace, estimate_subspaces
+from .activesubspace import SubspaceEstimate, _columns, _estimate_subspaces, active_subspace
 from .errors import ModelError, NumericalError
 
 if TYPE_CHECKING:  # the numerics layer loads no model code
@@ -133,21 +133,25 @@ def convergence_sweep(
 ) -> SweepResult:
     """Sweep the FD step for a built-in model and report r2(h) with its slope.
 
-    For each h the active subspace (one direction for the laminar model,
-    three for the turbulent one) is estimated on the same quadrature grid and
+    For each h the active subspace (k from the pass's routing count through
+    ``pipeflow.active_dim``) is estimated on the same quadrature grid and
     tested for inclusion in the orthonormalized dimensional-analysis basis.
     All estimates come from one pass over the grid; with ``fd_step`` that
     pass also yields the full estimate at fd_step, returned as ``estimate``.
     """
+    from .pipeflow import active_dim  # the module of the model the sweep is handed
+
     steps = [float(h) for h in steps]
     if not steps or any(a <= b for a, b in zip(steps, steps[1:])):
         raise ValueError(f"sweep needs strictly descending step sizes, got {steps}")
     grid = model.grid(quad_order)
     enclosing = _orthonormalize(model.decomposition.A_float(), "dimensional-analysis")
     extra = [] if fd_step is None else [fd_step]
-    estimates = estimate_subspaces(model.f, grid, steps + extra)
+    estimates, turbulent = _estimate_subspaces(model.f, grid, steps + extra)
+    if turbulent is None:
+        raise ModelError(f"model {model.name!r}: its function reports no routing count, so the sweep has no k")
     entries: List[Tuple[float, float]] = []
-    k = model.active_dim
+    k = active_dim(turbulent, len(grid))
     for h, est in zip(steps, estimates):
         try:
             basis = active_subspace(est, k)
@@ -155,8 +159,8 @@ def convergence_sweep(
             lam = est.eigenvalues
             raise NumericalError(
                 f"no spectral gap at step h = {h:g} between eigenvalues {k} and {k + 1} "
-                f"({lam[k - 1]:.6e} vs {lam[k]:.6e}; {model.routing(grid)}); "
-                f"k = {k} is the model's active dimension"
+                f"({lam[k - 1]:.6e} vs {lam[k]:.6e}; {turbulent} of {len(grid)} grid points route turbulent "
+                f"at re_crit = {model.f.re_critical:g}); k = {k} is the model's active dimension"
             ) from None
         report = inclusion_residual(basis, enclosing)
         entries.append((h, report.total))

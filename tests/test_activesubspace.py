@@ -218,7 +218,7 @@ class TestEstimateC:
             for k, (h, V) in enumerate(zip(steps, values)):
                 G = (V - f0) / h
                 divided[k] += (G * w) @ G.T
-        for C, S in zip(_gradient_outer_sums(f, grid.chunks(), steps), divided):
+        for C, S in zip(_gradient_outer_sums(f, grid.chunks(), steps)[0], divided):
             S = np.tril(S) + np.tril(S, -1).T
             assert np.max(np.abs(C - S)) <= 1e-14 * np.linalg.norm(S)
 
@@ -252,7 +252,8 @@ class TestMultiStepPass:
     def test_each_step_equals_its_one_step_estimate(self, chunk_size, monkeypatch):
         monkeypatch.setattr(quadrature, "DEFAULT_CHUNK", chunk_size)
         grid = tensor_grid(7, [(-1.0, 1.0)] * 3)
-        sums = _gradient_outer_sums(self.f, grid.chunks(), self.STEPS)
+        sums, turbulent = _gradient_outer_sums(self.f, grid.chunks(), self.STEPS)
+        assert turbulent is None  # a plain f reports no count
         ests = estimate_subspaces(self.f, grid, self.STEPS)
         assert len(ests) == len(self.STEPS)
         for h, C, est in zip(self.STEPS, sums, ests):
@@ -268,7 +269,7 @@ class TestMultiStepPass:
         A = np.linalg.qr(np.array([[1.0, 0.0], [1.0, 1.0], [0.0, 2.0]]))[0]
         g = lambda y: np.sin(y[..., 0]) * y[..., 1] ** 2
         lifted = ((X @ A, w) for X, w in grid.chunks())
-        sums = _gradient_outer_sums(g, lifted, [1e-3, 1e-6])
+        sums, _ = _gradient_outer_sums(g, lifted, [1e-3, 1e-6])
         for h, T in zip([1e-3, 1e-6], sums):
             assert np.array_equal(T, pullback_T(g, A, grid, h))
 
@@ -324,8 +325,8 @@ class TestFdValuesHook:
     def test_gives_the_plain_path_result(self, monkeypatch):
         monkeypatch.setattr(quadrature, "DEFAULT_CHUNK", 16)
         grid = tensor_grid(4, [(-1.0, 1.0)] * 3)
-        hook = _gradient_outer_sums(self.Linear(), grid.chunks(), [1e-2, 1e-4])
-        plain = _gradient_outer_sums(lambda x: self.Linear()(x), grid.chunks(), [1e-2, 1e-4])
+        hook, _ = _gradient_outer_sums(self.Linear(), grid.chunks(), [1e-2, 1e-4])
+        plain, _ = _gradient_outer_sums(lambda x: self.Linear()(x), grid.chunks(), [1e-2, 1e-4])
         for C, C_plain in zip(hook, plain):
             assert np.array_equal(C, C_plain)
 
@@ -470,7 +471,7 @@ class TestBatchedChecks:
                 for c in (slice(0, 4096), slice(4096, None)):
                     per_slice[k] += (D[:, c] * v[c]) @ D[:, c].T
         for expected in (column_major, per_slice):
-            for C, S in zip(_gradient_outer_sums(turbulent_model.f, grid.chunks(), steps), expected):
+            for C, S in zip(_gradient_outer_sums(turbulent_model.f, grid.chunks(), steps)[0], expected):
                 S = np.tril(S) + np.tril(S, -1).T
                 assert np.max(np.abs(C - S)) <= 1e-13 * np.linalg.norm(S)
 
@@ -679,9 +680,10 @@ def test_trailing_eigenvalues_stay_under_fd_noise_envelope(laminar_model, turbul
 
 
 def test_pass_working_memory_stays_under_2_mb(turbulent_model):
-    # the order-11 turbulent pass (161 051 points, six steps) peaks at 1 656 640 B with chunks of
-    # 8192 points, since the pass owns its one step array: the 343 360 B left hold one more (m, n)
-    # array (327 680 B); 16384-point chunks peak near 4 MB and the whole grid's points alone take 6.4 MB
+    # the order-11 turbulent pass (161 051 points, six steps) peaks at 1 659 236 B with chunks of
+    # 8192 points (Python 3.11, numpy 2.4), since the pass owns its one step array and keeps each
+    # chunk's routing count, not its mask: the 340 764 B left hold one more (m, n) array (327 680 B);
+    # 16384-point chunks peak near 4 MB and the whole grid's points alone take 6.4 MB
     grid = turbulent_model.grid(11)
     grid.chunk(0, 1)  # the grid's tiles live as long as the grid; they are built before measuring
     estimate_subspaces(turbulent_model.f, turbulent_model.grid(3), [1e-2])  # numpy's first-call allocations

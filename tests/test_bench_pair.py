@@ -14,7 +14,9 @@ from scripts import bench_pair
 
 ROOT = Path(__file__).resolve().parents[1]
 RATIO_KEYS = {"median_ratio", "ratio_q1", "ratio_q3", "iqr"}
-PAIRING_KEYS = RATIO_KEYS | {"min_s", "minor_faults", "failed", "failed_checks", "differing_files"}
+PAIRING_KEYS = RATIO_KEYS | {
+    "min_s", "minor_faults", "failed", "failed_checks", "first_failed_check", "differing_files"
+}
 
 
 def in_git_checkout() -> bool:
@@ -31,8 +33,10 @@ def assert_pairing(block):
     assert set(block["min_s"]) == set(block["minor_faults"]) == {"this", "against"}
     assert all(math.isfinite(t) and t > 0 for t in block["min_s"].values())
     assert all(type(n) is int and n >= 0 for n in block["minor_faults"].values())
-    assert block["failed"] == {"this": 0, "against": 0}
-    assert block["failed_checks"] == {"this": 0, "against": 0}
+    # a failed check is named, so that an eigenvalue that leaves the benchmark's tolerance shows here
+    assert block["failed"] == {"this": 0, "against": 0}, block["first_failed_check"]
+    assert block["failed_checks"] == {"this": 0, "against": 0}, block["first_failed_check"]
+    assert block["first_failed_check"] == {"this": None, "against": None}
     assert block["differing_files"] == 0
 
 
@@ -46,7 +50,8 @@ def test_pairs_against_head_report_finite_ratios_and_identical_artifacts(workloa
         cwd=ROOT, capture_output=True, text=True, timeout=600,
     )
     timings = [line for line in proc.stderr.splitlines() if line.startswith("import time:")]
-    assert proc.returncode == 0, [proc.stdout, *(line for line in proc.stderr.splitlines() if line not in timings)]
+    # exit 1 is a failed command or check: assert_pairing below names the first one of each side
+    assert proc.returncode in (0, 1), [proc.stdout, *(line for line in proc.stderr.splitlines() if line not in timings)]
     # the workers import ridgelaw; the pairing process itself never does
     imported = {line.rsplit("|", 1)[-1].strip() for line in timings}
     assert "json" in imported and not {name for name in imported if name.split(".")[0] == "ridgelaw"}
@@ -60,6 +65,7 @@ def test_pairs_against_head_report_finite_ratios_and_identical_artifacts(workloa
     assert_pairing({k: report[k] for k in PAIRING_KEYS})
     # the A/A pairing: this tree's batches against a copy of itself, in the same run
     assert_pairing(report["aa"])
+    assert proc.returncode == 0
     setup = report["setup"]
     assert set(setup) == RATIO_KEYS | {"min_s", "samples", "aa"}
     assert setup["samples"] == report["pairs"] and set(setup["min_s"]) == {"this", "against"}
@@ -135,8 +141,14 @@ def test_failed_commands_and_checks_are_counted_per_side(tmp_path, bench_modules
     wrong = report(ok, not_ok, "wrong")
     assert (wrong["failed"], wrong["failed_checks"]) == ({"this": 0, "against": 0}, {"this": 0, "against": 4})
     assert wrong["differing_files"] == 4
+    # the first failure is the first pair's warm-up batch, named by its command
+    warmup_out = tmp_path / "wrong" / "pair0001" / "warmup" / "out-not-ok"
+    message = f"cmd --out {warmup_out}: CheckError: a.txt is not ok"
+    assert wrong["first_failed_check"] == {"this": None, "against": message}
     crashed = report(crashing, ok, "crashed")
     assert (crashed["failed"], crashed["failed_checks"]) == ({"this": 4, "against": 0}, {"this": 4, "against": 0})
+    crashed_out = tmp_path / "crashed" / "pair0001" / "warmup" / "out-crashing"
+    assert crashed["first_failed_check"] == {"this": f"cmd --out {crashed_out}: exit 4: ", "against": None}
     assert crashed["differing_files"] == 0
 
 

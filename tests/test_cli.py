@@ -470,6 +470,15 @@ class TestSweepCommand:
         assert payload["model"] == "pipeflow_laminar"
         assert payload["quad_order"] == 3
 
+    def test_a_laminar_box_naming_the_turbulent_builtin_tests_one_direction(self, tmp_path, capsys):
+        # k follows the routing, not the builtin id: no point of the laminar box routes turbulent
+        doc = _shipped_laminar_doc()
+        doc["builtin"] = "pipeflow_turbulent"
+        path = write_model(tmp_path, doc, name="box.json")
+        assert run_command(["sweep", "--model", path, "--steps", "1e-2,1e-4", "--quad-order", "3"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert (payload["model"], payload["subspace_dim"]) == ("pipeflow_turbulent", 1)
+
     def test_model_file_prints_the_same_bytes_as_its_builtin_id(self, tmp_path, capsys):
         path = write_model(tmp_path, _shipped_laminar_doc(), name="copy.json")
         argv = ["--steps", "1e-3,1e-4", "--quad-order", "3"]
@@ -487,7 +496,7 @@ class TestSweepCommand:
     ],
 )
 def test_no_spectral_gap_names_the_step_and_the_models_active_dimension(capsys, argv, h):
-    # a one-point grid gives C rank one: no gap at the turbulent model's k = 3, which no option sets
+    # a one-point grid gives C rank one: no gap at k = 3, which its one point routed turbulent sets
     assert run_command(argv) == 4
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -497,11 +506,34 @@ def test_no_spectral_gap_names_the_step_and_the_models_active_dimension(capsys, 
 
 
 def test_no_spectral_gap_counts_the_points_routed_turbulent(capsys):
-    # --re-crit 1e300 routes every point laminar, while k stays the turbulent model's 3
-    argv = ["pipeflow", "reproduce", "--regime", "turbulent", "--quad-order", "3", "--re-crit", "1e300"]
-    assert run_command(argv) == 4
-    err = capsys.readouterr().err
-    assert "; 0 of 243 grid points route turbulent at re_crit = 1e+300); k = 3 is the model's active dimension\n" in err
+    # the count comes from the pass that found no gap
+    assert run_command(["pipeflow", "reproduce", "--regime", "turbulent", "--quad-order", "1"]) == 4
+    assert capsys.readouterr().err == (
+        "numerical failure: no spectral gap at step h = 0.01 between eigenvalues 3 and 4 "
+        "(0.000000e+00 vs 0.000000e+00; 1 of 1 grid points route turbulent at re_crit = 3000); "
+        "k = 3 is the model's active dimension\n"
+    )
+
+
+@pytest.mark.parametrize("regime, re_crit, k", [("turbulent", "1e300", 1), ("laminar", "1e-300", 3)])
+def test_re_crit_sets_the_sweeps_k_through_the_routing(capsys, regime, re_crit, k):
+    # 0 of 243 order-3 points route turbulent at 1e300, so the turbulent box tests v_lam's one
+    # direction; 132 of them do at 1e-300, so the laminar box tests the turbulent branch's three
+    from ridgelaw.activesubspace import eigendecompose, estimate_C
+    from ridgelaw.subspace import inclusion_residual
+
+    argv = ["pipeflow", "reproduce", "--regime", regime, "--quad-order", "3", "--re-crit", re_crit]
+    assert run_command(argv) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    payload = json.loads(captured.out)
+    assert float(payload["slope"]) == pytest.approx(2.0, abs=1e-2)
+    # each step's r2 is that of its k leading eigenvectors
+    model = pipeflow.bind_builtin(load_model(regime), float(re_crit))
+    for h, r2 in payload["sweep"]:
+        U = eigendecompose(estimate_C(model.f, model.grid(3), float(h))).eigenvectors[:, :k]
+        assert float(r2) == pytest.approx(inclusion_residual(U, model.decomposition.A_float()).total, rel=1e-9)
+
 
 class TestPipeflowCommand:
     def test_eval_emits_state_summary(self, capsys):

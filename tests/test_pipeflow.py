@@ -369,7 +369,7 @@ class TestPassOracle:
         model = bind_builtin(load_model(regime))
         grid = model.grid(order)
         want = reference_pass(model.f, grid.chunks(), self.STEPS)
-        got = activesubspace._gradient_outer_sums(model.f, grid.chunks(), self.STEPS)
+        got, _ = activesubspace._gradient_outer_sums(model.f, grid.chunks(), self.STEPS)
         self.assert_same_bits(got, want)
         for est, C in zip(estimate_subspaces(model.f, grid, self.STEPS), want):
             one = activesubspace.eigendecompose(C)
@@ -387,7 +387,7 @@ class TestPassOracle:
         f = lambda x: turbulent_model.f(x)  # no fd_values: f is called on each shifted chunk
         grid = turbulent_model.grid(9)
         want = reference_pass(f, grid.chunks(), self.STEPS)
-        self.assert_same_bits(activesubspace._gradient_outer_sums(f, grid.chunks(), self.STEPS), want)
+        self.assert_same_bits(activesubspace._gradient_outer_sums(f, grid.chunks(), self.STEPS)[0], want)
 
     @pytest.mark.parametrize("profile", ["plain", "model"])
     def test_pullback_equals_the_reference(self, turbulent_model, profile):
@@ -667,10 +667,6 @@ class TestBuiltinModel:
         with pytest.raises(ModelError, match="neither a file nor one of the shipped models"):
             bind_builtin(load_model("transitional"))
 
-    def test_expected_active_dimensions(self, laminar_model, turbulent_model):
-        assert laminar_model.active_dim == 1
-        assert turbulent_model.active_dim == 3
-
     def test_an_unshipped_builtin_id_is_a_model_error_that_names_the_shipped_ids(self):
         laminar = load_model("laminar")
         spec = ModelSpec(
@@ -684,18 +680,42 @@ class TestBuiltinModel:
             bind_builtin(spec)
 
     @pytest.mark.parametrize(
-        "name, re_critical, routed",
+        "name, re_critical, order, routed",
         [
-            ("turbulent", RE_CRITICAL, "240 of 243 grid points route turbulent at re_crit = 3000"),
-            ("laminar", RE_CRITICAL, "0 of 243 grid points route turbulent at re_crit = 3000"),
-            ("turbulent", 1e300, "0 of 243 grid points route turbulent at re_crit = 1e+300"),
+            ("turbulent", RE_CRITICAL, 3, 240),
+            ("laminar", RE_CRITICAL, 3, 0),
+            ("turbulent", 1e300, 3, 0),
+            ("laminar", 1e-300, 3, 132),
+            ("turbulent", RE_CRITICAL, 15, 740_071),  # of 759 375
         ],
     )
-    def test_routing_counts_the_order_3_points_routed_turbulent(self, name, re_critical, routed):
+    def test_the_pass_counts_the_points_routed_turbulent(self, name, re_critical, order, routed):
         model = bind_builtin(load_model(name), re_critical)
-        assert model.routing(model.grid(3)) == routed
+        grid = model.grid(order)
+        _, turbulent = activesubspace._gradient_outer_sums(model.f, grid.chunks(), [1e-2])
+        assert turbulent == routed
+        # the base mask of every chunk, evaluated apart from the pass
+        assert sum(int(combine(_terms(Y), re_critical)[1].sum()) for Y, _ in grid.chunks()) == routed
 
-    def test_active_dimensions_are_read_from_the_shipped_models_map(self, monkeypatch):
-        assert SHIPPED_MODELS == {"pipeflow_laminar": 1, "pipeflow_turbulent": 3}
-        monkeypatch.setitem(SHIPPED_MODELS, "pipeflow_turbulent", 2)
-        assert bind_builtin(load_model("turbulent")).active_dim == 2
+    def test_fd_values_returns_its_chunks_count_after_the_last_step(self, turbulent_model, monkeypatch):
+        grid = turbulent_model.grid(3)
+        Y, _ = grid.chunk(0, len(grid))
+        values = turbulent_model.f.fd_values(Y, [1e-2, 1e-4], np.empty(Y.shape[::-1]))
+        assert len(list(itertools.islice(values, 3))) == 3  # f(Y) and two steps
+        assert activesubspace._returned(values) == 240
+        monkeypatch.setattr(quadrature, "DEFAULT_CHUNK", 16)  # 15 chunks of 16 and one of 3, summed in order
+        assert activesubspace._gradient_outer_sums(turbulent_model.f, grid.chunks(), [1e-2])[1] == 240
+
+    def test_a_plain_callable_reports_no_count(self, turbulent_model):
+        grid = turbulent_model.grid(3)
+        assert activesubspace._gradient_outer_sums(lambda x: turbulent_model.f(x), grid.chunks(), [1e-2])[1] is None
+
+    def test_k_is_the_rank_of_the_exponent_rows_the_routed_branches_read(self):
+        assert [pipeflow.active_dim(turbulent, 243) for turbulent in (0, 1, 132, 242, 243)] == [1, 3, 3, 3, 3]
+        # the laminar branch's row lies in the span of the turbulent branch's: v_lam = P / t2
+        E = pipeflow._EXPONENTS
+        assert np.array_equal(E[3], E[0] - E[2])
+        assert np.linalg.matrix_rank(E[:3]) == 3
+
+    def test_shipped_models_is_the_tuple_of_ids(self):
+        assert SHIPPED_MODELS == ("pipeflow_laminar", "pipeflow_turbulent")

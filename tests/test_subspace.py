@@ -3,10 +3,10 @@
 import numpy as np
 import pytest
 
-from ridgelaw.activesubspace import eigendecompose, estimate_C
+from ridgelaw.activesubspace import _estimate_subspaces, _shifted_values, eigendecompose, estimate_C
 from ridgelaw.errors import ModelError, NumericalError
 from ridgelaw.models import load_model
-from ridgelaw.pipeflow import BuiltinModel, bind_builtin
+from ridgelaw.pipeflow import BuiltinModel, _terms, bind_builtin, combine
 from ridgelaw.subspace import (
     SweepResult,
     convergence_sweep,
@@ -182,22 +182,28 @@ class TestConvergenceSweep:
         assert lowered.entries[0][1] == pytest.approx(3.80e-5, rel=1e-3)
 
     def test_the_re_crit_probes_route_a_mixed_box_and_no_turbulent_point(self):
-        # the two --re-crit probes below: the laminar box at re_crit 1e-300 is mixed, not all turbulent
+        # the two --re-crit probes below, counted by the pass that the sweep runs
         laminar = bind_builtin(load_model("laminar"), 1e-300)
         turbulent = bind_builtin(load_model("turbulent"), 1e300)
-        assert laminar.routing(laminar.grid(3)).startswith("132 of 243 grid points route turbulent")
-        assert turbulent.routing(turbulent.grid(3)).startswith("0 of 243 grid points route turbulent")
+        assert _estimate_subspaces(laminar.f, laminar.grid(3), [1e-3])[1] == 132  # of 243
+        assert _estimate_subspaces(turbulent.f, turbulent.grid(3), [1e-3])[1] == 0
 
-    # --re-crit moves the routing, but k is fixed per model id; these flip when k follows the routing
-    @pytest.mark.xfail(strict=True, raises=AssertionError, reason="k comes from the model id, not the routing")
+    # --re-crit moves the routing, and k follows it: the rank of the law's rows that the routed branches read
     def test_a_laminar_box_with_turbulent_points_tests_three_directions(self):
         result = convergence_sweep(bind_builtin(load_model("laminar"), 1e-300), [1e-3, 1e-5], quad_order=3)
         assert result.subspace_dim == 3
+        assert result.slope == pytest.approx(2.0, abs=1e-2)
 
-    @pytest.mark.xfail(strict=True, raises=NumericalError, reason="k comes from the model id, not the routing")
     def test_a_turbulent_box_without_turbulent_points_tests_one_direction(self):
         result = convergence_sweep(bind_builtin(load_model("turbulent"), 1e300), [1e-3, 1e-5], quad_order=3)
         assert result.subspace_dim == 1
+        assert result.slope == pytest.approx(2.0, abs=1e-2)
+
+    def test_a_model_function_that_reports_no_count_has_no_k(self):
+        base = bind_builtin(load_model("laminar"))
+        plain = BuiltinModel(base.spec, lambda x: base.f(x))
+        with pytest.raises(ModelError, match=r"^model 'pipeflow_laminar': its function reports no routing count"):
+            convergence_sweep(plain, [1e-3, 1e-5], quad_order=3)
 
     @pytest.mark.parametrize("regime, floor", [("laminar", 4.9e-3), ("turbulent", 9.7e-2)])
     def test_inhomogeneous_model_keeps_a_residual(self, regime, floor):
@@ -205,7 +211,17 @@ class TestConvergenceSweep:
         # active subspace leaves span(A) and r2 stays put as h shrinks, while
         # the homogeneous model's r2 falls to rounding level
         base = bind_builtin(load_model(regime))
-        lurking = BuiltinModel(base.spec, lambda x: base.f(x) * np.exp(0.3 * x[..., 0]), base.active_dim)
+
+        class Lurking:
+            def __call__(self, x):
+                return base.f(x) * np.exp(0.3 * x[..., 0])
+
+            def fd_values(self, Y, steps, rows):
+                # the plain path's values, with the routing count of the law it scales
+                yield from _shifted_values(self, Y, steps, rows)
+                return int(np.count_nonzero(combine(_terms(Y), base.f.re_critical)[1]))
+
+        lurking = BuiltinModel(base.spec, Lurking())
         steps = [1e-4, 1e-5, 1e-6]
         r2 = [r for _, r in convergence_sweep(lurking, steps, quad_order=5).entries]
         assert r2[-1] >= 1e-3

@@ -79,9 +79,9 @@ CASES = {
     ),
     LogSpaceVelocity: ([("re_critical", RE_CRITICAL)], (2500.0,), ("re_critical", 2600.0)),
     BuiltinModel: (
-        [("spec", REQUIRED), ("f", REQUIRED), ("active_dim", REQUIRED)],
-        (load_model("laminar"), LogSpaceVelocity(), 1),
-        ("active_dim", 3),
+        [("spec", REQUIRED), ("f", REQUIRED)],
+        (load_model("laminar"), LogSpaceVelocity()),
+        ("f", LogSpaceVelocity(2600.0)),
     ),
 }
 CLASSES = list(CASES)
